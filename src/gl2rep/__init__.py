@@ -4,7 +4,7 @@ and restriction from SL3(q), with brute-force matrix and convolution oracles."""
 from .cyclotomic import Cyclotomic, cyclotomic_polynomial, root
 from .gl2 import GL2Class, GL2Irrep, GroupParams, char_value, params
 from .sl3 import SL3Class, SL3Irrep
-from .tensor import MultTable, decompose, mult_closed, mult_sum
+from .tensor import decompose, mult_closed, mult_sum
 
 __all__ = [
     "Cyclotomic",
@@ -17,7 +17,6 @@ __all__ = [
     "params",
     "SL3Class",
     "SL3Irrep",
-    "MultTable",
     "decompose",
     "mult_closed",
     "mult_sum",

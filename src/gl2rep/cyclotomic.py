@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from typing import Iterable, Sequence
 
 from .errors import NonIntegral, OrderTooLarge
 
 MAX_ORDER = 2**31
 
-_lock = threading.Lock()
 _cyclotomic_cache: dict[int, tuple[int, ...]] = {}
 _power_table_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
 
@@ -87,8 +85,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     cyclotomic polynomials over proper divisors d of n.
     """
     _check_order(n)
-    with _lock:
-        cached = _cyclotomic_cache.get(n)
+    cached = _cyclotomic_cache.get(n)
     if cached is not None:
         return cached
     if n == 1:
@@ -100,15 +97,13 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
             if n % d == 0:
                 den = _poly_mul(den, cyclotomic_polynomial(d))
         poly = tuple(_poly_divmod_exact(num, den))
-    with _lock:
-        _cyclotomic_cache[n] = poly
+    _cyclotomic_cache[n] = poly
     return poly
 
 
 def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Power-basis coordinates of zeta_n^j for every j in range(n)."""
-    with _lock:
-        cached = _power_table_cache.get(n)
+    cached = _power_table_cache.get(n)
     if cached is not None:
         return cached
     phi_poly = cyclotomic_polynomial(n)
@@ -125,8 +120,7 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
                 shifted[i] -= lead * phi_poly[i]
         cur = shifted
     table = tuple(rows)
-    with _lock:
-        _power_table_cache[n] = table
+    _power_table_cache[n] = table
     return table
 
 

@@ -23,9 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .cyclotomic import Cyclotomic, reduce_root_sum
-from .errors import InvalidLabel, MismatchedQ, NotPrimePower
+from .errors import InvalidLabel, MismatchedQ, NonIntegral, NotPrimePower
 
 IRREP_KINDS = ("U", "V", "W", "X")
 CLASS_KINDS = ("c1", "c2", "c3", "c4")
@@ -136,6 +137,8 @@ class _Label:
         return hash((type(self).__name__, self.q, self.kind, self.data))
 
     def label(self) -> str:
+        if not self.data:
+            return self.kind
         return f"{self.kind}:{','.join(str(v) for v in self.data)}"
 
     def __repr__(self):
@@ -287,12 +290,68 @@ def char_terms(pi: GL2Irrep, c: GL2Class, pr: GroupParams) -> tuple[tuple[int, i
     return ((-1, (n * m) % rs), (-1, (n * q * m) % rs))
 
 
+def terms_value(rs: int, terms) -> Cyclotomic:
+    """Exact value of sum(coef * zeta_rs^exp) over character terms (coef, exp)."""
+    weights = [0] * rs
+    for coef, exp in terms:
+        weights[exp] += coef
+    return reduce_root_sum(rs, weights)
+
+
 def char_value(pi: GL2Irrep, c: GL2Class, pr: GroupParams) -> Cyclotomic:
     """Exact character table entry chi_pi(c) as a cyclotomic integer."""
-    weights = [0] * pr.rs
-    for coef, exp in char_terms(pi, c, pr):
-        weights[exp] += coef
-    return reduce_root_sum(pr.rs, weights)
+    return terms_value(pr.rs, char_terms(pi, c, pr))
+
+
+# -- the exact class-sum kernel --------------------------------------------------
+
+UNIT_TERMS = ((1, 0),)
+
+
+@lru_cache(maxsize=None)
+def class_table(q: int) -> tuple[tuple[GL2Class, ...], tuple[int, ...], dict[GL2Class, int]]:
+    """The classes of GL2(q) in canonical order, their sizes and their positions."""
+    classes = tuple(enumerate_classes(params(q)))
+    return classes, tuple(c.size() for c in classes), {c: i for i, c in enumerate(classes)}
+
+
+def char_row(pi: GL2Irrep, pr: GroupParams) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """char_terms of pi on every class, in canonical class order; cached per irrep."""
+    if pi.q != pr.q:
+        raise MismatchedQ(f"{pi!r} does not live over q={pr.q}")
+    return _char_row(pi.q, pi.kind, pi.data)
+
+
+# keyed on plain values: labels of different q raise MismatchedQ when compared
+@lru_cache(maxsize=None)
+def _char_row(q: int, kind: str, data: tuple[int, ...]):
+    pr = params(q)
+    pi = GL2Irrep(q, kind, data)
+    return tuple(char_terms(pi, c, pr) for c in class_table(q)[0])
+
+
+def class_sum(rs: int, weights, a, b, c) -> Cyclotomic:
+    """Exact sum over k of weights[k] * a[k] * b[k] * conj(c[k]) in Z[zeta_rs].
+
+    a, b and c give one character value per k as terms (coef, exp); a
+    two-factor sum passes UNIT_TERMS for every b[k].
+    """
+    acc = [0] * rs
+    for w, t1, t2, t3 in zip(weights, a, b, c):
+        for a1, e1 in t1:
+            for a2, e2 in t2:
+                coef = w * a1 * a2
+                e12 = e1 + e2
+                for a3, e3 in t3:
+                    acc[(e12 - e3) % rs] += coef * a3
+    return reduce_root_sum(rs, acc)
+
+
+def divide_exact(total: int, divisor: int, what: str) -> int:
+    """total // divisor, or NonIntegral naming ``what`` if the division leaves a remainder."""
+    if total % divisor:
+        raise NonIntegral(f"{what} = {total} is not divisible by {divisor}")
+    return total // divisor
 
 
 def char_inner_product(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> int:
@@ -300,25 +359,19 @@ def char_inner_product(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> int:
 
     Row orthogonality: the result is |G| when pi1 == pi2 and 0 otherwise.
     """
-    rs = pr.rs
-    acc = [0] * rs
-    for c in enumerate_classes(pr):
-        w = c.size()
-        for c1, e1 in char_terms(pi1, c, pr):
-            for c2, e2 in char_terms(pi2, c, pr):
-                acc[(e1 - e2) % rs] += w * c1 * c2
-    return reduce_root_sum(rs, acc).as_integer()
+    _, sizes, _ = class_table(pr.q)
+    row1, row2 = char_row(pi1, pr), char_row(pi2, pr)
+    return class_sum(pr.rs, sizes, row1, repeat(UNIT_TERMS), row2).as_integer()
 
 
 def class_inner_product(c1: GL2Class, c2: GL2Class, pr: GroupParams) -> int:
     """Column sum over irreps of chi(c1) conj(chi(c2)); |G|/|c| on the diagonal."""
-    rs = pr.rs
-    acc = [0] * rs
-    for pi in enumerate_irreps(pr):
-        for a1, e1 in char_terms(pi, c1, pr):
-            for a2, e2 in char_terms(pi, c2, pr):
-                acc[(e1 - e2) % rs] += a1 * a2
-    return reduce_root_sum(rs, acc).as_integer()
+    _check_same_q(c1, c2, pr)
+    _, _, index = class_table(pr.q)
+    i1, i2 = index[c1], index[c2]
+    rows = [char_row(pi, pr) for pi in enumerate_irreps(pr)]
+    col1, col2 = [row[i1] for row in rows], [row[i2] for row in rows]
+    return class_sum(pr.rs, repeat(1), col1, repeat(UNIT_TERMS), col2).as_integer()
 
 
 def _parse_ints(body: str, count: int, what: str) -> tuple[int, ...]:

@@ -20,9 +20,9 @@ integer tensor
     N[k][i][j] = #{ y in orbit_i : y^-1 x_k in orbit_j }
 
 over the H-conjugation orbits on G', which turns each convolution into
-a small exact bilinear form.  When the values would overflow machine
-integers, the same bilinear forms are rerun modulo several primes whose
-product exceeds twice the a-priori bound, which pins the exact integers.
+a small exact bilinear form in int64.  A convolution whose a-priori
+bound reaches 2^62 raises BudgetExceeded; at q <= 3 the largest bound is
+below 2^18.
 """
 
 from __future__ import annotations
@@ -181,7 +181,10 @@ class GroupFunction:
     """
 
     def __init__(self, ctx: PairGroupContext, orbit_coords: np.ndarray, den: int = 1):
-        assert orbit_coords.shape == (ctx.K, ctx.phi)
+        if orbit_coords.shape != (ctx.K, ctx.phi):
+            raise MismatchedGroup(
+                f"coordinates of shape {orbit_coords.shape}; this group needs {(ctx.K, ctx.phi)}"
+            )
         self.ctx = ctx
         g = den
         for v in orbit_coords.ravel():
@@ -193,10 +196,6 @@ class GroupFunction:
             den //= g
         if den < 0:
             orbit_coords, den = -orbit_coords, -den
-        if orbit_coords.dtype == object and all(
-            abs(int(v)) < 2**62 for v in orbit_coords.ravel()
-        ):
-            orbit_coords = orbit_coords.astype(np.int64)
         self.coords = orbit_coords.copy()
         self.den = den
 
@@ -248,56 +247,24 @@ def xi_function(pi: GL2Irrep, ctx: PairGroupContext) -> GroupFunction:
     return GroupFunction(ctx, coords)
 
 
+def _check_int64(ctx: PairGroupContext, f: np.ndarray, g: np.ndarray) -> None:
+    """Raise BudgetExceeded unless every coordinate of f * g provably fits in int64."""
+    max_f = int(np.abs(f).max() or 1)
+    max_g = int(np.abs(g).max() or 1)
+    bound = ctx.n2 * ctx.phi * max_f * max_g
+    if bound >= 2**62:
+        raise BudgetExceeded(f"convolution bound {bound} reaches 2^62 at q={ctx.q}")
+
+
 def _convolve_coords(
     ctx: PairGroupContext, f: np.ndarray, g: np.ndarray
 ) -> np.ndarray:
     """Integer part of (f * g) at orbit reps: sum_{i,j} N[k,i,j] f_i g_j, reduced."""
+    _check_int64(ctx, f, g)
     N = ctx.n_tensor()
-    max_f = int(np.abs(f).max() or 1)
-    max_g = int(np.abs(g).max() or 1)
-    bound = ctx.n2 * ctx.phi * max_f * max_g
-    if bound < 2**62 and f.dtype != object and g.dtype != object:
-        t1 = np.einsum("kij,ic->kjc", N, f, dtype=np.int64)
-        s = np.einsum("kjc,jd->kcd", t1, g)
-        return np.einsum("kcd,cde->ke", s, ctx.reduction)
-    # CRT fallback: run modulo primes whose product exceeds twice the bound
-    return _convolve_coords_crt(ctx, f, g, bound)
-
-
-_CRT_PRIMES = [1_000_003, 1_000_033, 1_000_037, 1_000_039, 1_000_081, 1_000_099, 1_000_117]
-
-
-def _convolve_coords_crt(ctx, f, g, bound: int) -> np.ndarray:
-    N = ctx.n_tensor().astype(np.int64)
-    primes = []
-    prod = 1
-    for p in _CRT_PRIMES:
-        primes.append(p)
-        prod *= p
-        if prod > 2 * bound:
-            break
-    assert prod > 2 * bound, "CRT prime pool too small for this bound"
-    residues = []
-    for p in primes:
-        fp = np.mod(f.astype(object), p).astype(np.int64)
-        gp = np.mod(g.astype(object), p).astype(np.int64)
-        t1 = np.mod(np.einsum("kij,ic->kjc", np.mod(N, p), fp), p)
-        s = np.mod(np.einsum("kjc,jd->kcd", t1, gp), p)
-        residues.append(np.mod(np.einsum("kcd,cde->ke", s, np.mod(ctx.reduction, p)), p))
-    out = np.zeros(residues[0].shape, dtype=object)
-    m = 1
-    for p, res in zip(primes, residues):
-        # incremental CRT lift
-        if m == 1:
-            out = res.astype(object)
-        else:
-            inv = pow(m % p, -1, p)
-            diff = np.mod((res.astype(object) - out) * inv, p)
-            out = out + diff * m
-        m *= p
-    half = m // 2
-    out = np.where(out > half, out - m, out)
-    return out
+    t1 = np.einsum("kij,ic->kjc", N, f, dtype=np.int64)
+    s = np.einsum("kjc,jd->kcd", t1, g)
+    return np.einsum("kcd,cde->ke", s, ctx.reduction)
 
 
 def convolve(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
@@ -314,16 +281,14 @@ def convolve_literal(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
     if f1.ctx is not f2.ctx:
         raise MismatchedGroup("functions live on different groups")
     ctx = f1.ctx
-    coords = np.zeros((ctx.K, ctx.phi), dtype=object)
+    _check_int64(ctx, f1.coords, f2.coords)
+    coords = np.zeros((ctx.K, ctx.phi), dtype=np.int64)
     for k, xk in enumerate(ctx.orbit_reps):
-        acc = np.zeros(ctx.phi, dtype=object)
         for y in range(ctx.n2):
             u = ctx.pair_mul(ctx.pair_inv(y), xk)
             fy = f1.coords[ctx.orb[y]]
             gu = f2.coords[ctx.orb[u]]
-            prod = np.einsum("c,d,cde->e", fy.astype(object), gu.astype(object), ctx.reduction.astype(object))
-            acc += prod
-        coords[k] = acc
+            coords[k] += np.einsum("c,d,cde->e", fy, gu, ctx.reduction)
     return GroupFunction(ctx, coords, f1.den * f2.den * ctx.n2)
 
 

@@ -13,15 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import Cyclotomic, reduce_root_sum, root
-from .errors import BudgetExceeded, InvalidClassMap, NonIntegral, Singular
+from .cyclotomic import Cyclotomic, root
+from .errors import BudgetExceeded, InvalidClassMap, Singular
 from .fields import FieldTower, build_tower
 from .gl2 import (
     GL2Class,
     GL2Irrep,
     GroupParams,
-    char_terms,
+    char_row,
     char_value,
+    class_sum,
+    class_table,
+    divide_exact,
     enumerate_classes,
     enumerate_irreps,
     params,
@@ -131,28 +134,22 @@ def census(q: int) -> dict:
 
 
 def elementwise_mult(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, q: int) -> int:
-    """(1/|G|) sum over group elements of chi1 chi2 conj(chi3), exactly.
+    """(1/|G|) sum_c #c * chi1(c) chi2(c) conj(chi3(c)), with #c counted from matrices.
 
-    Elements are classified one by one from the enumeration; the per-class
-    tallies come from counting, not from the size column of any table.
+    This is the class sum of ``tensor.mult_sum`` with the same character
+    terms and the same kernel; only the class sizes are independent:
+    every element of GL2(q) is enumerated and classified, and #c is the
+    tally, not the size column of any table.
     """
     if q > ELEMENTWISE_MAX_Q:
         raise BudgetExceeded(f"q={q} exceeds the element-sum ceiling {ELEMENTWISE_MAX_Q}")
     ctx = _context(q)
     pr = ctx.pr
-    rs = pr.rs
-    acc = [0] * rs
-    for cls, count in ctx.counts.items():
-        for a1, e1 in char_terms(pi1, cls, pr):
-            for a2, e2 in char_terms(pi2, cls, pr):
-                coef = count * a1 * a2
-                e12 = e1 + e2
-                for a3, e3 in char_terms(pi3, cls, pr):
-                    acc[(e12 - e3) % rs] += coef * a3
-    total = reduce_root_sum(rs, acc).as_integer()
-    if total % pr.order:
-        raise NonIntegral(f"element sum {total} not divisible by |G|={pr.order}")
-    return total // pr.order
+    classes, _, _ = class_table(q)
+    counts = [ctx.counts.get(c, 0) for c in classes]
+    rows = (char_row(pi, pr) for pi in (pi1, pi2, pi3))
+    total = class_sum(pr.rs, counts, *rows).as_integer()
+    return divide_exact(total, pr.order, "element sum")
 
 
 def _matrix_for_class(cls: GL2Class, tower: FieldTower) -> Matrix2:
@@ -397,10 +394,7 @@ def generic_multiplicity(
             acc = Cyclotomic.zero()
             for c, parent in enumerate(class_map):
                 acc = acc + sub.class_sizes[c] * (row[parent] * sub.values[j][c].conj())
-            total = acc.as_integer()
-            if total % h_order:
-                raise NonIntegral(f"inner product {total} not divisible by |H|={h_order}")
-            out_row.append(total // h_order)
+            out_row.append(divide_exact(acc.as_integer(), h_order, "inner product"))
         out.append(out_row)
     return out
 
@@ -502,10 +496,7 @@ def bessel_check(q: int) -> dict:
                 phase = sum(x * y for x, y in zip(c_digits, b_digits)) % p
                 psi_conj = root(p, -phase)
                 acc = acc + char_value(pi, cls, pr) * psi_conj
-            total = acc.as_integer()
-            if total % q:
-                raise NonIntegral(f"unipotent restriction sum {total} not divisible by {q}")
-            mults.append(total // q)
+            mults.append(divide_exact(acc.as_integer(), q, "unipotent restriction sum"))
         if c_param == 0:
             expected = [2 if pi.kind == "W" else (1 if pi.kind in ("U", "V") else 0) for pi in irreps]
         else:

@@ -20,51 +20,33 @@ The pi_rt value on C7(k) is -(phi_u(sigma^-k) + phi_u(sigma^-qk)).
 
 from __future__ import annotations
 
-from .cyclotomic import Cyclotomic, reduce_root_sum
-from .errors import InvalidLabel, MismatchedQ, NonIntegral, WitnessFailed
+from itertools import repeat
+
+from .cyclotomic import Cyclotomic
+from .errors import InvalidLabel, MismatchedQ, WitnessFailed
 from .gl2 import (
+    UNIT_TERMS,
     GL2Class,
     GL2Irrep,
     GroupParams,
+    _Label,
     char_terms,
+    class_sum,
+    class_table,
+    divide_exact,
     enumerate_irreps,
     params,
-    w_pairs,
+    terms_value,
     x_canonical,
-    x_orbit_reps,
 )
 
 SL3_IRREP_KINDS = ("piQS", "piT", "piRT")
 
 
-class SL3Class:
+class SL3Class(_Label):
     """Canonical label of a conjugacy class of SL3(q)."""
 
-    __slots__ = ("q", "kind", "data")
-
-    def __init__(self, q: int, kind: str, data: tuple[int, ...]):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("labels are immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SL3Class):
-            return NotImplemented
-        if self.q != other.q:
-            raise MismatchedQ(f"comparing labels for q={self.q} and q={other.q}")
-        return (self.kind, self.data) == (other.kind, other.data)
-
-    def __hash__(self):
-        return hash(("SL3Class", self.q, self.kind, self.data))
-
-    def label(self) -> str:
-        return f"{self.kind}:{','.join(str(v) for v in self.data)}"
-
-    def __repr__(self):
-        return f"SL3Class({self.label()!r}, q={self.q})"
+    __slots__ = ()
 
     @staticmethod
     def C1(pr: GroupParams, k: int) -> "SL3Class":
@@ -126,36 +108,10 @@ def _noncentral_param(k: int, pr: GroupParams) -> int:
     return k
 
 
-class SL3Irrep:
+class SL3Irrep(_Label):
     """One of the three partial-table irreducibles of SL3(q)."""
 
-    __slots__ = ("q", "kind", "data")
-
-    def __init__(self, q: int, kind: str, data: tuple[int, ...]):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("labels are immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SL3Irrep):
-            return NotImplemented
-        if self.q != other.q:
-            raise MismatchedQ(f"comparing labels for q={self.q} and q={other.q}")
-        return (self.kind, self.data) == (other.kind, other.data)
-
-    def __hash__(self):
-        return hash(("SL3Irrep", self.q, self.kind, self.data))
-
-    def label(self) -> str:
-        if not self.data:
-            return self.kind
-        return f"{self.kind}:{','.join(str(v) for v in self.data)}"
-
-    def __repr__(self):
-        return f"SL3Irrep({self.label()!r}, q={self.q})"
+    __slots__ = ()
 
     @staticmethod
     def QS(pr: GroupParams) -> "SL3Irrep":
@@ -264,47 +220,20 @@ def sl3_char_terms(pi: SL3Irrep, c: SL3Class, pr: GroupParams) -> tuple[tuple[in
 
 def sl3_char_value(pi: SL3Irrep, c: SL3Class, pr: GroupParams) -> Cyclotomic:
     """Exact partial character table entry for SL3(q)."""
-    weights = [0] * pr.rs
-    for coef, exp in sl3_char_terms(pi, c, pr):
-        weights[exp] += coef
-    return reduce_root_sum(pr.rs, weights)
-
-
-def _embedded_class_pairs(pr: GroupParams):
-    """(GL2 class, weight, embedded SL3 class) for every GL2(q) class."""
-    out = []
-    for k in range(pr.r):
-        c = GL2Class.C1(pr, k)
-        out.append((c, 1, embed_class(c, pr)))
-    for k in range(pr.r):
-        c = GL2Class.C2(pr, k)
-        out.append((c, pr.rs, embed_class(c, pr)))
-    for k, l in w_pairs(pr):
-        c = GL2Class.C3(pr, k, l)
-        out.append((c, pr.q * pr.s, embed_class(c, pr)))
-    for m in x_orbit_reps(pr):
-        c = GL2Class.C4(pr, m)
-        out.append((c, pr.q * pr.r, embed_class(c, pr)))
-    return out
+    return terms_value(pr.rs, sl3_char_terms(pi, c, pr))
 
 
 def restriction_mult(pi: SL3Irrep, tau: GL2Irrep, pr: GroupParams) -> int:
     """Multiplicity of tau in the restriction of pi to the embedded GL2(q)."""
     if pi.q != pr.q or tau.q != pr.q:
         raise MismatchedQ(f"{pi!r}, {tau!r} must both live over q={pr.q}")
-    rs = pr.rs
-    acc = [0] * rs
-    for c, weight, big in _embedded_class_pairs(pr):
-        for a1, e1 in sl3_char_terms(pi, big, pr):
-            for a2, e2 in char_terms(tau, c, pr):
-                acc[(e1 - e2) % rs] += weight * a1 * a2
-    total = reduce_root_sum(rs, acc).as_integer()
-    if total % pr.order:
-        raise NonIntegral(
-            f"restriction sum {total} for [{pi.label()} | : {tau.label()}] "
-            f"is not divisible by |GL2(q)|={pr.order}"
-        )
-    return total // pr.order
+    classes, sizes, _ = class_table(pr.q)
+    # tau's row is built afresh: a witness sweep visits each tau once
+    pi_row = [sl3_char_terms(pi, embed_class(c, pr), pr) for c in classes]
+    tau_row = [char_terms(tau, c, pr) for c in classes]
+    total = class_sum(pr.rs, sizes, pi_row, repeat(UNIT_TERMS), tau_row).as_integer()
+    what = f"restriction sum for [{pi.label()} | : {tau.label()}]"
+    return divide_exact(total, pr.order, what)
 
 
 def witness_irrep(tau: GL2Irrep, pr: GroupParams) -> SL3Irrep:

@@ -23,83 +23,40 @@ structured report naming the offending cell, never patched over.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .cyclotomic import Cyclotomic, reduce_root_sum
+from .cyclotomic import Cyclotomic
 from .errors import (
+    GL2RepError,
     MismatchedQ,
     NegativeMultiplicity,
-    NonIntegral,
     NotMultiplicityFree,
 )
 from .gl2 import (
     IRREP_KINDS,
     GL2Irrep,
     GroupParams,
-    char_terms,
-    enumerate_classes,
+    char_row,
+    class_sum,
+    class_table,
+    divide_exact,
     enumerate_irreps,
 )
-
-_term_cache: dict[tuple[int, str, tuple[int, ...]], list[tuple[tuple[int, int], ...]]] = {}
-_class_cache: dict[int, list] = {}
-_cache_lock = threading.Lock()
-
-
-def _classes(pr: GroupParams):
-    with _cache_lock:
-        got = _class_cache.get(pr.q)
-    if got is None:
-        got = enumerate_classes(pr)
-        with _cache_lock:
-            _class_cache[pr.q] = got
-    return got
-
-
-def _terms_over_classes(pi: GL2Irrep, pr: GroupParams) -> list[tuple[tuple[int, int], ...]]:
-    """Character terms of pi on every class, aligned with the class list."""
-    key = (pr.q, pi.kind, pi.data)
-    with _cache_lock:
-        got = _term_cache.get(key)
-    if got is None:
-        got = [char_terms(pi, c, pr) for c in _classes(pr)]
-        with _cache_lock:
-            _term_cache[key] = got
-    return got
 
 
 def mult_sum_numerator(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> Cyclotomic:
     """The weighted class sum before division by |G| = q*s*r^2."""
-    for pi in (pi1, pi2, pi3):
-        if pi.q != pr.q:
-            raise MismatchedQ(f"{pi!r} does not live over q={pr.q}")
-    rs = pr.rs
-    acc = [0] * rs
-    t1s = _terms_over_classes(pi1, pr)
-    t2s = _terms_over_classes(pi2, pr)
-    t3s = _terms_over_classes(pi3, pr)
-    for c, t1, t2, t3 in zip(_classes(pr), t1s, t2s, t3s):
-        w = c.size()
-        for a1, e1 in t1:
-            for a2, e2 in t2:
-                coef = w * a1 * a2
-                e12 = e1 + e2
-                for a3, e3 in t3:
-                    acc[(e12 - e3) % rs] += coef * a3
-    return reduce_root_sum(rs, acc)
+    _, sizes, _ = class_table(pr.q)
+    rows = (char_row(pi, pr) for pi in (pi1, pi2, pi3))
+    return class_sum(pr.rs, sizes, *rows)
 
 
 def mult_sum(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> int:
     """Exact multiplicity of pi3 inside pi1 (x) pi2 via the class sum."""
     total = mult_sum_numerator(pi1, pi2, pi3, pr).as_integer()
-    if total % pr.order:
-        raise NonIntegral(
-            f"class sum {total} for [{pi1.label()} x {pi2.label()} : {pi3.label()}] "
-            f"is not divisible by |G|={pr.order}"
-        )
-    return total // pr.order
+    what = f"class sum for [{pi1.label()} x {pi2.label()} : {pi3.label()}]"
+    return divide_exact(total, pr.order, what)
 
 
 def _orbit_eq(u: int, v: int, pr: GroupParams) -> bool:
@@ -234,29 +191,6 @@ def _orbit_eq_target_scalar(n: int, m: int, target: int, pr: GroupParams) -> boo
     return (n + m - target) % rs == 0 or (n + pr.q * m - target) % rs == 0
 
 
-class MultTable:
-    """Lazily memoized multiplicity table m(pi1, pi2; pi3) for fixed q.
-
-    Values are deterministic, so racing inserts from concurrent sweeps
-    are harmless (last write wins with an identical value).
-    """
-
-    def __init__(self, pr: GroupParams):
-        self.pr = pr
-        self.q = pr.q
-        self._table: dict[tuple, int] = {}
-
-    def mult(self, pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> int:
-        if pi1.sort_key() > pi2.sort_key():
-            pi1, pi2 = pi2, pi1
-        key = (pi1.kind, pi1.data, pi2.kind, pi2.data, pi3.kind, pi3.data)
-        got = self._table.get(key)
-        if got is None:
-            got = mult_closed(pi1, pi2, pi3, self.pr)
-            self._table[key] = got
-        return got
-
-
 def decompose(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> list[tuple[GL2Irrep, int]]:
     """All irreducible constituents of pi1 (x) pi2 with multiplicities."""
     out = []
@@ -267,9 +201,10 @@ def decompose(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> list[tuple[GL2Ir
             out.append((pi3, m))
             total += m * pi3.dim()
     expected = pi1.dim() * pi2.dim()
-    assert total == expected, (
-        f"dimension leak in {pi1.label()} (x) {pi2.label()}: {total} != {expected}"
-    )
+    if total != expected:
+        raise GL2RepError(
+            f"dimension leak in {pi1.label()} (x) {pi2.label()}: {total} != {expected}"
+        )
     return out
 
 
@@ -279,12 +214,11 @@ def ind_decompose(pi3: GL2Irrep, pr: GroupParams) -> list[tuple[tuple[GL2Irrep, 
     By Frobenius reciprocity this is the decomposition of the module
     induced from pi3 on the diagonal subgroup up to the product group.
     """
-    table = MultTable(pr)
     irreps = enumerate_irreps(pr)
     out = []
     for pi1 in irreps:
         for pi2 in irreps:
-            m = table.mult(pi1, pi2, pi3)
+            m = mult_closed(pi1, pi2, pi3, pr)
             if m:
                 out.append(((pi1, pi2), m))
     return out
@@ -295,7 +229,10 @@ def ind_X_counts_by_dim(n: int, pr: GroupParams) -> dict[int, int]:
     target = GL2Irrep.X(pr, n)
     counts: dict[int, int] = {}
     for (pi1, pi2), m in ind_decompose(target, pr):
-        assert m == 1, "inductions of X labels are multiplicity free"
+        if m != 1:
+            raise NotMultiplicityFree(
+                f"{pi1.label()} (x) {pi2.label()} contains {target.label()} {m} times"
+            )
         dim = pi1.dim() * pi2.dim()
         counts[dim] = counts.get(dim, 0) + 1
     return counts

@@ -109,6 +109,19 @@ def test_budget_env_soft_caps_suites(monkeypatch):
     assert all("skipped" in r for r in payload["reports"])
 
 
+def test_bad_sl3_parameter_is_a_usage_error():
+    code, text = _run(["sl3-restrict", "--q", "3", "--pi", "piT:x", "--to", "U:0"])
+    assert code == 2
+    assert text.startswith("error:") and "label grammar" in text
+
+
+def test_bad_budget_env_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("GT_BUDGET_SECONDS", "abc")
+    code, text = _run(["verify", "--q", "3", "--suite", "census"])
+    assert code == 2
+    assert text.startswith("error:") and "GT_BUDGET_SECONDS" in text
+
+
 def test_sl3_restrict_command():
     code, text = _run(["sl3-restrict", "--q", "3", "--pi", "piQS", "--to", "U:0", "--format", "json"])
     assert code == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gl2rep.errors import BudgetExceeded
+from gl2rep.errors import BudgetExceeded, MismatchedGroup
 from gl2rep.gl2 import GL2Irrep, enumerate_irreps, params
 from gl2rep.harmonic import (
     GroupFunction,
@@ -48,6 +48,22 @@ def test_tensor_convolution_matches_literal_definition():
         a = GroupFunction(ctx, rng.integers(-3, 4, size=(ctx.K, ctx.phi)).astype(np.int64))
         b = GroupFunction(ctx, rng.integers(-3, 4, size=(ctx.K, ctx.phi)).astype(np.int64))
         assert convolve(a, b) == convolve_literal(a, b)
+
+
+def test_convolution_beyond_int64_raises():
+    # one huge coordinate: the a-priori bound passes 2^62 before anything
+    # is allocated
+    ctx = pair_context(2)
+    coords = np.zeros((ctx.K, ctx.phi), dtype=np.int64)
+    coords[0, 0] = 2**40
+    huge = GroupFunction(ctx, coords)
+    assert convolve_literal(orbit_indicator(ctx, 0), orbit_indicator(ctx, 1)).coords.dtype == np.int64
+    with pytest.raises(BudgetExceeded):
+        convolve(huge, huge)
+    with pytest.raises(BudgetExceeded):
+        convolve_literal(huge, huge)
+    with pytest.raises(MismatchedGroup):
+        GroupFunction(ctx, coords[:, :1])
 
 
 def test_convolution_of_class_functions_is_a_class_function():

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from gl2rep.errors import NotMultiplicityFree
+from gl2rep import tensor
+from gl2rep.errors import GL2RepError, NotMultiplicityFree
 from gl2rep.gl2 import GL2Irrep, enumerate_irreps, params, x_orbit_reps
 from gl2rep.tensor import (
-    MultTable,
     all_triples,
     classify_gelfand,
     compare_methods,
@@ -210,10 +210,19 @@ def test_freeness_obstruction():
     assert not e_module_freeness_obstruction(GL2Irrep.X(pr2, 1), pr2)
 
 
-def test_mult_table_memoizes():
+def test_mult_closed_is_symmetric_in_the_factors():
     pr = params(3)
-    table = MultTable(pr)
     v, w = GL2Irrep.V(pr, 0), GL2Irrep.W(pr, 0, 1)
-    assert table.mult(v, w, w) == 2
-    assert table.mult(w, v, w) == 2  # symmetric key
-    assert len(table._table) == 1
+    assert mult_closed(v, w, w, pr) == 2
+    assert mult_closed(w, v, w, pr) == 2
+
+
+def test_broken_multiplicities_raise_package_errors(monkeypatch):
+    # invariant checks must survive python -O, so they are errors, not asserts
+    pr = params(3)
+    monkeypatch.setattr(tensor, "mult_closed", lambda *args: 0)
+    with pytest.raises(GL2RepError, match="dimension leak"):
+        decompose(GL2Irrep.V(pr, 0), GL2Irrep.W(pr, 0, 1), pr)
+    monkeypatch.setattr(tensor, "mult_closed", lambda *args: 2)
+    with pytest.raises(NotMultiplicityFree):
+        ind_X_counts_by_dim(x_orbit_reps(pr)[0], pr)
