@@ -17,41 +17,15 @@ from .errors import GL2RepError, InvalidLabel, NotPrimePower
 from .gl2 import (
     GL2Irrep,
     _parse_ints,
+    char_inner_product,
     char_value,
+    class_inner_product,
     enumerate_classes,
     enumerate_irreps,
     params,
     parse_irrep,
     x_orbit_reps,
 )
-
-SUITES = (
-    "census",
-    "orthogonality",
-    "tensor-agree",
-    "indx-counts",
-    "gelfand",
-    "embed",
-    "sl3",
-    "bessel",
-    "s4-fixture",
-    "harmonic",
-    "all",
-)
-
-# default q sweep and hard ceiling per suite
-SUITE_RANGES: dict[str, tuple[list[int], int]] = {
-    "census": ([2, 3, 4, 5], 9),
-    "orthogonality": ([2, 3, 4, 5], 9),
-    "tensor-agree": ([2, 3, 4, 5], 9),
-    "indx-counts": ([3, 4, 5], 9),
-    "gelfand": ([3, 4, 5], 9),
-    "embed": ([3, 4, 5], 9),
-    "sl3": ([2, 3, 4, 5, 7, 8, 9], 16),
-    "bessel": ([3, 4, 5], 9),
-    "s4-fixture": ([0], 0),
-    "harmonic": ([2, 3], 3),
-}
 
 SAMPLED_TRIPLES = 10_000
 EXHAUSTIVE_TENSOR_MAX_Q = 5
@@ -223,13 +197,7 @@ def cmd_sl3_witness(args, out) -> int:
 # -- verification suites --------------------------------------------------------
 
 
-def _suite_census(q: int) -> dict:
-    return oracle.census(q)
-
-
-def _suite_orthogonality(q: int) -> dict:
-    from .gl2 import char_inner_product, class_inner_product
-
+def _suite_orthogonality(q: int, seed: int) -> dict:
     pr = params(q)
     irreps = enumerate_irreps(pr)
     classes = enumerate_classes(pr)
@@ -275,7 +243,7 @@ def _suite_tensor_agree(q: int, seed: int) -> dict:
     }
 
 
-def _suite_indx_counts(q: int) -> dict:
+def _suite_indx_counts(q: int, seed: int) -> dict:
     pr = params(q)
     bad = []
     for n in x_orbit_reps(pr):
@@ -287,7 +255,7 @@ def _suite_indx_counts(q: int) -> dict:
     return {"check": "indx-counts", "q": q, "pass": not bad, "mismatches": bad[:5]}
 
 
-def _suite_gelfand(q: int) -> dict:
+def _suite_gelfand(q: int, seed: int) -> dict:
     pr = params(q)
     gelfand = tensor.classify_gelfand(pr)
     irreps = enumerate_irreps(pr)
@@ -312,11 +280,7 @@ def _suite_gelfand(q: int) -> dict:
     return report
 
 
-def _suite_embed(q: int) -> dict:
-    return oracle.verify_embedding(q)
-
-
-def _suite_sl3(q: int) -> dict:
+def _suite_sl3(q: int, seed: int) -> dict:
     pr = params(q)
     rows = sl3.witness_report(pr)
     bad = [r for r in rows if not r["ok"]]
@@ -326,11 +290,7 @@ def _suite_sl3(q: int) -> dict:
     return report
 
 
-def _suite_bessel(q: int) -> dict:
-    return oracle.bessel_check(q)
-
-
-def _suite_s4_fixture(q: int) -> dict:
+def _suite_s4_fixture(q: int, seed: int) -> dict:
     table = oracle.generic_multiplicity(
         oracle.s4_char_table(), oracle.c3_char_table(), oracle.S4_OVER_C3_CLASS_MAP
     )
@@ -341,7 +301,7 @@ def _suite_s4_fixture(q: int) -> dict:
     }
 
 
-def _suite_harmonic(q: int) -> dict:
+def _suite_harmonic(q: int, seed: int) -> dict:
     pr = params(q)
     rows = []
     ok = True
@@ -365,21 +325,25 @@ def _suite_harmonic(q: int) -> dict:
     return {"check": "harmonic", "q": q, "pass": ok, "rows": rows}
 
 
-_SUITE_RUNNERS = {
-    "census": _suite_census,
-    "orthogonality": _suite_orthogonality,
-    "indx-counts": _suite_indx_counts,
-    "gelfand": _suite_gelfand,
-    "embed": _suite_embed,
-    "sl3": _suite_sl3,
-    "bessel": _suite_bessel,
-    "s4-fixture": _suite_s4_fixture,
-    "harmonic": _suite_harmonic,
+# The one place a suite is declared: name -> (runner(q, seed), default q
+# sweep, q ceiling).  A ceiling a module enforces is read from that module.
+# A ceiling of None marks a suite that takes no q: it runs once, at q = 0.
+SUITES = {
+    "census": (lambda q, seed: oracle.census(q), (2, 3, 4, 5), oracle.CENSUS_MAX_Q),
+    "orthogonality": (_suite_orthogonality, (2, 3, 4, 5), 9),
+    "tensor-agree": (_suite_tensor_agree, (2, 3, 4, 5), 9),
+    "indx-counts": (_suite_indx_counts, (3, 4, 5), 9),
+    "gelfand": (_suite_gelfand, (3, 4, 5), 9),
+    "embed": (lambda q, seed: oracle.verify_embedding(q), (3, 4, 5), oracle.CENSUS_MAX_Q),
+    "sl3": (_suite_sl3, (2, 3, 4, 5, 7, 8, 9), 16),
+    "bessel": (lambda q, seed: oracle.bessel_check(q), (3, 4, 5), oracle.CENSUS_MAX_Q),
+    "s4-fixture": (_suite_s4_fixture, (0,), None),
+    "harmonic": (_suite_harmonic, (2, 3), harmonic.HARMONIC_MAX_Q),
 }
 
 
 def cmd_verify(args, out) -> int:
-    suites = SUITES[:-1] if args.suite == "all" else (args.suite,)
+    suites = SUITES if args.suite == "all" else (args.suite,)
     budget = os.environ.get("GT_BUDGET_SECONDS")
     try:
         deadline = time.monotonic() + float(budget) if budget else None
@@ -390,12 +354,13 @@ def cmd_verify(args, out) -> int:
     all_pass = True
     exhausted = False
     for suite in suites:
-        default_qs, ceiling = SUITE_RANGES[suite]
-        qs = [0] if suite == "s4-fixture" else (args.q_list if args.q_list else default_qs)
-        if args.max_q is not None:
-            ceiling = min(ceiling, args.max_q)
+        runner, qs, ceiling = SUITES[suite]
+        if ceiling is not None:
+            qs = args.q_list or qs
+            if args.max_q is not None:
+                ceiling = min(ceiling, args.max_q)
         for q in qs:
-            if suite != "s4-fixture" and not 2 <= q <= ceiling:
+            if ceiling is not None and not 2 <= q <= ceiling:
                 reports.append({"check": suite, "q": q, "skipped": f"q outside ceiling {ceiling}"})
                 continue
             if suite == "indx-counts" and q == 2:
@@ -405,10 +370,7 @@ def cmd_verify(args, out) -> int:
                 reports.append({"check": suite, "q": q, "skipped": "budget exhausted"})
                 exhausted = True
                 continue
-            if suite == "tensor-agree":
-                rep = _suite_tensor_agree(q, args.seed)
-            else:
-                rep = _SUITE_RUNNERS[suite](q)
+            rep = runner(q, args.seed)
             reports.append(rep)
             all_pass = all_pass and rep.get("pass", True)
     if args.format == "json":
@@ -467,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--q", dest="q_list", type=_q_list, default=None, help="comma-separated q list")
-    p.add_argument("--suite", choices=SUITES, default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled sweeps")
     p.add_argument("--max-q", type=int, default=None, help="clamp the per-suite q ceiling")
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import NonIntegral, OrderTooLarge
 
 MAX_ORDER = 2**31
-
-_cyclotomic_cache: dict[int, tuple[int, ...]] = {}
-_power_table_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
 def euler_phi(n: int) -> int:
@@ -85,27 +83,24 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     cyclotomic polynomials over proper divisors d of n.
     """
     _check_order(n)
-    cached = _cyclotomic_cache.get(n)
-    if cached is not None:
-        return cached
+    return _cyclotomic_polynomial(n)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if n == 1:
-        poly = (-1, 1)
-    else:
-        num = [-1] + [0] * (n - 1) + [1]
-        den = [1]
-        for d in range(1, n):
-            if n % d == 0:
-                den = _poly_mul(den, cyclotomic_polynomial(d))
-        poly = tuple(_poly_divmod_exact(num, den))
-    _cyclotomic_cache[n] = poly
-    return poly
+        return (-1, 1)
+    num = [-1] + [0] * (n - 1) + [1]
+    den = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _poly_mul(den, _cyclotomic_polynomial(d))
+    return tuple(_poly_divmod_exact(num, den))
 
 
+@lru_cache(maxsize=None)
 def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     """Power-basis coordinates of zeta_n^j for every j in range(n)."""
-    cached = _power_table_cache.get(n)
-    if cached is not None:
-        return cached
     phi_poly = cyclotomic_polynomial(n)
     deg = len(phi_poly) - 1
     rows: list[tuple[int, ...]] = []
@@ -119,9 +114,19 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
             for i in range(deg):
                 shifted[i] -= lead * phi_poly[i]
         cur = shifted
-    table = tuple(rows)
-    _power_table_cache[n] = table
-    return table
+    return tuple(rows)
+
+
+def _fold(n: int, terms: Iterable[tuple[int, int]]) -> list[int]:
+    """Power-basis coordinates of sum(w * zeta_n**e) over (e, w) in terms, each e in range(n)."""
+    table = _power_table(n)
+    out = [0] * len(table[0])
+    for e, w in terms:
+        if w:
+            for k, r in enumerate(table[e]):
+                if r:
+                    out[k] += w * r
+    return out
 
 
 class Cyclotomic:
@@ -168,15 +173,7 @@ class Cyclotomic:
             raise ValueError("can only promote to a multiple of the order")
         _check_order(order)
         step = order // self.order
-        table = _power_table(order)
-        out = [0] * euler_phi(order)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[(i * step) % order]
-                for k, r in enumerate(row):
-                    if r:
-                        out[k] += c * r
-        return out
+        return _fold(order, ((i * step, c) for i, c in enumerate(self.coeffs)))
 
     @staticmethod
     def _coerce(value) -> "Cyclotomic":
@@ -221,17 +218,9 @@ class Cyclotomic:
         va, vb = self.coords_at(n), other.coords_at(n)
         prod = _poly_mul(va, vb)
         deg = len(va)
-        out = list(prod[:deg]) + [0] * (deg - min(deg, len(prod)))
-        if len(prod) > deg:
-            table = _power_table(n)
-            for i in range(deg, len(prod)):
-                c = prod[i]
-                if c:
-                    row = table[i % n]
-                    for k, r in enumerate(row):
-                        if r:
-                            out[k] += c * r
-        return Cyclotomic(n, out)
+        # the first deg coefficients are already reduced; fold the rest back in
+        high = _fold(n, ((i % n, prod[i]) for i in range(deg, len(prod))))
+        return Cyclotomic(n, (low + c for low, c in zip(prod, high)))
 
     __rmul__ = __mul__
 
@@ -240,15 +229,7 @@ class Cyclotomic:
         n = self.order
         if n == 1:
             return self
-        table = _power_table(n)
-        out = [0] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                row = table[(n - i) % n]
-                for k, r in enumerate(row):
-                    if r:
-                        out[k] += c * r
-        return Cyclotomic(n, out)
+        return Cyclotomic(n, _fold(n, ((-i % n, c) for i, c in enumerate(self.coeffs))))
 
     def is_integer(self) -> bool:
         return self.order == 1
@@ -345,12 +326,4 @@ def reduce_root_sum(n: int, weights: Sequence[int]) -> Cyclotomic:
     """Exact value of sum(weights[e] * zeta_n**e for e in range(n))."""
     if len(weights) != n:
         raise ValueError("need one weight per exponent")
-    table = _power_table(n)
-    out = [0] * euler_phi(n)
-    for e, w in enumerate(weights):
-        if w:
-            row = table[e]
-            for k, r in enumerate(row):
-                if r:
-                    out[k] += w * r
-    return Cyclotomic(n, out)
+    return Cyclotomic(n, _fold(n, enumerate(weights)))

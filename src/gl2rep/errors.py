@@ -62,6 +62,10 @@ class InvalidClassMap(GL2RepError):
     """Subgroup-to-group conjugacy class map is malformed."""
 
 
+class InvalidCharTable(GL2RepError):
+    """An explicit character table is not square or its rows are not orthogonal."""
+
+
 class NegativeMultiplicity(GL2RepError):
     """An indicator-form multiplicity evaluated below zero.
 

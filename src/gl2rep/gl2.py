@@ -330,6 +330,13 @@ def _char_row(q: int, kind: str, data: tuple[int, ...]):
     return tuple(char_terms(pi, c, pr) for c in class_table(q)[0])
 
 
+@lru_cache(maxsize=None)
+def _irrep_rows(q: int):
+    """char_row of every irrep of GL2(q), in canonical irrep order."""
+    pr = params(q)
+    return tuple(char_row(pi, pr) for pi in enumerate_irreps(pr))
+
+
 def class_sum(rs: int, weights, a, b, c) -> Cyclotomic:
     """Exact sum over k of weights[k] * a[k] * b[k] * conj(c[k]) in Z[zeta_rs].
 
@@ -369,7 +376,7 @@ def class_inner_product(c1: GL2Class, c2: GL2Class, pr: GroupParams) -> int:
     _check_same_q(c1, c2, pr)
     _, _, index = class_table(pr.q)
     i1, i2 = index[c1], index[c2]
-    rows = [char_row(pi, pr) for pi in enumerate_irreps(pr)]
+    rows = _irrep_rows(pr.q)
     col1, col2 = [row[i1] for row in rows], [row[i2] for row in rows]
     return class_sum(pr.rs, repeat(1), col1, repeat(UNIT_TERMS), col2).as_integer()
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, euler_phi, reduce_root_sum, root_coords
+from .cyclotomic import Cyclotomic, euler_phi, root_coords
 from .errors import BudgetExceeded, MismatchedGroup
 from .gl2 import GL2Irrep, char_value, enumerate_classes, params
 from .oracle import classify_element, enumerate_gl2, tower_for
@@ -201,12 +201,7 @@ class GroupFunction:
 
     def value(self, x: int) -> tuple[Cyclotomic, int]:
         """Exact value at element index x as (numerator, denominator)."""
-        row = self.coords[self.ctx.orb[x]]
-        weights = [0] * self.ctx.rs
-        for e, c in enumerate(row):
-            weights[e] += int(c)
-        num = reduce_root_sum(self.ctx.rs, weights)
-        return num, self.den
+        return Cyclotomic(self.ctx.rs, self.coords[self.ctx.orb[x]]), self.den
 
     def __eq__(self, other):
         if not isinstance(other, GroupFunction):

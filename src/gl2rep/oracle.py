@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import Cyclotomic, root
-from .errors import BudgetExceeded, InvalidClassMap, Singular
+from .errors import BudgetExceeded, InvalidCharTable, InvalidClassMap, Singular
 from .fields import FieldTower, build_tower
 from .gl2 import (
     GL2Class,
@@ -87,9 +87,9 @@ def enumerate_gl2(tower: FieldTower) -> list[Matrix2]:
 class OracleContext:
     """Cached enumeration and per-element classification for one q."""
 
-    def __init__(self, q: int, max_q: int = CENSUS_MAX_Q):
-        if q > max_q:
-            raise BudgetExceeded(f"q={q} exceeds the oracle ceiling {max_q}")
+    def __init__(self, q: int):
+        if q > CENSUS_MAX_Q:
+            raise BudgetExceeded(f"q={q} exceeds the oracle ceiling {CENSUS_MAX_Q}")
         self.q = q
         self.pr = params(q)
         self.tower = tower_for(q)
@@ -354,18 +354,19 @@ class ExplicitCharTable:
 
     def __post_init__(self):
         n = len(self.class_labels)
-        assert len(self.class_sizes) == n
-        assert all(len(row) == n for row in self.values)
+        lengths = {len(self.class_sizes), len(self.irrep_labels), len(self.values), *map(len, self.values)}
+        if lengths != {n}:
+            raise InvalidCharTable(
+                f"{self.name}: {n} classes need {n} sizes, {n} irreps and {n} values per row"
+            )
         order = sum(self.class_sizes)
         for i, row_i in enumerate(self.values):
             for j, row_j in enumerate(self.values):
                 acc = Cyclotomic.zero()
                 for size, a, b in zip(self.class_sizes, row_i, row_j):
                     acc = acc + size * (a * b.conj())
-                expected = order if i == j else 0
-                assert acc == Cyclotomic.from_int(expected), (
-                    f"{self.name}: row orthogonality fails at ({i},{j})"
-                )
+                if acc != Cyclotomic.from_int(order if i == j else 0):
+                    raise InvalidCharTable(f"{self.name}: row orthogonality fails at ({i},{j})")
 
     @property
     def order(self) -> int:

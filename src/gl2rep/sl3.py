@@ -213,8 +213,6 @@ def sl3_char_terms(pi: SL3Irrep, c: SL3Class, pr: GroupParams) -> tuple[tuple[in
         if kind == "piT":
             return ((1, (u * k * s) % rs),)
         return ((-1, (-u * k) % rs), (-1, (-u * q * k) % rs))
-    if kind == "piT":
-        return ()
     return ()
 
 

@@ -23,7 +23,7 @@ structured report naming the offending cell, never patched over.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 from .cyclotomic import Cyclotomic
@@ -157,11 +157,12 @@ def mult_closed(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) ->
     elif k1 == "X" and k2 == "X":
         n, m = pi1.data[0], pi2.data[0]
         nbar, mbar = n % r, m % r
+        # n + m or n + q*m equals s*a'; the two are exclusive on valid labels
         if k3 == "U":
-            value = int(_orbit_eq_target_scalar(n, m, s * pi3.data[0], pr))
+            value = int(_orbit_eq(s * pi3.data[0] - n, m, pr))
         elif k3 == "V":
             value = int((nbar + mbar - 2 * pi3.data[0]) % r == 0)
-            value -= int(_orbit_eq_target_scalar(n, m, s * pi3.data[0], pr))
+            value -= int(_orbit_eq(s * pi3.data[0] - n, m, pr))
         elif k3 == "W":
             value = int((nbar + mbar - pi3.data[0] - pi3.data[1]) % r == 0)
         else:
@@ -178,17 +179,6 @@ def mult_closed(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) ->
             f"({pi1.label()}, {pi2.label()}, {pi3.label()}) at q={pr.q}"
         )
     return value
-
-
-def _orbit_eq_target_scalar(n: int, m: int, target: int, pr: GroupParams) -> bool:
-    """Whether n + m = target in Z_rs for some choice of orbit representatives.
-
-    Up to multiplying the whole equation by q this reduces to the two
-    conditions n + m = target and n + q*m = target, which are mutually
-    exclusive on valid labels.
-    """
-    rs = pr.rs
-    return (n + m - target) % rs == 0 or (n + pr.q * m - target) % rs == 0
 
 
 def decompose(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> list[tuple[GL2Irrep, int]]:
@@ -341,15 +331,7 @@ class Disagreement:
     class_sum: int
 
     def as_json(self) -> dict:
-        return {
-            "q": self.q,
-            "cell": self.cell,
-            "left": self.left,
-            "right": self.right,
-            "target": self.target,
-            "closed": self.closed,
-            "class_sum": self.class_sum,
-        }
+        return asdict(self)
 
 
 def compare_methods(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> Disagreement | None:

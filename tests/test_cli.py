@@ -4,7 +4,8 @@ import csv
 import io
 import json
 
-from gl2rep.cli import run
+from gl2rep import harmonic, oracle
+from gl2rep.cli import SUITES, build_parser, run
 from gl2rep.gl2 import enumerate_classes, enumerate_irreps, params, parse_class, parse_irrep
 
 
@@ -96,7 +97,16 @@ def test_verify_respects_ceiling():
     code, text = _run(["verify", "--q", "11", "--suite", "census", "--format", "json"])
     # skipped, nothing failed
     assert code == 0
-    assert json.loads(text)["reports"][0]["skipped"]
+    assert json.loads(text)["reports"][0]["skipped"] == f"q outside ceiling {oracle.CENSUS_MAX_Q}"
+    code, text = _run(["verify", "--q", "4", "--suite", "harmonic"])
+    assert code == 0
+    assert text == f"SKIP harmonic q=4: q outside ceiling {harmonic.HARMONIC_MAX_Q}\nPASS\n"
+
+
+def test_suite_choices_are_the_registry_keys_plus_all():
+    verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+    suite = next(a for a in verify._actions if a.dest == "suite")
+    assert list(suite.choices) == [*SUITES, "all"]
 
 
 def test_budget_env_soft_caps_suites(monkeypatch):
@@ -107,6 +117,9 @@ def test_budget_env_soft_caps_suites(monkeypatch):
     payload = json.loads(text)
     assert payload["budget_exhausted"] is True
     assert all("skipped" in r for r in payload["reports"])
+    code, text = _run(["verify", "--suite", "s4-fixture"])
+    assert code == 0
+    assert text == "SKIP s4-fixture q=0: budget exhausted\nPASS\n"
 
 
 def test_bad_sl3_parameter_is_a_usage_error():

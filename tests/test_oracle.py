@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from gl2rep.errors import BudgetExceeded, InvalidClassMap, Singular
+from gl2rep.cyclotomic import Cyclotomic
+from gl2rep.errors import BudgetExceeded, GL2RepError, InvalidCharTable, InvalidClassMap, Singular
 from gl2rep.gl2 import GL2Class, GL2Irrep, enumerate_irreps, params
 from gl2rep.oracle import (
     S4_OVER_C3_CLASS_MAP,
+    ExplicitCharTable,
     S4_OVER_C3_EXPECTED,
     bessel_check,
     c3_char_table,
@@ -128,6 +130,16 @@ def test_bad_class_maps_rejected():
         generic_multiplicity(s4_char_table(), c3_char_table(), [0, 2])
     with pytest.raises(InvalidClassMap):
         generic_multiplicity(s4_char_table(), c3_char_table(), [0, 2, 9])
+
+
+def test_malformed_char_tables_are_rejected_with_a_package_error():
+    z = Cyclotomic.from_int
+    # C2 with its sign row replaced by a second trivial row
+    with pytest.raises(InvalidCharTable, match="row orthogonality fails at \\(0,1\\)"):
+        ExplicitCharTable("bad", ["e", "s"], [1, 1], ["a", "b"], [[z(1), z(1)], [z(1), z(1)]])
+    with pytest.raises(InvalidCharTable, match="2 classes need 2 sizes"):
+        ExplicitCharTable("short", ["e", "s"], [1, 1], ["a", "b"], [[z(1), z(1)], [z(1)]])
+    assert issubclass(InvalidCharTable, GL2RepError)
 
 
 def test_bessel_q3_rows():
