@@ -99,15 +99,15 @@ def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Power-basis coordinates of zeta_n^j for every j in range(n)."""
+def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nonzero power-basis coordinates (k, c) of zeta_n^j for every j in range(n)."""
     phi_poly = cyclotomic_polynomial(n)
     deg = len(phi_poly) - 1
-    rows: list[tuple[int, ...]] = []
+    rows: list[tuple[tuple[int, int], ...]] = []
     cur = [0] * deg
     cur[0] = 1
     for _ in range(n):
-        rows.append(tuple(cur))
+        rows.append(tuple((k, c) for k, c in enumerate(cur) if c))
         shifted = [0] + cur[:-1]
         lead = cur[-1]
         if lead:
@@ -120,12 +120,11 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
 def _fold(n: int, terms: Iterable[tuple[int, int]]) -> list[int]:
     """Power-basis coordinates of sum(w * zeta_n**e) over (e, w) in terms, each e in range(n)."""
     table = _power_table(n)
-    out = [0] * len(table[0])
+    out = [0] * (len(_cyclotomic_polynomial(n)) - 1)
     for e, w in terms:
         if w:
-            for k, r in enumerate(table[e]):
-                if r:
-                    out[k] += w * r
+            for k, c in table[e]:
+                out[k] += w * c
     return out
 
 
@@ -309,17 +308,12 @@ def root(n: int, e: int) -> Cyclotomic:
     _check_order(n)
     if n == 1:
         return Cyclotomic.one()
-    row = _power_table(n)[e % n]
-    return Cyclotomic(n, row)
+    return Cyclotomic(n, _fold(n, ((e % n, 1),)))
 
 
 def root_coords(n: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced coordinates of zeta_n**e for e in range(n).
-
-    Shared by the multiplicity engines, which accumulate large sums of
-    roots of unity as dense exponent vectors and reduce them once.
-    """
-    return _power_table(n)
+    """Dense reduced coordinates of zeta_n**e for e in range(n)."""
+    return tuple(tuple(_fold(n, ((e, 1),))) for e in range(n))
 
 
 def reduce_root_sum(n: int, weights: Sequence[int]) -> Cyclotomic:

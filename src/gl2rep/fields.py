@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, NotPrime, ZeroElement
+from .errors import BudgetExceeded, GL2RepError, NotPrime, ZeroElement
 
 MAX_Q = 16
 
@@ -155,7 +155,7 @@ def smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
         poly = _poly_from_encoding(p, m, enc)
         if _is_irreducible(poly, p):
             return poly
-    raise AssertionError(f"no irreducible polynomial of degree {m} over F_{p}")
+    raise GL2RepError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
 @dataclass
@@ -224,7 +224,8 @@ def build_tower(p: int, ell: int) -> FieldTower:
         for digit, power in zip(gf_q.digits(a), powers):
             img = gf_q2.add(img, gf_q2.mul(digit % p, power))
         embed.append(img)
-    assert len(set(embed)) == q, "embedding must be injective"
+    if len(set(embed)) != q:
+        raise GL2RepError(f"the embedding of F_{q} into F_{q * q} is not injective")
 
     rs = q * q - 1
     sigma = next(x for x in range(1, gf_q2.size) if gf_q2.mult_order(x) == rs)
@@ -237,12 +238,12 @@ def build_tower(p: int, ell: int) -> FieldTower:
     for k in range(q - 1):
         tower.dlog_q_table[x] = k
         x = gf_q.mul(x, rho)
-    assert x == 1 or q == 1
     y = 1
     for k in range(rs):
         tower.dlog_q2_table[y] = k
         y = gf_q2.mul(y, sigma)
-    assert y == 1
+    if x != 1 or y != 1:
+        raise GL2RepError(f"rho^{q - 1} or sigma^{rs} is not 1 in the tower for q={q}")
     return tower
 
 

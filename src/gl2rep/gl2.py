@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import repeat
 
 from .cyclotomic import Cyclotomic, reduce_root_sum
-from .errors import InvalidLabel, MismatchedQ, NonIntegral, NotPrimePower
+from .errors import GL2RepError, InvalidLabel, MismatchedQ, NonIntegral, NotPrimePower
 
 IRREP_KINDS = ("U", "V", "W", "X")
 CLASS_KINDS = ("c1", "c2", "c3", "c4")
@@ -63,9 +63,9 @@ class GroupParams:
     order: int
 
     def __post_init__(self):
-        assert self.r * self.s == self.q**2 - 1
-        assert self.d in (1, 3)
-        assert self.order == self.q * self.s * self.r**2
+        q, r, s = self.q, self.r, self.s
+        if r * s != q * q - 1 or self.d not in (1, 3) or self.order != q * s * r * r:
+            raise GL2RepError(f"inconsistent group constants {self}")
 
 
 @lru_cache(maxsize=None)

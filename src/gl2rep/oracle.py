@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import Cyclotomic, root
-from .errors import BudgetExceeded, InvalidCharTable, InvalidClassMap, Singular
+from .errors import BudgetExceeded, GL2RepError, InvalidCharTable, InvalidClassMap, Singular
 from .fields import FieldTower, build_tower
 from .gl2 import (
     GL2Class,
@@ -174,30 +174,13 @@ def _matrix_for_class(cls: GL2Class, tower: FieldTower) -> Matrix2:
 Matrix3 = tuple[int, ...]  # row-major 3x3 over F_{q^2}
 
 
-def _mat3_mul(gf, A: Matrix3, B: Matrix3) -> Matrix3:
-    out = []
-    for i in range(3):
-        for j in range(3):
-            acc = 0
-            for k in range(3):
-                acc = gf.add(acc, gf.mul(A[3 * i + k], B[3 * k + j]))
-            out.append(acc)
-    return tuple(out)
+def _expected_eigen_structure(big: SL3Class, tower: FieldTower) -> tuple[list[int], dict[int, int]]:
+    """Eigenvalues over F_{q^2} of an SL3 class label, and rank(A - lam*I) at each lam.
 
-
-def _mat3_sub_scalar(gf, A: Matrix3, lam: int) -> Matrix3:
-    out = list(A)
-    for i in range(3):
-        out[4 * i] = gf.sub(out[4 * i], lam)
-    return tuple(out)
-
-
-def _is_zero3(A: Matrix3) -> bool:
-    return not any(A)
-
-
-def _expected_eigen_structure(big: SL3Class, tower: FieldTower) -> tuple[list[int], str]:
-    """Eigenvalue multiset over F_{q^2} and Jordan type of an SL3 class label."""
+    For 3x3 matrices these fix the Jordan form.  The rank is 3 - mult(lam),
+    raised at the repeated eigenvalue by 1 for the 2-block of C2 and C5 and
+    by 2 for the 3-block of C3.
+    """
     gf, gf2 = tower.gf_q, tower.gf_q2
     pr = params(tower.q)
     unit = pr.r // pr.d
@@ -205,35 +188,35 @@ def _expected_eigen_structure(big: SL3Class, tower: FieldTower) -> tuple[list[in
     def emb_rho(e: int) -> int:
         return tower.embed[gf.pow(tower.rho, e % pr.r)]
 
+    # for C1-C5 the repeated eigenvalue comes first
     if big.kind in ("C1", "C2", "C3"):
-        lam = emb_rho(unit * big.data[0])
-        jordan = {"C1": "scalar", "C2": "one_block2", "C3": "regular_unipotent"}[big.kind]
-        return [lam, lam, lam], jordan
-    if big.kind in ("C4", "C5"):
+        eigs = [emb_rho(unit * big.data[0])] * 3
+    elif big.kind in ("C4", "C5"):
         k = big.data[0]
-        return sorted([emb_rho(k), emb_rho(k), emb_rho(-2 * k)]), (
-            "semisimple" if big.kind == "C4" else "one_block2"
-        )
-    if big.kind == "C6":
+        eigs = [emb_rho(k), emb_rho(k), emb_rho(-2 * k)]
+    elif big.kind == "C6":
         k, l = big.data
-        return sorted([emb_rho(k), emb_rho(l), emb_rho(-k - l)]), "semisimple"
-    if big.kind == "C7":
+        eigs = [emb_rho(k), emb_rho(l), emb_rho(-k - l)]
+    elif big.kind == "C7":
         k = big.data[0]
-        return (
-            sorted(
-                [
-                    emb_rho(k % pr.r),
-                    gf2.pow(tower.sigma, (-k) % pr.rs),
-                    gf2.pow(tower.sigma, (-pr.q * k) % pr.rs),
-                ]
-            ),
-            "semisimple",
-        )
-    raise AssertionError("GL2(q) classes never land in C8")
+        eigs = [
+            emb_rho(k % pr.r),
+            gf2.pow(tower.sigma, (-k) % pr.rs),
+            gf2.pow(tower.sigma, (-pr.q * k) % pr.rs),
+        ]
+    else:
+        raise InvalidClassMap(f"a GL2({pr.q}) class mapped to {big.label()}; none lands in C8")
+    ranks = {lam: 3 - eigs.count(lam) for lam in eigs}
+    ranks[eigs[0]] += {"C2": 1, "C3": 2, "C5": 1}.get(big.kind, 0)
+    return sorted(eigs), ranks
 
 
 def verify_embedding(q: int) -> dict:
-    """Check the class embedding table against diag(g, det g^-1) matrices."""
+    """Check the class embedding table against diag(g, det g^-1) matrices.
+
+    Each matrix must have the characteristic polynomial prod(x - lam) over
+    the expected eigenvalues and the expected rank(A - lam*I) at each lam.
+    """
     ctx = _context(q)
     pr, tower = ctx.pr, ctx.tower
     gf, gf2 = tower.gf_q, tower.gf_q2
@@ -253,16 +236,24 @@ def verify_embedding(q: int) -> dict:
             0, 0, emb[inv_det],
         )
         target = embed_class(cls, pr)
-        expected_eigs, jordan = _expected_eigen_structure(target, tower)
-        got_multiset = _eigen_multiset(gf2, big_matrix)
-        ok = got_multiset == expected_eigs and _jordan_matches(gf2, big_matrix, expected_eigs, jordan)
-        if not ok:
+        eigs, ranks = _expected_eigen_structure(target, tower)
+        expected = [1]
+        for lam in eigs:
+            # times (x - lam), constant term first
+            expected = [
+                gf2.sub(lo, gf2.mul(lam, hi)) for lo, hi in zip([0, *expected], [*expected, 0])
+            ]
+        charpoly = _charpoly3_coeffs(gf2, big_matrix)
+        got_ranks = {lam: _rank3_shifted(gf2, big_matrix, lam) for lam in ranks}
+        if charpoly != expected or got_ranks != ranks:
             mismatches.append(
                 {
                     "class": cls.label(),
                     "target": target.label(),
-                    "eigenvalues": got_multiset,
-                    "expected": expected_eigs,
+                    "charpoly": charpoly,
+                    "expected": expected,
+                    "ranks": got_ranks,
+                    "expected_ranks": ranks,
                 }
             )
     return {"check": "embed", "q": q, "pass": not mismatches, "mismatches": mismatches}
@@ -287,59 +278,23 @@ def _charpoly3_coeffs(gf, A: Matrix3) -> list[int]:
     return [gf.neg(det3), minors, gf.neg(tr), 1]
 
 
-def _eigen_multiset(gf, A: Matrix3) -> list[int]:
-    """Roots of the characteristic polynomial over this field, with multiplicity."""
-    coeffs = _charpoly3_coeffs(gf, A)
-    roots = []
-    while len(coeffs) > 1:
-        for x in range(gf.size):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = gf.add(gf.mul(acc, x), c)
-            if acc == 0:
-                # synthetic division by (X - x)
-                quot = [0] * (len(coeffs) - 1)
-                carry = coeffs[-1]
-                for i in range(len(coeffs) - 2, -1, -1):
-                    quot[i] = carry
-                    carry = gf.add(coeffs[i], gf.mul(carry, x))
-                assert carry == 0
-                coeffs = quot
-                roots.append(x)
-                break
-        else:
-            break
-    return sorted(roots)
-
-
-def _jordan_matches(gf, A: Matrix3, eigs: list[int], jordan: str) -> bool:
-    distinct = sorted(set(eigs))
-    if jordan == "scalar":
-        lam = eigs[0]
-        return _is_zero3(_mat3_sub_scalar(gf, A, lam))
-    if jordan == "semisimple":
-        prod: Matrix3 = tuple(1 if i % 4 == 0 else 0 for i in range(9))
-        for lam in distinct:
-            prod = _mat3_mul(gf, prod, _mat3_sub_scalar(gf, A, lam))
-        return _is_zero3(prod)
-    if jordan == "one_block2":
-        # minimal polynomial has a square factor at the repeated eigenvalue
-        rep = next(x for x in distinct if eigs.count(x) >= 2)
-        prod: Matrix3 = tuple(1 if i % 4 == 0 else 0 for i in range(9))
-        for lam in distinct:
-            prod = _mat3_mul(gf, prod, _mat3_sub_scalar(gf, A, lam))
-        if _is_zero3(prod):
-            return False
-        sq = _mat3_mul(gf, _mat3_sub_scalar(gf, A, rep), _mat3_sub_scalar(gf, A, rep))
-        for lam in distinct:
-            if lam != rep:
-                sq = _mat3_mul(gf, sq, _mat3_sub_scalar(gf, A, lam))
-        return _is_zero3(sq)
-    if jordan == "regular_unipotent":
-        lam = eigs[0]
-        shifted = _mat3_sub_scalar(gf, A, lam)
-        return not _is_zero3(_mat3_mul(gf, shifted, shifted))
-    raise AssertionError(f"unknown jordan type {jordan}")
+def _rank3_shifted(gf, A: Matrix3, lam: int) -> int:
+    """Rank of A - lam*I by Gaussian elimination."""
+    rows = [list(A[3 * i : 3 * i + 3]) for i in range(3)]
+    for i in range(3):
+        rows[i][i] = gf.sub(rows[i][i], lam)
+    rank = 0
+    for col in range(3):
+        pivot = next((i for i in range(rank, 3) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = gf.inv(rows[rank][col])
+        for i in range(rank + 1, 3):
+            f = gf.mul(rows[i][col], inv)
+            rows[i] = [gf.sub(x, gf.mul(f, y)) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 @dataclass
@@ -526,5 +481,8 @@ def bessel_check(q: int) -> dict:
         )
     else:
         # the span of nontrivial-psi spherical functions has dimension q(q-1)
-        assert report["big_irreps"] == q * (q - 1)
+        if report["big_irreps"] != q * (q - 1):
+            raise GL2RepError(
+                f"{report['big_irreps']} irreps of dimension > 1 at q={q}, not q(q-1)"
+            )
     return report

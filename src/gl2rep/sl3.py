@@ -254,7 +254,7 @@ def witness_irrep(tau: GL2Irrep, pr: GroupParams) -> SL3Irrep:
             u = (b - 2 * a + c * r) % rs
             if u % s != 0:
                 return SL3Irrep.RT(pr, u)
-        raise AssertionError("no admissible shift c found; s >= 3 guarantees one")
+        raise WitnessFailed(f"no admissible shift for {tau.label()}; s >= 3 guarantees one")
     return SL3Irrep.RT(pr, tau.data[0])
 
 

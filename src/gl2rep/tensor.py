@@ -9,12 +9,17 @@ Two independent evaluation routes are provided:
   exactly in Z[zeta_rs] and divides at the end.
 
 * ``mult_closed`` evaluates indicator formulas in the label parameters,
-  one formula per (family, family) -> family cell.  Conditions between
-  plain U/V/W parameters live in Z_r; conditions on undecorated X
-  parameters live in Z_rs; conditions on "bars" (X parameters pushed
-  down to Z_r) live in Z_r.  Conditions involving orbit labels are
-  evaluated over both representatives n and q*n and deduplicated, so a
-  condition holding for either representative counts exactly once.
+  in three parts:
+
+  - twist cells U_a (x) pi: pi twisted by alpha_a(det), compared by label;
+  - U-target cells pi1 (x) pi2 -> U_t, nonzero only for V (x) V, W (x) W
+    and X (x) X: whether pi2 is the dual of pi1 twisted by alpha_t;
+  - every other cell starts from Schur's lemma on the centre,
+    omega_1 + omega_2 = omega_3 (mod r), with the central exponents
+    omega(U_a) = omega(V_a) = 2a, omega(W_[a,b]) = a + b and
+    omega(X_[n]) = n.  Six cells add a correction: V(x)W->W and
+    V(x)X->X a twist, W(x)W->V and X(x)X->V the U-target test,
+    W(x)W->W two matched pairs, and X(x)X->X four conditions in Z_rs.
 
 ``mult_sum`` is authoritative: any disagreement is surfaced as a
 structured report naming the offending cell, never patched over.
@@ -42,6 +47,7 @@ from .gl2 import (
     class_table,
     divide_exact,
     enumerate_irreps,
+    x_canonical,
 )
 
 
@@ -59,14 +65,20 @@ def mult_sum(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> in
     return divide_exact(total, pr.order, what)
 
 
-def _orbit_eq(u: int, v: int, pr: GroupParams) -> bool:
-    """Whether u and v generate the same orbit {v, q*v} in Z_rs."""
-    rs = pr.rs
-    return (u - v) % rs == 0 or (u - pr.q * v) % rs == 0
-
-
 def cell_name(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
     return f"{pi1.kind}x{pi2.kind}->{pi3.kind}"
+
+
+def _twist(kind: str, data: tuple[int, ...], sign: int, a: int, pr: GroupParams) -> tuple[int, ...]:
+    """Label data of pi twisted by the linear character alpha_a(det).
+
+    pi is the irrep kind(data) for sign 1 and its dual for sign -1.
+    """
+    if kind == "W":
+        return tuple(sorted(((sign * data[0] + a) % pr.r, (sign * data[1] + a) % pr.r)))
+    if kind == "X":
+        return (x_canonical(sign * data[0] + pr.s * a, pr),)
+    return ((sign * data[0] + a) % pr.r,)
 
 
 def mult_closed(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> int:
@@ -76,102 +88,43 @@ def mult_closed(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) ->
             raise MismatchedQ(f"{pi!r} does not live over q={pr.q}")
     if IRREP_KINDS.index(pi1.kind) > IRREP_KINDS.index(pi2.kind):
         pi1, pi2 = pi2, pi1
-    r, s, rs, q = pr.r, pr.s, pr.rs, pr.q
+    r = pr.r
     k1, k2, k3 = pi1.kind, pi2.kind, pi3.kind
-    value = 0
+    x, y, z = pi1.data, pi2.data, pi3.data
 
     if k1 == "U":
-        a = pi1.data[0]
-        if k2 == "U" and k3 == "U":
-            value = int((a + pi2.data[0] - pi3.data[0]) % r == 0)
-        elif k2 == "V" and k3 == "V":
-            value = int((a + pi2.data[0] - pi3.data[0]) % r == 0)
-        elif k2 == "W" and k3 == "W":
-            b, c = pi2.data
-            shifted = tuple(sorted(((a + b) % r, (a + c) % r)))
-            value = int(shifted == pi3.data)
-        elif k2 == "X" and k3 == "X":
-            value = int(_orbit_eq(pi2.data[0] + s * a, pi3.data[0], pr))
-    elif k1 == "V" and k2 == "V":
-        a, b = pi1.data[0], pi2.data[0]
-        if k3 == "U":
-            value = int((a + b - pi3.data[0]) % r == 0)
-        elif k3 == "V":
-            value = int((2 * (a + b) - 2 * pi3.data[0]) % r == 0)
-        elif k3 == "W":
-            value = int((2 * (a + b) - pi3.data[0] - pi3.data[1]) % r == 0)
-        else:
-            value = int((2 * (a + b) - pi3.data[0]) % r == 0)
-    elif k1 == "V" and k2 == "W":
-        a = pi1.data[0]
-        b, c = pi2.data
+        # twist cells: U_a (x) pi is pi twisted by alpha_a(det)
+        value = int(k2 == k3 and _twist(k2, y, 1, x[0], pr) == z)
+    elif k3 == "U":
+        # U-target cells: U_t occurs iff pi2 is the dual of pi1 twisted by alpha_t
+        value = int(k1 == k2 and _twist(k1, x, -1, z[0], pr) == y)
+    else:
+        # the central characters omega must match (Schur's lemma); six cells correct it
+        w1 = 2 * x[0] if k1 == "V" else x[0] + x[1] if k1 == "W" else x[0]
+        w2 = 2 * y[0] if k2 == "V" else y[0] + y[1] if k2 == "W" else y[0]
+        w3 = 2 * z[0] if k3 == "V" else z[0] + z[1] if k3 == "W" else z[0]
+        value = int((w1 + w2 - w3) % r == 0)
         if k3 == "V":
-            value = int((2 * a + b + c - 2 * pi3.data[0]) % r == 0)
-        elif k3 == "W":
-            value = int((2 * a + b + c - pi3.data[0] - pi3.data[1]) % r == 0)
-            shifted = tuple(sorted(((a + b) % r, (a + c) % r)))
-            value += int(shifted == pi3.data)
-        elif k3 == "X":
-            value = int((2 * a + b + c - pi3.data[0]) % r == 0)
-    elif k1 == "V" and k2 == "X":
-        a, n = pi1.data[0], pi2.data[0]
-        nbar = n % r
-        if k3 == "V":
-            value = int((2 * a + nbar - 2 * pi3.data[0]) % r == 0)
-        elif k3 == "W":
-            value = int((2 * a + nbar - pi3.data[0] - pi3.data[1]) % r == 0)
-        elif k3 == "X":
-            value = int((2 * a + nbar - pi3.data[0]) % r == 0)
-            value -= int(_orbit_eq(n + s * a, pi3.data[0], pr))
-    elif k1 == "W" and k2 == "W":
-        a, b = pi1.data
-        c, d = pi2.data
-        if k3 == "U":
-            ap = pi3.data[0]
-            value = int(
-                ((a + c - ap) % r == 0 and (b + d - ap) % r == 0)
-                or ((a + d - ap) % r == 0 and (b + c - ap) % r == 0)
-            )
-        elif k3 == "V":
-            bp = pi3.data[0]
-            value = int((a + b + c + d - 2 * bp) % r == 0)
-            value += int(
-                ((a + c - bp) % r == 0 and (b + d - bp) % r == 0)
-                or ((a + d - bp) % r == 0 and (b + c - bp) % r == 0)
-            )
-        elif k3 == "W":
-            value = int((a + b + c + d - pi3.data[0] - pi3.data[1]) % r == 0)
-            value += int(tuple(sorted(((a + c) % r, (b + d) % r))) == pi3.data)
-            value += int(tuple(sorted(((a + d) % r, (b + c) % r))) == pi3.data)
-        else:
-            value = int((a + b + c + d - pi3.data[0]) % r == 0)
-    elif k1 == "W" and k2 == "X":
-        a, b = pi1.data
-        nbar = pi2.data[0] % r
-        if k3 == "V":
-            value = int((a + b + nbar - 2 * pi3.data[0]) % r == 0)
-        elif k3 == "W":
-            value = int((a + b + nbar - pi3.data[0] - pi3.data[1]) % r == 0)
-        elif k3 == "X":
-            value = int((a + b + nbar - pi3.data[0]) % r == 0)
-    elif k1 == "X" and k2 == "X":
-        n, m = pi1.data[0], pi2.data[0]
-        nbar, mbar = n % r, m % r
-        # n + m or n + q*m equals s*a'; the two are exclusive on valid labels
-        if k3 == "U":
-            value = int(_orbit_eq(s * pi3.data[0] - n, m, pr))
-        elif k3 == "V":
-            value = int((nbar + mbar - 2 * pi3.data[0]) % r == 0)
-            value -= int(_orbit_eq(s * pi3.data[0] - n, m, pr))
-        elif k3 == "W":
-            value = int((nbar + mbar - pi3.data[0] - pi3.data[1]) % r == 0)
-        else:
-            np = pi3.data[0]
-            value = int((nbar + mbar - np) % r == 0)
-            value -= int((n + m - np) % rs == 0)
-            value -= int((q * n + m - np) % rs == 0)
-            value -= int((n + q * m - np) % rs == 0)
-            value -= int((n + m - q * np) % rs == 0)
+            if k1 == k2 == "W":
+                value += _twist("W", x, -1, z[0], pr) == y
+            elif k1 == "X":
+                value -= _twist("X", x, -1, z[0], pr) == y
+        elif k1 == "V":
+            if k2 == k3 == "W":
+                value += _twist("W", y, 1, x[0], pr) == z
+            elif k2 == k3 == "X":
+                value -= _twist("X", y, 1, x[0], pr) == z
+        elif k1 == k2 == k3 == "W":
+            (a, b), (c, d) = x, y
+            value += tuple(sorted(((a + c) % r, (b + d) % r))) == z
+            value += tuple(sorted(((a + d) % r, (b + c) % r))) == z
+        elif k1 == k3 == "X":
+            rs, q = pr.rs, pr.q
+            n, m, np = x[0], y[0], z[0]
+            value -= (n + m - np) % rs == 0
+            value -= (q * n + m - np) % rs == 0
+            value -= (n + q * m - np) % rs == 0
+            value -= (n + m - q * np) % rs == 0
 
     if value < 0:
         raise NegativeMultiplicity(

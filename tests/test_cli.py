@@ -1,6 +1,7 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -42,6 +43,28 @@ def test_output_is_byte_stable():
         ["sl3-witness", "--q", "4", "--format", "json"],
     ):
         assert _run(argv) == _run(argv)
+
+
+# sha256 of the exit codes and stdout of the 60 commands below.  Output
+# bytes are a contract: a change that alters any of them must say so and
+# record the new digest.
+PINNED_OUTPUT_SHA256 = "458f08d64bf27bced5ed9ef4377f0b28e80df991a510cd3d74104e334621e197"
+
+
+def test_output_matches_the_pinned_digest():
+    digest = hashlib.sha256()
+    for q in (2, 3, 4, 5, 7):
+        for fmt in ("text", "json", "csv"):
+            for argv in (
+                ["gelfand"],
+                ["induct", "--pi", "X:1"],
+                ["tensor", "--left", "V:0", "--right", "X:1"],
+                ["sl3-witness"],
+            ):
+                argv = [*argv, "--q", str(q), "--format", fmt]
+                code, text = _run(argv)
+                digest.update(f"{' '.join(argv)}\n{code}\n{text}".encode())
+    assert digest.hexdigest() == PINNED_OUTPUT_SHA256
 
 
 def test_chartable_csv_labels_round_trip():

@@ -3,10 +3,11 @@
 import pytest
 
 from gl2rep.cyclotomic import Cyclotomic, root
-from gl2rep.errors import InvalidLabel, MismatchedQ, NotPrimePower
+from gl2rep.errors import GL2RepError, InvalidLabel, MismatchedQ, NotPrimePower
 from gl2rep.gl2 import (
     GL2Class,
     GL2Irrep,
+    GroupParams,
     char_inner_product,
     char_value,
     class_inner_product,
@@ -30,6 +31,12 @@ def test_params_rejects_non_prime_powers():
     for bad in (1, 6, 10, 12):
         with pytest.raises(NotPrimePower):
             params(bad)
+
+
+def test_inconsistent_group_params_raise_a_package_error():
+    # d = gcd(3, q - 1) is 1 or 3, never 2
+    with pytest.raises(GL2RepError, match="inconsistent group constants"):
+        GroupParams(q=3, p=3, ell=1, r=2, s=4, rs=8, t=13, d=2, order=48)
 
 
 def test_irrep_census_q2():

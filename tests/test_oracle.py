@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from gl2rep import oracle
 from gl2rep.cyclotomic import Cyclotomic
 from gl2rep.errors import BudgetExceeded, GL2RepError, InvalidCharTable, InvalidClassMap, Singular
-from gl2rep.gl2 import GL2Class, GL2Irrep, enumerate_irreps, params
+from gl2rep.gl2 import GL2Class, GL2Irrep, enumerate_classes, enumerate_irreps, params
 from gl2rep.oracle import (
     S4_OVER_C3_CLASS_MAP,
     ExplicitCharTable,
@@ -23,6 +24,7 @@ from gl2rep.oracle import (
     tower_for,
     verify_embedding,
 )
+from gl2rep.sl3 import SL3Class
 from gl2rep.tensor import all_triples, mult_closed, mult_sum
 
 
@@ -104,6 +106,31 @@ def test_elementwise_spot_vv_u(q):
 def test_verify_embedding(q):
     rep = verify_embedding(q)
     assert rep["pass"], rep["mismatches"]
+
+
+@pytest.mark.parametrize("wrong, right", [("C5", "C4"), ("C2", "C1")])
+def test_verify_embedding_rejects_a_relabelled_class(monkeypatch, wrong, right):
+    # each pair shares its eigenvalues, so only rank(A - lam*I) tells them apart
+    pr = params(5)
+    true_embed = oracle.embed_class
+
+    def relabelled(cls, pr):
+        big = true_embed(cls, pr)
+        return SL3Class(big.q, right, big.data) if big.kind == wrong else big
+
+    moved = {cls.label() for cls in enumerate_classes(pr) if true_embed(cls, pr).kind == wrong}
+    assert moved
+    monkeypatch.setattr(oracle, "embed_class", relabelled)
+    rep = verify_embedding(5)
+    assert not rep["pass"]
+    assert {m["class"] for m in rep["mismatches"]} == moved
+    assert all(m["target"].startswith(right) for m in rep["mismatches"])
+
+
+def test_an_embedding_into_c8_is_a_package_error(monkeypatch):
+    monkeypatch.setattr(oracle, "embed_class", lambda cls, pr: SL3Class(pr.q, "C8", (1,)))
+    with pytest.raises(InvalidClassMap, match="C8"):
+        verify_embedding(3)
 
 
 def test_s4_over_c3_multiplicity_table():
