@@ -260,6 +260,9 @@ def _suite_gelfand(q: int, seed: int) -> dict:
     gelfand = tensor.classify_gelfand(pr)
     irreps = enumerate_irreps(pr)
     got = [pi.label() for pi in irreps if pi in gelfand]
+    # the second route: the mult_closed sweep, (q^2-1)^3 triples at most, so
+    # it runs only under the suite's ceiling q <= 9
+    sweep = [pi.label() for pi in irreps if tensor.is_gelfand_triple_product(pi, pr)]
     dims_rule = [pi.label() for pi in irreps if pi.dim() in (1, q - 1)]
     # GL2(2) ~ S3 and V (x) V = 1 + sgn + V, so at q=2 the Steinberg V:0
     # induces multiplicity free as well (see notes/decisions.md)
@@ -267,10 +270,12 @@ def _suite_gelfand(q: int, seed: int) -> dict:
     report = {
         "check": "gelfand",
         "q": q,
-        "pass": set(got) == expected,
+        "pass": set(got) == expected and sweep == got,
         "classified": got,
         "dims_rule": dims_rule,
     }
+    if sweep != got:
+        report["sweep"] = sweep
     if q == 2:
         report["note"] = (
             "q=2: GL2(2) ~ S3 has no W family, and its two-dimensional V:0 "
@@ -308,8 +313,10 @@ def _suite_harmonic(q: int, seed: int) -> dict:
     for pi in enumerate_irreps(pr):
         basis = harmonic.build_I_pi(pi, q)
         comm = harmonic.commutativity_check(basis)
-        gelf = tensor.is_gelfand_triple_product(pi, pr)
-        expected_dim = sum(m * m for _, m in tensor.ind_decompose(pi, pr))
+        # sum of m^2 over the constituents of the induction of pi, and whether
+        # that equals sum of m, i.e. whether pi induces multiplicity free
+        expected_dim, constituents = tensor.ind_norms(pi, pr)
+        gelf = expected_dim == constituents
         good = comm == gelf and len(basis) == expected_dim
         ok = ok and good
         rows.append(

@@ -35,17 +35,16 @@ CLASS_KINDS = ("c1", "c2", "c3", "c4")
 def _factor_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise NotPrimePower(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            ell = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                ell += 1
-            if m != 1:
-                raise NotPrimePower(f"{q} is not a prime power")
-            return p, ell
-    raise NotPrimePower(f"{q} is not a prime power")
+    # a composite q has a prime factor p <= isqrt(q); the smallest divisor is prime
+    p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
+    ell = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        ell += 1
+    if m != 1:
+        raise NotPrimePower(f"{q} is not a prime power")
+    return p, ell
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,24 @@ Two independent evaluation routes are provided:
 
 ``mult_sum`` is authoritative: any disagreement is surfaced as a
 structured report naming the offending cell, never patched over.
+
+The Gelfand classification does not sweep triples.  ``ind_norms`` gives,
+for a fixed pi, two sums over all ordered pairs (pi1, pi2) of the
+multiplicity m = [pi1 (x) pi2 : pi], each one class sum long:
+
+    sum m^2 = sum_c |chi(c)|^2                    (no class sizes)
+    sum m   = |G|^-1 sum_c |c| S(c)^2 conj(chi(c)),  S(c) = sum_pi chi_pi(c)
+
+Every m is a non-negative integer, so pi induces multiplicity free iff the
+two sums are equal.  ``is_gelfand_triple_product``, the ``mult_closed``
+sweep over all pairs, is kept as the route that cross-checks it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 from .cyclotomic import Cyclotomic
@@ -40,13 +52,16 @@ from .errors import (
 )
 from .gl2 import (
     IRREP_KINDS,
+    UNIT_TERMS,
     GL2Irrep,
     GroupParams,
     char_row,
+    char_terms,
     class_sum,
     class_table,
     divide_exact,
     enumerate_irreps,
+    terms_value,
     x_canonical,
 )
 
@@ -244,9 +259,62 @@ def is_gelfand_triple_product(pi: GL2Irrep, pr: GroupParams) -> bool:
     return True
 
 
+def _rows(pr: GroupParams, irreps: list[GL2Irrep]) -> list[tuple]:
+    """char_terms of each irrep on every class, built afresh.
+
+    The rows of all irreps hold (q^2 - 1)^2 entries and the norm test reads
+    them once; the char_row cache would keep them for the life of the process.
+    """
+    classes = class_table(pr.q)[0]
+    return [tuple(char_terms(pi, c, pr) for c in classes) for pi in irreps]
+
+
+def _pair_weights(pr: GroupParams, rows: list[tuple]) -> list[int]:
+    """|c| * S(c)^2 for every class c, where S(c) is the column sum of ``rows``.
+
+    S(c) = sum over irreps of chi_pi(c) is a rational integer: a Galois
+    automorphism of Z[zeta_rs] permutes the irreducible characters, so it
+    fixes their sum.
+    """
+    _, sizes, _ = class_table(pr.q)
+    return [
+        size * terms_value(pr.rs, chain.from_iterable(column)).as_integer() ** 2
+        for size, column in zip(sizes, zip(*rows))
+    ]
+
+
+def _norms(pi: GL2Irrep, row, weights: list[int], pr: GroupParams) -> tuple[int, int]:
+    rs = pr.rs
+    squares = class_sum(rs, repeat(1), row, repeat(UNIT_TERMS), row).as_integer()
+    total = class_sum(rs, weights, repeat(UNIT_TERMS), repeat(UNIT_TERMS), row).as_integer()
+    return squares, divide_exact(total, pr.order, f"pair sum for {pi.label()}")
+
+
+def ind_norms(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int]:
+    """(sum of m^2, sum of m) over the ordered pairs (pi1, pi2), m = [pi1 (x) pi2 : pi].
+
+    By Frobenius reciprocity these are the squared norm and the number of
+    constituents, counted with multiplicity, of the induction of pi to the
+    product group.
+    """
+    (row,) = _rows(pr, [pi])
+    return _norms(pi, row, _pair_weights(pr, _rows(pr, enumerate_irreps(pr))), pr)
+
+
 def classify_gelfand(pr: GroupParams) -> set[GL2Irrep]:
-    """All irreducibles of GL2(q) that induce multiplicity free to the product."""
-    return {pi for pi in enumerate_irreps(pr) if is_gelfand_triple_product(pi, pr)}
+    """All irreducibles of GL2(q) that induce multiplicity free to the product.
+
+    pi qualifies iff its two ``ind_norms`` agree: no multiplicity exceeds 1.
+    """
+    irreps = enumerate_irreps(pr)
+    rows = _rows(pr, irreps)
+    weights = _pair_weights(pr, rows)
+    out = set()
+    for pi, row in zip(irreps, rows):
+        squares, total = _norms(pi, row, weights, pr)
+        if squares == total:
+            out.add(pi)
+    return out
 
 
 def dim_E(pi: GL2Irrep, pr: GroupParams) -> int:
@@ -258,7 +326,7 @@ def dim_E(pi: GL2Irrep, pr: GroupParams) -> int:
     """
     if pi.kind not in ("U", "X"):
         raise NotMultiplicityFree(f"{pi.label()} does not induce multiplicity free")
-    return sum(m for _, m in ind_decompose(pi, pr))
+    return ind_norms(pi, pr)[1]
 
 
 def e_module_freeness_obstruction(pi: GL2Irrep, pr: GroupParams) -> bool:

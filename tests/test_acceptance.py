@@ -4,7 +4,9 @@ Every check here is exact integer equality; the only tolerances are the
 stated wall-clock ceilings, asserted where the criterion carries one.
 Each criterion prints one PASS/FAIL line (visible under ``pytest -s``).
 
-Criterion 2 is asserted for every q it names.  For q >= 3 it expects the
+Criterion 2 is asserted for every q it names, and at each of them the
+classification (the character-norm test) must equal the mult_closed
+sweep over all pairs.  For q >= 3 it expects the
 dimension rule {1, q-1}.  At q = 2 that rule is incomplete: GL2(2) ~ S3,
 and its two-dimensional irreducible V:0 also induces multiplicity free,
 since V (x) V = 1 + sgn + V and the W family that carries the
@@ -78,6 +80,9 @@ def test_criterion_1_closed_form_equals_character_sum():
 def test_criterion_2_gelfand_classification(q):
     pr = params(q)
     got = {pi.label() for pi in classify_gelfand(pr)}
+    # the norm test against the second route, the mult_closed sweep
+    sweep = {pi.label() for pi in enumerate_irreps(pr) if is_gelfand_triple_product(pi, pr)}
+    assert got == sweep, f"q={q}: norm test {sorted(got)} but sweep {sorted(sweep)}"
     if q == 2:
         # GL2(2) ~ S3: U:0 is trivial, X:1 the sign and V:0 the standard
         # two-dimensional representation.  V (x) V = 1 + sgn + V, so every

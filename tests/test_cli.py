@@ -5,9 +5,9 @@ import hashlib
 import io
 import json
 
-from gl2rep import harmonic, oracle
+from gl2rep import harmonic, oracle, tensor
 from gl2rep.cli import SUITES, build_parser, run
-from gl2rep.gl2 import enumerate_classes, enumerate_irreps, params, parse_class, parse_irrep
+from gl2rep.gl2 import GL2Irrep, enumerate_classes, enumerate_irreps, params, parse_class, parse_irrep
 
 
 def _run(argv):
@@ -114,6 +114,22 @@ def test_verify_gelfand_q2_expects_all_of_s3():
     assert report["pass"] is True
     assert report["classified"] == ["U:0", "V:0", "X:1"]
     assert report["dims_rule"] == ["U:0", "X:1"]
+
+
+def test_verify_gelfand_reports_the_sweep_only_on_a_disagreement(monkeypatch):
+    code, text = _run(["verify", "--q", "3", "--suite", "gelfand", "--format", "json"])
+    assert code == 0
+    report = json.loads(text)["reports"][0]
+    assert list(report) == ["check", "q", "pass", "classified", "dims_rule"]
+    # a norm test that drops U:0 disagrees with the mult_closed sweep
+    real = tensor.classify_gelfand
+    monkeypatch.setattr(tensor, "classify_gelfand", lambda pr: real(pr) - {GL2Irrep.U(pr, 0)})
+    code, text = _run(["verify", "--q", "3", "--suite", "gelfand", "--format", "json"])
+    assert code == 1
+    report = json.loads(text)["reports"][0]
+    assert report["pass"] is False
+    assert report["sweep"] == ["U:0", "U:1", "X:1", "X:2", "X:5"]
+    assert "U:0" not in report["classified"]
 
 
 def test_verify_respects_ceiling():

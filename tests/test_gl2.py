@@ -33,6 +33,15 @@ def test_params_rejects_non_prime_powers():
             params(bad)
 
 
+def test_params_of_a_large_prime_stops_trial_division_at_the_square_root():
+    # trial division up to isqrt(q): 46341 candidates here, not 2^31
+    pr = params(2**31 - 1)
+    assert (pr.p, pr.ell) == (2**31 - 1, 1)
+    for bad in (2**31 * 3, 2**61 - 2):
+        with pytest.raises(NotPrimePower):
+            params(bad)
+
+
 def test_inconsistent_group_params_raise_a_package_error():
     # d = gcd(3, q - 1) is 1 or 3, never 2
     with pytest.raises(GL2RepError, match="inconsistent group constants"):

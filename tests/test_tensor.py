@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gl2rep import tensor
-from gl2rep.errors import GL2RepError, NotMultiplicityFree
+from gl2rep.errors import GL2RepError, NonIntegral, NotMultiplicityFree
 from gl2rep.gl2 import GL2Irrep, enumerate_irreps, params, x_orbit_reps
 from gl2rep.tensor import (
     all_triples,
@@ -15,6 +15,7 @@ from gl2rep.tensor import (
     dim_E,
     e_module_freeness_obstruction,
     ind_decompose,
+    ind_norms,
     ind_X_counts_by_dim,
     ind_X_expected,
     is_gelfand_triple_product,
@@ -188,6 +189,64 @@ def test_gelfand_q2_includes_the_steinberg():
     pr = params(2)
     got = {pi.label() for pi in classify_gelfand(pr)}
     assert got == {"U:0", "V:0", "X:1"}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+def test_norm_test_equals_the_mult_closed_sweep(q):
+    pr = params(q)
+    sweep = {pi for pi in enumerate_irreps(pr) if is_gelfand_triple_product(pi, pr)}
+    assert classify_gelfand(pr) == sweep
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_ind_norms_equal_the_ind_decompose_sums(q):
+    pr = params(q)
+    for pi in enumerate_irreps(pr):
+        ms = [m for _, m in ind_decompose(pi, pr)]
+        assert ind_norms(pi, pr) == (sum(m * m for m in ms), sum(ms)), pi.label()
+
+
+@pytest.mark.parametrize("q", [16, 25])
+def test_gelfand_at_large_q_is_the_dimension_rule(q, monkeypatch):
+    # the norm test makes no call to mult_closed, so q = 25 runs in about a second
+    def no_sweep(*args):
+        raise AssertionError("classify_gelfand called mult_closed")
+
+    monkeypatch.setattr(tensor, "mult_closed", no_sweep)
+    pr = params(q)
+    got = classify_gelfand(pr)
+    assert len(got) == (q - 1) + q * (q - 1) // 2
+    assert got == {pi for pi in enumerate_irreps(pr) if pi.dim() in (1, q - 1)}
+
+
+def _corrupt(monkeypatch, irrep, cls, change):
+    """Replace one character value in the rows classify_gelfand builds."""
+    real = tensor.char_terms
+
+    def char_terms(pi, c, pr):
+        terms = real(pi, c, pr)
+        return change(terms) if (pi.label(), c.label()) == (irrep, cls) else terms
+
+    monkeypatch.setattr(tensor, "char_terms", char_terms)
+
+
+def test_a_corrupted_character_value_breaks_the_pair_sum(monkeypatch):
+    # chi_U:0(1) = 1 -> -1: every S(c) stays an integer, but the pair sum of
+    # U:0 is no longer divisible by |G|, so divide_exact raises
+    pr = params(5)
+    _corrupt(monkeypatch, "U:0", "c1:0", lambda terms: tuple((-a, e) for a, e in terms))
+    with pytest.raises(NonIntegral, match="pair sum for U:0"):
+        classify_gelfand(pr)
+
+
+def test_a_corrupted_character_value_changes_the_set(monkeypatch):
+    # chi_W:0,2(c3:0,2) = 2 -> -2 keeps every sum integral; the U family
+    # then fails the norm test, so the set changes instead
+    pr = params(5)
+    before = classify_gelfand(pr)
+    _corrupt(monkeypatch, "W:0,2", "c3:0,2", lambda terms: tuple((-a, e) for a, e in terms))
+    after = classify_gelfand(pr)
+    assert after == before - {GL2Irrep.U(pr, a) for a in range(pr.r)}
 
 
 def test_dim_E_values():
