@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -18,12 +19,13 @@ from .gl2 import (
     GL2Irrep,
     _parse_ints,
     char_inner_product,
-    char_value,
+    char_terms,
     class_inner_product,
     enumerate_classes,
     enumerate_irreps,
     params,
     parse_irrep,
+    terms_value,
     x_orbit_reps,
 )
 
@@ -68,15 +70,23 @@ def cmd_chartable(args, out) -> int:
     pr = params(args.q)
     classes = enumerate_classes(pr)
     irreps = enumerate_irreps(pr)
+    # entries repeat (at q = 16, 65 025 entries have 541 distinct term
+    # tuples): evaluate and encode each distinct tuple once
+    encoded: dict[tuple, object] = {}
+
+    def entry(pi, c):
+        terms = char_terms(pi, c, pr)
+        if terms not in encoded:
+            value = terms_value(pr.rs, terms)
+            encoded[terms] = value.as_json() if args.format == "json" else value.render()
+        return encoded[terms]
+
     if args.format == "json":
         payload = {
             "q": args.q,
             "classes": [{"class": c.label(), "size": c.size()} for c in classes],
             "rows": [
-                {
-                    "irrep": pi.label(),
-                    "values": [char_value(pi, c, pr).as_json() for c in classes],
-                }
+                {"irrep": pi.label(), "values": [entry(pi, c) for c in classes]}
                 for pi in irreps
             ],
         }
@@ -88,7 +98,7 @@ def cmd_chartable(args, out) -> int:
         for pi in irreps:
             row = {"irrep": pi.label()}
             for c in classes:
-                row[c.label()] = char_value(pi, c, pr).render()
+                row[c.label()] = entry(pi, c)
             rows.append(row)
         _emit(rows, args.format, out, columns)
     return 0
@@ -354,6 +364,9 @@ def cmd_verify(args, out) -> int:
     budget = os.environ.get("GT_BUDGET_SECONDS")
     try:
         deadline = time.monotonic() + float(budget) if budget else None
+        # a nan deadline is never passed, which would silently lift the budget
+        if deadline is not None and math.isnan(deadline):
+            raise ValueError(budget)
     except ValueError:
         out.write(f"error: GT_BUDGET_SECONDS={budget!r} is not a number of seconds\n")
         return 2

@@ -9,8 +9,10 @@ irreducible pi of H the two-sided projection
 
 is a subalgebra whose commutativity is equivalent to pi inducing
 multiplicity free from H to G'.  This module computes I_pi bases and
-tests commutativity by explicit convolution, exactly, at q in {2, 3}.
-The [G':H] factor makes xi_pi idempotent under the 1/|G'| normalisation.
+tests commutativity exactly, at q in {2, 3}: all products of a stacked
+basis come out of one contraction, and the algebra is commutative iff
+that product array is symmetric in its two basis axes.  The [G':H]
+factor makes xi_pi idempotent under the 1/|G'| normalisation.
 
 Everything is exact: functions take values in (1/den) * Z[zeta_rs],
 stored as integer coordinate vectors with one shared denominator.
@@ -20,7 +22,7 @@ integer tensor
     N[k][i][j] = #{ y in orbit_i : y^-1 x_k in orbit_j }
 
 over the H-conjugation orbits on G', which turns each convolution into
-a small exact bilinear form in int64.  A convolution whose a-priori
+a small exact bilinear form in int64.  A product stack whose a-priori
 bound reaches 2^62 raises BudgetExceeded; at q <= 3 the largest bound is
 below 2^18.
 """
@@ -71,11 +73,8 @@ class PairGroupContext:
         for i, x in enumerate(elements):
             for j, y in enumerate(elements):
                 self.mul[i, j] = index[matmul(x, y)]
-        ident = index[(1, 0, 0, 1)]
-        self.identity = ident
-        self.inv = np.zeros(n, dtype=np.int32)
-        for i in range(n):
-            self.inv[i] = int(np.nonzero(self.mul[i] == ident)[0][0])
+        self.identity = index[(1, 0, 0, 1)]
+        self.inv = np.argmax(self.mul == self.identity, axis=1).astype(np.int32)
 
         self.classes = enumerate_classes(self.pr)
         class_index = {c: k for k, c in enumerate(self.classes)}
@@ -186,11 +185,7 @@ class GroupFunction:
                 f"coordinates of shape {orbit_coords.shape}; this group needs {(ctx.K, ctx.phi)}"
             )
         self.ctx = ctx
-        g = den
-        for v in orbit_coords.ravel():
-            g = math.gcd(g, int(v))
-            if g == 1:
-                break
+        g = math.gcd(den, int(np.gcd.reduce(orbit_coords, axis=None)))
         if g > 1:
             orbit_coords = orbit_coords // g
             den //= g
@@ -210,12 +205,6 @@ class GroupFunction:
             raise MismatchedGroup("functions live on different groups")
         return self.den == other.den and bool(np.all(self.coords == other.coords))
 
-    def scaled(self, num: int) -> "GroupFunction":
-        return GroupFunction(self.ctx, self.coords * num, self.den)
-
-    def is_zero(self) -> bool:
-        return not np.any(self.coords)
-
 
 def delta_identity(ctx: PairGroupContext, scale: int = 1) -> GroupFunction:
     """scale * (indicator of the identity of G')."""
@@ -231,19 +220,25 @@ def orbit_indicator(ctx: PairGroupContext, k: int) -> GroupFunction:
     return GroupFunction(ctx, coords)
 
 
+def _xi_classes(pi: GL2Irrep, ctx: PairGroupContext) -> np.ndarray:
+    """dim(pi) conj(chi_pi) on each class of H, as (classes, phi) coordinates."""
+    return np.array(
+        [(char_value(pi, c, ctx.pr).conj() * pi.dim()).coords_at(ctx.rs) for c in ctx.classes],
+        dtype=np.int64,
+    )
+
+
 def xi_function(pi: GL2Irrep, ctx: PairGroupContext) -> GroupFunction:
     """The idempotent projector kernel [G':H] dim(pi) conj(chi_pi) on diag(H)."""
     coords = np.zeros((ctx.K, ctx.phi), dtype=np.int64)
-    scale = ctx.n  # [G':H] = |G|
-    for g in range(ctx.n):
-        cls = ctx.classes[ctx.cls[g]]
-        val = char_value(pi, cls, ctx.pr).conj() * (pi.dim() * scale)
-        coords[ctx.orb[ctx.diag_index(g)]] = val.coords_at(ctx.rs)
+    gs = np.arange(ctx.n)
+    coords[ctx.orb[ctx.diag_index(gs)]] = ctx.n * _xi_classes(pi, ctx)[ctx.cls]  # [G':H] = |G|
     return GroupFunction(ctx, coords)
 
 
 def _check_int64(ctx: PairGroupContext, f: np.ndarray, g: np.ndarray) -> None:
-    """Raise BudgetExceeded unless every coordinate of f * g provably fits in int64."""
+    """Raise BudgetExceeded unless every coordinate of every product of an
+    entry of f with an entry of g provably fits in int64."""
     max_f = int(np.abs(f).max() or 1)
     max_g = int(np.abs(g).max() or 1)
     bound = ctx.n2 * ctx.phi * max_f * max_g
@@ -251,15 +246,25 @@ def _check_int64(ctx: PairGroupContext, f: np.ndarray, g: np.ndarray) -> None:
         raise BudgetExceeded(f"convolution bound {bound} reaches 2^62 at q={ctx.q}")
 
 
-def _convolve_coords(
-    ctx: PairGroupContext, f: np.ndarray, g: np.ndarray
-) -> np.ndarray:
-    """Integer part of (f * g) at orbit reps: sum_{i,j} N[k,i,j] f_i g_j, reduced."""
-    _check_int64(ctx, f, g)
+def _products(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Integer parts of every f * g at the orbit reps, for f in the stack
+    F (a, K, phi) and g in G (b, K, phi): an (a, b, K, phi) array with
+
+        P[a, b, k] = sum_{i,j} N[k,i,j] F[a,i] G[b,j], reduced.
+    """
+    _check_int64(ctx, F, G)
     N = ctx.n_tensor()
-    t1 = np.einsum("kij,ic->kjc", N, f, dtype=np.int64)
-    s = np.einsum("kjc,jd->kcd", t1, g)
-    return np.einsum("kcd,cde->ke", s, ctx.reduction)
+    K, phi = ctx.K, ctx.phi
+    a, b = len(F), len(G)
+    f_cols = F.transpose(1, 2, 0).reshape(K, phi * a)  # [i, (c, a)]
+    # g_mul[(b, e), (j, c)]: coordinate e of zeta^c * G[b, j]
+    g_mul = np.einsum("bjd,cde->bejc", G, ctx.reduction).reshape(b * phi, K * phi)
+    out = np.empty((a, b, K, phi), dtype=np.int64)
+    for k in range(K):
+        # one K x K slice of the int32 N cast at a time, not a copy of all of N
+        t = (N[k].T.astype(np.int64) @ f_cols).reshape(K * phi, a)  # [(j, c), a]
+        out[:, :, k] = (g_mul @ t).reshape(b, phi, a).transpose(2, 0, 1)
+    return out
 
 
 def convolve(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
@@ -267,7 +272,7 @@ def convolve(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
     if f1.ctx is not f2.ctx:
         raise MismatchedGroup("functions live on different groups")
     ctx = f1.ctx
-    coords = _convolve_coords(ctx, f1.coords, f2.coords)
+    coords = _products(ctx, f1.coords[None], f2.coords[None])[0, 0]
     return GroupFunction(ctx, coords, f1.den * f2.den * ctx.n2)
 
 
@@ -302,21 +307,15 @@ def build_I_pi(pi: GL2Irrep, q: int) -> list[GroupFunction]:
     ctx = pair_context(q)
     count = ctx.pair_count()
     # xi without the [G':H] scale; scaling does not change spans or products
-    nc = len(ctx.classes)
-    xi = np.zeros((nc, ctx.phi), dtype=np.int64)
-    for ci, cls in enumerate(ctx.classes):
-        val = char_value(pi, cls, ctx.pr).conj() * pi.dim()
-        xi[ci] = val.coords_at(ctx.rs)
+    xi = _xi_classes(pi, ctx)
     # products xi(y) xi(z) for all class pairs, reduced to the power basis
     pair_products = np.einsum("ac,bd,cde->abe", xi, xi, ctx.reduction)
     # C[k, j, :] = sum over class pairs of count * product
-    projections = np.einsum("kjab,abe->kje", count, pair_products.astype(np.int64))
-
-    basis_cols = _independent_columns(ctx, projections)
-    out = []
-    for j in basis_cols:
-        out.append(GroupFunction(ctx, projections[:, j, :].copy(), ctx.n2 * ctx.n**2))
-    return out
+    projections = np.einsum("kjab,abe->kje", count, pair_products)
+    return [
+        GroupFunction(ctx, projections[:, j, :], ctx.n2 * ctx.n**2)
+        for j in _independent_columns(ctx, projections)
+    ]
 
 
 def _independent_columns(ctx: PairGroupContext, projections: np.ndarray) -> list[int]:
@@ -326,27 +325,23 @@ def _independent_columns(ctx: PairGroupContext, projections: np.ndarray) -> list
     content-reduced, elimination uses cross-multiplication by pivot
     values, and every multiplication is a small integer matrix product.
     """
-    red = ctx.reduction
+    red = ctx.reduction.astype(object)
     echelon: list[tuple[int, np.ndarray, np.ndarray]] = []  # (pivot_idx, row, pivot_val)
     chosen = []
     for j in range(projections.shape[1]):
         v = projections[:, j, :].astype(object)
-        if not np.any(v):
-            continue
         for p, row, piv in echelon:
             if np.any(v[p]):
                 coeff = v[p].copy()
-                v = v @ _cyc_mul_matrix(piv, red.astype(object)) - row @ _cyc_mul_matrix(
-                    coeff, red.astype(object)
-                )
-                g = int(np.gcd.reduce([abs(int(x)) for x in v.ravel()] or [0]))
+                v = v @ _cyc_mul_matrix(piv, red) - row @ _cyc_mul_matrix(coeff, red)
+                g = int(np.gcd.reduce(v, axis=None))
                 if g > 1:
                     v //= g
         nz = [k for k in range(ctx.K) if np.any(v[k])]
         if not nz:
             continue
         p = nz[0]
-        g = int(np.gcd.reduce([abs(int(x)) for x in v.ravel()]))
+        g = int(np.gcd.reduce(v, axis=None))
         if g > 1:
             v //= g
         echelon.append((p, v, v[p].copy()))
@@ -356,21 +351,20 @@ def _independent_columns(ctx: PairGroupContext, projections: np.ndarray) -> list
 
 
 def commutativity_check(basis: list[GroupFunction]) -> bool:
-    """Whether f * g == g * f for every pair from the basis, exactly."""
+    """Whether f * g == g * f for every pair from the basis, exactly.
+
+    f_a * f_b and f_b * f_a share the denominator den_a den_b |G'|, so
+    comparing integer parts is exact.
+    """
     if not basis:
         return True
     ctx = basis[0].ctx
     for f in basis:
         if f.ctx is not ctx:
             raise MismatchedGroup("basis functions live on different groups")
-    n = len(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            fg = _convolve_coords(ctx, basis[i].coords, basis[j].coords)
-            gf = _convolve_coords(ctx, basis[j].coords, basis[i].coords)
-            if not np.array_equal(fg, gf):
-                return False
-    return True
+    B = np.stack([f.coords for f in basis])
+    P = _products(ctx, B, B)
+    return np.array_equal(P, P.swapaxes(0, 1))
 
 
 def xi_idempotent(pi: GL2Irrep, q: int) -> bool:

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 
+import pytest
+
 from gl2rep import harmonic, oracle, tensor
 from gl2rep.cli import SUITES, build_parser, run
 from gl2rep.gl2 import GL2Irrep, enumerate_classes, enumerate_irreps, params, parse_class, parse_irrep
@@ -167,11 +169,12 @@ def test_bad_sl3_parameter_is_a_usage_error():
     assert text.startswith("error:") and "label grammar" in text
 
 
-def test_bad_budget_env_is_a_usage_error(monkeypatch):
-    monkeypatch.setenv("GT_BUDGET_SECONDS", "abc")
+@pytest.mark.parametrize("budget", ["abc", "nan"])
+def test_bad_budget_env_is_a_usage_error(monkeypatch, budget):
+    monkeypatch.setenv("GT_BUDGET_SECONDS", budget)
     code, text = _run(["verify", "--q", "3", "--suite", "census"])
     assert code == 2
-    assert text.startswith("error:") and "GT_BUDGET_SECONDS" in text
+    assert text == f"error: GT_BUDGET_SECONDS={budget!r} is not a number of seconds\n"
 
 
 def test_sl3_restrict_command():
