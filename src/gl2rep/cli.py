@@ -33,10 +33,32 @@ SAMPLED_TRIPLES = 10_000
 EXHAUSTIVE_TENSOR_MAX_Q = 5
 
 
+# The indenting JSON encoder is pure Python and yields one token at a time
+# (62 000 tokens for an induct document at q = 16); joining them all at once
+# holds about nine times the text, so they are joined and written in blocks.
+JSON_BLOCK_CHARS = 1 << 13
+
+
+def _write_json(payload, out, indent: int | None = None) -> None:
+    """One JSON document and its newline: one write, or one per block when indented."""
+    if indent is None:
+        # json.dumps takes the C encoder here; json.dump never does
+        out.write(json.dumps(payload) + "\n")
+        return
+    block, size = [], 0
+    for token in json.JSONEncoder(indent=indent).iterencode(payload):
+        block.append(token)
+        size += len(token)
+        if size >= JSON_BLOCK_CHARS:
+            out.write("".join(block))
+            block, size = [], 0
+    block.append("\n")
+    out.write("".join(block))
+
+
 def _emit(rows: list[dict], fmt: str, out, columns: list[str]) -> None:
     if fmt == "json":
-        json.dump(rows, out, indent=2)
-        out.write("\n")
+        _write_json(rows, out, indent=2)
     elif fmt == "csv":
         writer = csv.DictWriter(out, fieldnames=columns)
         writer.writeheader()
@@ -72,26 +94,36 @@ def cmd_chartable(args, out) -> int:
     irreps = enumerate_irreps(pr)
     # entries repeat (at q = 16, 65 025 entries have 541 distinct term
     # tuples): evaluate and encode each distinct tuple once
-    encoded: dict[tuple, object] = {}
+    encoded: dict[tuple, str] = {}
 
     def entry(pi, c):
         terms = char_terms(pi, c, pr)
         if terms not in encoded:
             value = terms_value(pr.rs, terms)
-            encoded[terms] = value.as_json() if args.format == "json" else value.render()
+            if args.format == "json":
+                # the final text of a value at depth 4 (payload["rows"][i]["values"][j]);
+                # json.dumps emits no raw newline inside a string, so indenting
+                # every line break is safe
+                encoded[terms] = json.dumps(value.as_json(), indent=2).replace("\n", "\n" + " " * 8)
+            else:
+                encoded[terms] = value.render()
         return encoded[terms]
 
     if args.format == "json":
-        payload = {
-            "q": args.q,
-            "classes": [{"class": c.label(), "size": c.size()} for c in classes],
-            "rows": [
-                {"irrep": pi.label(), "values": [entry(pi, c) for c in classes]}
-                for pi in irreps
-            ],
-        }
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        # the bytes of json.dumps(payload, indent=2), one write per irrep row:
+        # the whole document is 80 MB at q = 16
+        head = json.dumps(
+            {"q": args.q, "classes": [{"class": c.label(), "size": c.size()} for c in classes]},
+            indent=2,
+        )
+        out.write(head[: -len("\n}")] + ',\n  "rows": [')
+        for i, pi in enumerate(irreps):
+            values = ",\n        ".join(entry(pi, c) for c in classes)
+            out.write(
+                f'{"," if i else ""}\n    {{\n      "irrep": {json.dumps(pi.label())},'
+                f'\n      "values": [\n        {values}\n      ]\n    }}'
+            )
+        out.write("\n  ]\n}\n")
     else:
         columns = ["irrep"] + [c.label() for c in classes]
         rows = []
@@ -118,8 +150,7 @@ def cmd_tensor(args, out) -> int:
         "dim_check": total == left.dim() * right.dim(),
     }
     if args.format == "json":
-        json.dump(payload, out)
-        out.write("\n")
+        _write_json(payload, out)
     else:
         rows = [{"irrep": c["irrep"], "mult": c["mult"]} for c in payload["constituents"]]
         _emit(rows, args.format, out, ["irrep", "mult"])
@@ -142,8 +173,7 @@ def cmd_induct(args, out) -> int:
         ],
     }
     if args.format == "json":
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _write_json(payload, out, indent=2)
     else:
         rows = payload["constituents"]
         _emit(rows, args.format, out, ["left", "right", "mult"])
@@ -156,8 +186,7 @@ def cmd_gelfand(args, out) -> int:
     pr = params(args.q)
     labels = [pi.label() for pi in sorted(tensor.classify_gelfand(pr), key=GL2Irrep.sort_key)]
     if args.format == "json":
-        json.dump({"q": args.q, "gelfand": labels}, out)
-        out.write("\n")
+        _write_json({"q": args.q, "gelfand": labels}, out)
     else:
         rows = [{"irrep": lab} for lab in labels]
         _emit(rows, args.format, out, ["irrep"])
@@ -182,8 +211,7 @@ def cmd_sl3_restrict(args, out) -> int:
     mult = sl3.restriction_mult(pi, tau, pr)
     payload = {"q": args.q, "pi": pi.label(), "tau": tau.label(), "multiplicity": mult}
     if args.format == "json":
-        json.dump(payload, out)
-        out.write("\n")
+        _write_json(payload, out)
     else:
         out.write(f"[{pi.label()} restricted to GL2({args.q}) : {tau.label()}] = {mult}\n")
     return 0
@@ -196,8 +224,7 @@ def cmd_sl3_witness(args, out) -> int:
         wanted = parse_irrep(args.irrep, pr).label()
         rows = [r for r in rows if r["tau"] == wanted]
     if args.format == "json":
-        json.dump({"q": args.q, "witnesses": rows}, out, indent=2)
-        out.write("\n")
+        _write_json({"q": args.q, "witnesses": rows}, out, indent=2)
     else:
         _emit(rows, args.format, out, ["tau", "witness", "multiplicity", "expected", "ok"])
     ok = all(r["ok"] for r in rows)
@@ -394,8 +421,7 @@ def cmd_verify(args, out) -> int:
             reports.append(rep)
             all_pass = all_pass and rep.get("pass", True)
     if args.format == "json":
-        json.dump({"pass": all_pass, "budget_exhausted": exhausted, "reports": reports}, out, indent=2)
-        out.write("\n")
+        _write_json({"pass": all_pass, "budget_exhausted": exhausted, "reports": reports}, out, indent=2)
     else:
         for rep in reports:
             if "skipped" in rep:
@@ -458,9 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _q_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        qs = [int(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad q list {text!r}") from exc
+    # an empty list would fall back to each suite's default sweep
+    if not qs:
+        raise argparse.ArgumentTypeError(f"empty q list {text!r}")
+    return qs
 
 
 _COMMANDS = {

@@ -33,7 +33,11 @@ multiplicity m = [pi1 (x) pi2 : pi], each one class sum long:
 
 Every m is a non-negative integer, so pi induces multiplicity free iff the
 two sums are equal.  ``is_gelfand_triple_product``, the ``mult_closed``
-sweep over all pairs, is kept as the route that cross-checks it.
+sweep of ``ind_decompose``, is kept as the route that cross-checks it.
+
+``ind_decompose`` skips the pairs whose central characters do not match:
+by Schur's lemma on the centre, [pi1 (x) pi2 : pi] = 0 unless
+omega_1 + omega_2 = omega (mod r), so it visits about 1/r of the ordered pairs.
 """
 
 from __future__ import annotations
@@ -96,6 +100,19 @@ def _twist(kind: str, data: tuple[int, ...], sign: int, a: int, pr: GroupParams)
     return ((sign * data[0] + a) % pr.r,)
 
 
+def _omega(kind: str, data: tuple[int, ...]) -> int:
+    """Central exponent of an irrep: its central character is alpha_omega on F_q^x.
+
+    omega(U_a) = omega(V_a) = 2a, omega(W_[a,b]) = a + b and omega(X_[n]) = n,
+    so chi(c1:k) = dim * zeta_r^(omega k).  Callers reduce it mod r.
+    """
+    if kind == "W":
+        return data[0] + data[1]
+    if kind == "X":
+        return data[0]
+    return 2 * data[0]
+
+
 def mult_closed(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> int:
     """Multiplicity of pi3 inside pi1 (x) pi2 via the indicator formulas."""
     for pi in (pi1, pi2, pi3):
@@ -115,10 +132,7 @@ def mult_closed(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) ->
         value = int(k1 == k2 and _twist(k1, x, -1, z[0], pr) == y)
     else:
         # the central characters omega must match (Schur's lemma); six cells correct it
-        w1 = 2 * x[0] if k1 == "V" else x[0] + x[1] if k1 == "W" else x[0]
-        w2 = 2 * y[0] if k2 == "V" else y[0] + y[1] if k2 == "W" else y[0]
-        w3 = 2 * z[0] if k3 == "V" else z[0] + z[1] if k3 == "W" else z[0]
-        value = int((w1 + w2 - w3) % r == 0)
+        value = int((_omega(k1, x) + _omega(k2, y) - _omega(k3, z)) % r == 0)
         if k3 == "V":
             if k1 == k2 == "W":
                 value += _twist("W", x, -1, z[0], pr) == y
@@ -171,11 +185,18 @@ def ind_decompose(pi3: GL2Irrep, pr: GroupParams) -> list[tuple[tuple[GL2Irrep, 
 
     By Frobenius reciprocity this is the decomposition of the module
     induced from pi3 on the diagonal subgroup up to the product group.
+    Only the pairs with omega_1 + omega_2 = omega_3 (mod r) are evaluated;
+    the buckets keep enumeration order, so the list is that of the full sweep.
     """
     irreps = enumerate_irreps(pr)
+    r = pr.r
+    buckets: list[list[GL2Irrep]] = [[] for _ in range(r)]
+    for pi in irreps:
+        buckets[_omega(pi.kind, pi.data) % r].append(pi)
+    w3 = _omega(pi3.kind, pi3.data)
     out = []
     for pi1 in irreps:
-        for pi2 in irreps:
+        for pi2 in buckets[(w3 - _omega(pi1.kind, pi1.data)) % r]:
             m = mult_closed(pi1, pi2, pi3, pr)
             if m:
                 out.append(((pi1, pi2), m))
@@ -251,12 +272,7 @@ def ind_X_expected(q: int, parity: int) -> dict[int, int]:
 
 def is_gelfand_triple_product(pi: GL2Irrep, pr: GroupParams) -> bool:
     """Whether pi occurs with multiplicity <= 1 in every pi1 (x) pi2."""
-    irreps = enumerate_irreps(pr)
-    for pi1 in irreps:
-        for pi2 in irreps:
-            if mult_closed(pi1, pi2, pi, pr) > 1:
-                return False
-    return True
+    return all(m <= 1 for _, m in ind_decompose(pi, pr))
 
 
 def _rows(pr: GroupParams, irreps: list[GL2Irrep]) -> list[tuple]:

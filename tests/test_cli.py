@@ -9,7 +9,7 @@ import pytest
 
 from gl2rep import harmonic, oracle, tensor
 from gl2rep.cli import SUITES, build_parser, run
-from gl2rep.gl2 import GL2Irrep, enumerate_classes, enumerate_irreps, params, parse_class, parse_irrep
+from gl2rep.gl2 import GL2Irrep, char_value, enumerate_classes, enumerate_irreps, params, parse_class, parse_irrep
 
 
 def _run(argv):
@@ -67,6 +67,23 @@ def test_output_matches_the_pinned_digest():
                 code, text = _run(argv)
                 digest.update(f"{' '.join(argv)}\n{code}\n{text}".encode())
     assert digest.hexdigest() == PINNED_OUTPUT_SHA256
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_chartable_json_matches_the_reference_encoder(q):
+    # chartable writes its JSON from pre-encoded entries, a row at a time;
+    # the bytes must be those of the stdlib encoder on the whole payload
+    pr = params(q)
+    classes = enumerate_classes(pr)
+    payload = {
+        "q": q,
+        "classes": [{"class": c.label(), "size": c.size()} for c in classes],
+        "rows": [
+            {"irrep": pi.label(), "values": [char_value(pi, c, pr).as_json() for c in classes]}
+            for pi in enumerate_irreps(pr)
+        ],
+    }
+    assert _run(["chartable", "--q", str(q), "--format", "json"]) == (0, json.dumps(payload, indent=2) + "\n")
 
 
 def test_chartable_csv_labels_round_trip():
@@ -132,6 +149,14 @@ def test_verify_gelfand_reports_the_sweep_only_on_a_disagreement(monkeypatch):
     assert report["pass"] is False
     assert report["sweep"] == ["U:0", "U:1", "X:1", "X:2", "X:5"]
     assert "U:0" not in report["classified"]
+
+
+def test_empty_q_list_is_a_usage_error():
+    # an empty list must not fall back to the suite's default q sweep
+    for q_list in (",", ""):
+        code, text = _run(["verify", "--q", q_list, "--suite", "gelfand"])
+        assert code == 2
+        assert "PASS" not in text
 
 
 def test_verify_respects_ceiling():

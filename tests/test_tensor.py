@@ -6,7 +6,7 @@ import pytest
 
 from gl2rep import tensor
 from gl2rep.errors import GL2RepError, NonIntegral, NotMultiplicityFree
-from gl2rep.gl2 import GL2Irrep, enumerate_irreps, params, x_orbit_reps
+from gl2rep.gl2 import GL2Class, GL2Irrep, char_terms, enumerate_irreps, params, terms_value, x_orbit_reps
 from gl2rep.tensor import (
     all_triples,
     classify_gelfand,
@@ -204,6 +204,32 @@ def test_ind_norms_equal_the_ind_decompose_sums(q):
     for pi in enumerate_irreps(pr):
         ms = [m for _, m in ind_decompose(pi, pr)]
         assert ind_norms(pi, pr) == (sum(m * m for m in ms), sum(ms)), pi.label()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_ind_decompose_equals_the_unfiltered_sweep(q):
+    # ind_decompose skips the pairs whose central characters do not match;
+    # the plain double loop over all pairs must give the same list
+    pr = params(q)
+    irreps = enumerate_irreps(pr)
+    for pi in irreps:
+        full = []
+        for pi1 in irreps:
+            for pi2 in irreps:
+                m = mult_closed(pi1, pi2, pi, pr)
+                if m:
+                    full.append(((pi1, pi2), m))
+        assert ind_decompose(pi, pr) == full, pi.label()
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_omega_is_the_central_character(q):
+    # chi_pi(c1:1) = dim pi * zeta_r^omega, read off the character table
+    pr = params(q)
+    centre = GL2Class.C1(pr, 1)
+    for pi in enumerate_irreps(pr):
+        scalar = ((pi.dim(), (pr.s * tensor._omega(pi.kind, pi.data)) % pr.rs),)
+        assert terms_value(pr.rs, char_terms(pi, centre, pr)) == terms_value(pr.rs, scalar), pi.label()
 
 
 @pytest.mark.parametrize("q", [16, 25])
