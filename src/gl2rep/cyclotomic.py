@@ -230,9 +230,6 @@ class Cyclotomic:
             return self
         return Cyclotomic(n, _fold(n, ((-i % n, c) for i, c in enumerate(self.coeffs))))
 
-    def is_integer(self) -> bool:
-        return self.order == 1
-
     def as_integer(self) -> int:
         """The value as a rational integer, or NonIntegral if it is not one."""
         if self.order != 1:

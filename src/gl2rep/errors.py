@@ -31,7 +31,7 @@ class BudgetExceeded(GL2RepError):
 
 
 class ZeroElement(GL2RepError):
-    """Discrete logarithm of the zero field element was requested."""
+    """The discrete log, order or inverse of the zero field element was requested."""
 
 
 class Singular(GL2RepError):

@@ -9,14 +9,20 @@ and rho = sigma^(q+1) of F_q together with dense discrete-log tables on
 both multiplicative groups; this is what lets the oracle read class
 parameters straight off matrix eigenvalues.
 
-Scale is capped at q <= 16, so all arithmetic tables stay tiny.
+Arithmetic is read from addition, negation, multiplication and inverse
+tables built once per field; the multiplication table reduces through
+the same polynomial remainder that tests moduli for irreducibility.
+Scale is capped at q <= 16, so the largest field is F_256 and a table
+has at most 65 536 entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, GL2RepError, NotPrime, ZeroElement
+import numpy as np
+
+from .errors import BudgetExceeded, GL2RepError, NotPrime, NotPrimePower, ZeroElement
 
 MAX_Q = 16
 
@@ -33,14 +39,24 @@ def is_prime(p: int) -> bool:
 
 
 class GF:
-    """Arithmetic in F_{p^m} with integer-encoded elements."""
+    """Arithmetic in F_{p^m} with integer-encoded elements, read from tables."""
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
         self.m = m
         self.size = p**m
         self.modulus = modulus  # monic, length m + 1, constant term first
-        self._mul: list[list[int]] | None = None
+        weights = p ** np.arange(m)
+        digits = np.arange(self.size)[:, None] // weights % p
+        # a*b = sum of a_i b_j x^(i+j), with each x^k reduced modulo the modulus
+        reduced = np.array([_poly_mod(x, modulus, p) for x in np.eye(2 * m - 1, dtype=int).tolist()])
+        ij = np.add.outer(np.arange(m), np.arange(m))
+        mul = np.einsum("ai,bj,ijk->abk", digits, digits, reduced[ij], optimize=True) % p @ weights
+        self.add_table: list[list[int]] = ((digits[:, None] + digits[None]) % p @ weights).tolist()
+        self.mul_table: list[list[int]] = mul.tolist()
+        self.neg_table: list[int] = (-digits % p @ weights).tolist()
+        # row 0 has no 1 and reads 0 here; inv(0) raises before reading it
+        self.inv_table: list[int] = np.argmax(mul == 1, axis=1).tolist()
 
     def digits(self, a: int) -> list[int]:
         out = []
@@ -49,46 +65,17 @@ class GF:
             a //= self.p
         return out
 
-    def encode(self, digits: list[int]) -> int:
-        val = 0
-        for d in reversed(digits):
-            val = val * self.p + (d % self.p)
-        return val
-
     def add(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
-        return self.encode([x + y for x, y in zip(da, db)])
+        return self.add_table[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
-        return self.encode([x - y for x, y in zip(da, db)])
+        return self.add_table[a][self.neg_table[b]]
 
     def neg(self, a: int) -> int:
-        return self.encode([-x for x in self.digits(a)])
-
-    def _mul_slow(self, a: int, b: int) -> int:
-        p = self.p
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * self.m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the monic modulus
-        for i in range(len(prod) - 1, self.m - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.m + 1):
-                    prod[i - self.m + j] = (prod[i - self.m + j] - c * self.modulus[j]) % p
-        return self.encode(prod[: self.m])
+        return self.neg_table[a]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is None:
-            self._mul = [
-                [self._mul_slow(x, y) for y in range(self.size)] for x in range(self.size)
-            ]
-        return self._mul[a][b]
+        return self.mul_table[a][b]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -104,8 +91,8 @@ class GF:
 
     def inv(self, a: int) -> int:
         if a == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return self.pow(a, self.size - 2)
+            raise ZeroElement("zero has no multiplicative inverse")
+        return self.inv_table[a]
 
     def mult_order(self, a: int) -> int:
         if a == 0:
@@ -199,7 +186,7 @@ def build_tower(p: int, ell: int) -> FieldTower:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if ell < 1:
-        raise ValueError("ell must be >= 1")
+        raise NotPrimePower(f"{p}^{ell} is not a prime power: the exponent must be >= 1")
     q = p**ell
     if q > MAX_Q:
         raise BudgetExceeded(f"q={q} exceeds the oracle budget {MAX_Q}")

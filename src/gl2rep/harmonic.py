@@ -54,26 +54,18 @@ class PairGroupContext:
         self.pr = params(q)
         self.tower = tower_for(q)
         elements = enumerate_gl2(self.tower)
-        self.n = len(elements)
-        index = {g: i for i, g in enumerate(elements)}
+        self.n = n = len(elements)
         gf = self.tower.gf_q
-
-        def matmul(x, y):
-            a, b, c, d = x
-            e, f, g_, h = y
-            return (
-                gf.add(gf.mul(a, e), gf.mul(b, g_)),
-                gf.add(gf.mul(a, f), gf.mul(b, h)),
-                gf.add(gf.mul(c, e), gf.mul(d, g_)),
-                gf.add(gf.mul(c, f), gf.mul(d, h)),
-            )
-
-        n = self.n
-        self.mul = np.zeros((n, n), dtype=np.int32)
-        for i, x in enumerate(elements):
-            for j, y in enumerate(elements):
-                self.mul[i, j] = index[matmul(x, y)]
-        self.identity = index[(1, 0, 0, 1)]
+        add, mul = np.array(gf.add_table), np.array(gf.mul_table)
+        E = np.array(elements)
+        place = q ** np.arange(3, -1, -1)  # entries a, b, c, d as base-q digits of one code
+        index_of_code = np.zeros(q**4, dtype=np.int32)
+        index_of_code[E @ place] = np.arange(n)
+        X = E.reshape(n, 2, 2)
+        # terms[i, j, r, k, c] = x_i[r, k] x_j[k, c]; adding over k gives (x_i x_j)[r, c]
+        terms = mul[X[:, None, :, :, None], X[None, :, None, :, :]]
+        self.mul = index_of_code[add[terms[:, :, :, 0], terms[:, :, :, 1]].reshape(n, n, 4) @ place]
+        self.identity = elements.index((1, 0, 0, 1))
         self.inv = np.argmax(self.mul == self.identity, axis=1).astype(np.int32)
 
         self.classes = enumerate_classes(self.pr)

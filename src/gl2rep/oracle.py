@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .cyclotomic import Cyclotomic, root
 from .errors import BudgetExceeded, GL2RepError, InvalidCharTable, InvalidClassMap, Singular
@@ -44,44 +45,41 @@ def tower_for(q: int) -> FieldTower:
 
 
 def classify_element(g: Matrix2, tower: FieldTower) -> GL2Class:
-    """Conjugacy class of an invertible 2x2 matrix, recovered from eigenvalues."""
-    gf = tower.gf_q
+    """Conjugacy class of an invertible 2x2 matrix, recovered from eigenvalues.
+
+    A non-scalar g is classified by its eigenvalues, the roots of
+    x^2 - tr*x + det in F_{q^2}: one search finds a root sigma^e, and the
+    other root is tr minus it.  sigma^e lies in F_q iff s | e, and then
+    it is rho^(e/s).  So s not dividing e gives C4, a repeated root in
+    F_q gives C2, and two distinct roots in F_q give C3.
+    """
+    gf, gf2 = tower.gf_q, tower.gf_q2
     a, b, c, d = g
     det = gf.sub(gf.mul(a, d), gf.mul(b, c))
     if det == 0:
         raise Singular(f"matrix {g} over F_{tower.q} is singular")
     pr = params(tower.q)
-    tr = gf.add(a, d)
     if b == 0 and c == 0 and a == d:
         return GL2Class.C1(pr, tower.dlog_q(a))
-    roots = [x for x in range(tower.q) if gf.add(gf.mul(x, x), gf.sub(det, gf.mul(tr, x))) == 0]
-    if len(roots) == 2:
-        return GL2Class.C3(pr, tower.dlog_q(roots[0]), tower.dlog_q(roots[1]))
-    if len(roots) == 1:
-        return GL2Class.C2(pr, tower.dlog_q(roots[0]))
-    gf2 = tower.gf_q2
-    tr2, det2 = tower.embed[tr], tower.embed[det]
-    mu = next(
+    tr2, det2 = tower.embed[gf.add(a, d)], tower.embed[det]
+    lam = next(
         x
         for x in range(1, gf2.size)
         if gf2.add(gf2.mul(x, x), gf2.sub(det2, gf2.mul(tr2, x))) == 0
     )
-    return GL2Class.C4(pr, tower.dlog_q2(mu))
+    mu = gf2.sub(tr2, lam)
+    e = tower.dlog_q2(lam)
+    if e % pr.s:
+        return GL2Class.C4(pr, e)
+    if mu == lam:
+        return GL2Class.C2(pr, e // pr.s)
+    return GL2Class.C3(pr, e // pr.s, tower.dlog_q2(mu) // pr.s)
 
 
 def enumerate_gl2(tower: FieldTower) -> list[Matrix2]:
-    """Every invertible 2x2 matrix over F_q."""
-    q = tower.q
-    gf = tower.gf_q
-    out = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                bc = gf.mul(b, c)
-                for d in range(q):
-                    if gf.sub(gf.mul(a, d), bc) != 0:
-                        out.append((a, b, c, d))
-    return out
+    """Every invertible 2x2 matrix over F_q, in lexicographic order."""
+    mul = tower.gf_q.mul_table
+    return [g for g in product(range(tower.q), repeat=4) if mul[g[0]][g[3]] != mul[g[1]][g[2]]]
 
 
 class OracleContext:

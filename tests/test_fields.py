@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gl2rep.errors import BudgetExceeded, NotPrime, ZeroElement
+from gl2rep.errors import BudgetExceeded, GL2RepError, NotPrime, ZeroElement
 from gl2rep.fields import build_tower, smallest_irreducible
 
 
@@ -87,3 +87,31 @@ def test_errors():
         t.dlog_q(0)
     with pytest.raises(ZeroElement):
         t.dlog_q2(0)
+
+
+def test_bad_field_input_raises_package_errors():
+    t = build_tower(3, 1)
+    for gf in (t.gf_q, t.gf_q2):
+        with pytest.raises(ZeroElement):
+            gf.inv(0)
+    with pytest.raises(GL2RepError):
+        build_tower(2, 0)
+
+
+# the towers of test_dlog_round_trips, up to F_256
+@pytest.mark.parametrize("p,ell", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (2, 3), (11, 1), (13, 1), (2, 4)])
+def test_field_tables_obey_the_field_laws(p, ell):
+    t = build_tower(p, ell)
+    rng = random.Random(5)
+    for gf in (t.gf_q, t.gf_q2):
+        elements = range(gf.size)
+        for a in elements:
+            assert gf.add(a, gf.neg(a)) == 0
+            assert gf.sub(a, a) == 0
+            if a:
+                assert gf.mul(a, gf.inv(a)) == 1
+        for _ in range(200):
+            a, b, c = (rng.randrange(gf.size) for _ in range(3))
+            assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+        if p == 2:
+            assert all(gf.add(a, b) == a ^ b for a in elements for b in elements)

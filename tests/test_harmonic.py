@@ -19,6 +19,7 @@ from gl2rep.harmonic import (
     xi_idempotent,
 )
 from gl2rep.cyclotomic import reduce_root_sum
+from gl2rep.oracle import enumerate_gl2
 from gl2rep.tensor import ind_decompose, is_gelfand_triple_product
 
 
@@ -32,6 +33,24 @@ def _as_cyclotomic(ctx, coords):
 def test_budget():
     with pytest.raises(BudgetExceeded):
         pair_context(4)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_pair_context_mul_is_the_matrix_product(q):
+    # entry by entry, so the opposite group (a transposed table) fails
+    ctx = pair_context(q)
+    gf = ctx.tower.gf_q
+    elements = enumerate_gl2(ctx.tower)
+    index = {g: i for i, g in enumerate(elements)}
+    for i, (a, b, c, d) in enumerate(elements):
+        for j, (e, f, g, h) in enumerate(elements):
+            xy = (
+                gf.add(gf.mul(a, e), gf.mul(b, g)),
+                gf.add(gf.mul(a, f), gf.mul(b, h)),
+                gf.add(gf.mul(c, e), gf.mul(d, g)),
+                gf.add(gf.mul(c, f), gf.mul(d, h)),
+            )
+            assert ctx.mul[i, j] == index[xy]
 
 
 def test_delta_scaled_by_group_order_is_the_unit():
