@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -18,9 +19,9 @@ from .errors import GL2RepError, InvalidLabel, NotPrimePower
 from .gl2 import (
     GL2Irrep,
     _parse_ints,
-    char_inner_product,
+    char_inner_products,
     char_terms,
-    class_inner_product,
+    class_inner_products,
     enumerate_classes,
     enumerate_irreps,
     params,
@@ -239,16 +240,19 @@ def _suite_orthogonality(q: int, seed: int) -> dict:
     irreps = enumerate_irreps(pr)
     classes = enumerate_classes(pr)
     first_bad = None
+    # every row pair in one class sum, then every column pair in another
+    row_sums = iter(char_inner_products(pr))
     for i, a in enumerate(irreps):
         for b in irreps[i:]:
             want = pr.order if a is b else 0
-            got = char_inner_product(a, b, pr)
+            got = next(row_sums)
             if got != want and first_bad is None:
                 first_bad = {"kind": "row", "a": a.label(), "b": b.label(), "got": got}
+    column_sums = iter(class_inner_products(pr))
     for i, c in enumerate(classes):
         for c2 in classes[i:]:
             want = pr.order // c.size() if c is c2 else 0
-            got = class_inner_product(c, c2, pr)
+            got = next(column_sums)
             if got != want and first_bad is None:
                 first_bad = {"kind": "column", "a": c.label(), "b": c2.label(), "got": got}
     return {
@@ -506,10 +510,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first run, not at import: building it is most of a short query
+    return build_parser()
+
+
 def run(argv: list[str] | None = None, out=None) -> int:
     """Parse argv and run one command; returns the exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

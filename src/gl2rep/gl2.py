@@ -23,10 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, islice
+from typing import Iterator, NamedTuple
 
-from .cyclotomic import Cyclotomic, reduce_root_sum
-from .errors import GL2RepError, InvalidLabel, MismatchedQ, NonIntegral, NotPrimePower
+import numpy as np
+
+from .cyclotomic import Cyclotomic, euler_phi, fold_bound, fold_rows, fold_width, reduce_root_sum
+from .errors import BudgetExceeded, GL2RepError, InvalidLabel, MismatchedQ, NonIntegral, NotPrimePower
 
 IRREP_KINDS = ("U", "V", "W", "X")
 CLASS_KINDS = ("c1", "c2", "c3", "c4")
@@ -304,7 +307,43 @@ def char_value(pi: GL2Irrep, c: GL2Class, pr: GroupParams) -> Cyclotomic:
 
 # -- the exact class-sum kernel --------------------------------------------------
 
-UNIT_TERMS = ((1, 0),)
+
+class Block(NamedTuple):
+    """One block of a stack of rows: term t of row i at index j of the block is
+    terms[0, t, i, j] * zeta_rs^terms[1, t, i, j], the exponent in range(rs).
+    terms is int64 of shape (2, width, rows, block length): the term axis
+    comes first, so that arithmetic runs along the long (rows, length) axes.
+    peak bounds the sum of |coef| over the terms of any entry."""
+
+    terms: np.ndarray
+    peak: int
+
+    @property
+    def width(self) -> int:
+        return self.terms.shape[1]
+
+    @property
+    def rows(self) -> int:
+        return self.terms.shape[2]
+
+    @property
+    def length(self) -> int:
+        return self.terms.shape[3]
+
+
+# A stack of rows over the blocks of a summation axis.  A character row has
+# one block per class kind, c1 to c4, as wide as the most terms an entry of the
+# block has: 0, 1 or 2 for GL2, so the blocks hold no padding and the products
+# no zero terms.
+Rows = tuple[Block, ...]
+
+# Rows pack_rows turns into arrays at a time.
+_PACK_ROWS = 16
+# Scratch bytes one slice of a class_sum batch may hold; the batch is cut to fit.
+_SLICE_BYTES = 1 << 21
+# Every coordinate and every partial sum behind it stays below this.
+_INT64_LIMIT = 2**62
+_FIRST = (np.zeros(1, dtype=np.intp),) * 3
 
 
 @lru_cache(maxsize=None)
@@ -314,8 +353,88 @@ def class_table(q: int) -> tuple[tuple[GL2Class, ...], tuple[int, ...], dict[GL2
     return classes, tuple(c.size() for c in classes), {c: i for i, c in enumerate(classes)}
 
 
-def char_row(pi: GL2Irrep, pr: GroupParams) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """char_terms of pi on every class, in canonical class order; cached per irrep."""
+def _class_blocks(q: int) -> tuple[int, ...]:
+    """Lengths of the c1, c2, c3 and c4 runs of the canonical class order."""
+    r = q - 1
+    return (r, r, r * (r - 1) // 2, q * r // 2)
+
+
+def _block(terms: np.ndarray) -> Block:
+    return Block(terms, int(np.abs(terms[0]).sum(axis=0).max(initial=0)))
+
+
+def _frozen(rows: Rows) -> Rows:
+    for block in rows:
+        block.terms.setflags(write=False)
+    return rows
+
+
+def pack_rows(term_rows, q: int) -> Rows:
+    """A stack of rows of character terms, each row one sequence of (coef, exp)
+    terms per class in canonical class order.  The entries of a block shorter
+    than its widest are padded with zero terms.
+
+    Rows are packed _PACK_ROWS at a time, so an iterable of rows is never
+    held whole as Python tuples.
+    """
+    rows, parts = iter(term_rows), []
+    while part := list(islice(rows, _PACK_ROWS)):
+        parts.append(_pack(part, q))
+    return stack_rows(parts)
+
+
+def _pack(term_rows: list, q: int) -> Rows:
+    rs = q * q - 1
+    blocks, lo = [], 0
+    for length in _class_blocks(q):
+        cells = [row[lo : lo + length] for row in term_rows]
+        lo += length
+        width = max((len(t) for row in cells for t in row), default=0)
+        pad = [((0, 0),) * k for k in range(width + 1)]
+        flat = chain.from_iterable(
+            chain.from_iterable(t + pad[width - len(t)] for row in cells for t in row)
+        )
+        count = 2 * width * length * len(cells)
+        terms = np.fromiter(flat, dtype=np.int64, count=count).reshape(len(cells), length, width, 2)
+        terms = np.ascontiguousarray(terms.transpose(3, 2, 0, 1))
+        terms[1] %= rs
+        blocks.append(_block(terms))
+    return tuple(blocks)
+
+
+def stack_rows(stacks) -> Rows:
+    """One stack of the rows of several stacks over the same blocks; each block
+    is padded with zero terms to the widest of them."""
+    out = []
+    for blocks in zip(*stacks):
+        width = max(b.width for b in blocks)
+        parts = [
+            b.terms if b.width == width else np.pad(b.terms, ((0, 0), (0, width - b.width), (0, 0), (0, 0)))
+            for b in blocks
+        ]
+        out.append(Block(np.concatenate(parts, axis=2), max(b.peak for b in blocks)))
+    return tuple(out)
+
+
+def columns(rows: Rows) -> Iterator[Rows]:
+    """The columns of a stack of character rows, one stack per class block,
+    each over a single block, the rows: the class blocks transposed.  Each is
+    copied as it is reached, so only one transposed block is held at a time."""
+    return ((Block(np.ascontiguousarray(b.terms.transpose(0, 1, 3, 2)), b.peak),) for b in rows)
+
+
+def unit_like(rows: Rows) -> Rows:
+    """The one-row stack that is 1 at every index of the blocks of ``rows``."""
+    return _unit_rows(tuple(b.length for b in rows))
+
+
+@lru_cache(maxsize=None)
+def _unit_rows(lengths: tuple[int, ...]) -> Rows:
+    return _frozen(tuple(Block(np.array([1, 0]).reshape(2, 1, 1, 1).repeat(n, axis=3), 1) for n in lengths))
+
+
+def char_row(pi: GL2Irrep, pr: GroupParams) -> Rows:
+    """The one-row stack of pi's character on every class; cached per irrep."""
     if pi.q != pr.q:
         raise MismatchedQ(f"{pi!r} does not live over q={pr.q}")
     return _char_row(pi.q, pi.kind, pi.data)
@@ -323,34 +442,99 @@ def char_row(pi: GL2Irrep, pr: GroupParams) -> tuple[tuple[tuple[int, int], ...]
 
 # keyed on plain values: labels of different q raise MismatchedQ when compared
 @lru_cache(maxsize=None)
-def _char_row(q: int, kind: str, data: tuple[int, ...]):
+def _char_row(q: int, kind: str, data: tuple[int, ...]) -> Rows:
     pr = params(q)
     pi = GL2Irrep(q, kind, data)
-    return tuple(char_terms(pi, c, pr) for c in class_table(q)[0])
+    return _frozen(pack_rows([[char_terms(pi, c, pr) for c in class_table(q)[0]]], q))
 
 
 @lru_cache(maxsize=None)
-def _irrep_rows(q: int):
-    """char_row of every irrep of GL2(q), in canonical irrep order."""
+def _irrep_stack(q: int) -> Rows:
+    """The character rows of every irrep of GL2(q), in canonical irrep order, as one stack."""
     pr = params(q)
-    return tuple(char_row(pi, pr) for pi in enumerate_irreps(pr))
+    classes = class_table(q)[0]
+    return _frozen(pack_rows(([char_terms(pi, c, pr) for c in classes] for pi in enumerate_irreps(pr)), q))
 
 
-def class_sum(rs: int, weights, a, b, c) -> Cyclotomic:
-    """Exact sum over k of weights[k] * a[k] * b[k] * conj(c[k]) in Z[zeta_rs].
+@lru_cache(maxsize=None)
+def _column_stack(q: int) -> Rows:
+    """The columns of the character table of GL2(q), in canonical class order."""
+    return _frozen(stack_rows(columns(_irrep_stack(q))))
 
-    a, b and c give one character value per k as terms (coef, exp); a
-    two-factor sum passes UNIT_TERMS for every b[k].
+
+def int64_bound(rs: int, weights: np.ndarray, a: Rows, b: Rows, c: Rows) -> int:
+    """An upper bound on every |coordinate| that class_sum computes from these
+    stacks, and on every partial sum behind it: fold_bound(rs) times the sum
+    over blocks of length * max|weight| * a.peak * b.peak * c.peak."""
+    total, lo = 0, 0
+    for ba, bb, bc in zip(a, b, c):
+        hi = lo + ba.length
+        if hi > lo:
+            total += (hi - lo) * int(np.abs(weights[lo:hi]).max()) * ba.peak * bb.peak * bc.peak
+        lo = hi
+    return total * fold_bound(rs)
+
+
+def class_sum(rs: int, weights, a: Rows, b: Rows, c: Rows, index=None) -> np.ndarray:
+    """Exact sums over k of weights[k] * a[k] * b[k] * conj(c[k]) in Z[zeta_rs],
+    one per batch entry, as a (batch, phi(rs)) int64 array of power-basis
+    coordinates.
+
+    a, b and c are stacks over the same blocks of the summation axis (the
+    classes, or the irreps for a column sum) and weights has one integer per
+    index k.  Batch entry i takes row index[0][i] of a, index[1][i] of b and
+    index[2][i] of c; without an index the batch is the first row of each.  A
+    two-factor sum passes unit_like(a) for b.
+
+    Per block, the terms of the three rows are multiplied, times the weight,
+    and their exponents combined, a's plus b's less c's; np.add.at gathers the
+    products into one int64 array of exponent weights per slice of the batch,
+    which cyclotomic.fold_rows reduces once.  The batch runs in slices of at
+    most _SLICE_BYTES of scratch.  BudgetExceeded is raised, before anything
+    is allocated, if a coordinate could leave int64.
     """
-    acc = [0] * rs
-    for w, t1, t2, t3 in zip(weights, a, b, c):
-        for a1, e1 in t1:
-            for a2, e2 in t2:
-                coef = w * a1 * a2
-                e12 = e1 + e2
-                for a3, e3 in t3:
-                    acc[(e12 - e3) % rs] += coef * a3
-    return reduce_root_sum(rs, acc)
+    weights = np.asarray(weights, dtype=np.int64)
+    bound = int64_bound(rs, weights, a, b, c)
+    if bound >= _INT64_LIMIT:
+        raise BudgetExceeded(f"class sum bound {bound} reaches 2^62 in Z[zeta_{rs}]")
+    ia, ib, ic = (np.asarray(i, dtype=np.intp) for i in (_FIRST if index is None else index))
+    blocks, lo, products = [], 0, 0
+    for ba, bb, bc in zip(a, b, c):
+        hi = lo + ba.length
+        if ba.width * bb.width * bc.width:
+            blocks.append((weights[lo:hi], ba, bb, bc))
+            products += (hi - lo) * ba.width * bb.width * bc.width
+        lo = hi
+    # scratch per batch entry: about five int64 arrays of its products, the
+    # accumulator and two arrays of the power-table entries fold_rows reads
+    step = max(1, _SLICE_BYTES // (40 * products + 32 * rs + 16 * fold_width(rs)))
+    out = []
+    for start in range(0, len(ia), step):
+        picks = [i[start : start + step] for i in (ia, ib, ic)]
+        size = len(picks[0])
+        # exponents a + b - c lie in (-rs, 2rs): each batch entry gets 3 rs
+        # accumulator slots, so no product needs reducing mod rs
+        acc = np.zeros(size * 3 * rs, dtype=np.int64)
+        offset = np.arange(rs, acc.size, 3 * rs)[:, None]
+        for w, *factors in blocks:
+            # a stack of one row broadcasts; only real stacks are gathered
+            (ca, ea), (cb, eb), (cc, ec) = (
+                f.terms if f.rows == 1 else f.terms.take(i, axis=2) for f, i in zip(factors, picks)
+            )
+            exp = ea[:, None, None] + eb[None, :, None] - ec[None, None, :] + offset
+            coef = (w * ca)[:, None, None] * cb[None, :, None] * cc[None, None, :]
+            if coef.shape != exp.shape:
+                coef = np.broadcast_to(coef, exp.shape)
+            np.add.at(acc, exp.reshape(-1), coef.reshape(-1))
+        out.append(fold_rows(rs, acc.reshape(size, 3, rs).sum(axis=1)))
+    return np.concatenate(out) if out else np.zeros((0, euler_phi(rs)), dtype=np.int64)
+
+
+def rational(coords: np.ndarray, what: str) -> int:
+    """One entry of a class_sum result as a rational integer, or NonIntegral naming ``what``."""
+    if coords[1:].any():
+        raise NonIntegral(f"{what} has power-basis coordinates {coords.tolist()}, not a rational integer")
+    return int(coords[0])
 
 
 def divide_exact(total: int, divisor: int, what: str) -> int:
@@ -367,17 +551,42 @@ def char_inner_product(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> int:
     """
     _, sizes, _ = class_table(pr.q)
     row1, row2 = char_row(pi1, pr), char_row(pi2, pr)
-    return class_sum(pr.rs, sizes, row1, repeat(UNIT_TERMS), row2).as_integer()
+    coords = class_sum(pr.rs, sizes, row1, unit_like(row1), row2)
+    return rational(coords[0], f"inner product of {pi1.label()} and {pi2.label()}")
 
 
 def class_inner_product(c1: GL2Class, c2: GL2Class, pr: GroupParams) -> int:
     """Column sum over irreps of chi(c1) conj(chi(c2)); |G|/|c| on the diagonal."""
     _check_same_q(c1, c2, pr)
     _, _, index = class_table(pr.q)
-    i1, i2 = index[c1], index[c2]
-    rows = _irrep_rows(pr.q)
-    col1, col2 = [row[i1] for row in rows], [row[i2] for row in rows]
-    return class_sum(pr.rs, repeat(1), col1, repeat(UNIT_TERMS), col2).as_integer()
+    cols = _column_stack(pr.q)
+    ones = [1] * cols[0].length
+    coords = class_sum(pr.rs, ones, cols, unit_like(cols), cols, ([index[c1]], [0], [index[c2]]))
+    return rational(coords[0], f"column product of {c1.label()} and {c2.label()}")
+
+
+def _pair_sums(rs: int, weights, rows: Rows, labels, what: str) -> list[int]:
+    """Sum over k of weights[k] * row_i[k] * conj(row_j[k]) for every pair i <= j
+    of rows of the stack, row-major, in one class_sum call; labels[i] names row i."""
+    first, second = np.triu_indices(rows[0].rows)
+    coords = class_sum(rs, weights, rows, unit_like(rows), rows, (first, np.zeros_like(first), second))
+    bad = coords[:, 1:].any(axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        rational(coords[i], f"{what} of {labels[first[i]].label()} and {labels[second[i]].label()}")
+    return coords[:, 0].tolist()
+
+
+def char_inner_products(pr: GroupParams) -> list[int]:
+    """char_inner_product of every pair pi_i, pi_j (i <= j) of irreps in canonical order, row-major."""
+    irreps = enumerate_irreps(pr)
+    return _pair_sums(pr.rs, class_table(pr.q)[1], _irrep_stack(pr.q), irreps, "inner product")
+
+
+def class_inner_products(pr: GroupParams) -> list[int]:
+    """class_inner_product of every pair c_i, c_j (i <= j) of classes in canonical order, row-major."""
+    cols = _column_stack(pr.q)
+    return _pair_sums(pr.rs, [1] * cols[0].length, cols, class_table(pr.q)[0], "column product")
 
 
 def _parse_ints(body: str, count: int, what: str) -> tuple[int, ...]:

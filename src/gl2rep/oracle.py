@@ -29,6 +29,7 @@ from .gl2 import (
     enumerate_classes,
     enumerate_irreps,
     params,
+    rational,
 )
 from .sl3 import SL3Class, embed_class
 
@@ -146,7 +147,7 @@ def elementwise_mult(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, q: int) -> int
     classes, _, _ = class_table(q)
     counts = [ctx.counts.get(c, 0) for c in classes]
     rows = (char_row(pi, pr) for pi in (pi1, pi2, pi3))
-    total = class_sum(pr.rs, counts, *rows).as_integer()
+    total = rational(class_sum(pr.rs, counts, *rows)[0], "element sum")
     return divide_exact(total, pr.order, "element sum")
 
 
@@ -438,18 +439,23 @@ def bessel_check(q: int) -> dict:
     irreps = enumerate_irreps(pr)
     unipotents = [(1, 0, b, 1) for b in range(q)]
     classes = [ctx.class_of[u] for u in unipotents]
+    # the q unipotents fall in two classes (the identity and c2:0), so each
+    # irrep's values on them are taken once, not once per psi
+    values = [
+        [by_class[cls] for cls in classes]
+        for by_class in ({cls: char_value(pi, cls, pr) for cls in set(classes)} for pi in irreps)
+    ]
+    b_digits = [gf.digits(u[2]) for u in unipotents]
     rows = []
     ok = True
     for c_param in range(q):
         c_digits = gf.digits(c_param)
+        psi_conj = [root(p, -sum(x * y for x, y in zip(c_digits, bd)) % p) for bd in b_digits]
         mults = []
-        for pi in irreps:
+        for chi in values:
             acc = Cyclotomic.zero()
-            for u, cls in zip(unipotents, classes):
-                b_digits = gf.digits(u[2])
-                phase = sum(x * y for x, y in zip(c_digits, b_digits)) % p
-                psi_conj = root(p, -phase)
-                acc = acc + char_value(pi, cls, pr) * psi_conj
+            for value, phase in zip(chi, psi_conj):
+                acc = acc + value * phase
             mults.append(divide_exact(acc.as_integer(), q, "unipotent restriction sum"))
         if c_param == 0:
             expected = [2 if pi.kind == "W" else (1 if pi.kind in ("U", "V") else 0) for pi in irreps]

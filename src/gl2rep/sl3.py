@@ -20,12 +20,13 @@ The pi_rt value on C7(k) is -(phi_u(sigma^-k) + phi_u(sigma^-qk)).
 
 from __future__ import annotations
 
-from itertools import repeat
+from typing import Iterator
+
+import numpy as np
 
 from .cyclotomic import Cyclotomic
 from .errors import InvalidLabel, MismatchedQ, WitnessFailed
 from .gl2 import (
-    UNIT_TERMS,
     GL2Class,
     GL2Irrep,
     GroupParams,
@@ -35,8 +36,11 @@ from .gl2 import (
     class_table,
     divide_exact,
     enumerate_irreps,
+    pack_rows,
     params,
+    rational,
     terms_value,
+    unit_like,
     x_canonical,
 )
 
@@ -221,17 +225,27 @@ def sl3_char_value(pi: SL3Irrep, c: SL3Class, pr: GroupParams) -> Cyclotomic:
     return terms_value(pr.rs, sl3_char_terms(pi, c, pr))
 
 
+def _restriction_mults(pairs: list[tuple[SL3Irrep, GL2Irrep]], pr: GroupParams) -> Iterator[int]:
+    """restriction_mult of every (pi, tau) pair, from one class_sum call; each
+    sum is checked to be a multiple of |G| as its value is taken."""
+    for pi, tau in pairs:
+        if pi.q != pr.q or tau.q != pr.q:
+            raise MismatchedQ(f"{pi!r}, {tau!r} must both live over q={pr.q}")
+    classes, sizes, _ = class_table(pr.q)
+    embedded = [embed_class(c, pr) for c in classes]
+    # tau's row is built afresh: a witness sweep visits each tau once
+    pi_rows = pack_rows(([sl3_char_terms(pi, e, pr) for e in embedded] for pi, _ in pairs), pr.q)
+    tau_rows = pack_rows(([char_terms(tau, c, pr) for c in classes] for _, tau in pairs), pr.q)
+    every = np.arange(len(pairs))
+    coords = class_sum(pr.rs, sizes, pi_rows, unit_like(pi_rows), tau_rows, (every, np.zeros_like(every), every))
+    for (pi, tau), x in zip(pairs, coords):
+        what = f"restriction sum for [{pi.label()} | : {tau.label()}]"
+        yield divide_exact(rational(x, what), pr.order, what)
+
+
 def restriction_mult(pi: SL3Irrep, tau: GL2Irrep, pr: GroupParams) -> int:
     """Multiplicity of tau in the restriction of pi to the embedded GL2(q)."""
-    if pi.q != pr.q or tau.q != pr.q:
-        raise MismatchedQ(f"{pi!r}, {tau!r} must both live over q={pr.q}")
-    classes, sizes, _ = class_table(pr.q)
-    # tau's row is built afresh: a witness sweep visits each tau once
-    pi_row = [sl3_char_terms(pi, embed_class(c, pr), pr) for c in classes]
-    tau_row = [char_terms(tau, c, pr) for c in classes]
-    total = class_sum(pr.rs, sizes, pi_row, repeat(UNIT_TERMS), tau_row).as_integer()
-    what = f"restriction sum for [{pi.label()} | : {tau.label()}]"
-    return divide_exact(total, pr.order, what)
+    return next(_restriction_mults([(pi, tau)], pr))
 
 
 def witness_irrep(tau: GL2Irrep, pr: GroupParams) -> SL3Irrep:
@@ -272,15 +286,19 @@ def expected_witness_mult(tau: GL2Irrep, pr: GroupParams) -> int:
     return d + 1
 
 
-def witness_no_gelfand(tau: GL2Irrep, pr: GroupParams) -> tuple[SL3Irrep, int]:
-    """A verified (SL3 irrep, multiplicity >= 2) witness that tau is not Gelfand."""
-    pi = witness_irrep(tau, pr)
-    mult = restriction_mult(pi, tau, pr)
+def _require_witness(pi: SL3Irrep, tau: GL2Irrep, mult: int, pr: GroupParams) -> None:
     if mult < 2:
         raise WitnessFailed(
             f"designated witness {pi.label()} for {tau.label()} at q={pr.q} "
             f"has multiplicity {mult} < 2"
         )
+
+
+def witness_no_gelfand(tau: GL2Irrep, pr: GroupParams) -> tuple[SL3Irrep, int]:
+    """A verified (SL3 irrep, multiplicity >= 2) witness that tau is not Gelfand."""
+    pi = witness_irrep(tau, pr)
+    mult = restriction_mult(pi, tau, pr)
+    _require_witness(pi, tau, mult, pr)
     return pi, mult
 
 
@@ -291,9 +309,11 @@ def witness_report(pr: GroupParams) -> list[dict]:
     (d + 1) differ when d = 3; the computed value is reported and the
     affected rows carry a note.
     """
+    pairs = [(witness_irrep(tau, pr), tau) for tau in enumerate_irreps(pr)]
     rows = []
-    for tau in enumerate_irreps(pr):
-        pi, mult = witness_no_gelfand(tau, pr)
+    # the restriction sums of every witness at once; checked as witness_no_gelfand checks one
+    for (pi, tau), mult in zip(pairs, _restriction_mults(pairs, pr)):
+        _require_witness(pi, tau, mult, pr)
         expected = expected_witness_mult(tau, pr)
         row = {
             "tau": tau.label(),

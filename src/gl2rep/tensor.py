@@ -23,6 +23,11 @@ Two independent evaluation routes are provided:
 
 ``mult_sum`` is authoritative: any disagreement is surfaced as a
 structured report naming the offending cell, never patched over.
+``verify_agreement`` compares the two routes over any iterable of triples.
+It reads the triples in chunks of a fixed byte budget and batches the class
+sums of a chunk, one ``gl2.class_sum`` call per kind triple; ``mult_closed``
+stays per triple, called as the chunk is walked in order, so reports,
+errors and ``stop_after`` follow the order of the triples.
 
 The Gelfand classification does not sweep triples.  ``ind_norms`` gives,
 for a fixed pi, two sums over all ordered pairs (pi1, pi2) of the
@@ -32,7 +37,8 @@ multiplicity m = [pi1 (x) pi2 : pi], each one class sum long:
     sum m   = |G|^-1 sum_c |c| S(c)^2 conj(chi(c)),  S(c) = sum_pi chi_pi(c)
 
 Every m is a non-negative integer, so pi induces multiplicity free iff the
-two sums are equal.  ``is_gelfand_triple_product``, the ``mult_closed``
+two sums are equal.  ``classify_gelfand`` takes the column sums S(c) and
+both norms of every irrep in three batched class sums.  ``is_gelfand_triple_product``, the ``mult_closed``
 sweep of ``ind_decompose``, is kept as the route that cross-checks it.
 
 ``ind_decompose`` skips the pairs whose central characters do not match:
@@ -44,10 +50,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
+from itertools import islice
 from typing import Iterable, Iterator
 
-from .cyclotomic import Cyclotomic
+import numpy as np
+
+from .cyclotomic import Cyclotomic, euler_phi
 from .errors import (
     GL2RepError,
     MismatchedQ,
@@ -56,32 +64,48 @@ from .errors import (
 )
 from .gl2 import (
     IRREP_KINDS,
-    UNIT_TERMS,
     GL2Irrep,
     GroupParams,
+    Rows,
     char_row,
     char_terms,
     class_sum,
     class_table,
+    columns,
     divide_exact,
     enumerate_irreps,
-    terms_value,
+    pack_rows,
+    rational,
+    stack_rows,
+    unit_like,
     x_canonical,
 )
+
+# Triples per verify_agreement chunk come from this byte budget.  A triple in
+# a chunk holds about 512 bytes of Python objects and index arrays plus its
+# phi(rs) int64 coordinates: 2730 triples at q = 9.  The rows are stacked once
+# per distinct irrep, and class_sum bounds its own scratch.
+_CHUNK_BYTES = 1 << 21
+
+
+def _numerator_coords(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> np.ndarray:
+    _, sizes, _ = class_table(pr.q)
+    return class_sum(pr.rs, sizes, *(char_row(pi, pr) for pi in (pi1, pi2, pi3)))[0]
 
 
 def mult_sum_numerator(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> Cyclotomic:
     """The weighted class sum before division by |G| = q*s*r^2."""
-    _, sizes, _ = class_table(pr.q)
-    rows = (char_row(pi, pr) for pi in (pi1, pi2, pi3))
-    return class_sum(pr.rs, sizes, *rows)
+    return Cyclotomic(pr.rs, _numerator_coords(pi1, pi2, pi3, pr).tolist())
+
+
+def _what(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
+    return f"class sum for [{pi1.label()} x {pi2.label()} : {pi3.label()}]"
 
 
 def mult_sum(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> int:
     """Exact multiplicity of pi3 inside pi1 (x) pi2 via the class sum."""
-    total = mult_sum_numerator(pi1, pi2, pi3, pr).as_integer()
-    what = f"class sum for [{pi1.label()} x {pi2.label()} : {pi3.label()}]"
-    return divide_exact(total, pr.order, what)
+    what = _what(pi1, pi2, pi3)
+    return divide_exact(rational(_numerator_coords(pi1, pi2, pi3, pr), what), pr.order, what)
 
 
 def cell_name(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
@@ -275,35 +299,48 @@ def is_gelfand_triple_product(pi: GL2Irrep, pr: GroupParams) -> bool:
     return all(m <= 1 for _, m in ind_decompose(pi, pr))
 
 
-def _rows(pr: GroupParams, irreps: list[GL2Irrep]) -> list[tuple]:
-    """char_terms of each irrep on every class, built afresh.
+def _rows(pr: GroupParams, irreps: list[GL2Irrep]) -> Rows:
+    """The character rows of these irreps as one stack, built afresh.
 
     The rows of all irreps hold (q^2 - 1)^2 entries and the norm test reads
     them once; the char_row cache would keep them for the life of the process.
     """
     classes = class_table(pr.q)[0]
-    return [tuple(char_terms(pi, c, pr) for c in classes) for pi in irreps]
+    return pack_rows(([char_terms(pi, c, pr) for c in classes] for pi in irreps), pr.q)
 
 
-def _pair_weights(pr: GroupParams, rows: list[tuple]) -> list[int]:
+def _pair_weights(pr: GroupParams, rows: Rows) -> list[int]:
     """|c| * S(c)^2 for every class c, where S(c) is the column sum of ``rows``.
 
     S(c) = sum over irreps of chi_pi(c) is a rational integer: a Galois
     automorphism of Z[zeta_rs] permutes the irreducible characters, so it
     fixes their sum.
     """
-    _, sizes, _ = class_table(pr.q)
+    classes, sizes, _ = class_table(pr.q)
+    ones = [1] * rows[0].rows
+    sums = []
+    for cols in columns(rows):
+        every = np.arange(cols[0].rows)
+        first = np.zeros_like(every)
+        sums.append(class_sum(pr.rs, ones, cols, unit_like(cols), unit_like(cols), (every, first, first)))
+    coords = np.concatenate(sums)
     return [
-        size * terms_value(pr.rs, chain.from_iterable(column)).as_integer() ** 2
-        for size, column in zip(sizes, zip(*rows))
+        size * rational(x, f"column sum S({c.label()})") ** 2 for size, c, x in zip(sizes, classes, coords)
     ]
 
 
-def _norms(pi: GL2Irrep, row, weights: list[int], pr: GroupParams) -> tuple[int, int]:
-    rs = pr.rs
-    squares = class_sum(rs, repeat(1), row, repeat(UNIT_TERMS), row).as_integer()
-    total = class_sum(rs, weights, repeat(UNIT_TERMS), repeat(UNIT_TERMS), row).as_integer()
-    return squares, divide_exact(total, pr.order, f"pair sum for {pi.label()}")
+def _norms(irreps: list[GL2Irrep], rows: Rows, weights: list[int], pr: GroupParams) -> list[tuple[int, int]]:
+    """ind_norms of each irrep, from the stack of their rows: two class_sum calls."""
+    unit = unit_like(rows)
+    every, first = np.arange(len(irreps)), np.zeros(len(irreps), dtype=np.intp)
+    squares = class_sum(pr.rs, [1] * len(weights), rows, unit, rows, (every, first, every))
+    totals = class_sum(pr.rs, weights, unit, unit, rows, (first, first, every))
+    out = []
+    for pi, sq, total in zip(irreps, squares, totals):
+        what = f"pair sum for {pi.label()}"
+        sq = rational(sq, f"sum of squares for {pi.label()}")
+        out.append((sq, divide_exact(rational(total, what), pr.order, what)))
+    return out
 
 
 def ind_norms(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int]:
@@ -313,8 +350,9 @@ def ind_norms(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int]:
     constituents, counted with multiplicity, of the induction of pi to the
     product group.
     """
-    (row,) = _rows(pr, [pi])
-    return _norms(pi, row, _pair_weights(pr, _rows(pr, enumerate_irreps(pr))), pr)
+    weights = _pair_weights(pr, _rows(pr, enumerate_irreps(pr)))
+    (norms,) = _norms([pi], _rows(pr, [pi]), weights, pr)
+    return norms
 
 
 def classify_gelfand(pr: GroupParams) -> set[GL2Irrep]:
@@ -324,13 +362,8 @@ def classify_gelfand(pr: GroupParams) -> set[GL2Irrep]:
     """
     irreps = enumerate_irreps(pr)
     rows = _rows(pr, irreps)
-    weights = _pair_weights(pr, rows)
-    out = set()
-    for pi, row in zip(irreps, rows):
-        squares, total = _norms(pi, row, weights, pr)
-        if squares == total:
-            out.add(pi)
-    return out
+    norms = _norms(irreps, rows, _pair_weights(pr, rows), pr)
+    return {pi for pi, (squares, total) in zip(irreps, norms) if squares == total}
 
 
 def dim_E(pi: GL2Irrep, pr: GroupParams) -> int:
@@ -371,11 +404,7 @@ class Disagreement:
         return asdict(self)
 
 
-def compare_methods(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> Disagreement | None:
-    closed = mult_closed(pi1, pi2, pi3, pr)
-    sums = mult_sum(pi1, pi2, pi3, pr)
-    if closed == sums:
-        return None
+def _disagreement(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, closed: int, sums: int, pr: GroupParams) -> Disagreement:
     return Disagreement(
         q=pr.q,
         cell=cell_name(pi1, pi2, pi3),
@@ -385,6 +414,12 @@ def compare_methods(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams
         closed=closed,
         class_sum=sums,
     )
+
+
+def compare_methods(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> Disagreement | None:
+    closed = mult_closed(pi1, pi2, pi3, pr)
+    sums = mult_sum(pi1, pi2, pi3, pr)
+    return None if closed == sums else _disagreement(pi1, pi2, pi3, closed, sums, pr)
 
 
 def all_triples(pr: GroupParams) -> Iterator[tuple[GL2Irrep, GL2Irrep, GL2Irrep]]:
@@ -402,19 +437,66 @@ def sample_triples(pr: GroupParams, count: int, seed: int) -> Iterator[tuple[GL2
         yield rng.choice(irreps), rng.choice(irreps), rng.choice(irreps)
 
 
+def _chunk_numerators(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupParams) -> np.ndarray:
+    """mult_sum_numerator of every triple of the chunk, as a (triples, phi(rs))
+    array of power-basis coordinates.
+
+    The chunk's irreps of each kind are stacked once, and each kind triple
+    makes one class_sum call over the chunk's triples of that kind.
+    """
+    flat = [pi for triple in chunk for pi in triple]
+    # labels are told apart by object, not by value: an equal label in another
+    # object only repeats a row of a stack
+    first, codes = np.unique(np.fromiter(map(id, flat), np.int64, len(flat)), return_index=True, return_inverse=True)[1:]
+    irreps = [flat[i] for i in first.tolist()]
+    kind = np.array([IRREP_KINDS.index(pi.kind) for pi in irreps])
+    position = np.zeros(len(irreps), dtype=np.intp)
+    stacks = {}
+    for k in np.unique(kind).tolist():
+        members = np.flatnonzero(kind == k)
+        position[members] = np.arange(len(members))
+        stacks[k] = stack_rows([char_row(irreps[i], pr) for i in members.tolist()])
+    codes = codes.reshape(-1, 3)
+    kinds = kind[codes]
+    group = kinds @ np.array([16, 4, 1])
+    sizes = class_table(pr.q)[1]
+    out = np.empty((len(chunk), euler_phi(pr.rs)), dtype=np.int64)
+    for g in np.unique(group).tolist():
+        at = np.flatnonzero(group == g)
+        k1, k2, k3 = kinds[at[0]].tolist()
+        out[at] = class_sum(pr.rs, sizes, stacks[k1], stacks[k2], stacks[k3], position[codes[at]].T)
+    return out
+
+
 def verify_agreement(
     pr: GroupParams,
     triples: Iterable[tuple[GL2Irrep, GL2Irrep, GL2Irrep]] | None = None,
     stop_after: int | None = 10,
 ) -> list[Disagreement]:
-    """Compare mult_closed against mult_sum; returns all disagreements found."""
+    """Compare mult_closed against mult_sum; returns all disagreements found.
+
+    The triples are read in chunks of a fixed byte budget, never all at once:
+    the class sums of a chunk are batched per kind triple, then the chunk is
+    walked in order, calling mult_closed on each triple.  Reports, errors and
+    ``stop_after`` follow iteration order, as a triple-by-triple loop would.
+    """
     if triples is None:
         triples = all_triples(pr)
+    triples = iter(triples)
+    size = max(1, _CHUNK_BYTES // (512 + 8 * euler_phi(pr.rs)))
     bad: list[Disagreement] = []
-    for pi1, pi2, pi3 in triples:
-        report = compare_methods(pi1, pi2, pi3, pr)
-        if report is not None:
-            bad.append(report)
-            if stop_after is not None and len(bad) >= stop_after:
-                break
+    while chunk := list(islice(triples, size)):
+        coords = _chunk_numerators(chunk, pr)
+        totals = coords[:, 0].tolist()
+        integral = (~coords[:, 1:].any(axis=1)).tolist()
+        for i, ((pi1, pi2, pi3), total, ok) in enumerate(zip(chunk, totals, integral)):
+            closed = mult_closed(pi1, pi2, pi3, pr)
+            if not ok or total % pr.order:  # raises NonIntegral naming the triple
+                what = _what(pi1, pi2, pi3)
+                divide_exact(rational(coords[i], what), pr.order, what)
+            sums = total // pr.order
+            if closed != sums:
+                bad.append(_disagreement(pi1, pi2, pi3, closed, sums, pr))
+                if stop_after is not None and len(bad) >= stop_after:
+                    return bad
     return bad

@@ -1,21 +1,31 @@
 """GL2(q) labels, censuses, character values and orthogonality."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from gl2rep.cyclotomic import Cyclotomic, root
-from gl2rep.errors import GL2RepError, InvalidLabel, MismatchedQ, NotPrimePower
+from gl2rep.errors import BudgetExceeded, GL2RepError, InvalidLabel, MismatchedQ, NotPrimePower
 from gl2rep.gl2 import (
     GL2Class,
     GL2Irrep,
     GroupParams,
     char_inner_product,
+    char_inner_products,
+    char_row,
     char_value,
     class_inner_product,
+    class_inner_products,
+    class_sum,
+    class_table,
     enumerate_classes,
     enumerate_irreps,
+    int64_bound,
     params,
     parse_class,
     parse_irrep,
+    unit_like,
 )
 
 
@@ -137,6 +147,51 @@ def test_column_orthogonality(q):
         for c2 in classes[i:]:
             expected = pr.order // c.size() if c == c2 else 0
             assert class_inner_product(c, c2, pr) == expected
+
+
+def test_batched_orthogonality_sums_equal_a_cyclotomic_reference():
+    # the reference uses Cyclotomic *, + and conj on char_value, and no class_sum
+    pr = params(3)
+    irreps, classes = enumerate_irreps(pr), enumerate_classes(pr)
+    table = [[char_value(pi, c, pr) for c in classes] for pi in irreps]
+    rows = [
+        sum((c.size() * x * y.conj() for c, x, y in zip(classes, table[i], table[j])), Cyclotomic.zero())
+        for i in range(len(irreps))
+        for j in range(i, len(irreps))
+    ]
+    cols = [
+        sum((row[i] * row[j].conj() for row in table), Cyclotomic.zero())
+        for i in range(len(classes))
+        for j in range(i, len(classes))
+    ]
+    assert char_inner_products(pr) == rows
+    assert class_inner_products(pr) == cols
+
+
+def test_the_int64_bound_of_unit_rows_counts_the_classes():
+    pr = params(3)
+    unit = unit_like(char_row(GL2Irrep.U(pr, 0), pr))
+    assert int64_bound(pr.rs, np.ones(pr.rs, dtype=np.int64), unit, unit, unit) == pr.rs
+    sizes = np.asarray(class_table(3)[1])
+    assert int64_bound(pr.rs, sizes, unit, unit, unit) == pr.order
+
+
+def test_class_sum_refuses_a_sum_that_could_leave_int64_before_allocating():
+    pr = params(3)
+    rows = [char_row(pi, pr) for pi in enumerate_irreps(pr)[-3:]]
+    assert int64_bound(pr.rs, np.asarray(class_table(3)[1]), *rows) < 2**62
+    huge = np.full(pr.rs, 2**58, dtype=np.int64)
+    assert int64_bound(pr.rs, huge, *rows) >= 2**62
+    # a batch of 10^9 entries, as broadcast views that hold no memory
+    batch = np.broadcast_to(np.zeros(1, dtype=np.intp), (10**9,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="2\\^62"):
+            class_sum(pr.rs, huge, *rows, index=(batch, batch, batch))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_canonicalization_is_idempotent():

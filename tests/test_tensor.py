@@ -1,12 +1,24 @@
 """Tensor multiplicities: class sums vs indicator formulas, decompositions, counts."""
 
 import random
+import re
 
 import pytest
 
-from gl2rep import tensor
+from gl2rep import gl2, tensor
+from gl2rep.cyclotomic import Cyclotomic
 from gl2rep.errors import GL2RepError, NonIntegral, NotMultiplicityFree
-from gl2rep.gl2 import GL2Class, GL2Irrep, char_terms, enumerate_irreps, params, terms_value, x_orbit_reps
+from gl2rep.gl2 import (
+    GL2Class,
+    GL2Irrep,
+    char_terms,
+    char_value,
+    enumerate_classes,
+    enumerate_irreps,
+    params,
+    terms_value,
+    x_orbit_reps,
+)
 from gl2rep.tensor import (
     all_triples,
     classify_gelfand,
@@ -311,3 +323,102 @@ def test_broken_multiplicities_raise_package_errors(monkeypatch):
     monkeypatch.setattr(tensor, "mult_closed", lambda *args: 2)
     with pytest.raises(NotMultiplicityFree):
         ind_X_counts_by_dim(x_orbit_reps(pr)[0], pr)
+
+
+def _reference_numerators(pr, triples):
+    """sum_c |c| chi_1(c) chi_2(c) conj(chi_3(c)) with Cyclotomic *, + and conj on
+    char_value: no class_sum, no array."""
+    classes = enumerate_classes(pr)
+    values = {}
+
+    def row(pi):
+        if pi not in values:
+            values[pi] = [char_value(pi, c, pr) for c in classes]
+        return values[pi]
+
+    return [
+        sum((c.size() * x * y * z.conj() for c, x, y, z in zip(classes, *map(row, t))), Cyclotomic.zero())
+        for t in triples
+    ]
+
+
+@pytest.mark.parametrize("q, count", [(2, None), (3, None), (4, 600)])
+def test_the_class_sum_kernel_equals_a_cyclotomic_reference(q, count):
+    pr = params(q)
+    triples = list(all_triples(pr) if count is None else sample_triples(pr, count, seed=11))
+    want = _reference_numerators(pr, triples)
+    assert [mult_sum_numerator(*t, pr) for t in triples] == want
+    # the batched route of verify_agreement, kind group by kind group
+    batched = tensor._chunk_numerators(triples, pr)
+    assert [Cyclotomic(pr.rs, x.tolist()) for x in batched] == want
+
+
+def _interleaved_bad_triples(pr, triples):
+    """Positions of six triples from three kind triples, in the order A B C A B C."""
+    kinds = [("W", "X", "V"), ("U", "U", "U"), ("X", "V", "W")]
+    picked, want = [], 0
+    for i, t in enumerate(triples):
+        if tuple(pi.kind for pi in t) == kinds[want % 3]:
+            picked.append(i)
+            want += 1
+            if want == 6:
+                return picked
+    raise AssertionError("the triples lack the wanted kinds")
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, (512 + 8 * 8) * 7])
+def test_disagreements_follow_iteration_order(monkeypatch, chunk_bytes):
+    # a kind-by-kind pass would report A A B B C C; the sweep reports A B C A B C
+    pr = params(4)
+    if chunk_bytes is not None:  # chunks of 7 triples: the bad ones straddle chunks
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", chunk_bytes)
+    triples = list(all_triples(pr))
+    random.Random(3).shuffle(triples)
+    bad = _interleaved_bad_triples(pr, triples)
+    off = {tuple(pi.label() for pi in triples[i]) for i in bad}
+    real = tensor.mult_closed
+
+    def off_by_one(pi1, pi2, pi3, pr):
+        return real(pi1, pi2, pi3, pr) + ((pi1.label(), pi2.label(), pi3.label()) in off)
+
+    monkeypatch.setattr(tensor, "mult_closed", off_by_one)
+    order = [tuple(pi.label() for pi in triples[i]) for i in bad]
+    got = verify_agreement(pr, iter(triples), stop_after=None)
+    assert [(d.left, d.right, d.target) for d in got] == order
+    for k in range(1, 7):
+        got = verify_agreement(pr, iter(triples), stop_after=k)
+        assert [(d.left, d.right, d.target) for d in got] == order[:k]
+
+
+@pytest.fixture
+def fresh_rows():
+    """Clear the cached character rows before and after a test that corrupts them."""
+    gl2._char_row.cache_clear()
+    yield
+    gl2._char_row.cache_clear()
+
+
+def test_a_non_integral_class_sum_names_the_first_triple(monkeypatch, fresh_rows):
+    pr = params(3)
+    x, v, w, u = GL2Irrep.X(pr, 1), GL2Irrep.V(pr, 0), GL2Irrep.W(pr, 0, 1), GL2Irrep.U(pr, 1)
+    real = gl2.char_terms
+
+    def corrupted(pi, c, pr):
+        terms = real(pi, c, pr)
+        if (pi.label(), c.label()) == ("X:1", "c4:1"):
+            return ((terms[0][0], (terms[0][1] + 1) % pr.rs),) + terms[1:]
+        return terms
+
+    monkeypatch.setattr(gl2, "char_terms", corrupted)
+    ok1, ok2, bad1, ok3, bad2 = (v, w, w), (u, v, v), (u, x, x), (w, w, v), (x, v, x)
+    assert _reference_numerators(pr, [bad1])[0].order != 1
+    with pytest.raises(NonIntegral, match=re.escape("[U:1 x X:1 : X:1]")):
+        mult_sum(*bad1, pr)
+    real_closed = tensor.mult_closed
+    monkeypatch.setattr(tensor, "mult_closed", lambda *t: real_closed(*t) + (t[:3] == ok2))
+    triples = [ok1, ok2, bad1, ok3, bad2]
+    with pytest.raises(NonIntegral, match=re.escape("[U:1 x X:1 : X:1]")):
+        verify_agreement(pr, triples, stop_after=2)
+    # stop_after is reached at ok2, before the sweep comes to bad1
+    got = verify_agreement(pr, triples, stop_after=1)
+    assert [(d.left, d.right, d.target) for d in got] == [("U:1", "V:0", "V:0")]
