@@ -22,9 +22,17 @@ integer tensor
     N[k][i][j] = #{ y in orbit_i : y^-1 x_k in orbit_j }
 
 over the H-conjugation orbits on G', which turns each convolution into
-a small exact bilinear form in int64.  A product stack whose a-priori
-bound reaches 2^62 raises BudgetExceeded; at q <= 3 the largest bound is
-below 2^18.
+a small bilinear form in integers.  It is evaluated in float64 through
+BLAS, one int32 slice N[k] cast at a time, and is still exact: every
+operand is an integer, and when the absolute values of the terms of each
+output entry sum to less than 2^53, every partial sum is an integer that
+float64 holds exactly, in any summation order, with or without FMA and
+on any number of threads.  That sum is at most
+
+    |G'| * max|f| * max|g| * max_e sum_{c,d} |reduction[c, d, e]|,
+
+and a product stack whose bound reaches 2^53 raises BudgetExceeded before
+anything is allocated; at q <= 3 the largest bound met is 230 400.
 """
 
 from __future__ import annotations
@@ -83,6 +91,8 @@ class PairGroupContext:
             [[table[(c + d) % self.rs] for d in range(self.phi)] for c in range(self.phi)],
             dtype=np.int64,
         )
+        # max_e sum_{c,d} |reduction[c, d, e]|: the factor of the exactness bound
+        self.reduction_mass = int(np.abs(self.reduction).sum(axis=(0, 1)).max())
 
         # H-conjugation orbits on G'; conjugating by all of H at once gives
         # the whole orbit in one step
@@ -228,34 +238,40 @@ def xi_function(pi: GL2Irrep, ctx: PairGroupContext) -> GroupFunction:
     return GroupFunction(ctx, coords)
 
 
-def _check_int64(ctx: PairGroupContext, f: np.ndarray, g: np.ndarray) -> None:
-    """Raise BudgetExceeded unless every coordinate of every product of an
-    entry of f with an entry of g provably fits in int64."""
+def _check_exact(ctx: PairGroupContext, f: np.ndarray, g: np.ndarray) -> None:
+    """Raise BudgetExceeded unless, for every product of an entry of f with
+    an entry of g, the absolute values of the terms of each coordinate sum
+    to less than 2^53, so float64 (and int64) sums of them are exact."""
     max_f = int(np.abs(f).max() or 1)
     max_g = int(np.abs(g).max() or 1)
-    bound = ctx.n2 * ctx.phi * max_f * max_g
-    if bound >= 2**62:
-        raise BudgetExceeded(f"convolution bound {bound} reaches 2^62 at q={ctx.q}")
+    bound = ctx.n2 * max_f * max_g * ctx.reduction_mass
+    if bound >= 2**53:
+        raise BudgetExceeded(f"convolution bound {bound} reaches 2^53 at q={ctx.q}")
 
 
 def _products(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Integer parts of every f * g at the orbit reps, for f in the stack
-    F (a, K, phi) and g in G (b, K, phi): an (a, b, K, phi) array with
+    F (a, K, phi) and g in G (b, K, phi): an (a, b, K, phi) int64 array with
 
         P[a, b, k] = sum_{i,j} N[k,i,j] F[a,i] G[b,j], reduced.
+
+    The sums run in float64 through BLAS, one K x K slice of the int32 N
+    cast at a time, never a copy of all of N, and each slice of P is
+    rounded into the int64 result as it is made.  ``_check_exact`` bounds
+    every partial sum below 2^53, so each is an exact integer and P equals
+    the integer result entry by entry.
     """
-    _check_int64(ctx, F, G)
+    _check_exact(ctx, F, G)
     N = ctx.n_tensor()
     K, phi = ctx.K, ctx.phi
     a, b = len(F), len(G)
-    f_cols = F.transpose(1, 2, 0).reshape(K, phi * a)  # [i, (c, a)]
+    f_cols = F.transpose(1, 2, 0).reshape(K, phi * a).astype(np.float64)  # [i, (c, a)]
     # g_mul[(b, e), (j, c)]: coordinate e of zeta^c * G[b, j]
-    g_mul = np.einsum("bjd,cde->bejc", G, ctx.reduction).reshape(b * phi, K * phi)
+    g_mul = np.einsum("bjd,cde->bejc", G, ctx.reduction).reshape(b * phi, K * phi).astype(np.float64)
     out = np.empty((a, b, K, phi), dtype=np.int64)
     for k in range(K):
-        # one K x K slice of the int32 N cast at a time, not a copy of all of N
-        t = (N[k].T.astype(np.int64) @ f_cols).reshape(K * phi, a)  # [(j, c), a]
-        out[:, :, k] = (g_mul @ t).reshape(b, phi, a).transpose(2, 0, 1)
+        t = (N[k].T.astype(np.float64) @ f_cols).reshape(K * phi, a)  # [(j, c), a]
+        out[:, :, k] = np.rint(g_mul @ t).reshape(b, phi, a).transpose(2, 0, 1)
     return out
 
 
@@ -273,14 +289,17 @@ def convolve_literal(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
     if f1.ctx is not f2.ctx:
         raise MismatchedGroup("functions live on different groups")
     ctx = f1.ctx
-    _check_int64(ctx, f1.coords, f2.coords)
+    _check_exact(ctx, f1.coords, f2.coords)
+    n = ctx.n
+    ya, yb = np.divmod(np.arange(ctx.n2), n)
+    inv_a, inv_b = ctx.inv[ya], ctx.inv[yb]
+    f_y = f1.coords[ctx.orb]  # f1(y) for every y in G'
     coords = np.zeros((ctx.K, ctx.phi), dtype=np.int64)
     for k, xk in enumerate(ctx.orbit_reps):
-        for y in range(ctx.n2):
-            u = ctx.pair_mul(ctx.pair_inv(y), xk)
-            fy = f1.coords[ctx.orb[y]]
-            gu = f2.coords[ctx.orb[u]]
-            coords[k] += np.einsum("c,d,cde->e", fy, gu, ctx.reduction)
+        # u = y^-1 x_k for every y at once
+        u = ctx.mul[inv_a, xk // n].astype(np.int64) * n + ctx.mul[inv_b, xk % n]
+        g_u = f2.coords[ctx.orb[u]]
+        coords[k] = np.einsum("cd,cde->e", f_y.T @ g_u, ctx.reduction)
     return GroupFunction(ctx, coords, f1.den * f2.den * ctx.n2)
 
 
@@ -323,16 +342,16 @@ def _independent_columns(ctx: PairGroupContext, projections: np.ndarray) -> list
     for j in range(projections.shape[1]):
         v = projections[:, j, :].astype(object)
         for p, row, piv in echelon:
-            if np.any(v[p]):
+            if v[p].any():
                 coeff = v[p].copy()
                 v = v @ _cyc_mul_matrix(piv, red) - row @ _cyc_mul_matrix(coeff, red)
                 g = int(np.gcd.reduce(v, axis=None))
                 if g > 1:
                     v //= g
-        nz = [k for k in range(ctx.K) if np.any(v[k])]
-        if not nz:
+        nz = np.flatnonzero(v.any(axis=1))
+        if not nz.size:
             continue
-        p = nz[0]
+        p = int(nz[0])
         g = int(np.gcd.reduce(v, axis=None))
         if g > 1:
             v //= g

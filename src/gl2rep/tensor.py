@@ -38,8 +38,10 @@ multiplicity m = [pi1 (x) pi2 : pi], each one class sum long:
 
 Every m is a non-negative integer, so pi induces multiplicity free iff the
 two sums are equal.  ``classify_gelfand`` takes the column sums S(c) and
-both norms of every irrep in three batched class sums.  ``is_gelfand_triple_product``, the ``mult_closed``
-sweep of ``ind_decompose``, is kept as the route that cross-checks it.
+both norms of every irrep in three batched class sums; ``ind_norms`` reads
+the weights |c| S(c)^2 from a per-q cache and packs only its own pi's row.
+``is_gelfand_triple_product``, the ``mult_closed`` sweep of
+``ind_decompose``, is kept as the route that cross-checks it.
 
 ``ind_decompose`` skips the pairs whose central characters do not match:
 by Schur's lemma on the centre, [pi1 (x) pi2 : pi] = 0 unless
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -329,6 +332,15 @@ def _pair_weights(pr: GroupParams, rows: Rows) -> list[int]:
     ]
 
 
+@lru_cache(maxsize=None)
+def _class_weights(pr: GroupParams) -> tuple[int, ...]:
+    """``_pair_weights`` of the rows of every irrep, kept per q: O(q^2) ints.
+
+    ind_norms reads them here, so each call packs only its own pi's row.
+    """
+    return tuple(_pair_weights(pr, _rows(pr, enumerate_irreps(pr))))
+
+
 def _norms(irreps: list[GL2Irrep], rows: Rows, weights: list[int], pr: GroupParams) -> list[tuple[int, int]]:
     """ind_norms of each irrep, from the stack of their rows: two class_sum calls."""
     unit = unit_like(rows)
@@ -350,8 +362,7 @@ def ind_norms(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int]:
     constituents, counted with multiplicity, of the induction of pi to the
     product group.
     """
-    weights = _pair_weights(pr, _rows(pr, enumerate_irreps(pr)))
-    (norms,) = _norms([pi], _rows(pr, [pi]), weights, pr)
+    (norms,) = _norms([pi], _rows(pr, [pi]), list(_class_weights(pr)), pr)
     return norms
 
 

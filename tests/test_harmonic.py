@@ -7,6 +7,7 @@ from gl2rep.errors import BudgetExceeded, MismatchedGroup
 from gl2rep.gl2 import GL2Irrep, enumerate_irreps, params
 from gl2rep.harmonic import (
     GroupFunction,
+    _check_exact,
     _products,
     build_I_pi,
     commutativity_check,
@@ -112,6 +113,43 @@ def test_convolution_beyond_int64_raises():
         convolve_literal(huge, huge)
     with pytest.raises(MismatchedGroup):
         GroupFunction(ctx, coords[:, :1])
+
+
+def test_products_are_exact_at_the_edge_of_the_guard():
+    # coefficients up to 8e6 at q = 2: the bound |G'| * 8e6^2 * 3 is 6.9e15,
+    # within a factor of two of 2^53, and the float64 kernel must still
+    # equal the int64 literal sums entry by entry
+    ctx = pair_context(2)
+    top = 8 * 10**6
+    assert ctx.n2 * top * top * ctx.reduction_mass < 2**53 < 2 * ctx.n2 * top * top * ctx.reduction_mass
+    rng = np.random.default_rng(13)
+    F = rng.integers(-top, top + 1, size=(2, ctx.K, ctx.phi)).astype(np.int64)
+    G = rng.integers(-top, top + 1, size=(3, ctx.K, ctx.phi)).astype(np.int64)
+    F[0, 0, 0] = G[1, 2, 1] = top
+    P = _products(ctx, F, G)
+    assert np.abs(P).max() > 2**48
+    for a in range(2):
+        for b in range(3):
+            literal = convolve_literal(GroupFunction(ctx, F[a]), GroupFunction(ctx, G[b]))
+            assert GroupFunction(ctx, P[a, b], ctx.n2) == literal
+
+
+def test_guard_uses_the_reduction_mass_not_phi(monkeypatch):
+    # at q = 2, zeta^c zeta^d for c, d < phi = 2 puts up to 3 units on one
+    # coordinate; with every coefficient at 1e7 the bound with phi in its
+    # place stays below 2^53, the true one does not, and the guard raises
+    # before N is built or anything is multiplied
+    ctx = pair_context(2)
+    assert (ctx.phi, ctx.reduction_mass) == (2, 3)
+    F = np.full((1, ctx.K, ctx.phi), 10**7, dtype=np.int64)
+    assert ctx.n2 * ctx.phi * 10**14 < 2**53 <= ctx.n2 * ctx.reduction_mass * 10**14
+    monkeypatch.setattr(ctx, "n_tensor", lambda: pytest.fail("N was read before the guard"))
+    with pytest.raises(BudgetExceeded):
+        _check_exact(ctx, F, F)
+    with pytest.raises(BudgetExceeded):
+        _products(ctx, F, F)
+    with pytest.raises(BudgetExceeded):
+        convolve_literal(GroupFunction(ctx, F[0]), GroupFunction(ctx, F[0]))
 
 
 def test_convolution_of_class_functions_is_a_class_function():
