@@ -34,9 +34,9 @@ SAMPLED_TRIPLES = 10_000
 EXHAUSTIVE_TENSOR_MAX_Q = 5
 
 
-# The indenting JSON encoder is pure Python and yields one token at a time
-# (62 000 tokens for an induct document at q = 16); joining them all at once
-# holds about nine times the text, so they are joined and written in blocks.
+# The indenting JSON encoder is pure Python and yields one token at a time;
+# joining them all at once holds about nine times the text, so they are
+# joined and written in blocks.
 JSON_BLOCK_CHARS = 1 << 13
 
 
@@ -57,35 +57,74 @@ def _write_json(payload, out, indent: int | None = None) -> None:
     out.write("".join(block))
 
 
-def _emit(rows: list[dict], fmt: str, out, columns: list[str]) -> None:
+# Rows per write of a table or a list of JSON records.
+BLOCK_ROWS = 1 << 12
+
+
+class _Encodings(dict):
+    """JSON text of values, keyed by (type, value): True == 1, but they encode apart."""
+
+    def __missing__(self, key):
+        text = self[key] = json.dumps(key[1])
+        return text
+
+
+def _encode(values) -> list[str]:
+    memo = _Encodings()
+    return [memo[type(v), v] for v in values]
+
+
+def _write_records(out, names: list[str], columns: list[list[str]], depth: int) -> None:
+    """A list of flat records with these keys, from columns of JSON-encoded
+    values: the bytes json.dumps(records, indent=2) gives for the list at
+    nesting depth ``depth``, without a trailing newline."""
+    if not columns[0]:
+        out.write("[]")
+        return
+    outer = "  " * depth
+    field = outer + "    "
+    fields = ",\n".join(f"{field}{json.dumps(name).replace('%', '%%')}: %s" for name in names)
+    record = f"{outer}  {{\n{fields}\n{outer}  }}"
+    out.write("[\n")
+    for lo in range(0, len(columns[0]), BLOCK_ROWS):
+        block = ",\n".join([record % row for row in zip(*(col[lo : lo + BLOCK_ROWS] for col in columns))])
+        out.write(f",\n{block}" if lo else block)
+    out.write(f"\n{outer}]")
+
+
+def _emit(names: list[str], columns: list[list], fmt: str, out) -> None:
+    """A table given by its column names and one list of values per column."""
     if fmt == "json":
-        _write_json(rows, out, indent=2)
+        _write_records(out, names, [_encode(col) for col in columns], 0)
+        out.write("\n")
     elif fmt == "csv":
-        writer = csv.DictWriter(out, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in columns})
+        writer = csv.writer(out)
+        writer.writerow(names)
+        writer.writerows(zip(*columns))
     else:
-        widths = {c: max(len(c), *(len(str(r.get(c, ""))) for r in rows)) for c in columns} if rows else {c: len(c) for c in columns}
-        out.write("  ".join(c.ljust(widths[c]) for c in columns).rstrip() + "\n")
-        for row in rows:
-            out.write("  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns).rstrip() + "\n")
+        texts = [list(map(str, col)) for col in columns]
+        widths = [max([len(name), *map(len, col)]) for name, col in zip(names, texts)]
+        out.write("  ".join(name.ljust(w) for name, w in zip(names, widths)).rstrip() + "\n")
+        # values repeat down a column: each distinct one is padded once
+        padded = []
+        for col, w in zip(texts, widths):
+            pads = {v: v.ljust(w) for v in set(col)}
+            padded.append([pads[v] for v in col])
+        for lo in range(0, len(padded[0]), BLOCK_ROWS):
+            rows = zip(*(col[lo : lo + BLOCK_ROWS] for col in padded))
+            out.write("".join(["  ".join(row).rstrip() + "\n" for row in rows]))
 
 
 def cmd_classes(args, out) -> int:
-    pr = params(args.q)
-    rows = [{"class": c.label(), "size": c.size()} for c in enumerate_classes(pr)]
-    _emit(rows, args.format, out, ["class", "size"])
+    classes = enumerate_classes(params(args.q))
+    _emit(["class", "size"], [[c.label() for c in classes], [c.size() for c in classes]], args.format, out)
     return 0
 
 
 def cmd_irreps(args, out) -> int:
-    pr = params(args.q)
-    rows = [
-        {"irrep": pi.label(), "dim": pi.dim(), "dual": pi.dual().label()}
-        for pi in enumerate_irreps(pr)
-    ]
-    _emit(rows, args.format, out, ["irrep", "dim", "dual"])
+    t = tensor.irrep_table(args.q)
+    duals = [pi.dual().label() for pi in t.irreps]
+    _emit(["irrep", "dim", "dual"], [t.labels.tolist(), t.dim.tolist(), duals], args.format, out)
     return 0
 
 
@@ -126,14 +165,9 @@ def cmd_chartable(args, out) -> int:
             )
         out.write("\n  ]\n}\n")
     else:
-        columns = ["irrep"] + [c.label() for c in classes]
-        rows = []
-        for pi in irreps:
-            row = {"irrep": pi.label()}
-            for c in classes:
-                row[c.label()] = entry(pi, c)
-            rows.append(row)
-        _emit(rows, args.format, out, columns)
+        names = ["irrep"] + [c.label() for c in classes]
+        columns = [[pi.label() for pi in irreps]] + [[entry(pi, c) for pi in irreps] for c in classes]
+        _emit(names, columns, args.format, out)
     return 0
 
 
@@ -153,8 +187,7 @@ def cmd_tensor(args, out) -> int:
     if args.format == "json":
         _write_json(payload, out)
     else:
-        rows = [{"irrep": c["irrep"], "mult": c["mult"]} for c in payload["constituents"]]
-        _emit(rows, args.format, out, ["irrep", "mult"])
+        _emit(["irrep", "mult"], [[pi.label() for pi, _ in constituents], [m for _, m in constituents]], args.format, out)
         if args.format == "text":
             out.write(f"dim_check: {payload['dim_check']}\n")
     return 0
@@ -163,23 +196,19 @@ def cmd_tensor(args, out) -> int:
 def cmd_induct(args, out) -> int:
     pr = params(args.q)
     pi = parse_irrep(args.pi, pr)
-    dec = tensor.ind_decompose(pi, pr)
-    payload = {
-        "q": args.q,
-        "pi": pi.label(),
-        "count": len(dec),
-        "total_dim": sum(m * p1.dim() * p2.dim() for (p1, p2), m in dec),
-        "constituents": [
-            {"left": p1.label(), "right": p2.label(), "mult": m} for (p1, p2), m in dec
-        ],
-    }
+    t = tensor.irrep_table(args.q)
+    i, j, m = tensor.ind_sweep(pi, pr)
+    count, total_dim = len(m), int((m * t.dim[i] * t.dim[j]).sum())
+    names = ["left", "right", "mult"]
     if args.format == "json":
-        _write_json(payload, out, indent=2)
+        head = json.dumps({"q": args.q, "pi": pi.label(), "count": count, "total_dim": total_dim}, indent=2)
+        out.write(head[: -len("\n}")] + ',\n  "constituents": ')
+        _write_records(out, names, [t.encoded[i].tolist(), t.encoded[j].tolist(), _encode(m.tolist())], 1)
+        out.write("\n}\n")
     else:
-        rows = payload["constituents"]
-        _emit(rows, args.format, out, ["left", "right", "mult"])
+        _emit(names, [t.labels[i].tolist(), t.labels[j].tolist(), m.tolist()], args.format, out)
         if args.format == "text":
-            out.write(f"count: {payload['count']}  total_dim: {payload['total_dim']}\n")
+            out.write(f"count: {count}  total_dim: {total_dim}\n")
     return 0
 
 
@@ -189,8 +218,7 @@ def cmd_gelfand(args, out) -> int:
     if args.format == "json":
         _write_json({"q": args.q, "gelfand": labels}, out)
     else:
-        rows = [{"irrep": lab} for lab in labels]
-        _emit(rows, args.format, out, ["irrep"])
+        _emit(["irrep"], [labels], args.format, out)
     return 0
 
 
@@ -227,7 +255,8 @@ def cmd_sl3_witness(args, out) -> int:
     if args.format == "json":
         _write_json({"q": args.q, "witnesses": rows}, out, indent=2)
     else:
-        _emit(rows, args.format, out, ["tau", "witness", "multiplicity", "expected", "ok"])
+        names = ["tau", "witness", "multiplicity", "expected", "ok"]
+        _emit(names, [[row[name] for row in rows] for name in names], args.format, out)
     ok = all(r["ok"] for r in rows)
     return 0 if ok else 1
 

@@ -21,13 +21,26 @@ Two independent evaluation routes are provided:
     V(x)X->X a twist, W(x)W->V and X(x)X->V the U-target test,
     W(x)W->W two matched pairs, and X(x)X->X four conditions in Z_rs.
 
+  These formulas are one numpy kernel, ``mult_closed_array``, over label
+  arrays: a kind code and data (d0, d1) per operand, every label read as
+  an unordered pair (``operand``), and a table of the coefficient of each
+  part in each cell.  It returns values, negative ones too, and each
+  caller raises NegativeMultiplicity for the first negative triple in its
+  own order.  The scalar ``mult_closed`` is its batch of one.  The case
+  table written triple by triple on labels is kept in tests/test_tensor.py
+  as the reference the kernel is checked against.
+
 ``mult_sum`` is authoritative: any disagreement is surfaced as a
 structured report naming the offending cell, never patched over.
 ``verify_agreement`` compares the two routes over any iterable of triples.
-It reads the triples in chunks of a fixed byte budget and batches the class
-sums of a chunk, one ``gl2.class_sum`` call per kind triple; ``mult_closed``
-stays per triple, called as the chunk is walked in order, so reports,
-errors and ``stop_after`` follow the order of the triples.
+It reads the triples in chunks of a fixed byte budget; per chunk it batches
+the class sums, one ``gl2.class_sum`` call per kind triple, and the
+indicator values, one kernel call, then walks the chunk in order, so
+reports, errors and ``stop_after`` follow the order of the triples.
+
+``irrep_table(q)`` holds, per q and in canonical order, the irreps, their
+operands, central exponents, dimensions, labels and the labels' JSON text;
+the sweeps and the CLI read it by index.
 
 The Gelfand classification does not sweep triples.  ``ind_norms`` gives,
 for a fixed pi, two sums over all ordered pairs (pi1, pi2) of the
@@ -40,21 +53,23 @@ Every m is a non-negative integer, so pi induces multiplicity free iff the
 two sums are equal.  ``classify_gelfand`` takes the column sums S(c) and
 both norms of every irrep in three batched class sums; ``ind_norms`` reads
 the weights |c| S(c)^2 from a per-q cache and packs only its own pi's row.
-``is_gelfand_triple_product``, the ``mult_closed`` sweep of
-``ind_decompose``, is kept as the route that cross-checks it.
+``is_gelfand_triple_product``, the ``mult_closed`` sweep of ``ind_sweep``,
+is kept as the route that cross-checks it.
 
-``ind_decompose`` skips the pairs whose central characters do not match:
-by Schur's lemma on the centre, [pi1 (x) pi2 : pi] = 0 unless
-omega_1 + omega_2 = omega (mod r), so it visits about 1/r of the ordered pairs.
+``ind_sweep`` (and ``ind_decompose``, its list of labels) skips the pairs
+whose central characters do not match: by Schur's lemma on the centre,
+[pi1 (x) pi2 : pi] = 0 unless omega_1 + omega_2 = omega (mod r), so it
+visits about 1/r of the ordered pairs, in kernel calls of a bounded size.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import islice
-from typing import Iterable, Iterator
+from itertools import islice, product
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -78,10 +93,10 @@ from .gl2 import (
     divide_exact,
     enumerate_irreps,
     pack_rows,
+    params,
     rational,
     stack_rows,
     unit_like,
-    x_canonical,
 )
 
 # Triples per verify_agreement chunk come from this byte budget.  A triple in
@@ -115,18 +130,6 @@ def cell_name(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
     return f"{pi1.kind}x{pi2.kind}->{pi3.kind}"
 
 
-def _twist(kind: str, data: tuple[int, ...], sign: int, a: int, pr: GroupParams) -> tuple[int, ...]:
-    """Label data of pi twisted by the linear character alpha_a(det).
-
-    pi is the irrep kind(data) for sign 1 and its dual for sign -1.
-    """
-    if kind == "W":
-        return tuple(sorted(((sign * data[0] + a) % pr.r, (sign * data[1] + a) % pr.r)))
-    if kind == "X":
-        return (x_canonical(sign * data[0] + pr.s * a, pr),)
-    return ((sign * data[0] + a) % pr.r,)
-
-
 def _omega(kind: str, data: tuple[int, ...]) -> int:
     """Central exponent of an irrep: its central character is alpha_omega on F_q^x.
 
@@ -140,71 +143,279 @@ def _omega(kind: str, data: tuple[int, ...]) -> int:
     return 2 * data[0]
 
 
-def mult_closed(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> int:
-    """Multiplicity of pi3 inside pi1 (x) pi2 via the indicator formulas."""
-    for pi in (pi1, pi2, pi3):
-        if pi.q != pr.q:
-            raise MismatchedQ(f"{pi!r} does not live over q={pr.q}")
+# -- the indicator kernel ------------------------------------------------------
+
+# Kind codes of the label arrays: the index in IRREP_KINDS.
+U, V, W, X = range(4)
+
+
+def operand(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int, int]:
+    """The kernel's (kind, d0, d1) of an irrep, every label read as an unordered pair.
+
+    U_a and V_a are {a, a} and W_[a,b] is {a, b}, residues mod r; X_[n] is its
+    orbit {n, qn} in Z_rs.  The twist by alpha_t(det) then maps each member u
+    to u + t (mod r), or to u + s*t (mod rs) for X, and the dual maps u to -u;
+    two labels of one kind are equal iff their pairs are.
+    """
+    if pi.q != pr.q:
+        raise MismatchedQ(f"{pi!r} does not live over q={pr.q}")
+    kind = IRREP_KINDS.index(pi.kind)
+    if kind == X:
+        return kind, pi.data[0], pr.q * pi.data[0] % pr.rs
+    return kind, pi.data[0], pi.data[-1]
+
+
+# The five terms the kernel sums, and their coefficient in each cell
+# 16*k1 + 4*k2 + k3 of kind codes with k1 <= k2.
+_OMEGA, _TWIST, _DUAL, _PAIRS, _ORBITS = range(5)
+# The six cells that correct Schur's lemma: the term each adds, and its sign.
+_CORRECTIONS = {
+    (W, W, V): (_DUAL, 1),
+    (X, X, V): (_DUAL, -1),
+    (V, W, W): (_TWIST, 1),
+    (V, X, X): (_TWIST, -1),
+    (W, W, W): (_PAIRS, 1),
+    (X, X, X): (_ORBITS, -1),
+}
+
+
+def _cell_table() -> np.ndarray:
+    table = np.zeros((5, 64), dtype=np.int64)
+    for k1, k2, k3 in product(range(4), repeat=3):
+        cell = 16 * k1 + 4 * k2 + k3
+        if k1 == U:
+            # twist cells: U_a (x) pi is pi twisted by alpha_a(det)
+            table[_TWIST, cell] = k2 == k3
+        elif k3 == U:
+            # U-target cells: U_t occurs iff pi2 is the dual of pi1 twisted by alpha_t
+            table[_DUAL, cell] = k1 == k2
+        else:
+            # the central characters omega must match (Schur's lemma); six cells correct it
+            table[_OMEGA, cell] = 1
+            if (k1, k2, k3) in _CORRECTIONS:
+                term, sign = _CORRECTIONS[k1, k2, k3]
+                table[term, cell] = sign
+    return table
+
+
+_CELLS = _cell_table()
+
+# Scratch bytes one kernel slice may hold; a longer batch is cut to fit.
+_KERNEL_BYTES = 1 << 21
+# Bytes the kernel holds per triple at its peak, rounded up: nine operands and
+# about 20 int64 temporaries (tracemalloc reads 163 bytes besides the operands).
+_TRIPLE_BYTES = 8 * 32
+
+
+def _kernel_step(extra: int = 0) -> int:
+    """Triples per kernel slice when each also holds ``extra`` bytes of the caller's."""
+    return max(1, _KERNEL_BYTES // (_TRIPLE_BYTES + extra))
+
+
+def _same_pair(u, v, b0, b1) -> np.ndarray:
+    return ((u == b0) & (v == b1)) | ((u == b1) & (v == b0))
+
+
+def _twisted_is(kind, a0, a1, sign: int, t, b0, b1, pr: GroupParams) -> np.ndarray:
+    """Whether the pair (b0, b1) is (a0, a1), dualised for sign -1, twisted by alpha_t(det)."""
+    cusp = kind == X
+    if np.ndim(cusp):
+        modulus, shift = np.where(cusp, pr.rs, pr.r), t * np.where(cusp, pr.s, 1)
+    elif cusp:
+        modulus, shift = pr.rs, pr.s * t
+    else:
+        modulus, shift = pr.r, t
+    return _same_pair((sign * a0 + shift) % modulus, (sign * a1 + shift) % modulus, b0, b1)
+
+
+def _evaluate(pr: GroupParams, x, y, z) -> np.ndarray:
+    # a scalar operand stays a Python int: scalar arithmetic is cheaper than numpy's on 0-d arrays
+    (k1, x0, x1), (k2, y0, y1), (k3, z0, z1) = x, y, z
+    swap = k1 > k2
+    if np.any(swap):
+        (k1, x0, x1), (k2, y0, y1) = (
+            tuple(np.where(swap, b, a) for a, b in zip(x, y)),
+            tuple(np.where(swap, a, b) for a, b in zip(x, y)),
+        )
+    coef = _CELLS[:, 16 * k1 + 4 * k2 + k3]
+    present = coef.reshape(5, -1).any(axis=1).tolist()
+    r, rs = pr.r, pr.rs
+    value = np.zeros(coef.shape[1:], dtype=np.int64)
+    # only the terms of the cells present in the batch are evaluated
+    if present[_OMEGA]:
+        # omega = d0 + d1 = 2a for U_a, V_a, a + b for W_[a,b], and d0 = n for X_[n]
+        w1, w2, w3 = (d0 + d1 * (k != X) for k, d0, d1 in ((k1, x0, x1), (k2, y0, y1), (k3, z0, z1)))
+        value += coef[_OMEGA] * ((w1 + w2 - w3) % r == 0)
+    if present[_TWIST]:
+        # pi3 is pi2 twisted by pi1's alpha_a(det)
+        value += coef[_TWIST] * _twisted_is(k2, y0, y1, 1, x0, z0, z1, pr)
+    if present[_DUAL]:
+        # pi2 is the dual of pi1 twisted by pi3's alpha_t(det)
+        value += coef[_DUAL] * _twisted_is(k1, x0, x1, -1, z0, y0, y1, pr)
+    if present[_PAIRS]:
+        # W (x) W -> W: the two matchings of [a,b] and [c,d] that sum to pi3
+        first = _same_pair((x0 + y0) % r, (x1 + y1) % r, z0, z1)
+        value += coef[_PAIRS] * np.add(first, _same_pair((x0 + y1) % r, (x1 + y0) % r, z0, z1), dtype=np.int64)
+    if present[_ORBITS]:
+        # X (x) X -> X: n + m = n' in Z_rs with one of n, m, n' replaced by its q-multiple
+        hits = sum((a + b - c) % rs == 0 for a, b, c in ((x0, y0, z0), (x1, y0, z0), (x0, y1, z0), (x0, y0, z1)))
+        value += coef[_ORBITS] * hits
+    return value
+
+
+def mult_closed_array(pr: GroupParams, x, y, z) -> np.ndarray:
+    """[pi1 (x) pi2 : pi3] by the indicator formulas, for a batch of triples.
+
+    x, y and z are the ``operand`` (kind, d0, d1) of pi1, pi2 and pi3, each
+    entry a 1-d int array or a scalar that broadcasts; the batch is as long
+    as the longest kind array, and the kernel's scratch is worked out from
+    that length before anything is allocated.  The values are
+    returned, negative ones too: each caller raises NegativeMultiplicity for
+    the first negative triple in its own order.  A batch longer than one
+    slice of _KERNEL_BYTES of scratch is evaluated a slice at a time.
+    """
+    n = max(np.size(x[0]), np.size(y[0]), np.size(z[0]))
+    step = _kernel_step()
+    if n <= step:
+        return _evaluate(pr, x, y, z)
+
+    def cut(o, lo):
+        return tuple(a[lo : lo + step] if np.ndim(a) else a for a in o)
+
+    return np.concatenate([_evaluate(pr, cut(x, lo), cut(y, lo), cut(z, lo)) for lo in range(0, n, step)])
+
+
+def _negative(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, value: int, pr: GroupParams) -> NegativeMultiplicity:
     if IRREP_KINDS.index(pi1.kind) > IRREP_KINDS.index(pi2.kind):
         pi1, pi2 = pi2, pi1
-    r = pr.r
-    k1, k2, k3 = pi1.kind, pi2.kind, pi3.kind
-    x, y, z = pi1.data, pi2.data, pi3.data
+    return NegativeMultiplicity(
+        f"cell {cell_name(pi1, pi2, pi3)} evaluated to {value} for "
+        f"({pi1.label()}, {pi2.label()}, {pi3.label()}) at q={pr.q}"
+    )
 
-    if k1 == "U":
-        # twist cells: U_a (x) pi is pi twisted by alpha_a(det)
-        value = int(k2 == k3 and _twist(k2, y, 1, x[0], pr) == z)
-    elif k3 == "U":
-        # U-target cells: U_t occurs iff pi2 is the dual of pi1 twisted by alpha_t
-        value = int(k1 == k2 and _twist(k1, x, -1, z[0], pr) == y)
-    else:
-        # the central characters omega must match (Schur's lemma); six cells correct it
-        value = int((_omega(k1, x) + _omega(k2, y) - _omega(k3, z)) % r == 0)
-        if k3 == "V":
-            if k1 == k2 == "W":
-                value += _twist("W", x, -1, z[0], pr) == y
-            elif k1 == "X":
-                value -= _twist("X", x, -1, z[0], pr) == y
-        elif k1 == "V":
-            if k2 == k3 == "W":
-                value += _twist("W", y, 1, x[0], pr) == z
-            elif k2 == k3 == "X":
-                value -= _twist("X", y, 1, x[0], pr) == z
-        elif k1 == k2 == k3 == "W":
-            (a, b), (c, d) = x, y
-            value += tuple(sorted(((a + c) % r, (b + d) % r))) == z
-            value += tuple(sorted(((a + d) % r, (b + c) % r))) == z
-        elif k1 == k3 == "X":
-            rs, q = pr.rs, pr.q
-            n, m, np = x[0], y[0], z[0]
-            value -= (n + m - np) % rs == 0
-            value -= (q * n + m - np) % rs == 0
-            value -= (n + q * m - np) % rs == 0
-            value -= (n + m - q * np) % rs == 0
 
+def _first_negative(values: np.ndarray) -> int | None:
+    bad = values < 0
+    return int(bad.argmax()) if bad.any() else None
+
+
+def mult_closed(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> int:
+    """Multiplicity of pi3 inside pi1 (x) pi2 via the indicator formulas: a batch of one."""
+    value = int(mult_closed_array(pr, *(operand(pi, pr) for pi in (pi1, pi2, pi3))))
     if value < 0:
-        raise NegativeMultiplicity(
-            f"cell {cell_name(pi1, pi2, pi3)} evaluated to {value} for "
-            f"({pi1.label()}, {pi2.label()}, {pi3.label()}) at q={pr.q}"
-        )
+        raise _negative(pi1, pi2, pi3, value, pr)
     return value
+
+
+class IrrepTable(NamedTuple):
+    """The irreps of GL2(q) in canonical order, as arrays the kernel and the CLI read.
+
+    kind, d0 and d1 are each irrep's ``operand``; omega is its central exponent
+    mod r, dim its dimension; labels and encoded hold its label and that
+    label's JSON text.  by_omega lists the irreps grouped by omega, each group
+    in canonical order, group w starting at starts[w] with counts[w] members.
+    """
+
+    irreps: tuple[GL2Irrep, ...]
+    kind: np.ndarray
+    d0: np.ndarray
+    d1: np.ndarray
+    omega: np.ndarray
+    dim: np.ndarray
+    labels: np.ndarray
+    encoded: np.ndarray
+    by_omega: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def irrep_table(q: int) -> IrrepTable:
+    """The IrrepTable of GL2(q), built once per q: O(q^2)."""
+    pr = params(q)
+    irreps = tuple(enumerate_irreps(pr))
+    kind, d0, d1 = np.array([operand(pi, pr) for pi in irreps], dtype=np.int64).reshape(-1, 3).T
+    omega = np.array([_omega(pi.kind, pi.data) % pr.r for pi in irreps], dtype=np.int64)
+    labels = np.array([pi.label() for pi in irreps], dtype=object)
+    counts = np.bincount(omega, minlength=pr.r)
+    table = IrrepTable(
+        irreps=irreps,
+        kind=kind,
+        d0=d0,
+        d1=d1,
+        omega=omega,
+        dim=np.array([1, q, q + 1, q - 1], dtype=np.int64)[kind],
+        labels=labels,
+        encoded=np.array([json.dumps(label) for label in labels], dtype=object),
+        by_omega=np.argsort(omega, kind="stable"),
+        starts=np.cumsum(counts) - counts,
+        counts=counts,
+    )
+    for array in table[1:]:
+        array.setflags(write=False)
+    return table
 
 
 def decompose(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> list[tuple[GL2Irrep, int]]:
     """All irreducible constituents of pi1 (x) pi2 with multiplicities."""
-    out = []
-    total = 0
-    for pi3 in enumerate_irreps(pr):
-        m = mult_closed(pi1, pi2, pi3, pr)
-        if m:
-            out.append((pi3, m))
-            total += m * pi3.dim()
+    t = irrep_table(pr.q)
+    values = mult_closed_array(pr, operand(pi1, pr), operand(pi2, pr), (t.kind, t.d0, t.d1))
+    if (at := _first_negative(values)) is not None:
+        raise _negative(pi1, pi2, t.irreps[at], int(values[at]), pr)
+    total = int(values @ t.dim)
     expected = pi1.dim() * pi2.dim()
     if total != expected:
         raise GL2RepError(
             f"dimension leak in {pi1.label()} (x) {pi2.label()}: {total} != {expected}"
         )
-    return out
+    return [(t.irreps[k], m) for k, m in zip(np.flatnonzero(values).tolist(), values[values != 0].tolist())]
+
+
+# Bytes ind_sweep holds per candidate pair besides the kernel's: the pair's
+# indices, the index arithmetic that finds them, and pi1's and pi2's operands.
+# A whole slice measures about 190 bytes per pair under tracemalloc.
+_CANDIDATE_BYTES = 8 * 12
+
+
+def _sweep_rows(pr: GroupParams) -> int:
+    """pi1 rows per slice of ind_sweep: each holds at most this many times the
+    largest omega bucket of candidate pairs."""
+    return max(1, _kernel_step(_CANDIDATE_BYTES) // int(irrep_table(pr.q).counts.max()))
+
+
+def ind_sweep_bytes(pr: GroupParams) -> int:
+    """The most scratch bytes one slice of ind_sweep holds, worked out without
+    sweeping: its candidate pairs times their bytes and the kernel's."""
+    return _sweep_rows(pr) * int(irrep_table(pr.q).counts.max()) * (_TRIPLE_BYTES + _CANDIDATE_BYTES)
+
+
+def ind_sweep(pi3: GL2Irrep, pr: GroupParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, m): the positions in canonical order of the ordered pairs
+    (pi1, pi2) whose tensor product contains pi3, and m = [pi1 (x) pi2 : pi3] > 0.
+
+    Only the pairs with omega_1 + omega_2 = omega_3 (mod r) are evaluated:
+    pi1 in canonical order, then pi2 in its omega bucket, also in canonical
+    order, so the pairs come in the order of the full sweep.  The pi1 rows
+    run in slices of at most _KERNEL_BYTES of scratch (``ind_sweep_bytes``).
+    """
+    t = irrep_table(pr.q)
+    target = operand(pi3, pr)
+    w3 = _omega(pi3.kind, pi3.data)
+    rows = _sweep_rows(pr)
+    found = []
+    for lo in range(0, len(t.irreps), rows):
+        first = np.arange(lo, min(lo + rows, len(t.irreps)))
+        bucket = (w3 - t.omega[first]) % pr.r
+        sizes = t.counts[bucket]
+        i = np.repeat(first, sizes)
+        within = np.arange(len(i)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        j = t.by_omega[np.repeat(t.starts[bucket], sizes) + within]
+        values = mult_closed_array(pr, (t.kind[i], t.d0[i], t.d1[i]), (t.kind[j], t.d0[j], t.d1[j]), target)
+        if (at := _first_negative(values)) is not None:
+            raise _negative(t.irreps[i[at]], t.irreps[j[at]], pi3, int(values[at]), pr)
+        keep = values > 0
+        found.append((i[keep], j[keep], values[keep]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 def ind_decompose(pi3: GL2Irrep, pr: GroupParams) -> list[tuple[tuple[GL2Irrep, GL2Irrep], int]]:
@@ -212,36 +423,25 @@ def ind_decompose(pi3: GL2Irrep, pr: GroupParams) -> list[tuple[tuple[GL2Irrep, 
 
     By Frobenius reciprocity this is the decomposition of the module
     induced from pi3 on the diagonal subgroup up to the product group.
-    Only the pairs with omega_1 + omega_2 = omega_3 (mod r) are evaluated;
-    the buckets keep enumeration order, so the list is that of the full sweep.
     """
-    irreps = enumerate_irreps(pr)
-    r = pr.r
-    buckets: list[list[GL2Irrep]] = [[] for _ in range(r)]
-    for pi in irreps:
-        buckets[_omega(pi.kind, pi.data) % r].append(pi)
-    w3 = _omega(pi3.kind, pi3.data)
-    out = []
-    for pi1 in irreps:
-        for pi2 in buckets[(w3 - _omega(pi1.kind, pi1.data)) % r]:
-            m = mult_closed(pi1, pi2, pi3, pr)
-            if m:
-                out.append(((pi1, pi2), m))
-    return out
+    irreps = irrep_table(pr.q).irreps
+    return [((irreps[a], irreps[b]), m) for a, b, m in zip(*(x.tolist() for x in ind_sweep(pi3, pr)))]
 
 
 def ind_X_counts_by_dim(n: int, pr: GroupParams) -> dict[int, int]:
     """Constituent counts of the induction of X_[n], grouped by pair dimension."""
     target = GL2Irrep.X(pr, n)
-    counts: dict[int, int] = {}
-    for (pi1, pi2), m in ind_decompose(target, pr):
-        if m != 1:
-            raise NotMultiplicityFree(
-                f"{pi1.label()} (x) {pi2.label()} contains {target.label()} {m} times"
-            )
-        dim = pi1.dim() * pi2.dim()
-        counts[dim] = counts.get(dim, 0) + 1
-    return counts
+    t = irrep_table(pr.q)
+    i, j, m = ind_sweep(target, pr)
+    if (m != 1).any():
+        at = int((m != 1).argmax())
+        raise NotMultiplicityFree(
+            f"{t.labels[i[at]]} (x) {t.labels[j[at]]} contains {target.label()} {m[at]} times"
+        )
+    # in order of first appearance, as a dict filled pair by pair would be
+    dims, first, counts = np.unique(t.dim[i] * t.dim[j], return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return dict(zip(dims[order].tolist(), counts[order].tolist()))
 
 
 def ind_X_expected(q: int, parity: int) -> dict[int, int]:
@@ -299,7 +499,7 @@ def ind_X_expected(q: int, parity: int) -> dict[int, int]:
 
 def is_gelfand_triple_product(pi: GL2Irrep, pr: GroupParams) -> bool:
     """Whether pi occurs with multiplicity <= 1 in every pi1 (x) pi2."""
-    return all(m <= 1 for _, m in ind_decompose(pi, pr))
+    return not (ind_sweep(pi, pr)[2] > 1).any()
 
 
 def _rows(pr: GroupParams, irreps: list[GL2Irrep]) -> Rows:
@@ -448,6 +648,15 @@ def sample_triples(pr: GroupParams, count: int, seed: int) -> Iterator[tuple[GL2
         yield rng.choice(irreps), rng.choice(irreps), rng.choice(irreps)
 
 
+def _distinct(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]]) -> tuple[list[GL2Irrep], np.ndarray]:
+    """The distinct irreps of a chunk of triples and, per triple, the positions of its three among them."""
+    flat = [pi for triple in chunk for pi in triple]
+    # labels are told apart by object, not by value: an equal label in another
+    # object only repeats an entry
+    first, codes = np.unique(np.fromiter(map(id, flat), np.int64, len(flat)), return_index=True, return_inverse=True)[1:]
+    return [flat[i] for i in first.tolist()], codes.reshape(-1, 3)
+
+
 def _chunk_numerators(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupParams) -> np.ndarray:
     """mult_sum_numerator of every triple of the chunk, as a (triples, phi(rs))
     array of power-basis coordinates.
@@ -455,11 +664,7 @@ def _chunk_numerators(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: Grou
     The chunk's irreps of each kind are stacked once, and each kind triple
     makes one class_sum call over the chunk's triples of that kind.
     """
-    flat = [pi for triple in chunk for pi in triple]
-    # labels are told apart by object, not by value: an equal label in another
-    # object only repeats a row of a stack
-    first, codes = np.unique(np.fromiter(map(id, flat), np.int64, len(flat)), return_index=True, return_inverse=True)[1:]
-    irreps = [flat[i] for i in first.tolist()]
+    irreps, codes = _distinct(chunk)
     kind = np.array([IRREP_KINDS.index(pi.kind) for pi in irreps])
     position = np.zeros(len(irreps), dtype=np.intp)
     stacks = {}
@@ -467,7 +672,6 @@ def _chunk_numerators(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: Grou
         members = np.flatnonzero(kind == k)
         position[members] = np.arange(len(members))
         stacks[k] = stack_rows([char_row(irreps[i], pr) for i in members.tolist()])
-    codes = codes.reshape(-1, 3)
     kinds = kind[codes]
     group = kinds @ np.array([16, 4, 1])
     sizes = class_table(pr.q)[1]
@@ -479,6 +683,13 @@ def _chunk_numerators(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: Grou
     return out
 
 
+def _chunk_closed(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupParams) -> list[int]:
+    """mult_closed of every triple of the chunk, in one kernel call; negative values are returned."""
+    irreps, codes = _distinct(chunk)
+    ops = np.array([operand(pi, pr) for pi in irreps], dtype=np.int64).reshape(-1, 3).T
+    return mult_closed_array(pr, *(ops[:, codes[:, k]] for k in range(3))).tolist()
+
+
 def verify_agreement(
     pr: GroupParams,
     triples: Iterable[tuple[GL2Irrep, GL2Irrep, GL2Irrep]] | None = None,
@@ -487,9 +698,10 @@ def verify_agreement(
     """Compare mult_closed against mult_sum; returns all disagreements found.
 
     The triples are read in chunks of a fixed byte budget, never all at once:
-    the class sums of a chunk are batched per kind triple, then the chunk is
-    walked in order, calling mult_closed on each triple.  Reports, errors and
-    ``stop_after`` follow iteration order, as a triple-by-triple loop would.
+    the class sums of a chunk are batched per kind triple and its indicator
+    values taken in one kernel call, then the chunk is walked in order.
+    Reports, errors and ``stop_after`` follow iteration order, as a
+    triple-by-triple loop would.
     """
     if triples is None:
         triples = all_triples(pr)
@@ -500,8 +712,10 @@ def verify_agreement(
         coords = _chunk_numerators(chunk, pr)
         totals = coords[:, 0].tolist()
         integral = (~coords[:, 1:].any(axis=1)).tolist()
-        for i, ((pi1, pi2, pi3), total, ok) in enumerate(zip(chunk, totals, integral)):
-            closed = mult_closed(pi1, pi2, pi3, pr)
+        closed_values = _chunk_closed(chunk, pr)
+        for i, ((pi1, pi2, pi3), total, ok, closed) in enumerate(zip(chunk, totals, integral, closed_values)):
+            if closed < 0:
+                raise _negative(pi1, pi2, pi3, closed, pr)
             if not ok or total % pr.order:  # raises NonIntegral naming the triple
                 what = _what(pi1, pi2, pi3)
                 divide_exact(rational(coords[i], what), pr.order, what)

@@ -214,3 +214,71 @@ def test_induct_counts():
     payload = json.loads(text)
     assert payload["count"] == 14
     assert payload["total_dim"] == 48 * 2
+
+
+# -- the renderers against the stdlib and today's text layout
+
+
+def _reference_table(rows: list[dict], columns: list[str], fmt: str) -> str:
+    """A table of dict rows as json.dumps(indent=2), csv.DictWriter or the padded text layout."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    out = io.StringIO()
+    if fmt == "csv":
+        writer = csv.DictWriter(out, fieldnames=columns)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: row.get(k, "") for k in columns})
+        return out.getvalue()
+    widths = {c: max([len(c), *(len(str(r.get(c, ""))) for r in rows)]) for c in columns}
+    out.write("  ".join(c.ljust(widths[c]) for c in columns).rstrip() + "\n")
+    for row in rows:
+        out.write("  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns).rstrip() + "\n")
+    return out.getvalue()
+
+
+def _reference_induct(q: int, label: str, fmt: str) -> str:
+    pr = params(q)
+    pi = parse_irrep(label, pr)
+    dec = tensor.ind_decompose(pi, pr)
+    rows = [{"left": p1.label(), "right": p2.label(), "mult": m} for (p1, p2), m in dec]
+    count, total_dim = len(dec), sum(m * p1.dim() * p2.dim() for (p1, p2), m in dec)
+    if fmt == "json":
+        payload = {"q": q, "pi": pi.label(), "count": count, "total_dim": total_dim, "constituents": rows}
+        return json.dumps(payload, indent=2) + "\n"
+    text = _reference_table(rows, ["left", "right", "mult"], fmt)
+    return text + f"count: {count}  total_dim: {total_dim}\n" if fmt == "text" else text
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_induct_matches_the_reference_renderers(q, fmt):
+    for label in ("U:0", "V:1", "W:0,1", "X:1"):
+        if label == "W:0,1" and q == 2:  # GL2(2) has no W family
+            continue
+        argv = ["induct", "--q", str(q), "--pi", label, "--format", fmt]
+        assert _run(argv) == (0, _reference_induct(q, label, fmt)), argv
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_emit_matches_the_reference_renderers(fmt):
+    from gl2rep.cli import _emit
+
+    names = ["a", "bb", "c"]
+    # True == 1 and hash(True) == hash(1): the two must still render apart
+    rows = [{"a": True, "bb": 1, "c": "x y"}, {"a": 1, "bb": True, "c": ""}, {"a": "W:0,1", "bb": 0, "c": None}]
+    for table in (rows, []):
+        out = io.StringIO()
+        _emit(names, [[row[n] for row in table] for n in names], fmt, out)
+        assert out.getvalue() == _reference_table(table, names, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_an_empty_witness_table_prints_its_header(monkeypatch, fmt):
+    # every GL2 irrep has a witness, so only a report with no rows is empty
+    from gl2rep import sl3
+
+    monkeypatch.setattr(sl3, "witness_report", lambda pr: [])
+    code, text = _run(["sl3-witness", "--q", "3", "--irrep", "X:1", "--format", fmt])
+    assert code == 0
+    assert text == _reference_table([], ["tau", "witness", "multiplicity", "expected", "ok"], fmt)

@@ -2,13 +2,16 @@
 
 import random
 import re
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from gl2rep import gl2, tensor
 from gl2rep.cyclotomic import Cyclotomic
-from gl2rep.errors import GL2RepError, NonIntegral, NotMultiplicityFree
+from gl2rep.errors import GL2RepError, NegativeMultiplicity, NonIntegral, NotMultiplicityFree
 from gl2rep.gl2 import (
+    IRREP_KINDS,
     GL2Class,
     GL2Irrep,
     char_terms,
@@ -17,6 +20,7 @@ from gl2rep.gl2 import (
     enumerate_irreps,
     params,
     terms_value,
+    x_canonical,
     x_orbit_reps,
 )
 from gl2rep.tensor import (
@@ -37,6 +41,122 @@ from gl2rep.tensor import (
     sample_triples,
     verify_agreement,
 )
+
+
+# -- the reference case table: the indicator formulas one triple at a time, on
+# labels, sharing no code with tensor.mult_closed_array
+
+
+def _ref_twist(kind, data, sign, a, pr):
+    """Label data of pi twisted by alpha_a(det); pi is kind(data) for sign 1 and its dual for sign -1."""
+    if kind == "W":
+        return tuple(sorted(((sign * data[0] + a) % pr.r, (sign * data[1] + a) % pr.r)))
+    if kind == "X":
+        return (x_canonical(sign * data[0] + pr.s * a, pr),)
+    return ((sign * data[0] + a) % pr.r,)
+
+
+def _ref_omega(kind, data):
+    if kind == "W":
+        return data[0] + data[1]
+    if kind == "X":
+        return data[0]
+    return 2 * data[0]
+
+
+def reference_mult(pi1, pi2, pi3, pr):
+    """[pi1 (x) pi2 : pi3] by the case table, evaluated on label parameters."""
+    if IRREP_KINDS.index(pi1.kind) > IRREP_KINDS.index(pi2.kind):
+        pi1, pi2 = pi2, pi1
+    r = pr.r
+    k1, k2, k3 = pi1.kind, pi2.kind, pi3.kind
+    x, y, z = pi1.data, pi2.data, pi3.data
+    if k1 == "U":
+        return int(k2 == k3 and _ref_twist(k2, y, 1, x[0], pr) == z)
+    if k3 == "U":
+        return int(k1 == k2 and _ref_twist(k1, x, -1, z[0], pr) == y)
+    value = int((_ref_omega(k1, x) + _ref_omega(k2, y) - _ref_omega(k3, z)) % r == 0)
+    if k3 == "V":
+        if k1 == k2 == "W":
+            value += _ref_twist("W", x, -1, z[0], pr) == y
+        elif k1 == "X":
+            value -= _ref_twist("X", x, -1, z[0], pr) == y
+    elif k1 == "V":
+        if k2 == k3 == "W":
+            value += _ref_twist("W", y, 1, x[0], pr) == z
+        elif k2 == k3 == "X":
+            value -= _ref_twist("X", y, 1, x[0], pr) == z
+    elif k1 == k2 == k3 == "W":
+        (a, b), (c, d) = x, y
+        value += tuple(sorted(((a + c) % r, (b + d) % r))) == z
+        value += tuple(sorted(((a + d) % r, (b + c) % r))) == z
+    elif k1 == k3 == "X":
+        rs, q = pr.rs, pr.q
+        n, m, n3 = x[0], y[0], z[0]
+        value -= (n + m - n3) % rs == 0
+        value -= (q * n + m - n3) % rs == 0
+        value -= (n + q * m - n3) % rs == 0
+        value -= (n + m - q * n3) % rs == 0
+    return value
+
+
+@lru_cache(maxsize=None)
+def _reference_cube(q):
+    """reference_mult of every triple at q, as an (n, n, n) array over canonical order."""
+    pr = params(q)
+    irreps = enumerate_irreps(pr)
+    return np.array([[[reference_mult(a, b, c, pr) for c in irreps] for b in irreps] for a in irreps])
+
+
+def _kernel_on(pr, positions):
+    """mult_closed_array on triples of positions in canonical order, a (3, n) array."""
+    t = tensor.irrep_table(pr.q)
+    return tensor.mult_closed_array(pr, *((t.kind[p], t.d0[p], t.d1[p]) for p in positions))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_the_kernel_equals_the_reference_case_table_on_every_triple(q):
+    pr = params(q)
+    n = q * q - 1
+    positions = np.indices((n, n, n)).reshape(3, -1)
+    assert _kernel_on(pr, positions).tolist() == _reference_cube(q).reshape(-1).tolist()
+
+
+@pytest.mark.parametrize("q", [8, 9, 16])
+def test_the_kernel_equals_the_reference_case_table_on_sampled_triples(q):
+    pr = params(q)
+    irreps = enumerate_irreps(pr)
+    positions = np.random.default_rng(q).integers(0, len(irreps), size=(3, 50_000))
+    want = [reference_mult(irreps[a], irreps[b], irreps[c], pr) for a, b, c in positions.T.tolist()]
+    assert _kernel_on(pr, positions).tolist() == want
+    # the scalar is the kernel's batch of one
+    for a, b, c in positions.T[:200].tolist():
+        assert mult_closed(irreps[a], irreps[b], irreps[c], pr) == reference_mult(irreps[a], irreps[b], irreps[c], pr)
+
+
+def test_the_kernel_is_cut_into_slices_of_its_byte_budget(monkeypatch):
+    pr = params(9)
+    seen = []
+    real = tensor._evaluate
+
+    def counted(pr, x, y, z):
+        seen.append(max(np.size(a) for o in (x, y, z) for a in o))
+        return real(pr, x, y, z)
+
+    want = [[m for _, m in ind_decompose(pi, pr)] for pi in enumerate_irreps(pr)[::7]]
+    monkeypatch.setattr(tensor, "_evaluate", counted)
+    monkeypatch.setattr(tensor, "_KERNEL_BYTES", 100 * tensor._TRIPLE_BYTES)
+    got = [[m for _, m in ind_decompose(pi, pr)] for pi in enumerate_irreps(pr)[::7]]
+    assert got == want
+    assert max(seen) <= 100 and len(seen) > len(want)
+
+
+def test_the_ind_sweep_at_q_256_stays_within_the_kernel_budget():
+    # worked out by the estimator, without sweeping: the sweep at q = 256
+    # visits about 16.8 million candidate pairs
+    pr = params(256)
+    assert tensor.ind_sweep_bytes(pr) <= tensor._KERNEL_BYTES
+    assert tensor._sweep_rows(pr) < len(tensor.irrep_table(256).irreps)
 
 
 def test_tensor_with_one_dimensional_twists():
@@ -224,11 +344,12 @@ def test_ind_decompose_equals_the_unfiltered_sweep(q):
     # the plain double loop over all pairs must give the same list
     pr = params(q)
     irreps = enumerate_irreps(pr)
-    for pi in irreps:
+    cube = _reference_cube(q)
+    for k, pi in enumerate(irreps):
         full = []
-        for pi1 in irreps:
-            for pi2 in irreps:
-                m = mult_closed(pi1, pi2, pi, pr)
+        for a, pi1 in enumerate(irreps):
+            for b, pi2 in enumerate(irreps):
+                m = int(cube[a, b, k])
                 if m:
                     full.append(((pi1, pi2), m))
         assert ind_decompose(pi, pr) == full, pi.label()
@@ -250,7 +371,7 @@ def test_gelfand_at_large_q_is_the_dimension_rule(q, monkeypatch):
     def no_sweep(*args):
         raise AssertionError("classify_gelfand called mult_closed")
 
-    monkeypatch.setattr(tensor, "mult_closed", no_sweep)
+    monkeypatch.setattr(tensor, "mult_closed_array", no_sweep)
     pr = params(q)
     got = classify_gelfand(pr)
     assert len(got) == (q - 1) + q * (q - 1) // 2
@@ -314,15 +435,71 @@ def test_mult_closed_is_symmetric_in_the_factors():
     assert mult_closed(w, v, w, pr) == 2
 
 
+def _constant_kernel(value):
+    """A stand-in for mult_closed_array that gives ``value`` on every triple of the batch."""
+
+    def kernel(pr, x, y, z):
+        return np.full(np.broadcast_shapes(*(np.shape(a) for o in (x, y, z) for a in o)), value)
+
+    return kernel
+
+
+def _kernel_adding(monkeypatch, delta, triples):
+    """Make mult_closed_array add ``delta`` on each of these triples of labels."""
+    real = tensor.mult_closed_array
+    codes = [[tensor.operand(pi, params(pi.q)) for pi in t] for t in triples]
+
+    def kernel(pr, x, y, z):
+        values = real(pr, x, y, z)
+        for code in codes:
+            hit = np.ones(values.shape, dtype=bool)
+            for o, c in zip((x, y, z), code):
+                hit &= (o[0] == c[0]) & (o[1] == c[1]) & (o[2] == c[2])
+            values = values + delta * hit
+        return values
+
+    monkeypatch.setattr(tensor, "mult_closed_array", kernel)
+
+
 def test_broken_multiplicities_raise_package_errors(monkeypatch):
     # invariant checks must survive python -O, so they are errors, not asserts
     pr = params(3)
-    monkeypatch.setattr(tensor, "mult_closed", lambda *args: 0)
+    monkeypatch.setattr(tensor, "mult_closed_array", _constant_kernel(0))
     with pytest.raises(GL2RepError, match="dimension leak"):
         decompose(GL2Irrep.V(pr, 0), GL2Irrep.W(pr, 0, 1), pr)
-    monkeypatch.setattr(tensor, "mult_closed", lambda *args: 2)
+    monkeypatch.setattr(tensor, "mult_closed_array", _constant_kernel(2))
     with pytest.raises(NotMultiplicityFree):
         ind_X_counts_by_dim(x_orbit_reps(pr)[0], pr)
+
+
+def test_a_negative_kernel_value_names_the_first_negative_triple(monkeypatch):
+    # each caller raises for the first negative triple in its own order; the
+    # message names the factors sorted by kind, as the cell does
+    pr = params(4)
+    target = GL2Irrep.X(pr, 1)
+    pairs = [p for p, _ in ind_decompose(target, pr)]
+    first = next(p for p in pairs if p[0].kind == "X" and p[1].kind == "U")
+    later = pairs[-1]
+    _kernel_adding(monkeypatch, -5, [(*first, target), (*later, target)])
+    name = f"({first[1].label()}, {first[0].label()}, X:1) at q=4"
+    # in one kernel call, then in slices of 8 pairs, where the two fall in different calls
+    for budget in (tensor._KERNEL_BYTES, 8 * (tensor._TRIPLE_BYTES + tensor._CANDIDATE_BYTES)):
+        monkeypatch.setattr(tensor, "_KERNEL_BYTES", budget)
+        with pytest.raises(NegativeMultiplicity, match=re.escape(f"cell UxX->X evaluated to -4 for {name}")):
+            ind_decompose(target, pr)
+    with pytest.raises(NegativeMultiplicity, match=re.escape(name)):
+        ind_X_counts_by_dim(1, pr)
+    with pytest.raises(NegativeMultiplicity, match=re.escape(name)):
+        is_gelfand_triple_product(target, pr)
+    with pytest.raises(NegativeMultiplicity, match=re.escape(name)):
+        mult_closed(*first, target, pr)
+    with pytest.raises(NegativeMultiplicity, match=re.escape(name)):
+        decompose(*first, pr)
+    # verify_agreement walks its chunk in order: the later pair comes first here
+    triples = [(*later, target), (GL2Irrep.U(pr, 0),) * 3, (*first, target)]
+    left, right = sorted(later, key=lambda pi: IRREP_KINDS.index(pi.kind))
+    with pytest.raises(NegativeMultiplicity, match=re.escape(f"({left.label()}, {right.label()}, X:1)")):
+        verify_agreement(pr, triples, stop_after=None)
 
 
 def _reference_numerators(pr, triples):
@@ -375,13 +552,7 @@ def test_disagreements_follow_iteration_order(monkeypatch, chunk_bytes):
     triples = list(all_triples(pr))
     random.Random(3).shuffle(triples)
     bad = _interleaved_bad_triples(pr, triples)
-    off = {tuple(pi.label() for pi in triples[i]) for i in bad}
-    real = tensor.mult_closed
-
-    def off_by_one(pi1, pi2, pi3, pr):
-        return real(pi1, pi2, pi3, pr) + ((pi1.label(), pi2.label(), pi3.label()) in off)
-
-    monkeypatch.setattr(tensor, "mult_closed", off_by_one)
+    _kernel_adding(monkeypatch, 1, [triples[i] for i in bad])
     order = [tuple(pi.label() for pi in triples[i]) for i in bad]
     got = verify_agreement(pr, iter(triples), stop_after=None)
     assert [(d.left, d.right, d.target) for d in got] == order
@@ -414,8 +585,7 @@ def test_a_non_integral_class_sum_names_the_first_triple(monkeypatch, fresh_rows
     assert _reference_numerators(pr, [bad1])[0].order != 1
     with pytest.raises(NonIntegral, match=re.escape("[U:1 x X:1 : X:1]")):
         mult_sum(*bad1, pr)
-    real_closed = tensor.mult_closed
-    monkeypatch.setattr(tensor, "mult_closed", lambda *t: real_closed(*t) + (t[:3] == ok2))
+    _kernel_adding(monkeypatch, 1, [ok2])
     triples = [ok1, ok2, bad1, ok3, bad2]
     with pytest.raises(NonIntegral, match=re.escape("[U:1 x X:1 : X:1]")):
         verify_agreement(pr, triples, stop_after=2)
