@@ -14,18 +14,23 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import harmonic, oracle, sl3, tensor
+from .cyclotomic import Cyclotomic
 from .errors import GL2RepError, InvalidLabel, NotPrimePower
 from .gl2 import (
     GL2Irrep,
     _parse_ints,
     char_inner_products,
-    char_terms,
+    char_rows,
     class_inner_products,
     enumerate_classes,
     enumerate_irreps,
     params,
     parse_irrep,
+    require_budget,
+    table_bytes,
     terms_value,
     x_orbit_reps,
 )
@@ -128,46 +133,111 @@ def cmd_irreps(args, out) -> int:
     return 0
 
 
-def cmd_chartable(args, out) -> int:
-    pr = params(args.q)
-    classes = enumerate_classes(pr)
+# Bytes of closed-form table one chunk of _value_ids's rows may hold.
+VALUE_ID_CHUNK_BYTES = 1 << 18
+
+# Bytes chartable holds per entry, past one chunk: the int32 value id, plus
+# a pointer in the column lists for csv, and in two more lists for text,
+# which converts and pads each column.
+_ENTRY_BYTES = {"json": 4, "csv": 12, "text": 28}
+
+
+def _chunk_rows(q: int) -> int:
+    return max(1, VALUE_ID_CHUNK_BYTES // table_bytes(q, 1))
+
+
+def chartable_bytes(q: int, fmt: str) -> int:
+    """About the most bytes chartable holds at once, from q alone: what its
+    format keeps per entry (``_ENTRY_BYTES``), and one chunk of closed-form
+    rows with 104 bytes per entry for its keys: the padded terms (32), their
+    two digits and the key (24), and the lists the dict reads and fills (48)."""
+    n = q * q - 1
+    return _ENTRY_BYTES[fmt] * n * n + table_bytes(q, _chunk_rows(q), per_entry=104)
+
+
+def _value_ids(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The character table of GL2(q) as value ids: an (irreps, classes) int32
+    array of ids, and the (coef, exp) terms of each id as two (2, ids) arrays.
+
+    The closed-form table is built a chunk of rows at a time and never held
+    whole.  Each entry is keyed by its terms, padded to two with zero terms,
+    and each new key gets the next id (at q = 16, 65 025 entries have 541).
+    A dict numbers the keys, not np.unique: its sort raised the peak RSS of
+    the benchmark's queries stream by about 0.4 MB.
+    """
+    pr = params(q)
     irreps = enumerate_irreps(pr)
-    # entries repeat (at q = 16, 65 025 entries have 541 distinct term
-    # tuples): evaluate and encode each distinct tuple once
-    encoded: dict[tuple, str] = {}
+    # a term (coef, exp) is the digit (coef + 1) * rs + exp: every coefficient lies in [-1, s]
+    radix = (pr.s + 2) * pr.rs
+    n = len(irreps)
+    ids = np.empty((n, n), dtype=np.int32)
+    numbers: dict[int, int] = {}
+    step = _chunk_rows(q)
+    for lo in range(0, n, step):
+        chunk = irreps[lo : lo + step]
+        terms = np.zeros((2, 2, len(chunk), n), dtype=np.int64)
+        at = 0
+        for block in char_rows(chunk, pr):
+            terms[:, : block.width, :, at : at + block.length] = block.terms
+            at += block.length
+        digits = (terms[0] + 1) * pr.rs + terms[1]
+        keys = digits[0] * radix + digits[1]
+        numbered = [numbers.setdefault(k, len(numbers)) for k in keys.ravel().tolist()]
+        ids[lo : lo + step] = np.array(numbered, dtype=np.int32).reshape(keys.shape)
+    digits = np.fromiter(numbers, dtype=np.int64, count=len(numbers))
+    digits = np.stack([digits // radix, digits % radix])
+    return ids, digits // pr.rs - 1, digits % pr.rs
 
-    def entry(pi, c):
-        terms = char_terms(pi, c, pr)
-        if terms not in encoded:
-            value = terms_value(pr.rs, terms)
-            if args.format == "json":
-                # the final text of a value at depth 4 (payload["rows"][i]["values"][j]);
-                # json.dumps emits no raw newline inside a string, so indenting
-                # every line break is safe
-                encoded[terms] = json.dumps(value.as_json(), indent=2).replace("\n", "\n" + " " * 8)
-            else:
-                encoded[terms] = value.render()
-        return encoded[terms]
 
+def _value_json(value: Cyclotomic) -> str:
+    """The final text of a value at depth 4 of chartable's JSON
+    (payload["rows"][i]["values"][j]): json.dumps(value.as_json(), indent=2)
+    with 8 more spaces after each line break.
+
+    as_json is a dict of an int and flat lists of numbers, so the stdlib's C
+    encoder writes each field and only the line breaks are placed here: in
+    the text of a flat list of numbers, ", " separates items and nothing else.
+    """
+    fields = []
+    for key, item in value.as_json().items():
+        text = json.dumps(item)
+        if isinstance(item, list) and item:
+            text = "[\n            " + text[1:-1].replace(", ", ",\n            ") + "\n          ]"
+        fields.append(f"          {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n        }"
+
+
+def cmd_chartable(args, out) -> int:
+    """The character table, rendered from value ids (``_value_ids``): each
+    distinct value is reduced and encoded once, and every entry is a lookup.
+    Nothing is kept for the next call.  BudgetExceeded is raised, before
+    anything is allocated, if ``chartable_bytes`` passes the table limit."""
+    pr = params(args.q)
+    require_budget(chartable_bytes(pr.q, args.format), f"chartable --format {args.format} over GL2({pr.q})")
+    classes = enumerate_classes(pr)
+    t = tensor.irrep_table(args.q)
+    ids, coefs, exps = _value_ids(pr.q)
+    encode = _value_json if args.format == "json" else Cyclotomic.render
+    texts = np.array(
+        [encode(terms_value(pr.rs, zip(c, e))) for c, e in zip(coefs.T.tolist(), exps.T.tolist())], dtype=object
+    )
     if args.format == "json":
-        # the bytes of json.dumps(payload, indent=2), one write per irrep row:
+        # the bytes of json.dumps(payload, indent=2), an irrep row at a time:
         # the whole document is 80 MB at q = 16
         head = json.dumps(
             {"q": args.q, "classes": [{"class": c.label(), "size": c.size()} for c in classes]},
             indent=2,
         )
         out.write(head[: -len("\n}")] + ',\n  "rows": [')
-        for i, pi in enumerate(irreps):
-            values = ",\n        ".join(entry(pi, c) for c in classes)
-            out.write(
-                f'{"," if i else ""}\n    {{\n      "irrep": {json.dumps(pi.label())},'
-                f'\n      "values": [\n        {values}\n      ]\n    }}'
-            )
+        for i, (label, row) in enumerate(zip(t.encoded.tolist(), ids)):
+            # the values are written apart: a row of them is 9 MB at q = 32
+            out.write(f'{"," if i else ""}\n    {{\n      "irrep": {label},\n      "values": [\n        ')
+            out.write(",\n        ".join(texts[row].tolist()))
+            out.write("\n      ]\n    }")
         out.write("\n  ]\n}\n")
     else:
         names = ["irrep"] + [c.label() for c in classes]
-        columns = [[pi.label() for pi in irreps]] + [[entry(pi, c) for pi in irreps] for c in classes]
-        _emit(names, columns, args.format, out)
+        _emit(names, [t.labels.tolist(), *(texts[col].tolist() for col in ids.T)], args.format, out)
     return 0
 
 

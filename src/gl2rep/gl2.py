@@ -251,6 +251,10 @@ def char_terms(pi: GL2Irrep, c: GL2Class, pr: GroupParams) -> tuple[tuple[int, i
 
     All values of the character table lie in Z[zeta_rs]; alpha_a(rho^j)
     contributes exponent a*j*s since zeta_r = zeta_rs^s.
+
+    This is the scalar reference, one entry at a time: ``char_rows`` builds
+    whole stacks of rows in closed form, and the tests hold it to
+    ``pack_rows`` of these terms.
     """
     _check_same_q(pi, c, pr)
     s, rs, q, r = pr.s, pr.rs, pr.q, pr.r
@@ -433,8 +437,106 @@ def _unit_rows(lengths: tuple[int, ...]) -> Rows:
     return _frozen(tuple(Block(np.array([1, 0]).reshape(2, 1, 1, 1).repeat(n, axis=3), 1) for n in lengths))
 
 
+# -- the character table in closed form ------------------------------------------
+
+# The ~1 GB rule: the most bytes a closed-form character table, with what a
+# command derives from it entry by entry, may take.
+TABLE_BYTES_LIMIT = 1 << 30
+
+
+def table_bytes(q: int, rows: int | None = None, per_entry: int = 0) -> int:
+    """Bytes of a closed-form stack of ``rows`` character rows of GL2(q), every
+    irrep by default, plus ``per_entry`` bytes for each of its entries, worked
+    out from q alone: 16 bytes per term slot, one slot per entry of the c1
+    and c2 blocks and two per entry of the c3 and c4 blocks."""
+    r = q - 1
+    rows = q * q - 1 if rows is None else rows
+    slots = 2 * r + r * (r - 1) + q * r
+    return rows * (16 * slots + per_entry * (q * q - 1))
+
+
+def require_budget(need: int, what: str) -> None:
+    """BudgetExceeded, raised before anything is allocated, if ``need`` bytes,
+    an estimate from q alone such as ``table_bytes``, pass TABLE_BYTES_LIMIT."""
+    if need > TABLE_BYTES_LIMIT:
+        raise BudgetExceeded(f"{what} needs about {need} bytes, over the limit of {TABLE_BYTES_LIMIT}")
+
+
+@lru_cache(maxsize=None)
+def _class_params(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The class parameters of the canonical class order: k of c1 and c2, (k, l) of c3, m of c4."""
+    pr = params(q)
+    pairs = np.array(w_pairs(pr), dtype=np.int64).reshape(-1, 2)
+    return np.arange(pr.r), pairs[:, 0], pairs[:, 1], np.array(x_orbit_reps(pr), dtype=np.int64)
+
+
+def char_rows(irreps, pr: GroupParams) -> Rows:
+    """The character rows of these irreps, in this order, as one stack.
+
+    Each (irrep kind x class kind) cell is built with numpy broadcasting
+    from the label arrays (a, b), read as (a, a) for U_a and V_a and (n, n)
+    for X_[n], and the class arrays (k, l, m).  The coefficient of each
+    term is a constant of the cell (1, q, s, r or -1) and its exponent an
+    affine or bilinear form mod rs, read off char_terms.  The stack is
+    pack_rows of the char_terms rows, array for array: the same term
+    order, zero padding, widths and peak.  BudgetExceeded is raised,
+    before anything is allocated, past TABLE_BYTES_LIMIT.
+    """
+    require_budget(table_bytes(pr.q, len(irreps)), f"the character rows of {len(irreps)} irreps of GL2({pr.q})")
+    for pi in irreps:
+        if pi.q != pr.q:
+            raise MismatchedQ(f"{pi!r} does not live over q={pr.q}")
+    if not irreps:
+        return ()
+    kind = np.array([IRREP_KINDS.index(pi.kind) for pi in irreps], dtype=np.int64)
+    a, b = np.array([(pi.data[0], pi.data[-1]) for pi in irreps], dtype=np.int64).T
+    q, r, s, rs = pr.q, pr.r, pr.s, pr.rs
+    k, k3, l3, m = _class_params(q)
+    cusp = kind == IRREP_KINDS.index("X")
+    # omega * s, where chi(c1:k) = dim * zeta_rs^(omega k s): omega = 2a, a + b or n
+    central = np.where(cusp, a, a + b) * s % rs
+    a_s, b_s = a * s % rs, b * s % rs
+
+    def outer(x, y):
+        return np.multiply.outer(x, y) % rs
+
+    # per class block: its parameters and, per term, the coefficient for each
+    # irrep kind (U, V, W, X; 0 where the entry has no such term) and its exponents
+    cells = (
+        (k, (((1, q, s, r), lambda: outer(central, k)),)),
+        (k, (((1, 0, 1, -1), lambda: outer(central, k)),)),
+        (
+            k3,
+            (
+                ((1, 1, 1, 0), lambda: (outer(a_s, k3) + outer(b_s, l3)) % rs),
+                ((0, 0, 1, 0), lambda: (outer(a_s, l3) + outer(b_s, k3)) % rs),
+            ),
+        ),
+        (
+            m,
+            (
+                ((1, -1, 0, -1), lambda: outer(np.where(cusp, a, a_s), m)),
+                ((0, 0, 0, -1), lambda: outer(a * q % rs, m)),
+            ),
+        ),
+    )
+    present = np.bincount(kind, minlength=len(IRREP_KINDS)) > 0
+    blocks = []
+    for classes, terms in cells:
+        coefs = np.array([c for c, _ in terms], dtype=np.int64)
+        width = int((coefs != 0).sum(axis=0)[present].max()) if len(classes) else 0
+        out = np.zeros((2, width, len(kind), len(classes)), dtype=np.int64)
+        for t, (_, exponents) in enumerate(terms[:width]):
+            coef = coefs[t][kind][:, None]
+            out[0, t] = coef
+            out[1, t] = np.where(coef != 0, exponents(), 0)
+        peak = int(np.abs(coefs).sum(axis=0)[present].max()) if len(classes) else 0
+        blocks.append(Block(out, peak))
+    return tuple(blocks)
+
+
 def char_row(pi: GL2Irrep, pr: GroupParams) -> Rows:
-    """The one-row stack of pi's character on every class; cached per irrep."""
+    """The one-row stack of pi's character on every class, from ``char_rows``; cached per irrep."""
     if pi.q != pr.q:
         raise MismatchedQ(f"{pi!r} does not live over q={pr.q}")
     return _char_row(pi.q, pi.kind, pi.data)
@@ -443,17 +545,15 @@ def char_row(pi: GL2Irrep, pr: GroupParams) -> Rows:
 # keyed on plain values: labels of different q raise MismatchedQ when compared
 @lru_cache(maxsize=None)
 def _char_row(q: int, kind: str, data: tuple[int, ...]) -> Rows:
-    pr = params(q)
-    pi = GL2Irrep(q, kind, data)
-    return _frozen(pack_rows([[char_terms(pi, c, pr) for c in class_table(q)[0]]], q))
+    return _frozen(char_rows([GL2Irrep(q, kind, data)], params(q)))
 
 
 @lru_cache(maxsize=None)
 def _irrep_stack(q: int) -> Rows:
-    """The character rows of every irrep of GL2(q), in canonical irrep order, as one stack."""
+    """The character rows of every irrep of GL2(q), in canonical irrep order,
+    as one stack from ``char_rows``; cached per q."""
     pr = params(q)
-    classes = class_table(q)[0]
-    return _frozen(pack_rows(([char_terms(pi, c, pr) for c in classes] for pi in enumerate_irreps(pr)), q))
+    return _frozen(char_rows(enumerate_irreps(pr), pr))
 
 
 @lru_cache(maxsize=None)

@@ -45,6 +45,17 @@ def tower_for(q: int) -> FieldTower:
     return build_tower(pr.p, pr.ell)
 
 
+@lru_cache(maxsize=None)
+def _eigenvalue(q: int, tr: int, det: int) -> int:
+    """A root in F_{q^2} of x^2 - tr*x + det, by search: the first in element
+    order.  Kept per (q, tr, det), q(q - 1) roots per q: every tower of one q
+    is built alike, so the root is that of ``tower_for(q)``."""
+    tower = tower_for(q)
+    gf2 = tower.gf_q2
+    tr2, det2 = tower.embed[tr], tower.embed[det]
+    return next(x for x in range(1, gf2.size) if gf2.add(gf2.mul(x, x), gf2.sub(det2, gf2.mul(tr2, x))) == 0)
+
+
 def classify_element(g: Matrix2, tower: FieldTower) -> GL2Class:
     """Conjugacy class of an invertible 2x2 matrix, recovered from eigenvalues.
 
@@ -52,7 +63,8 @@ def classify_element(g: Matrix2, tower: FieldTower) -> GL2Class:
     x^2 - tr*x + det in F_{q^2}: one search finds a root sigma^e, and the
     other root is tr minus it.  sigma^e lies in F_q iff s | e, and then
     it is rho^(e/s).  So s not dividing e gives C4, a repeated root in
-    F_q gives C2, and two distinct roots in F_q give C3.
+    F_q gives C2, and two distinct roots in F_q give C3.  The search runs
+    once per (q, tr, det) (``_eigenvalue``).
     """
     gf, gf2 = tower.gf_q, tower.gf_q2
     a, b, c, d = g
@@ -62,13 +74,9 @@ def classify_element(g: Matrix2, tower: FieldTower) -> GL2Class:
     pr = params(tower.q)
     if b == 0 and c == 0 and a == d:
         return GL2Class.C1(pr, tower.dlog_q(a))
-    tr2, det2 = tower.embed[gf.add(a, d)], tower.embed[det]
-    lam = next(
-        x
-        for x in range(1, gf2.size)
-        if gf2.add(gf2.mul(x, x), gf2.sub(det2, gf2.mul(tr2, x))) == 0
-    )
-    mu = gf2.sub(tr2, lam)
+    tr = gf.add(a, d)
+    lam = _eigenvalue(tower.q, tr, det)
+    mu = gf2.sub(tower.embed[tr], lam)
     e = tower.dlog_q2(lam)
     if e % pr.s:
         return GL2Class.C4(pr, e)
@@ -84,7 +92,12 @@ def enumerate_gl2(tower: FieldTower) -> list[Matrix2]:
 
 
 class OracleContext:
-    """Cached enumeration and per-element classification for one q."""
+    """Cached enumeration and per-element classification for one q.
+
+    Every element is classified on its own; the eigenvalue search behind
+    ``classify_element`` runs once per (trace, det): q(q - 1) searches, not
+    one per element.
+    """
 
     def __init__(self, q: int):
         if q > CENSUS_MAX_Q:
@@ -439,22 +452,23 @@ def bessel_check(q: int) -> dict:
     irreps = enumerate_irreps(pr)
     unipotents = [(1, 0, b, 1) for b in range(q)]
     classes = [ctx.class_of[u] for u in unipotents]
-    # the q unipotents fall in two classes (the identity and c2:0), so each
-    # irrep's values on them are taken once, not once per psi
-    values = [
-        [by_class[cls] for cls in classes]
-        for by_class in ({cls: char_value(pi, cls, pr) for cls in set(classes)} for pi in irreps)
-    ]
+    # the q unipotents fall in two classes (the identity and c2:0): the sum
+    # over them is regrouped by class, sum_c chi(c) * (sum over u in c of
+    # conj psi(u)), so each irrep's value on a class is taken once
+    met = list(dict.fromkeys(classes))
+    values = [[char_value(pi, cls, pr) for cls in met] for pi in irreps]
     b_digits = [gf.digits(u[2]) for u in unipotents]
     rows = []
     ok = True
     for c_param in range(q):
         c_digits = gf.digits(c_param)
-        psi_conj = [root(p, -sum(x * y for x, y in zip(c_digits, bd)) % p) for bd in b_digits]
+        phases = dict.fromkeys(met, Cyclotomic.zero())
+        for cls, bd in zip(classes, b_digits):
+            phases[cls] = phases[cls] + root(p, -sum(x * y for x, y in zip(c_digits, bd)) % p)
         mults = []
         for chi in values:
             acc = Cyclotomic.zero()
-            for value, phase in zip(chi, psi_conj):
+            for value, phase in zip(chi, phases.values()):
                 acc = acc + value * phase
             mults.append(divide_exact(acc.as_integer(), q, "unipotent restriction sum"))
         if c_param == 0:

@@ -31,7 +31,7 @@ from .gl2 import (
     GL2Irrep,
     GroupParams,
     _Label,
-    char_terms,
+    char_rows,
     class_sum,
     class_table,
     divide_exact,
@@ -39,6 +39,8 @@ from .gl2 import (
     pack_rows,
     params,
     rational,
+    require_budget,
+    table_bytes,
     terms_value,
     unit_like,
     x_canonical,
@@ -235,7 +237,7 @@ def _restriction_mults(pairs: list[tuple[SL3Irrep, GL2Irrep]], pr: GroupParams) 
     embedded = [embed_class(c, pr) for c in classes]
     # tau's row is built afresh: a witness sweep visits each tau once
     pi_rows = pack_rows(([sl3_char_terms(pi, e, pr) for e in embedded] for pi, _ in pairs), pr.q)
-    tau_rows = pack_rows(([char_terms(tau, c, pr) for c in classes] for _, tau in pairs), pr.q)
+    tau_rows = char_rows([tau for _, tau in pairs], pr)
     every = np.arange(len(pairs))
     coords = class_sum(pr.rs, sizes, pi_rows, unit_like(pi_rows), tau_rows, (every, np.zeros_like(every), every))
     for (pi, tau), x in zip(pairs, coords):
@@ -307,8 +309,11 @@ def witness_report(pr: GroupParams) -> list[dict]:
 
     For X-type tau the bullet-list value (two) and the worked multiplicity
     (d + 1) differ when d = 3; the computed value is reported and the
-    affected rows carry a note.
+    affected rows carry a note.  BudgetExceeded is raised, before anything
+    is allocated, if the stacks of SL3 and GL2 rows (up to three terms per
+    entry in the first) would pass the table limit.
     """
+    require_budget(table_bytes(pr.q, per_entry=48), f"the SL3 and GL2 rows of the witnesses over GL2({pr.q})")
     pairs = [(witness_irrep(tau, pr), tau) for tau in enumerate_irreps(pr)]
     rows = []
     # the restriction sums of every witness at once; checked as witness_no_gelfand checks one

@@ -52,7 +52,7 @@ multiplicity m = [pi1 (x) pi2 : pi], each one class sum long:
 Every m is a non-negative integer, so pi induces multiplicity free iff the
 two sums are equal.  ``classify_gelfand`` takes the column sums S(c) and
 both norms of every irrep in three batched class sums; ``ind_norms`` reads
-the weights |c| S(c)^2 from a per-q cache and packs only its own pi's row.
+the weights |c| S(c)^2 from a per-q cache and builds only its own pi's row.
 ``is_gelfand_triple_product``, the ``mult_closed`` sweep of ``ind_sweep``,
 is kept as the route that cross-checks it.
 
@@ -86,16 +86,16 @@ from .gl2 import (
     GroupParams,
     Rows,
     char_row,
-    char_terms,
+    char_rows,
     class_sum,
     class_table,
     columns,
     divide_exact,
     enumerate_irreps,
-    pack_rows,
     params,
     rational,
-    stack_rows,
+    require_budget,
+    table_bytes,
     unit_like,
 )
 
@@ -502,16 +502,6 @@ def is_gelfand_triple_product(pi: GL2Irrep, pr: GroupParams) -> bool:
     return not (ind_sweep(pi, pr)[2] > 1).any()
 
 
-def _rows(pr: GroupParams, irreps: list[GL2Irrep]) -> Rows:
-    """The character rows of these irreps as one stack, built afresh.
-
-    The rows of all irreps hold (q^2 - 1)^2 entries and the norm test reads
-    them once; the char_row cache would keep them for the life of the process.
-    """
-    classes = class_table(pr.q)[0]
-    return pack_rows(([char_terms(pi, c, pr) for c in classes] for pi in irreps), pr.q)
-
-
 def _pair_weights(pr: GroupParams, rows: Rows) -> list[int]:
     """|c| * S(c)^2 for every class c, where S(c) is the column sum of ``rows``.
 
@@ -536,9 +526,9 @@ def _pair_weights(pr: GroupParams, rows: Rows) -> list[int]:
 def _class_weights(pr: GroupParams) -> tuple[int, ...]:
     """``_pair_weights`` of the rows of every irrep, kept per q: O(q^2) ints.
 
-    ind_norms reads them here, so each call packs only its own pi's row.
+    ind_norms reads them here, so each call builds only its own pi's row.
     """
-    return tuple(_pair_weights(pr, _rows(pr, enumerate_irreps(pr))))
+    return tuple(_pair_weights(pr, char_rows(enumerate_irreps(pr), pr)))
 
 
 def _norms(irreps: list[GL2Irrep], rows: Rows, weights: list[int], pr: GroupParams) -> list[tuple[int, int]]:
@@ -562,7 +552,7 @@ def ind_norms(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int]:
     constituents, counted with multiplicity, of the induction of pi to the
     product group.
     """
-    (norms,) = _norms([pi], _rows(pr, [pi]), list(_class_weights(pr)), pr)
+    (norms,) = _norms([pi], char_rows([pi], pr), list(_class_weights(pr)), pr)
     return norms
 
 
@@ -571,8 +561,11 @@ def classify_gelfand(pr: GroupParams) -> set[GL2Irrep]:
 
     pi qualifies iff its two ``ind_norms`` agree: no multiplicity exceeds 1.
     """
+    require_budget(table_bytes(pr.q), f"the character table of GL2({pr.q})")
     irreps = enumerate_irreps(pr)
-    rows = _rows(pr, irreps)
+    # built afresh, not from the per-q cache: the rows of all irreps hold
+    # (q^2 - 1)^2 entries, and the norm test reads them once
+    rows = char_rows(irreps, pr)
     norms = _norms(irreps, rows, _pair_weights(pr, rows), pr)
     return {pi for pi, (squares, total) in zip(irreps, norms) if squares == total}
 
@@ -671,7 +664,7 @@ def _chunk_numerators(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: Grou
     for k in np.unique(kind).tolist():
         members = np.flatnonzero(kind == k)
         position[members] = np.arange(len(members))
-        stacks[k] = stack_rows([char_row(irreps[i], pr) for i in members.tolist()])
+        stacks[k] = char_rows([irreps[i] for i in members.tolist()], pr)
     kinds = kind[codes]
     group = kinds @ np.array([16, 4, 1])
     sizes = class_table(pr.q)[1]

@@ -4,12 +4,24 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 
 import pytest
 
 from gl2rep import harmonic, oracle, tensor
-from gl2rep.cli import SUITES, build_parser, run
-from gl2rep.gl2 import GL2Irrep, char_value, enumerate_classes, enumerate_irreps, params, parse_class, parse_irrep
+from gl2rep.cli import SUITES, _value_ids, _value_json, build_parser, chartable_bytes, run
+from gl2rep.cyclotomic import Cyclotomic, root
+from gl2rep.gl2 import (
+    TABLE_BYTES_LIMIT,
+    GL2Irrep,
+    char_value,
+    enumerate_classes,
+    enumerate_irreps,
+    params,
+    parse_class,
+    parse_irrep,
+    table_bytes,
+)
 
 
 def _run(argv):
@@ -69,21 +81,87 @@ def test_output_matches_the_pinned_digest():
     assert digest.hexdigest() == PINNED_OUTPUT_SHA256
 
 
+def _reference_chartable(q: int, fmt: str) -> str:
+    """chartable's output, rendered from char_value entry by entry: the stdlib
+    encoder on the whole payload for json, csv.writer for csv, and the padded
+    columns of the text layout."""
+    pr = params(q)
+    classes, irreps = enumerate_classes(pr), enumerate_irreps(pr)
+    if fmt == "json":
+        payload = {
+            "q": q,
+            "classes": [{"class": c.label(), "size": c.size()} for c in classes],
+            "rows": [{"irrep": pi.label(), "values": [char_value(pi, c, pr).as_json() for c in classes]} for pi in irreps],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    table = [["irrep"] + [c.label() for c in classes]]
+    table += [[pi.label()] + [char_value(pi, c, pr).render() for c in classes] for pi in irreps]
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(table)
+        return buffer.getvalue()
+    widths = [max(len(row[j]) for row in table) for j in range(len(table[0]))]
+    return "".join("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n" for row in table)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_chartable_json_matches_the_reference_encoder(q):
     # chartable writes its JSON from pre-encoded entries, a row at a time;
     # the bytes must be those of the stdlib encoder on the whole payload
-    pr = params(q)
-    classes = enumerate_classes(pr)
-    payload = {
-        "q": q,
-        "classes": [{"class": c.label(), "size": c.size()} for c in classes],
-        "rows": [
-            {"irrep": pi.label(), "values": [char_value(pi, c, pr).as_json() for c in classes]}
-            for pi in enumerate_irreps(pr)
-        ],
-    }
-    assert _run(["chartable", "--q", str(q), "--format", "json"]) == (0, json.dumps(payload, indent=2) + "\n")
+    assert _run(["chartable", "--q", str(q), "--format", "json"]) == (0, _reference_chartable(q, "json"))
+
+
+def test_value_json_is_the_stdlib_indented_text():
+    # the text of a value inside chartable's JSON, against the pure-Python
+    # indenting encoder: every value at q = 16 on a sample of irreps, integers
+    # and roots of unity of other orders
+    pr = params(16)
+    values = {char_value(pi, c, pr) for pi in enumerate_irreps(pr)[::7] for c in enumerate_classes(pr)}
+    values |= {Cyclotomic.zero(), Cyclotomic.from_int(-3), root(5, 2), root(12, 7)}
+    for value in values:
+        assert _value_json(value) == json.dumps(value.as_json(), indent=2).replace("\n", "\n" + " " * 8)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_chartable_text_and_csv_match_a_char_value_reference(q, fmt):
+    # chartable renders every entry from per-q value ids and encoded values
+    assert _run(["chartable", "--q", str(q), "--format", fmt]) == (0, _reference_chartable(q, fmt))
+
+
+def test_a_second_chartable_in_one_interpreter_gives_the_same_bytes():
+    # nothing is kept from one chartable for the next: the second round, with
+    # the per-q class and label caches warm, prints the bytes of the first
+    want = {fmt: (0, _reference_chartable(7, fmt)) for fmt in ("text", "json", "csv")}
+    for _ in range(2):
+        for fmt in want:
+            assert _run(["chartable", "--q", "7", "--format", fmt]) == want[fmt]
+
+
+@pytest.mark.parametrize("command", ["chartable", "gelfand", "sl3-witness"])
+def test_table_commands_refuse_a_table_past_the_budget_before_allocating(command):
+    # q = 1024 would need about 35 TB of table; the estimate from q refuses it
+    run(["classes", "--q", "2"], out=io.StringIO())  # builds the parser outside the trace
+    tracemalloc.start()
+    try:
+        code, text = _run([command, "--q", "1024"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and text.startswith("error: ") and "GL2(1024) needs about" in text
+    assert peak < 1 << 20
+
+
+def test_chartable_budget_counts_the_ids_and_what_each_format_keeps_per_entry():
+    # worked out from q, never allocated: the last q that fits and the first
+    # that does not, per format
+    for fmt, fits, refused in (("json", 127, 128), ("csv", 97, 101), ("text", 73, 79)):
+        assert chartable_bytes(fits, fmt) <= TABLE_BYTES_LIMIT < chartable_bytes(refused, fmt)
+    # at q = 16 the json estimate is the int32 ids and one chunk of rows with
+    # its keys, less than the whole closed-form table
+    ids = _value_ids(16)[0]
+    assert ids.nbytes == 4 * 255 * 255
+    assert 0 < chartable_bytes(16, "json") - ids.nbytes < table_bytes(16)
 
 
 def test_chartable_csv_labels_round_trip():

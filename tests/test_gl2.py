@@ -8,12 +8,15 @@ import pytest
 from gl2rep.cyclotomic import Cyclotomic, root
 from gl2rep.errors import BudgetExceeded, GL2RepError, InvalidLabel, MismatchedQ, NotPrimePower
 from gl2rep.gl2 import (
+    TABLE_BYTES_LIMIT,
     GL2Class,
     GL2Irrep,
     GroupParams,
     char_inner_product,
     char_inner_products,
     char_row,
+    char_rows,
+    char_terms,
     char_value,
     class_inner_product,
     class_inner_products,
@@ -22,11 +25,16 @@ from gl2rep.gl2 import (
     enumerate_classes,
     enumerate_irreps,
     int64_bound,
+    pack_rows,
     params,
     parse_class,
     parse_irrep,
+    require_budget,
+    table_bytes,
     unit_like,
 )
+
+PRIME_POWERS_TO_16 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 def test_params_values():
@@ -192,6 +200,59 @@ def test_class_sum_refuses_a_sum_that_could_leave_int64_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _reference_rows(irreps, pr):
+    """pack_rows of the char_terms rows: the scalar reference of char_rows."""
+    classes = class_table(pr.q)[0]
+    return pack_rows(([char_terms(pi, c, pr) for c in classes] for pi in irreps), pr.q)
+
+
+def _assert_same_stack(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.terms.dtype == w.terms.dtype and g.terms.shape == w.terms.shape
+        assert np.array_equal(g.terms, w.terms)
+        assert g.peak == w.peak
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_16)
+def test_closed_form_rows_are_the_packed_char_terms(q):
+    # q = 2 has no W family and an empty c3 block
+    pr = params(q)
+    irreps = enumerate_irreps(pr)
+    _assert_same_stack(char_rows(irreps, pr), _reference_rows(irreps, pr))
+    for pi in (irreps[0], irreps[pr.r], irreps[-1], *irreps[2 * pr.r : 2 * pr.r + 1]):
+        _assert_same_stack(char_row(pi, pr), _reference_rows([pi], pr))
+    # a subset in any order, with repeats: its blocks are only as wide as its kinds need
+    rng = np.random.default_rng(q)
+    for size in (1, 2, 7, 40):
+        subset = [irreps[i] for i in rng.integers(len(irreps), size=size)]
+        _assert_same_stack(char_rows(subset, pr), _reference_rows(subset, pr))
+    for kind in "UVWX":
+        subset = [pi for pi in irreps if pi.kind == kind]
+        _assert_same_stack(char_rows(subset, pr), _reference_rows(subset, pr))
+
+
+def test_closed_form_rows_reject_a_label_of_another_q():
+    with pytest.raises(MismatchedQ):
+        char_rows([GL2Irrep.U(params(3), 0), GL2Irrep.U(params(5), 0)], params(3))
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_16)
+def test_table_bytes_is_the_size_of_the_whole_table(q):
+    pr = params(q)
+    assert table_bytes(q) == sum(b.terms.nbytes for b in char_rows(enumerate_irreps(pr), pr))
+
+
+def test_the_table_budget_is_checked_from_q_alone():
+    # worked out from q, never allocated: q = 64 fits the limit, q = 81 and q = 1024 do not
+    assert table_bytes(64) < TABLE_BYTES_LIMIT < table_bytes(81)
+    assert table_bytes(1024) > 10**13
+    require_budget(table_bytes(64), "GL2(64)")
+    for q in (81, 1024):
+        with pytest.raises(BudgetExceeded, match=f"GL2\\({q}\\) needs about {table_bytes(q)} bytes"):
+            require_budget(table_bytes(q), f"GL2({q})")
 
 
 def test_canonicalization_is_idempotent():

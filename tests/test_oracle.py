@@ -7,6 +7,7 @@ import pytest
 from gl2rep import oracle
 from gl2rep.cyclotomic import Cyclotomic
 from gl2rep.errors import BudgetExceeded, GL2RepError, InvalidCharTable, InvalidClassMap, Singular
+from gl2rep.fields import build_tower
 from gl2rep.gl2 import GL2Class, GL2Irrep, enumerate_classes, enumerate_irreps, params
 from gl2rep.oracle import (
     S4_OVER_C3_CLASS_MAP,
@@ -36,6 +37,22 @@ def test_classify_identity_and_diagonals():
     rho2 = t.gf_q.mul(rho, rho)
     assert classify_element((rho, 0, 0, rho2), t) == GL2Class.C3(pr, 1, 2)
     assert classify_element((rho, 0, 1, rho), t) == GL2Class.C2(pr, 1)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_a_context_searches_once_per_characteristic_polynomial(q):
+    # every non-scalar element is classified, but the root search runs once
+    # per (trace, det): q(q - 1) searches, not one per element
+    before = oracle._context(q).class_of
+    oracle._eigenvalue.cache_clear()
+    ctx = oracle.OracleContext(q)
+    searches = oracle._eigenvalue.cache_info()
+    assert searches.misses == searches.currsize == q * (q - 1)
+    assert searches.hits == len(ctx.elements) - (q - 1) - q * (q - 1)
+    assert ctx.class_of == before
+    # a tower built afresh classifies as the cached one does
+    fresh = build_tower(ctx.pr.p, ctx.pr.ell)
+    assert all(ctx.class_of[g] == classify_element(g, fresh) for g in ctx.elements[:: q + 1])
 
 
 def test_classify_rejects_singular():

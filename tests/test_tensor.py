@@ -378,22 +378,34 @@ def test_gelfand_at_large_q_is_the_dimension_rule(q, monkeypatch):
     assert got == {pi for pi in enumerate_irreps(pr) if pi.dim() in (1, q - 1)}
 
 
-def _corrupt(monkeypatch, irrep, cls, change):
-    """Replace one character value in the rows classify_gelfand builds."""
-    real = tensor.char_terms
+def _corrupt(monkeypatch, module, irrep, cls, change):
+    """Apply ``change`` to the (coef, exp) terms of one character value in the
+    rows that ``module.char_rows`` builds; it keeps the number of terms."""
+    real = module.char_rows
 
-    def char_terms(pi, c, pr):
-        terms = real(pi, c, pr)
-        return change(terms) if (pi.label(), c.label()) == (irrep, cls) else terms
+    def char_rows(irreps, pr):
+        rows = list(real(irreps, pr))
+        at = [c.label() for c in gl2.class_table(pr.q)[0]].index(cls)
+        k = 0
+        while at >= rows[k].length:
+            at -= rows[k].length
+            k += 1
+        terms = rows[k].terms.copy()
+        for i, pi in enumerate(irreps):
+            if pi.label() == irrep:
+                new = change(tuple((c, e) for c, e in terms[:, :, i, at].T.tolist() if c))
+                terms[:, : len(new), i, at] = np.array(new).T
+        rows[k] = gl2.Block(terms, rows[k].peak)
+        return tuple(rows)
 
-    monkeypatch.setattr(tensor, "char_terms", char_terms)
+    monkeypatch.setattr(module, "char_rows", char_rows)
 
 
 def test_a_corrupted_character_value_breaks_the_pair_sum(monkeypatch):
     # chi_U:0(1) = 1 -> -1: every S(c) stays an integer, but the pair sum of
     # U:0 is no longer divisible by |G|, so divide_exact raises
     pr = params(5)
-    _corrupt(monkeypatch, "U:0", "c1:0", lambda terms: tuple((-a, e) for a, e in terms))
+    _corrupt(monkeypatch, tensor, "U:0", "c1:0", lambda terms: tuple((-a, e) for a, e in terms))
     with pytest.raises(NonIntegral, match="pair sum for U:0"):
         classify_gelfand(pr)
 
@@ -403,7 +415,7 @@ def test_a_corrupted_character_value_changes_the_set(monkeypatch):
     # then fails the norm test, so the set changes instead
     pr = params(5)
     before = classify_gelfand(pr)
-    _corrupt(monkeypatch, "W:0,2", "c3:0,2", lambda terms: tuple((-a, e) for a, e in terms))
+    _corrupt(monkeypatch, tensor, "W:0,2", "c3:0,2", lambda terms: tuple((-a, e) for a, e in terms))
     after = classify_gelfand(pr)
     assert after == before - {GL2Irrep.U(pr, a) for a in range(pr.r)}
 
@@ -574,13 +586,17 @@ def test_a_non_integral_class_sum_names_the_first_triple(monkeypatch, fresh_rows
     x, v, w, u = GL2Irrep.X(pr, 1), GL2Irrep.V(pr, 0), GL2Irrep.W(pr, 0, 1), GL2Irrep.U(pr, 1)
     real = gl2.char_terms
 
+    def shifted(terms):
+        return ((terms[0][0], (terms[0][1] + 1) % pr.rs),) + terms[1:]
+
     def corrupted(pi, c, pr):
         terms = real(pi, c, pr)
-        if (pi.label(), c.label()) == ("X:1", "c4:1"):
-            return ((terms[0][0], (terms[0][1] + 1) % pr.rs),) + terms[1:]
-        return terms
+        return shifted(terms) if (pi.label(), c.label()) == ("X:1", "c4:1") else terms
 
+    # the same entry in the scalar reference, in the cached rows and in verify_agreement's stacks
     monkeypatch.setattr(gl2, "char_terms", corrupted)
+    _corrupt(monkeypatch, gl2, "X:1", "c4:1", shifted)
+    _corrupt(monkeypatch, tensor, "X:1", "c4:1", shifted)
     ok1, ok2, bad1, ok3, bad2 = (v, w, w), (u, v, v), (u, x, x), (w, w, v), (x, v, x)
     assert _reference_numerators(pr, [bad1])[0].order != 1
     with pytest.raises(NonIntegral, match=re.escape("[U:1 x X:1 : X:1]")):
