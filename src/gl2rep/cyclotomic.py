@@ -271,9 +271,6 @@ class Cyclotomic:
             raise NonIntegral(f"{self!r} is not a rational integer")
         return self.coeffs[0]
 
-    def is_zero(self) -> bool:
-        return self.order == 1 and self.coeffs[0] == 0
-
     def __eq__(self, other):
         other = Cyclotomic._coerce(other)
         if other is NotImplemented:

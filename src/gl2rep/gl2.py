@@ -224,7 +224,9 @@ class GL2Class(_Label):
 
 
 def enumerate_irreps(pr: GroupParams) -> list[GL2Irrep]:
-    """All q^2 - 1 irreducible labels in canonical order."""
+    """All q^2 - 1 irreducible labels in canonical order; BudgetExceeded, before
+    any is built, if ``label_bytes`` passes TABLE_BYTES_LIMIT."""
+    require_budget(label_bytes(pr.q), f"the irrep labels of GL2({pr.q})")
     out = [GL2Irrep.U(pr, a) for a in range(pr.r)]
     out += [GL2Irrep.V(pr, a) for a in range(pr.r)]
     out += [GL2Irrep.W(pr, a, b) for a, b in w_pairs(pr)]
@@ -233,7 +235,9 @@ def enumerate_irreps(pr: GroupParams) -> list[GL2Irrep]:
 
 
 def enumerate_classes(pr: GroupParams) -> list[GL2Class]:
-    """All q^2 - 1 conjugacy class labels in canonical order."""
+    """All q^2 - 1 conjugacy class labels in canonical order; BudgetExceeded,
+    before any is built, if ``label_bytes`` passes TABLE_BYTES_LIMIT."""
+    require_budget(label_bytes(pr.q), f"the class labels of GL2({pr.q})")
     out = [GL2Class.C1(pr, k) for k in range(pr.r)]
     out += [GL2Class.C2(pr, k) for k in range(pr.r)]
     out += [GL2Class.C3(pr, k, l) for k, l in w_pairs(pr)]
@@ -344,7 +348,7 @@ Rows = tuple[Block, ...]
 # Rows pack_rows turns into arrays at a time.
 _PACK_ROWS = 16
 # Scratch bytes one slice of a class_sum batch may hold; the batch is cut to fit.
-_SLICE_BYTES = 1 << 21
+SLICE_BYTES = 1 << 21
 # Every coordinate and every partial sum behind it stays below this.
 _INT64_LIMIT = 2**62
 _FIRST = (np.zeros(1, dtype=np.intp),) * 3
@@ -365,12 +369,6 @@ def _class_blocks(q: int) -> tuple[int, ...]:
 
 def _block(terms: np.ndarray) -> Block:
     return Block(terms, int(np.abs(terms[0]).sum(axis=0).max(initial=0)))
-
-
-def _frozen(rows: Rows) -> Rows:
-    for block in rows:
-        block.terms.setflags(write=False)
-    return rows
 
 
 def pack_rows(term_rows, q: int) -> Rows:
@@ -434,7 +432,10 @@ def unit_like(rows: Rows) -> Rows:
 
 @lru_cache(maxsize=None)
 def _unit_rows(lengths: tuple[int, ...]) -> Rows:
-    return _frozen(tuple(Block(np.array([1, 0]).reshape(2, 1, 1, 1).repeat(n, axis=3), 1) for n in lengths))
+    rows = tuple(Block(np.array([1, 0]).reshape(2, 1, 1, 1).repeat(n, axis=3), 1) for n in lengths)
+    for block in rows:
+        block.terms.setflags(write=False)
+    return rows
 
 
 # -- the character table in closed form ------------------------------------------
@@ -442,6 +443,22 @@ def _unit_rows(lengths: tuple[int, ...]) -> Rows:
 # The ~1 GB rule: the most bytes a closed-form character table, with what a
 # command derives from it entry by entry, may take.
 TABLE_BYTES_LIMIT = 1 << 30
+
+# Bytes per entry char_rows holds besides the blocks while it fills them: at
+# most two int64 (rows, length) exponent arrays beside the c4 block, 8 bytes
+# per entry of the stack; its tracemalloc peak is 1.25 table_bytes at q = 16 to 49.
+BUILD_ENTRY_BYTES = 8
+
+# Bytes per label the label commands hold: the labels with their per-q
+# tables and rendered columns, 770 at most (irreps in text at q = 32, 64 and
+# 128, under tracemalloc), rounded up.
+LABEL_BYTES = 1024
+
+
+def label_bytes(q: int) -> int:
+    """Bytes of the q^2 - 1 labels of one kind and what the label commands
+    hold for them, worked out from q alone."""
+    return LABEL_BYTES * (q * q - 1)
 
 
 def table_bytes(q: int, rows: int | None = None, per_entry: int = 0) -> int:
@@ -463,7 +480,7 @@ def require_budget(need: int, what: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def _class_params(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def class_params(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The class parameters of the canonical class order: k of c1 and c2, (k, l) of c3, m of c4."""
     pr = params(q)
     pairs = np.array(w_pairs(pr), dtype=np.int64).reshape(-1, 2)
@@ -480,9 +497,13 @@ def char_rows(irreps, pr: GroupParams) -> Rows:
     affine or bilinear form mod rs, read off char_terms.  The stack is
     pack_rows of the char_terms rows, array for array: the same term
     order, zero padding, widths and peak.  BudgetExceeded is raised,
-    before anything is allocated, past TABLE_BYTES_LIMIT.
+    before anything is allocated, if the stack and what is held while it
+    is built (BUILD_ENTRY_BYTES per entry) pass TABLE_BYTES_LIMIT.
     """
-    require_budget(table_bytes(pr.q, len(irreps)), f"the character rows of {len(irreps)} irreps of GL2({pr.q})")
+    require_budget(
+        table_bytes(pr.q, len(irreps), per_entry=BUILD_ENTRY_BYTES),
+        f"the character rows of {len(irreps)} irreps of GL2({pr.q})",
+    )
     for pi in irreps:
         if pi.q != pr.q:
             raise MismatchedQ(f"{pi!r} does not live over q={pr.q}")
@@ -491,7 +512,7 @@ def char_rows(irreps, pr: GroupParams) -> Rows:
     kind = np.array([IRREP_KINDS.index(pi.kind) for pi in irreps], dtype=np.int64)
     a, b = np.array([(pi.data[0], pi.data[-1]) for pi in irreps], dtype=np.int64).T
     q, r, s, rs = pr.q, pr.r, pr.s, pr.rs
-    k, k3, l3, m = _class_params(q)
+    k, k3, l3, m = class_params(q)
     cusp = kind == IRREP_KINDS.index("X")
     # omega * s, where chi(c1:k) = dim * zeta_rs^(omega k s): omega = 2a, a + b or n
     central = np.where(cusp, a, a + b) * s % rs
@@ -535,33 +556,6 @@ def char_rows(irreps, pr: GroupParams) -> Rows:
     return tuple(blocks)
 
 
-def char_row(pi: GL2Irrep, pr: GroupParams) -> Rows:
-    """The one-row stack of pi's character on every class, from ``char_rows``; cached per irrep."""
-    if pi.q != pr.q:
-        raise MismatchedQ(f"{pi!r} does not live over q={pr.q}")
-    return _char_row(pi.q, pi.kind, pi.data)
-
-
-# keyed on plain values: labels of different q raise MismatchedQ when compared
-@lru_cache(maxsize=None)
-def _char_row(q: int, kind: str, data: tuple[int, ...]) -> Rows:
-    return _frozen(char_rows([GL2Irrep(q, kind, data)], params(q)))
-
-
-@lru_cache(maxsize=None)
-def _irrep_stack(q: int) -> Rows:
-    """The character rows of every irrep of GL2(q), in canonical irrep order,
-    as one stack from ``char_rows``; cached per q."""
-    pr = params(q)
-    return _frozen(char_rows(enumerate_irreps(pr), pr))
-
-
-@lru_cache(maxsize=None)
-def _column_stack(q: int) -> Rows:
-    """The columns of the character table of GL2(q), in canonical class order."""
-    return _frozen(stack_rows(columns(_irrep_stack(q))))
-
-
 def int64_bound(rs: int, weights: np.ndarray, a: Rows, b: Rows, c: Rows) -> int:
     """An upper bound on every |coordinate| that class_sum computes from these
     stacks, and on every partial sum behind it: fold_bound(rs) times the sum
@@ -590,7 +584,7 @@ def class_sum(rs: int, weights, a: Rows, b: Rows, c: Rows, index=None) -> np.nda
     and their exponents combined, a's plus b's less c's; np.add.at gathers the
     products into one int64 array of exponent weights per slice of the batch,
     which cyclotomic.fold_rows reduces once.  The batch runs in slices of at
-    most _SLICE_BYTES of scratch.  BudgetExceeded is raised, before anything
+    most SLICE_BYTES of scratch.  BudgetExceeded is raised, before anything
     is allocated, if a coordinate could leave int64.
     """
     weights = np.asarray(weights, dtype=np.int64)
@@ -607,7 +601,7 @@ def class_sum(rs: int, weights, a: Rows, b: Rows, c: Rows, index=None) -> np.nda
         lo = hi
     # scratch per batch entry: about five int64 arrays of its products, the
     # accumulator and two arrays of the power-table entries fold_rows reads
-    step = max(1, _SLICE_BYTES // (40 * products + 32 * rs + 16 * fold_width(rs)))
+    step = max(1, SLICE_BYTES // (40 * products + 32 * rs + 16 * fold_width(rs)))
     out = []
     for start in range(0, len(ia), step):
         picks = [i[start : start + step] for i in (ia, ib, ic)]
@@ -650,8 +644,8 @@ def char_inner_product(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> int:
     Row orthogonality: the result is |G| when pi1 == pi2 and 0 otherwise.
     """
     _, sizes, _ = class_table(pr.q)
-    row1, row2 = char_row(pi1, pr), char_row(pi2, pr)
-    coords = class_sum(pr.rs, sizes, row1, unit_like(row1), row2)
+    rows = char_rows([pi1, pi2], pr)
+    coords = class_sum(pr.rs, sizes, rows, unit_like(rows), rows, ([0], [0], [1]))
     return rational(coords[0], f"inner product of {pi1.label()} and {pi2.label()}")
 
 
@@ -659,7 +653,7 @@ def class_inner_product(c1: GL2Class, c2: GL2Class, pr: GroupParams) -> int:
     """Column sum over irreps of chi(c1) conj(chi(c2)); |G|/|c| on the diagonal."""
     _check_same_q(c1, c2, pr)
     _, _, index = class_table(pr.q)
-    cols = _column_stack(pr.q)
+    cols = stack_rows(columns(char_rows(enumerate_irreps(pr), pr)))
     ones = [1] * cols[0].length
     coords = class_sum(pr.rs, ones, cols, unit_like(cols), cols, ([index[c1]], [0], [index[c2]]))
     return rational(coords[0], f"column product of {c1.label()} and {c2.label()}")
@@ -680,12 +674,12 @@ def _pair_sums(rs: int, weights, rows: Rows, labels, what: str) -> list[int]:
 def char_inner_products(pr: GroupParams) -> list[int]:
     """char_inner_product of every pair pi_i, pi_j (i <= j) of irreps in canonical order, row-major."""
     irreps = enumerate_irreps(pr)
-    return _pair_sums(pr.rs, class_table(pr.q)[1], _irrep_stack(pr.q), irreps, "inner product")
+    return _pair_sums(pr.rs, class_table(pr.q)[1], char_rows(irreps, pr), irreps, "inner product")
 
 
 def class_inner_products(pr: GroupParams) -> list[int]:
     """class_inner_product of every pair c_i, c_j (i <= j) of classes in canonical order, row-major."""
-    cols = _column_stack(pr.q)
+    cols = stack_rows(columns(char_rows(enumerate_irreps(pr), pr)))
     return _pair_sums(pr.rs, [1] * cols[0].length, cols, class_table(pr.q)[0], "column product")
 
 

@@ -117,14 +117,6 @@ class PairGroupContext:
         self._pair_count: np.ndarray | None = None
 
     # -- pair-group arithmetic on flat indices ---------------------------------
-    def pair_mul(self, x: int, y: int) -> int:
-        n = self.n
-        return int(self.mul[x // n, y // n]) * n + int(self.mul[x % n, y % n])
-
-    def pair_inv(self, x: int) -> int:
-        n = self.n
-        return int(self.inv[x // n]) * n + int(self.inv[x % n])
-
     def diag_index(self, g: int) -> int:
         return g * self.n + g
 

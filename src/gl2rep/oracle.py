@@ -21,7 +21,7 @@ from .gl2 import (
     GL2Class,
     GL2Irrep,
     GroupParams,
-    char_row,
+    char_rows,
     char_value,
     class_sum,
     class_table,
@@ -159,8 +159,8 @@ def elementwise_mult(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, q: int) -> int
     pr = ctx.pr
     classes, _, _ = class_table(q)
     counts = [ctx.counts.get(c, 0) for c in classes]
-    rows = (char_row(pi, pr) for pi in (pi1, pi2, pi3))
-    total = rational(class_sum(pr.rs, counts, *rows)[0], "element sum")
+    rows = char_rows([pi1, pi2, pi3], pr)
+    total = rational(class_sum(pr.rs, counts, rows, rows, rows, ([0], [1], [2]))[0], "element sum")
     return divide_exact(total, pr.order, "element sum")
 
 

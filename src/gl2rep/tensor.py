@@ -50,9 +50,11 @@ multiplicity m = [pi1 (x) pi2 : pi], each one class sum long:
     sum m   = |G|^-1 sum_c |c| S(c)^2 conj(chi(c)),  S(c) = sum_pi chi_pi(c)
 
 Every m is a non-negative integer, so pi induces multiplicity free iff the
-two sums are equal.  ``classify_gelfand`` takes the column sums S(c) and
-both norms of every irrep in three batched class sums; ``ind_norms`` reads
-the weights |c| S(c)^2 from a per-q cache and builds only its own pi's row.
+two sums are equal.  S(c) is the twisted Frobenius-Schur count
+#{h : h (h^T)^-1 = g_c}, which takes three values, and ``_class_weights``
+gives |c| S(c)^2 in closed form from the class parameters: the table is
+never transposed.  ``classify_gelfand`` takes both norms of every irrep in
+two batched class sums; ``ind_norms`` builds only its own pi's row.
 ``is_gelfand_triple_product``, the ``mult_closed`` sweep of ``ind_sweep``,
 is kept as the route that cross-checks it.
 
@@ -81,15 +83,16 @@ from .errors import (
     NotMultiplicityFree,
 )
 from .gl2 import (
+    BUILD_ENTRY_BYTES,
     IRREP_KINDS,
+    SLICE_BYTES,
     GL2Irrep,
     GroupParams,
     Rows,
-    char_row,
     char_rows,
+    class_params,
     class_sum,
     class_table,
-    columns,
     divide_exact,
     enumerate_irreps,
     params,
@@ -108,7 +111,8 @@ _CHUNK_BYTES = 1 << 21
 
 def _numerator_coords(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> np.ndarray:
     _, sizes, _ = class_table(pr.q)
-    return class_sum(pr.rs, sizes, *(char_row(pi, pr) for pi in (pi1, pi2, pi3)))[0]
+    rows = char_rows([pi1, pi2, pi3], pr)
+    return class_sum(pr.rs, sizes, rows, rows, rows, ([0], [1], [2]))[0]
 
 
 def mult_sum_numerator(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> Cyclotomic:
@@ -502,36 +506,29 @@ def is_gelfand_triple_product(pi: GL2Irrep, pr: GroupParams) -> bool:
     return not (ind_sweep(pi, pr)[2] > 1).any()
 
 
-def _pair_weights(pr: GroupParams, rows: Rows) -> list[int]:
-    """|c| * S(c)^2 for every class c, where S(c) is the column sum of ``rows``.
+def _class_weights(pr: GroupParams) -> np.ndarray:
+    """|c| * S(c)^2 for every class c, in canonical order, where S(c) = sum
+    over irreps of chi_pi(c).
 
-    S(c) = sum over irreps of chi_pi(c) is a rational integer: a Galois
-    automorphism of Z[zeta_rs] permutes the irreducible characters, so it
-    fixes their sum.
+    S(c) is the number of h in GL2(q) with h (h^T)^-1 = g_c, the twisted
+    Frobenius-Schur count of the transpose-inverse involution (R. Gow, Proc.
+    LMS 47, 1983; N. Kawanaka and H. Matsuyama, Hokkaido Math. J. 19, 1990).
+    It is q^2 r on the identity c1:0, 0 on the transvection class c2:0 and
+    on every class whose determinant is not 1, and r on every other class.
+    The determinant is 1 when 2k = 0 (mod r) for c1:k and c2:k, k + l = 0
+    for c3:k,l, and m = 0 for c4:m.  The tests hold S(c) to the column sums
+    of the character table.
     """
-    classes, sizes, _ = class_table(pr.q)
-    ones = [1] * rows[0].rows
-    sums = []
-    for cols in columns(rows):
-        every = np.arange(cols[0].rows)
-        first = np.zeros_like(every)
-        sums.append(class_sum(pr.rs, ones, cols, unit_like(cols), unit_like(cols), (every, first, first)))
-    coords = np.concatenate(sums)
-    return [
-        size * rational(x, f"column sum S({c.label()})") ** 2 for size, c, x in zip(sizes, classes, coords)
-    ]
+    k, k3, l3, m = class_params(pr.q)
+    r = pr.r
+    det_one = np.concatenate([2 * k % r == 0, 2 * k % r == 0, (k3 + l3) % r == 0, m % r == 0])
+    sums = np.where(det_one, r, 0)
+    sums[0] = pr.q * pr.q * r  # c1:0, the identity
+    sums[r] = 0  # c2:0, the transvections
+    return np.array(class_table(pr.q)[1], dtype=np.int64) * sums**2
 
 
-@lru_cache(maxsize=None)
-def _class_weights(pr: GroupParams) -> tuple[int, ...]:
-    """``_pair_weights`` of the rows of every irrep, kept per q: O(q^2) ints.
-
-    ind_norms reads them here, so each call builds only its own pi's row.
-    """
-    return tuple(_pair_weights(pr, char_rows(enumerate_irreps(pr), pr)))
-
-
-def _norms(irreps: list[GL2Irrep], rows: Rows, weights: list[int], pr: GroupParams) -> list[tuple[int, int]]:
+def _norms(irreps: list[GL2Irrep], rows: Rows, weights: np.ndarray, pr: GroupParams) -> list[tuple[int, int]]:
     """ind_norms of each irrep, from the stack of their rows: two class_sum calls."""
     unit = unit_like(rows)
     every, first = np.arange(len(irreps)), np.zeros(len(irreps), dtype=np.intp)
@@ -552,8 +549,19 @@ def ind_norms(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int]:
     constituents, counted with multiplicity, of the induction of pi to the
     product group.
     """
-    (norms,) = _norms([pi], char_rows([pi], pr), list(_class_weights(pr)), pr)
+    (norms,) = _norms([pi], char_rows([pi], pr), _class_weights(pr), pr)
     return norms
+
+
+def gelfand_bytes(q: int) -> int:
+    """About the most bytes classify_gelfand holds, from q alone: the table
+    with what char_rows holds while it builds it, plus the norms' class sums,
+    three (irreps, phi(rs)) int64 coordinate arrays and a slice of scratch.
+    The two phases do not overlap; their sum leaves a margin for the power
+    tables of Z[zeta_rs], which follow the prime factors of rs, not q: at
+    most 77 MB kept and 188 MB while built (q = 64) among the q it admits."""
+    n = q * q - 1
+    return table_bytes(q, per_entry=BUILD_ENTRY_BYTES) + 3 * 8 * n * euler_phi(n) + SLICE_BYTES
 
 
 def classify_gelfand(pr: GroupParams) -> set[GL2Irrep]:
@@ -561,12 +569,9 @@ def classify_gelfand(pr: GroupParams) -> set[GL2Irrep]:
 
     pi qualifies iff its two ``ind_norms`` agree: no multiplicity exceeds 1.
     """
-    require_budget(table_bytes(pr.q), f"the character table of GL2({pr.q})")
+    require_budget(gelfand_bytes(pr.q), f"the character table of GL2({pr.q})")
     irreps = enumerate_irreps(pr)
-    # built afresh, not from the per-q cache: the rows of all irreps hold
-    # (q^2 - 1)^2 entries, and the norm test reads them once
-    rows = char_rows(irreps, pr)
-    norms = _norms(irreps, rows, _pair_weights(pr, rows), pr)
+    norms = _norms(irreps, char_rows(irreps, pr), _class_weights(pr), pr)
     return {pi for pi, (squares, total) in zip(irreps, norms) if squares == total}
 
 
@@ -618,12 +623,6 @@ def _disagreement(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, closed: int, sums
         closed=closed,
         class_sum=sums,
     )
-
-
-def compare_methods(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> Disagreement | None:
-    closed = mult_closed(pi1, pi2, pi3, pr)
-    sums = mult_sum(pi1, pi2, pi3, pr)
-    return None if closed == sums else _disagreement(pi1, pi2, pi3, closed, sums, pr)
 
 
 def all_triples(pr: GroupParams) -> Iterator[tuple[GL2Irrep, GL2Irrep, GL2Irrep]]:

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from gl2rep import harmonic, oracle, tensor
+from gl2rep import gl2, harmonic, oracle, tensor
 from gl2rep.cli import SUITES, _value_ids, _value_json, build_parser, chartable_bytes, run
 from gl2rep.cyclotomic import Cyclotomic, root
 from gl2rep.gl2 import (
@@ -17,6 +17,7 @@ from gl2rep.gl2 import (
     char_value,
     enumerate_classes,
     enumerate_irreps,
+    label_bytes,
     params,
     parse_class,
     parse_irrep,
@@ -150,6 +151,39 @@ def test_table_commands_refuse_a_table_past_the_budget_before_allocating(command
         tracemalloc.stop()
     assert code == 1 and text.startswith("error: ") and "GL2(1024) needs about" in text
     assert peak < 1 << 20
+
+
+LABEL_COMMANDS = [["classes"], ["irreps"], ["tensor", "--left", "U:0", "--right", "V:1"]]
+
+
+@pytest.mark.parametrize("argv", LABEL_COMMANDS)
+def test_label_commands_refuse_a_huge_q_before_enumerating(argv):
+    # q = 1000003 has about 10^12 labels of each kind; the estimate from q refuses them
+    run(["classes", "--q", "2"], out=io.StringIO())  # builds the parser outside the trace
+    tracemalloc.start()
+    try:
+        code, text = _run([*argv, "--q", "1000003"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and text.startswith("error: ") and "labels of GL2(1000003) needs about" in text
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("argv", LABEL_COMMANDS)
+def test_the_label_budget_is_at_least_what_a_label_command_holds(argv):
+    run(["classes", "--q", "2"], out=io.StringIO())
+    for fmt in ("text", "json", "csv"):
+        # cold per-q caches, as in one CLI run
+        for cache in (gl2.class_table, gl2.class_params, tensor.irrep_table):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            code, _ = _run([*argv, "--q", "32", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak <= label_bytes(32)
 
 
 def test_chartable_budget_counts_the_ids_and_what_each_format_keeps_per_entry():

@@ -144,7 +144,7 @@ def test_ring_axioms(x, y, z):
 def test_canonical_uniqueness_matches_numeric(x, y):
     diff = x - y
     numerically_equal = abs(complex(x) - complex(y)) < 1e-9
-    assert diff.is_zero() == numerically_equal
+    assert (diff == 0) == numerically_equal
 
 
 def test_integer_demotion_is_transparent():

@@ -14,7 +14,6 @@ from gl2rep.gl2 import (
     GroupParams,
     char_inner_product,
     char_inner_products,
-    char_row,
     char_rows,
     char_terms,
     char_value,
@@ -178,7 +177,7 @@ def test_batched_orthogonality_sums_equal_a_cyclotomic_reference():
 
 def test_the_int64_bound_of_unit_rows_counts_the_classes():
     pr = params(3)
-    unit = unit_like(char_row(GL2Irrep.U(pr, 0), pr))
+    unit = unit_like(char_rows([GL2Irrep.U(pr, 0)], pr))
     assert int64_bound(pr.rs, np.ones(pr.rs, dtype=np.int64), unit, unit, unit) == pr.rs
     sizes = np.asarray(class_table(3)[1])
     assert int64_bound(pr.rs, sizes, unit, unit, unit) == pr.order
@@ -186,7 +185,7 @@ def test_the_int64_bound_of_unit_rows_counts_the_classes():
 
 def test_class_sum_refuses_a_sum_that_could_leave_int64_before_allocating():
     pr = params(3)
-    rows = [char_row(pi, pr) for pi in enumerate_irreps(pr)[-3:]]
+    rows = [char_rows([pi], pr) for pi in enumerate_irreps(pr)[-3:]]
     assert int64_bound(pr.rs, np.asarray(class_table(3)[1]), *rows) < 2**62
     huge = np.full(pr.rs, 2**58, dtype=np.int64)
     assert int64_bound(pr.rs, huge, *rows) >= 2**62
@@ -223,7 +222,7 @@ def test_closed_form_rows_are_the_packed_char_terms(q):
     irreps = enumerate_irreps(pr)
     _assert_same_stack(char_rows(irreps, pr), _reference_rows(irreps, pr))
     for pi in (irreps[0], irreps[pr.r], irreps[-1], *irreps[2 * pr.r : 2 * pr.r + 1]):
-        _assert_same_stack(char_row(pi, pr), _reference_rows([pi], pr))
+        _assert_same_stack(char_rows([pi], pr), _reference_rows([pi], pr))
     # a subset in any order, with repeats: its blocks are only as wide as its kinds need
     rng = np.random.default_rng(q)
     for size in (1, 2, 7, 40):

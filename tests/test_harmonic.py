@@ -31,6 +31,12 @@ def _as_cyclotomic(ctx, coords):
     return reduce_root_sum(ctx.rs, weights)
 
 
+def _inverse_times(ctx, y, x):
+    """The flat index of y^-1 x in the pair group, one factor at a time."""
+    n = ctx.n
+    return int(ctx.mul[ctx.inv[y // n], x // n]) * n + int(ctx.mul[ctx.inv[y % n], x % n])
+
+
 def test_budget():
     with pytest.raises(BudgetExceeded):
         pair_context(4)
@@ -164,7 +170,7 @@ def test_convolution_of_class_functions_is_a_class_function():
     for x in range(ctx.n2):
         acc = np.zeros(ctx.phi, dtype=object)
         for y in range(ctx.n2):
-            u = ctx.pair_mul(ctx.pair_inv(y), x)
+            u = _inverse_times(ctx, y, x)
             acc += np.einsum(
                 "c,d,cde->e",
                 f.coords[ctx.orb[y]].astype(object),
@@ -225,7 +231,7 @@ def test_centrality_inside_L_pi_at_q2():
         for x in range(ctx.n2):
             acc = np.zeros(ctx.phi, dtype=object)
             for y in range(ctx.n2):
-                u = ctx.pair_mul(ctx.pair_inv(y), x)
+                u = _inverse_times(ctx, y, x)
                 acc += np.einsum("c,d,cde->e", a[y], b[u], reduction)
             out[x] = acc
         return out

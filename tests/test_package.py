@@ -28,3 +28,60 @@ def test_library_invariants_are_not_asserts():
 def test_the_assert_check_sees_both_forms():
     source = "assert x\nraise AssertionError\nraise AssertionError('y')\nraise ValueError\n"
     assert _asserts(ast.parse(source)) == [1, 2, 3]
+
+
+# The unbounded caches the library may keep, one entry per argument (mostly
+# per q).  Any other is refused: a cache of whole tables grows with every q a
+# process touches.
+ALLOWED_CACHES = {
+    "cli._parser",
+    "cyclotomic._cyclotomic_polynomial",
+    "cyclotomic._power_entries",
+    "cyclotomic._power_table",
+    "gl2._unit_rows",
+    "gl2.class_params",
+    "gl2.class_table",
+    "gl2.params",
+    "harmonic.pair_context",
+    "oracle._context",
+    "oracle._eigenvalue",
+    "oracle.tower_for",
+    "tensor.irrep_table",
+}
+
+
+def _is_unbounded(dec: ast.expr) -> bool:
+    func = dec.func if isinstance(dec, ast.Call) else dec
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(dec, ast.Call):
+        return False
+    sizes = [*dec.args[:1], *(k.value for k in dec.keywords if k.arg == "maxsize")]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
+def _unbounded_caches(tree: ast.AST, module: str) -> list[str]:
+    """module.function of each function decorated with lru_cache(maxsize=None) or functools.cache."""
+    return [
+        f"{module}.{node.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(map(_is_unbounded, node.decorator_list))
+    ]
+
+
+def test_only_allowed_caches_are_unbounded():
+    found = [name for path in SOURCES for name in _unbounded_caches(ast.parse(path.read_text(), str(path)), path.stem)]
+    assert found and set(found) <= ALLOWED_CACHES, sorted(set(found) - ALLOWED_CACHES)
+
+
+def test_the_cache_check_sees_every_form():
+    source = (
+        "@lru_cache(maxsize=None)\ndef a(): pass\n"
+        "@functools.lru_cache(None)\ndef b(): pass\n"
+        "@functools.cache\ndef c(): pass\n"
+        "@cache\ndef d(): pass\n"
+        "@lru_cache(maxsize=8)\ndef e(): pass\n"
+        "@lru_cache\ndef f(): pass\n"
+    )
+    assert _unbounded_caches(ast.parse(source), "m") == ["m.a", "m.b", "m.c", "m.d"]

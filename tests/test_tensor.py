@@ -2,12 +2,13 @@
 
 import random
 import re
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from gl2rep import gl2, tensor
+from gl2rep import cyclotomic, gl2, tensor
 from gl2rep.cyclotomic import Cyclotomic
 from gl2rep.errors import GL2RepError, NegativeMultiplicity, NonIntegral, NotMultiplicityFree
 from gl2rep.gl2 import (
@@ -26,7 +27,6 @@ from gl2rep.gl2 import (
 from gl2rep.tensor import (
     all_triples,
     classify_gelfand,
-    compare_methods,
     decompose,
     dim_E,
     e_module_freeness_obstruction,
@@ -209,7 +209,7 @@ def test_closed_equals_sum_sampled_q7():
 def test_compare_methods_reports_cells():
     pr = params(3)
     v, w = GL2Irrep.V(pr, 0), GL2Irrep.W(pr, 0, 1)
-    assert compare_methods(v, w, w, pr) is None
+    assert verify_agreement(pr, [(v, w, w)]) == []
 
 
 def test_symmetry_and_duality():
@@ -330,6 +330,24 @@ def test_norm_test_equals_the_mult_closed_sweep(q):
     assert classify_gelfand(pr) == sweep
 
 
+def _column_sum_weights(pr):
+    """|c| * S(c)^2 with S(c) the column sums of the character table, taken
+    through class_sum: the reference of the closed form."""
+    cols = gl2.stack_rows(gl2.columns(gl2.char_rows(enumerate_irreps(pr), pr)))
+    unit = gl2.unit_like(cols)
+    every = np.arange(cols[0].rows)
+    first = np.zeros_like(every)
+    coords = gl2.class_sum(pr.rs, [1] * cols[0].length, cols, unit, unit, (every, first, first))
+    assert not coords[:, 1:].any()
+    return [size * s * s for size, s in zip(gl2.class_table(pr.q)[1], coords[:, 0].tolist())]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_the_closed_form_weights_are_the_column_sums_of_the_table(q):
+    pr = params(q)
+    assert tensor._class_weights(pr).tolist() == _column_sum_weights(pr)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_ind_norms_equal_the_ind_decompose_sums(q):
     pr = params(q)
@@ -378,6 +396,31 @@ def test_gelfand_at_large_q_is_the_dimension_rule(q, monkeypatch):
     assert got == {pi for pi in enumerate_irreps(pr) if pi.dim() in (1, q - 1)}
 
 
+@pytest.mark.parametrize("q", [16, 25, 32])
+def test_the_gelfand_budget_is_at_least_the_traced_peak(q):
+    # from cold power tables, as one CLI run builds them
+    pr = params(q)
+    irreps = enumerate_irreps(pr)
+    cyclotomic._power_entries.cache_clear()
+    cyclotomic._power_table.cache_clear()
+    tracemalloc.start()
+    try:
+        gl2.char_rows(irreps, pr)
+        rows_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        classify_gelfand(pr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows_peak <= gl2.table_bytes(q, per_entry=gl2.BUILD_ENTRY_BYTES)
+    assert peak <= tensor.gelfand_bytes(q)
+
+
+def test_the_gelfand_budget_admits_q_64_and_refuses_q_71():
+    # worked out from q, never allocated
+    assert tensor.gelfand_bytes(64) <= gl2.TABLE_BYTES_LIMIT < tensor.gelfand_bytes(71)
+
+
 def _corrupt(monkeypatch, module, irrep, cls, change):
     """Apply ``change`` to the (coef, exp) terms of one character value in the
     rows that ``module.char_rows`` builds; it keeps the number of terms."""
@@ -411,13 +454,14 @@ def test_a_corrupted_character_value_breaks_the_pair_sum(monkeypatch):
 
 
 def test_a_corrupted_character_value_changes_the_set(monkeypatch):
-    # chi_W:0,2(c3:0,2) = 2 -> -2 keeps every sum integral; the U family
-    # then fails the norm test, so the set changes instead
+    # chi_U:0(c3:1,3) = 1 -> -1, on a class of determinant 1, whose weight
+    # |c| S(c)^2 the norm test reads: both sums stay integral, but U:0 then
+    # fails the test, so the set changes instead
     pr = params(5)
     before = classify_gelfand(pr)
-    _corrupt(monkeypatch, tensor, "W:0,2", "c3:0,2", lambda terms: tuple((-a, e) for a, e in terms))
+    _corrupt(monkeypatch, tensor, "U:0", "c3:1,3", lambda terms: tuple((-a, e) for a, e in terms))
     after = classify_gelfand(pr)
-    assert after == before - {GL2Irrep.U(pr, a) for a in range(pr.r)}
+    assert after == before - {GL2Irrep.U(pr, 0)}
 
 
 def test_dim_E_values():
@@ -573,15 +617,7 @@ def test_disagreements_follow_iteration_order(monkeypatch, chunk_bytes):
         assert [(d.left, d.right, d.target) for d in got] == order[:k]
 
 
-@pytest.fixture
-def fresh_rows():
-    """Clear the cached character rows before and after a test that corrupts them."""
-    gl2._char_row.cache_clear()
-    yield
-    gl2._char_row.cache_clear()
-
-
-def test_a_non_integral_class_sum_names_the_first_triple(monkeypatch, fresh_rows):
+def test_a_non_integral_class_sum_names_the_first_triple(monkeypatch):
     pr = params(3)
     x, v, w, u = GL2Irrep.X(pr, 1), GL2Irrep.V(pr, 0), GL2Irrep.W(pr, 0, 1), GL2Irrep.U(pr, 1)
     real = gl2.char_terms
@@ -593,9 +629,8 @@ def test_a_non_integral_class_sum_names_the_first_triple(monkeypatch, fresh_rows
         terms = real(pi, c, pr)
         return shifted(terms) if (pi.label(), c.label()) == ("X:1", "c4:1") else terms
 
-    # the same entry in the scalar reference, in the cached rows and in verify_agreement's stacks
+    # the same entry in the scalar reference and in the stacks mult_sum and verify_agreement build
     monkeypatch.setattr(gl2, "char_terms", corrupted)
-    _corrupt(monkeypatch, gl2, "X:1", "c4:1", shifted)
     _corrupt(monkeypatch, tensor, "X:1", "c4:1", shifted)
     ok1, ok2, bad1, ok3, bad2 = (v, w, w), (u, v, v), (u, x, x), (w, w, v), (x, v, x)
     assert _reference_numerators(pr, [bad1])[0].order != 1
