@@ -27,6 +27,7 @@ from .gl2 import (
     class_inner_products,
     enumerate_classes,
     enumerate_irreps,
+    label_bytes,
     params,
     parse_irrep,
     require_budget,
@@ -39,27 +40,10 @@ SAMPLED_TRIPLES = 10_000
 EXHAUSTIVE_TENSOR_MAX_Q = 5
 
 
-# The indenting JSON encoder is pure Python and yields one token at a time;
-# joining them all at once holds about nine times the text, so they are
-# joined and written in blocks.
-JSON_BLOCK_CHARS = 1 << 13
-
-
 def _write_json(payload, out, indent: int | None = None) -> None:
-    """One JSON document and its newline: one write, or one per block when indented."""
-    if indent is None:
-        # json.dumps takes the C encoder here; json.dump never does
-        out.write(json.dumps(payload) + "\n")
-        return
-    block, size = [], 0
-    for token in json.JSONEncoder(indent=indent).iterencode(payload):
-        block.append(token)
-        size += len(token)
-        if size >= JSON_BLOCK_CHARS:
-            out.write("".join(block))
-            block, size = [], 0
-    block.append("\n")
-    out.write("".join(block))
+    """One JSON document and its newline, in one write."""
+    # json.dumps takes the C encoder when not indenting; json.dump never does
+    out.write(json.dumps(payload, indent=indent) + "\n")
 
 
 # Rows per write of a table or a list of JSON records.
@@ -624,6 +608,9 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if hasattr(args, "q"):
+            # before params(q): factoring a large prime q takes about sqrt(q) steps
+            require_budget(label_bytes(args.q), f"the labels of GL2({args.q})")
         return _COMMANDS[args.command](args, out)
     except (InvalidLabel, NotPrimePower) as exc:
         out.write(f"error: {exc}\n")

@@ -28,22 +28,27 @@ from .errors import NonIntegral, OrderTooLarge
 MAX_ORDER = 2**31
 
 
+def smallest_prime_factor(n: int) -> int:
+    """The smallest prime factor of n >= 2, by trial division up to isqrt(n)."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 1
+    return n
+
+
 def euler_phi(n: int) -> int:
     """Euler totient of a positive integer."""
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
-    result = n
     m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    while m > 1:
+        p = smallest_prime_factor(m)
+        n -= n // p
+        while m % p == 0:
+            m //= p
+    return n
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -53,22 +58,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
             for j, bj in enumerate(b):
                 out[i + j] += ai * bj
     return out
-
-
-def _poly_divmod_exact(num: Sequence[int], den: Sequence[int]) -> list[int]:
-    """Quotient of num by monic den; remainder must vanish."""
-    num = list(num)
-    dn = len(den) - 1
-    quot = [0] * (len(num) - dn)
-    for i in range(len(quot) - 1, -1, -1):
-        c = num[i + dn]
-        if c:
-            quot[i] = c
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    return quot
 
 
 def _check_order(n: int) -> None:
@@ -81,8 +70,9 @@ def _check_order(n: int) -> None:
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (constant term first) of the monic N-th cyclotomic polynomial.
 
-    Computed by exact division of x^n - 1 by the product of the d-th
-    cyclotomic polynomials over proper divisors d of n.
+    The Moebius product over the squarefree divisors e of n of the binomials
+    (x^(n/e) - 1)^mu(e): the product of those with mu(e) = 1, divided exactly
+    by each of the rest.
     """
     _check_order(n)
     return _cyclotomic_polynomial(n)
@@ -90,14 +80,23 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    if n == 1:
-        return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _poly_mul(den, _cyclotomic_polynomial(d))
-    return tuple(_poly_divmod_exact(num, den))
+    # the exponents n/e with mu(e) = 1 and with mu(e) = -1, one prime factor p of n at a time
+    plus, minus, rest = [n], [], n
+    while rest > 1:
+        p = smallest_prime_factor(rest)
+        plus, minus = plus + [m // p for m in minus], minus + [m // p for m in plus]
+        while rest % p == 0:
+            rest //= p
+    poly = [1]
+    for m in plus:
+        # times x^m - 1
+        poly = [c - (poly[i] if i < len(poly) else 0) for i, c in enumerate([0] * m + poly)]
+    for m in minus:
+        # over x^m - 1: poly = quot * (x^m - 1) gives quot[i] = quot[i - m] - poly[i]
+        poly = [-c for c in poly[: len(poly) - m]]
+        for i in range(m, len(poly)):
+            poly[i] += poly[i - m]
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

@@ -22,20 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cyclotomic import smallest_prime_factor
 from .errors import BudgetExceeded, GL2RepError, NotPrime, NotPrimePower, ZeroElement
 
 MAX_Q = 16
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and smallest_prime_factor(p) == p
 
 
 class GF:

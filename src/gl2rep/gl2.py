@@ -16,6 +16,9 @@ through the multiplicative characters alpha_a (order r, alpha_a(rho) =
 zeta_r^a) and phi_n (order rs, phi_n(sigma) = zeta_rs^n), with the
 compatibilities alpha_a(rho^j) = phi_{s*a}(sigma^j) and phi_n(sigma^{s*j})
 = alpha_{n mod r}(rho^j).
+
+Character rows come in closed form from cell tables (``cell_rows``);
+``char_terms`` is the scalar reference the tests pack and hold them to.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .cyclotomic import Cyclotomic, euler_phi, fold_bound, fold_rows, fold_width, reduce_root_sum
+from .cyclotomic import smallest_prime_factor
 from .errors import BudgetExceeded, GL2RepError, InvalidLabel, MismatchedQ, NonIntegral, NotPrimePower
 
 IRREP_KINDS = ("U", "V", "W", "X")
@@ -36,18 +39,13 @@ CLASS_KINDS = ("c1", "c2", "c3", "c4")
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise NotPrimePower(f"{q} is not a prime power")
-    # a composite q has a prime factor p <= isqrt(q); the smallest divisor is prime
-    p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
-    ell = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        ell += 1
-    if m != 1:
-        raise NotPrimePower(f"{q} is not a prime power")
-    return p, ell
+    if q >= 2:
+        p, ell = smallest_prime_factor(q), 1
+        while p**ell < q:
+            ell += 1
+        if p**ell == q:
+            return p, ell
+    raise NotPrimePower(f"{q} is not a prime power")
 
 
 @dataclass(frozen=True)
@@ -245,9 +243,11 @@ def enumerate_classes(pr: GroupParams) -> list[GL2Class]:
     return out
 
 
-def _check_same_q(a, b, pr: GroupParams) -> None:
-    if a.q != pr.q or b.q != pr.q:
-        raise MismatchedQ(f"labels {a!r}, {b!r} do not both live over q={pr.q}")
+def check_q(labels, pr: GroupParams) -> None:
+    """MismatchedQ unless every label lives over pr.q."""
+    for x in labels:
+        if x.q != pr.q:
+            raise MismatchedQ(f"{x!r} does not live over q={pr.q}")
 
 
 def char_terms(pi: GL2Irrep, c: GL2Class, pr: GroupParams) -> tuple[tuple[int, int], ...]:
@@ -257,10 +257,10 @@ def char_terms(pi: GL2Irrep, c: GL2Class, pr: GroupParams) -> tuple[tuple[int, i
     contributes exponent a*j*s since zeta_r = zeta_rs^s.
 
     This is the scalar reference, one entry at a time: ``char_rows`` builds
-    whole stacks of rows in closed form, and the tests hold it to
-    ``pack_rows`` of these terms.
+    whole stacks of rows in closed form, and the tests hold them to these
+    terms packed into rows.
     """
-    _check_same_q(pi, c, pr)
+    check_q((pi, c), pr)
     s, rs, q, r = pr.s, pr.rs, pr.q, pr.r
     kind = pi.kind
     if kind == "U":
@@ -345,8 +345,6 @@ class Block(NamedTuple):
 # no zero terms.
 Rows = tuple[Block, ...]
 
-# Rows pack_rows turns into arrays at a time.
-_PACK_ROWS = 16
 # Scratch bytes one slice of a class_sum batch may hold; the batch is cut to fit.
 SLICE_BYTES = 1 << 21
 # Every coordinate and every partial sum behind it stays below this.
@@ -361,68 +359,17 @@ def class_table(q: int) -> tuple[tuple[GL2Class, ...], tuple[int, ...], dict[GL2
     return classes, tuple(c.size() for c in classes), {c: i for i, c in enumerate(classes)}
 
 
-def _class_blocks(q: int) -> tuple[int, ...]:
-    """Lengths of the c1, c2, c3 and c4 runs of the canonical class order."""
-    r = q - 1
-    return (r, r, r * (r - 1) // 2, q * r // 2)
-
-
-def _block(terms: np.ndarray) -> Block:
-    return Block(terms, int(np.abs(terms[0]).sum(axis=0).max(initial=0)))
-
-
-def pack_rows(term_rows, q: int) -> Rows:
-    """A stack of rows of character terms, each row one sequence of (coef, exp)
-    terms per class in canonical class order.  The entries of a block shorter
-    than its widest are padded with zero terms.
-
-    Rows are packed _PACK_ROWS at a time, so an iterable of rows is never
-    held whole as Python tuples.
-    """
-    rows, parts = iter(term_rows), []
-    while part := list(islice(rows, _PACK_ROWS)):
-        parts.append(_pack(part, q))
-    return stack_rows(parts)
-
-
-def _pack(term_rows: list, q: int) -> Rows:
-    rs = q * q - 1
-    blocks, lo = [], 0
-    for length in _class_blocks(q):
-        cells = [row[lo : lo + length] for row in term_rows]
-        lo += length
-        width = max((len(t) for row in cells for t in row), default=0)
-        pad = [((0, 0),) * k for k in range(width + 1)]
-        flat = chain.from_iterable(
-            chain.from_iterable(t + pad[width - len(t)] for row in cells for t in row)
-        )
-        count = 2 * width * length * len(cells)
-        terms = np.fromiter(flat, dtype=np.int64, count=count).reshape(len(cells), length, width, 2)
-        terms = np.ascontiguousarray(terms.transpose(3, 2, 0, 1))
-        terms[1] %= rs
-        blocks.append(_block(terms))
-    return tuple(blocks)
-
-
-def stack_rows(stacks) -> Rows:
-    """One stack of the rows of several stacks over the same blocks; each block
-    is padded with zero terms to the widest of them."""
-    out = []
-    for blocks in zip(*stacks):
-        width = max(b.width for b in blocks)
-        parts = [
-            b.terms if b.width == width else np.pad(b.terms, ((0, 0), (0, width - b.width), (0, 0), (0, 0)))
-            for b in blocks
-        ]
-        out.append(Block(np.concatenate(parts, axis=2), max(b.peak for b in blocks)))
-    return tuple(out)
-
-
-def columns(rows: Rows) -> Iterator[Rows]:
-    """The columns of a stack of character rows, one stack per class block,
-    each over a single block, the rows: the class blocks transposed.  Each is
-    copied as it is reached, so only one transposed block is held at a time."""
-    return ((Block(np.ascontiguousarray(b.terms.transpose(0, 1, 3, 2)), b.peak),) for b in rows)
+def columns(rows: Rows) -> Rows:
+    """The columns of a stack of character rows as a stack over one block, the
+    rows: one row per class in class order, each padded with zero terms to
+    the widest block."""
+    width = max(b.width for b in rows)
+    terms = np.zeros((2, width, sum(b.length for b in rows), rows[0].rows), dtype=np.int64)
+    at = 0
+    for b in rows:
+        terms[:, : b.width, at : at + b.length] = b.terms.transpose(0, 1, 3, 2)
+        at += b.length
+    return (Block(terms, max(b.peak for b in rows)),)
 
 
 def unit_like(rows: Rows) -> Rows:
@@ -444,10 +391,16 @@ def _unit_rows(lengths: tuple[int, ...]) -> Rows:
 # command derives from it entry by entry, may take.
 TABLE_BYTES_LIMIT = 1 << 30
 
-# Bytes per entry char_rows holds besides the blocks while it fills them: at
-# most two int64 (rows, length) exponent arrays beside the c4 block, 8 bytes
-# per entry of the stack; its tracemalloc peak is 1.25 table_bytes at q = 16 to 49.
+# What char_rows holds besides the blocks while it fills them, counted by
+# build_bytes.  Per entry of the stack: at most two int64 (rows, length)
+# exponent arrays beside the c4 block.  Per label, irrep or class: the label
+# arrays, and the class parameters, which class_params builds from Python
+# lists when cold (at most 95 and 30 bytes under tracemalloc).  Per call:
+# the cell tables and the temporaries numpy keeps of arrays too small for it
+# to elide (at most 50 KB, q = 2 to 64 and 1 to 1024 rows).
 BUILD_ENTRY_BYTES = 8
+BUILD_LABEL_BYTES = 128
+BUILD_CALL_BYTES = 1 << 16
 
 # Bytes per label the label commands hold: the labels with their per-q
 # tables and rendered columns, 770 at most (irreps in text at q = 32, 64 and
@@ -472,6 +425,14 @@ def table_bytes(q: int, rows: int | None = None, per_entry: int = 0) -> int:
     return rows * (16 * slots + per_entry * (q * q - 1))
 
 
+def build_bytes(q: int, rows: int | None = None) -> int:
+    """The most bytes char_rows holds while it builds ``rows`` character rows
+    of GL2(q), every irrep by default, from cold per-q caches, worked out
+    from q alone: the stack and what it holds besides (``BUILD_*_BYTES``)."""
+    rows = q * q - 1 if rows is None else rows
+    return table_bytes(q, rows, per_entry=BUILD_ENTRY_BYTES) + BUILD_LABEL_BYTES * (rows + q * q - 1) + BUILD_CALL_BYTES
+
+
 def require_budget(need: int, what: str) -> None:
     """BudgetExceeded, raised before anything is allocated, if ``need`` bytes,
     an estimate from q alone such as ``table_bytes``, pass TABLE_BYTES_LIMIT."""
@@ -487,26 +448,46 @@ def class_params(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     return np.arange(pr.r), pairs[:, 0], pairs[:, 1], np.array(x_orbit_reps(pr), dtype=np.int64)
 
 
+def cell_rows(kind: np.ndarray, cells) -> Rows:
+    """A stack of rows from a cell table: one row per kind code in ``kind``
+    and one block per cell (length, coefs, exponents).  coefs[t] holds the
+    coefficient of term t for each kind, constant over the block as a
+    (terms, kinds) table or varying as a (terms, kinds, length) array, 0
+    where an entry lacks the term; exponents[t]() returns its (rows, length)
+    exponents mod rs and is called only if some row has the term.  An
+    entry's terms come first, so a block is as wide as the most terms of an
+    entry of these rows; its peak is the largest sum of |coef| over an entry."""
+    blocks = []
+    for length, coefs, exponents in cells:
+        table = np.asarray(coefs, dtype=np.int64)
+        # a constant stays a column that broadcasts; a block of no classes has no terms
+        table = (table if table.ndim == 3 else table[..., None])[..., :length]
+        present = np.bincount(kind, minlength=table.shape[1]) > 0
+        width = int((table != 0).sum(axis=0)[present].max(initial=0))
+        out = np.zeros((2, width, len(kind), length), dtype=np.int64)
+        out[0] = table[:width, kind]
+        for t in range(width):
+            out[1, t] = exponents[t]()
+        # an entry that lacks a term holds the zero term (0, 0) in its place
+        out[1] *= out[0] != 0
+        blocks.append(Block(out, int(np.abs(table).sum(axis=0)[present].max(initial=0))))
+    return tuple(blocks)
+
+
 def char_rows(irreps, pr: GroupParams) -> Rows:
     """The character rows of these irreps, in this order, as one stack.
 
-    Each (irrep kind x class kind) cell is built with numpy broadcasting
-    from the label arrays (a, b), read as (a, a) for U_a and V_a and (n, n)
-    for X_[n], and the class arrays (k, l, m).  The coefficient of each
-    term is a constant of the cell (1, q, s, r or -1) and its exponent an
-    affine or bilinear form mod rs, read off char_terms.  The stack is
-    pack_rows of the char_terms rows, array for array: the same term
-    order, zero padding, widths and peak.  BudgetExceeded is raised,
-    before anything is allocated, if the stack and what is held while it
-    is built (BUILD_ENTRY_BYTES per entry) pass TABLE_BYTES_LIMIT.
+    The cell table of GL2(q), built by ``cell_rows`` from the label arrays
+    (a, b), read as (a, a) for U_a and V_a and (n, n) for X_[n], and the
+    class arrays (k, l, m).  The coefficient of each term is a constant of
+    its (irrep kind x class kind) cell (1, q, s, r or -1) and its exponent
+    an affine or bilinear form mod rs, read off char_terms, which the tests
+    hold it to entry for entry.  BudgetExceeded is raised, before anything
+    is allocated, if the stack and what is held while it is built
+    (``build_bytes``) pass TABLE_BYTES_LIMIT.
     """
-    require_budget(
-        table_bytes(pr.q, len(irreps), per_entry=BUILD_ENTRY_BYTES),
-        f"the character rows of {len(irreps)} irreps of GL2({pr.q})",
-    )
-    for pi in irreps:
-        if pi.q != pr.q:
-            raise MismatchedQ(f"{pi!r} does not live over q={pr.q}")
+    require_budget(build_bytes(pr.q, len(irreps)), f"the character rows of {len(irreps)} irreps of GL2({pr.q})")
+    check_q(irreps, pr)
     if not irreps:
         return ()
     kind = np.array([IRREP_KINDS.index(pi.kind) for pi in irreps], dtype=np.int64)
@@ -521,39 +502,19 @@ def char_rows(irreps, pr: GroupParams) -> Rows:
     def outer(x, y):
         return np.multiply.outer(x, y) % rs
 
-    # per class block: its parameters and, per term, the coefficient for each
-    # irrep kind (U, V, W, X; 0 where the entry has no such term) and its exponents
-    cells = (
-        (k, (((1, q, s, r), lambda: outer(central, k)),)),
-        (k, (((1, 0, 1, -1), lambda: outer(central, k)),)),
+    # per class block, the coefficients of its terms for each irrep kind (U, V, W, X) and their exponents
+    scalar = (lambda: outer(central, k),)
+    split = (lambda: (outer(a_s, k3) + outer(b_s, l3)) % rs, lambda: (outer(a_s, l3) + outer(b_s, k3)) % rs)
+    elliptic = (lambda: outer(np.where(cusp, a, a_s), m), lambda: outer(a * q % rs, m))
+    return cell_rows(
+        kind,
         (
-            k3,
-            (
-                ((1, 1, 1, 0), lambda: (outer(a_s, k3) + outer(b_s, l3)) % rs),
-                ((0, 0, 1, 0), lambda: (outer(a_s, l3) + outer(b_s, k3)) % rs),
-            ),
-        ),
-        (
-            m,
-            (
-                ((1, -1, 0, -1), lambda: outer(np.where(cusp, a, a_s), m)),
-                ((0, 0, 0, -1), lambda: outer(a * q % rs, m)),
-            ),
+            (r, [(1, q, s, r)], scalar),
+            (r, [(1, 0, 1, -1)], scalar),
+            (len(k3), [(1, 1, 1, 0), (0, 0, 1, 0)], split),
+            (len(m), [(1, -1, 0, -1), (0, 0, 0, -1)], elliptic),
         ),
     )
-    present = np.bincount(kind, minlength=len(IRREP_KINDS)) > 0
-    blocks = []
-    for classes, terms in cells:
-        coefs = np.array([c for c, _ in terms], dtype=np.int64)
-        width = int((coefs != 0).sum(axis=0)[present].max()) if len(classes) else 0
-        out = np.zeros((2, width, len(kind), len(classes)), dtype=np.int64)
-        for t, (_, exponents) in enumerate(terms[:width]):
-            coef = coefs[t][kind][:, None]
-            out[0, t] = coef
-            out[1, t] = np.where(coef != 0, exponents(), 0)
-        peak = int(np.abs(coefs).sum(axis=0)[present].max()) if len(classes) else 0
-        blocks.append(Block(out, peak))
-    return tuple(blocks)
 
 
 def int64_bound(rs: int, weights: np.ndarray, a: Rows, b: Rows, c: Rows) -> int:
@@ -651,9 +612,9 @@ def char_inner_product(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> int:
 
 def class_inner_product(c1: GL2Class, c2: GL2Class, pr: GroupParams) -> int:
     """Column sum over irreps of chi(c1) conj(chi(c2)); |G|/|c| on the diagonal."""
-    _check_same_q(c1, c2, pr)
+    check_q((c1, c2), pr)
     _, _, index = class_table(pr.q)
-    cols = stack_rows(columns(char_rows(enumerate_irreps(pr), pr)))
+    cols = columns(char_rows(enumerate_irreps(pr), pr))
     ones = [1] * cols[0].length
     coords = class_sum(pr.rs, ones, cols, unit_like(cols), cols, ([index[c1]], [0], [index[c2]]))
     return rational(coords[0], f"column product of {c1.label()} and {c2.label()}")
@@ -679,7 +640,7 @@ def char_inner_products(pr: GroupParams) -> list[int]:
 
 def class_inner_products(pr: GroupParams) -> list[int]:
     """class_inner_product of every pair c_i, c_j (i <= j) of classes in canonical order, row-major."""
-    cols = stack_rows(columns(char_rows(enumerate_irreps(pr), pr)))
+    cols = columns(char_rows(enumerate_irreps(pr), pr))
     return _pair_sums(pr.rs, [1] * cols[0].length, cols, class_table(pr.q)[0], "column product")
 
 

@@ -16,6 +16,8 @@ Class parameter conventions, with omega = rho^(r/d), d = gcd(3, r):
     C8(k)             k in Z_t, k != 0 mod t/d, orbit k ~ q*k ~ q^2*k
 
 The pi_rt value on C7(k) is -(phi_u(sigma^-k) + phi_u(sigma^-qk)).
+The rows on the embedded GL2 classes come in closed form (``sl3_rows``);
+``embed_class`` and ``sl3_char_terms`` are the scalar references.
 """
 
 from __future__ import annotations
@@ -27,16 +29,20 @@ import numpy as np
 from .cyclotomic import Cyclotomic
 from .errors import InvalidLabel, MismatchedQ, WitnessFailed
 from .gl2 import (
+    SLICE_BYTES,
     GL2Class,
     GL2Irrep,
     GroupParams,
+    Rows,
     _Label,
+    cell_rows,
     char_rows,
+    check_q,
+    class_params,
     class_sum,
     class_table,
     divide_exact,
     enumerate_irreps,
-    pack_rows,
     params,
     rational,
     require_budget,
@@ -227,16 +233,62 @@ def sl3_char_value(pi: SL3Irrep, c: SL3Class, pr: GroupParams) -> Cyclotomic:
     return terms_value(pr.rs, sl3_char_terms(pi, c, pr))
 
 
+def sl3_rows(pis, pr: GroupParams) -> Rows:
+    """The character rows of these SL3 irreps on the embedded GL2 classes, in
+    this order and in canonical class order, as one stack: the cell table of
+    sl3_char_terms and embed_class, which the tests hold it to entry for entry.
+
+    A coefficient varies over a GL2 class block with the SL3 class that each
+    class meets.  c1:k and c2:k meet C1 and C2 when k = 0 mod r/d, and C4(k)
+    and C5(k) otherwise.  c3:k,l meets C4(x) when 2x + y = 0 mod r for {x, y}
+    = {k, l}, and otherwise C6, whose piT terms run over the sorted exponents
+    {k, l, -k-l}.  c4:m meets C7(min(-m, -qm) mod rs).  The exponents are
+    alpha_u(rho^e) = u e s, u = 0 for piQS, but -u k and -u q k for piRT on C7.
+    """
+    check_q(pis, pr)
+    if not pis:
+        return ()
+    kind = np.array([SL3_IRREP_KINDS.index(pi.kind) for pi in pis], dtype=np.int64)
+    u = np.array([pi.data[0] if pi.data else 0 for pi in pis], dtype=np.int64)
+    q, r, s, rs, t = pr.q, pr.r, pr.s, pr.rs, pr.t
+    k, k3, l3, m = class_params(q)
+    central = k % (r // pr.d) == 0
+    # c3:k,l meets C4(x) if 2x + y = 0 mod r for {x, y} = {k, l}, k tested first
+    x = np.where((2 * k3 + l3) % r == 0, k3, l3)
+    c6 = (x + k3 + l3) % r != 0
+    low, mid, high = np.sort([k3, l3, (-k3 - l3) % r], axis=0)
+    k7 = np.minimum(-m % rs, -q * m % rs)
+    rt = kind == SL3_IRREP_KINDS.index("piRT")
+
+    def power(base, e):
+        """zeta_rs^(base_i e_j) for each row i and class j."""
+        return np.multiply.outer(base % rs, e) % rs
+
+    def meets(where, there, elsewhere):
+        """Coefficients (terms, kinds, classes) of a block: ``there`` on the classes where ``where`` holds."""
+        return np.where(where, np.array(there)[..., None], np.array(elsewhere)[..., None])
+
+    # per class block, the coefficients of its terms for each SL3 kind (piQS, piT, piRT) on the SL3
+    # classes it meets, and their exponents; piT has a second term off the centre
+    c1 = meets(central, [(q * s, t, r * t), (0, 0, 0)], [(s, s, r), (0, 1, 0)])
+    c2 = meets(central, [(q, s, -1), (0, 0, 0)], [(1, 1, -1), (0, 1, 0)])
+    c3 = meets(c6, [(2, 1, 0), (0, 1, 0), (0, 1, 0)], [(s, s, r), (0, 1, 0), (0, 0, 0)])
+    c7 = [(0, 1, -1), (0, 0, -1)]
+    scalar = (lambda: power(u * s, k), lambda: power(u * s, -2 * k))
+    split = (
+        lambda: power(u * s, np.where(c6, low, x)),
+        lambda: power(u * s, np.where(c6, mid, -2 * x)),
+        lambda: power(u * s, high),
+    )
+    elliptic = (lambda: power(np.where(rt, -u, u * s), k7), lambda: power(-u * q, k7))
+    return cell_rows(kind, ((r, c1, scalar), (r, c2, scalar), (len(k3), c3, split), (len(m), c7, elliptic)))
+
+
 def _restriction_mults(pairs: list[tuple[SL3Irrep, GL2Irrep]], pr: GroupParams) -> Iterator[int]:
     """restriction_mult of every (pi, tau) pair, from one class_sum call; each
     sum is checked to be a multiple of |G| as its value is taken."""
-    for pi, tau in pairs:
-        if pi.q != pr.q or tau.q != pr.q:
-            raise MismatchedQ(f"{pi!r}, {tau!r} must both live over q={pr.q}")
-    classes, sizes, _ = class_table(pr.q)
-    embedded = [embed_class(c, pr) for c in classes]
-    # tau's row is built afresh: a witness sweep visits each tau once
-    pi_rows = pack_rows(([sl3_char_terms(pi, e, pr) for e in embedded] for pi, _ in pairs), pr.q)
+    _, sizes, _ = class_table(pr.q)
+    pi_rows = sl3_rows([pi for pi, _ in pairs], pr)
     tau_rows = char_rows([tau for _, tau in pairs], pr)
     every = np.arange(len(pairs))
     coords = class_sum(pr.rs, sizes, pi_rows, unit_like(pi_rows), tau_rows, (every, np.zeros_like(every), every))
@@ -304,16 +356,21 @@ def witness_no_gelfand(tau: GL2Irrep, pr: GroupParams) -> tuple[SL3Irrep, int]:
     return pi, mult
 
 
+def witness_bytes(q: int) -> int:
+    """About the most bytes witness_report holds, from q alone: the SL3 and GL2
+    rows (up to three terms per entry in the first) and a class_sum slice."""
+    return table_bytes(q, per_entry=48) + SLICE_BYTES
+
+
 def witness_report(pr: GroupParams) -> list[dict]:
     """Witness table over all GL2(q) irreducibles, with the d = 3 caveat flagged.
 
     For X-type tau the bullet-list value (two) and the worked multiplicity
     (d + 1) differ when d = 3; the computed value is reported and the
     affected rows carry a note.  BudgetExceeded is raised, before anything
-    is allocated, if the stacks of SL3 and GL2 rows (up to three terms per
-    entry in the first) would pass the table limit.
+    is allocated, if ``witness_bytes`` passes the table limit.
     """
-    require_budget(table_bytes(pr.q, per_entry=48), f"the SL3 and GL2 rows of the witnesses over GL2({pr.q})")
+    require_budget(witness_bytes(pr.q), f"the SL3 and GL2 rows of the witnesses over GL2({pr.q})")
     pairs = [(witness_irrep(tau, pr), tau) for tau in enumerate_irreps(pr)]
     rows = []
     # the restriction sums of every witness at once; checked as witness_no_gelfand checks one

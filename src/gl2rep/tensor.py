@@ -76,20 +76,16 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .cyclotomic import Cyclotomic, euler_phi
-from .errors import (
-    GL2RepError,
-    MismatchedQ,
-    NegativeMultiplicity,
-    NotMultiplicityFree,
-)
+from .errors import GL2RepError, NegativeMultiplicity, NotMultiplicityFree
 from .gl2 import (
-    BUILD_ENTRY_BYTES,
     IRREP_KINDS,
     SLICE_BYTES,
     GL2Irrep,
     GroupParams,
     Rows,
+    build_bytes,
     char_rows,
+    check_q,
     class_params,
     class_sum,
     class_table,
@@ -98,7 +94,6 @@ from .gl2 import (
     params,
     rational,
     require_budget,
-    table_bytes,
     unit_like,
 )
 
@@ -161,8 +156,7 @@ def operand(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int, int]:
     to u + t (mod r), or to u + s*t (mod rs) for X, and the dual maps u to -u;
     two labels of one kind are equal iff their pairs are.
     """
-    if pi.q != pr.q:
-        raise MismatchedQ(f"{pi!r} does not live over q={pr.q}")
+    check_q((pi,), pr)
     kind = IRREP_KINDS.index(pi.kind)
     if kind == X:
         return kind, pi.data[0], pr.q * pi.data[0] % pr.rs
@@ -561,7 +555,7 @@ def gelfand_bytes(q: int) -> int:
     tables of Z[zeta_rs], which follow the prime factors of rs, not q: at
     most 77 MB kept and 188 MB while built (q = 64) among the q it admits."""
     n = q * q - 1
-    return table_bytes(q, per_entry=BUILD_ENTRY_BYTES) + 3 * 8 * n * euler_phi(n) + SLICE_BYTES
+    return build_bytes(q) + 3 * 8 * n * euler_phi(n) + SLICE_BYTES
 
 
 def classify_gelfand(pr: GroupParams) -> set[GL2Irrep]:

@@ -157,17 +157,25 @@ LABEL_COMMANDS = [["classes"], ["irreps"], ["tensor", "--left", "U:0", "--right"
 
 
 @pytest.mark.parametrize("argv", LABEL_COMMANDS)
-def test_label_commands_refuse_a_huge_q_before_enumerating(argv):
-    # q = 1000003 has about 10^12 labels of each kind; the estimate from q refuses them
+def test_label_commands_refuse_a_huge_q_before_enumerating(argv, monkeypatch):
+    # q = 1000003 has about 10^12 labels of each kind; the estimate from q
+    # refuses them, and refuses the prime 2^61 - 1 before trial division,
+    # which would take about 1.5 * 10^9 steps
     run(["classes", "--q", "2"], out=io.StringIO())  # builds the parser outside the trace
-    tracemalloc.start()
-    try:
-        code, text = _run([*argv, "--q", "1000003"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 1 and text.startswith("error: ") and "labels of GL2(1000003) needs about" in text
-    assert peak < 1 << 20
+
+    def no_factoring(q):
+        raise AssertionError(f"factored {q}")
+
+    monkeypatch.setattr(gl2, "_factor_prime_power", no_factoring)
+    for q in (1000003, 2**61 - 1):
+        tracemalloc.start()
+        try:
+            code, text = _run([*argv, "--q", str(q)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and text.startswith("error: ") and f"labels of GL2({q}) needs about" in text
+        assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("argv", LABEL_COMMANDS)

@@ -4,10 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gl2rep.cli import _parse_sl3_irrep
 from gl2rep.cyclotomic import Cyclotomic, root
 from gl2rep.errors import BudgetExceeded, GL2RepError, InvalidLabel, MismatchedQ, NotPrimePower
 from gl2rep.gl2 import (
+    CLASS_KINDS,
     TABLE_BYTES_LIMIT,
     GL2Class,
     GL2Irrep,
@@ -24,7 +28,6 @@ from gl2rep.gl2 import (
     enumerate_classes,
     enumerate_irreps,
     int64_bound,
-    pack_rows,
     params,
     parse_class,
     parse_irrep,
@@ -32,6 +35,7 @@ from gl2rep.gl2 import (
     table_bytes,
     unit_like,
 )
+from packed import assert_same_stack, pack_rows
 
 PRIME_POWERS_TO_16 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
@@ -54,7 +58,8 @@ def test_params_of_a_large_prime_stops_trial_division_at_the_square_root():
     # trial division up to isqrt(q): 46341 candidates here, not 2^31
     pr = params(2**31 - 1)
     assert (pr.p, pr.ell) == (2**31 - 1, 1)
-    for bad in (2**31 * 3, 2**61 - 2):
+    # the first factor found ends the search: 2 * (2^61 - 1) is refused at p = 2
+    for bad in (2**31 * 3, 2**61 - 2, 2 * (2**61 - 1)):
         with pytest.raises(NotPrimePower):
             params(bad)
 
@@ -207,30 +212,22 @@ def _reference_rows(irreps, pr):
     return pack_rows(([char_terms(pi, c, pr) for c in classes] for pi in irreps), pr.q)
 
 
-def _assert_same_stack(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.terms.dtype == w.terms.dtype and g.terms.shape == w.terms.shape
-        assert np.array_equal(g.terms, w.terms)
-        assert g.peak == w.peak
-
-
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_16)
 def test_closed_form_rows_are_the_packed_char_terms(q):
     # q = 2 has no W family and an empty c3 block
     pr = params(q)
     irreps = enumerate_irreps(pr)
-    _assert_same_stack(char_rows(irreps, pr), _reference_rows(irreps, pr))
+    assert_same_stack(char_rows(irreps, pr), _reference_rows(irreps, pr))
     for pi in (irreps[0], irreps[pr.r], irreps[-1], *irreps[2 * pr.r : 2 * pr.r + 1]):
-        _assert_same_stack(char_rows([pi], pr), _reference_rows([pi], pr))
+        assert_same_stack(char_rows([pi], pr), _reference_rows([pi], pr))
     # a subset in any order, with repeats: its blocks are only as wide as its kinds need
     rng = np.random.default_rng(q)
     for size in (1, 2, 7, 40):
         subset = [irreps[i] for i in rng.integers(len(irreps), size=size)]
-        _assert_same_stack(char_rows(subset, pr), _reference_rows(subset, pr))
+        assert_same_stack(char_rows(subset, pr), _reference_rows(subset, pr))
     for kind in "UVWX":
         subset = [pi for pi in irreps if pi.kind == kind]
-        _assert_same_stack(char_rows(subset, pr), _reference_rows(subset, pr))
+        assert_same_stack(char_rows(subset, pr), _reference_rows(subset, pr))
 
 
 def test_closed_form_rows_reject_a_label_of_another_q():
@@ -283,6 +280,70 @@ def test_reducible_labels_rejected():
         parse_irrep("W:3,3", pr)
     with pytest.raises(InvalidLabel):
         parse_class("c4:0", pr)
+
+
+PRIME_POWERS_TO_64 = (*PRIME_POWERS_TO_16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64)
+LABEL_TEXT = st.one_of(
+    st.text(),
+    st.from_regex(r"(U|V|W|X|c1|c2|c3|c4|piQS|piT|piRT)?:?[-+ 0-9_,]*", fullmatch=True),
+)
+
+
+def _x_canonical(n, pr):
+    return min(n % pr.rs, pr.q * n % pr.rs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from(PRIME_POWERS_TO_64), kind=st.sampled_from("UVWX"), a=st.integers(), b=st.integers())
+def test_irrep_labels_round_trip_through_their_canonical_form(q, kind, a, b):
+    pr = params(q)
+    text = f"{kind}:{a},{b}" if kind == "W" else f"{kind}:{a}"
+    if (kind == "W" and (a - b) % pr.r == 0) or (kind == "X" and a % pr.s == 0):
+        with pytest.raises(InvalidLabel):
+            parse_irrep(text, pr)
+        return
+    pi = parse_irrep(text, pr)
+    want = {
+        "U": (a % pr.r,),
+        "V": (a % pr.r,),
+        "W": tuple(sorted((a % pr.r, b % pr.r))),
+        "X": (_x_canonical(a, pr),),
+    }[kind]
+    assert (pi.kind, pi.data) == (kind, want)
+    # the canonical form is a fixed point
+    assert parse_irrep(pi.label(), pr) == pi and parse_irrep(pi.label(), pr).label() == pi.label()
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from(PRIME_POWERS_TO_64), kind=st.sampled_from(CLASS_KINDS), k=st.integers(), l=st.integers())
+def test_class_labels_round_trip_through_their_canonical_form(q, kind, k, l):
+    pr = params(q)
+    text = f"{kind}:{k},{l}" if kind == "c3" else f"{kind}:{k}"
+    if (kind == "c3" and (k - l) % pr.r == 0) or (kind == "c4" and k % pr.s == 0):
+        with pytest.raises(InvalidLabel):
+            parse_class(text, pr)
+        return
+    c = parse_class(text, pr)
+    want = {
+        "c1": (k % pr.r,),
+        "c2": (k % pr.r,),
+        "c3": tuple(sorted((k % pr.r, l % pr.r))),
+        "c4": (_x_canonical(k, pr),),
+    }[kind]
+    assert (c.kind, c.data) == (kind, want)
+    assert parse_class(c.label(), pr) == c and parse_class(c.label(), pr).label() == c.label()
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from(PRIME_POWERS_TO_64), text=LABEL_TEXT)
+def test_label_parsers_raise_only_invalid_label_on_any_text(q, text):
+    pr = params(q)
+    for parse in (parse_irrep, parse_class, _parse_sl3_irrep):
+        try:
+            label = parse(text, pr)
+        except InvalidLabel:
+            continue
+        assert parse(label.label(), pr) == label
 
 
 def test_cross_q_comparison_raises():

@@ -1,6 +1,7 @@
 """Repository-wide invariants of the library source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gl2rep").glob("*.py"))
@@ -85,3 +86,27 @@ def test_the_cache_check_sees_every_form():
         "@lru_cache\ndef f(): pass\n"
     )
     assert _unbounded_caches(ast.parse(source), "m") == ["m.a", "m.b", "m.c", "m.d"]
+
+
+def _traced_names() -> list[tuple[str, str]]:
+    """The (module, attribute) pairs of bench/tracer.py's SPANS and LEAVES, read without importing it."""
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    pairs = []
+    for node in ast.parse(tracer.read_text(), str(tracer)).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in ("SPANS", "LEAVES") for t in node.targets):
+            pairs += [tuple(ast.literal_eval(entry))[:2] for entry in node.value.elts]
+    return pairs
+
+
+def test_every_name_the_tracer_wraps_resolves_in_the_package():
+    # bench/run.py --trace patches these by name; a renamed or deleted one fails here first
+    pairs = _traced_names()
+    assert len(pairs) > 20
+    missing = []
+    for module, attr in pairs:
+        target = importlib.import_module(f"gl2rep.{module}")
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{module}.{attr}")
+    assert missing == []

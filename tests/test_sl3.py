@@ -1,17 +1,30 @@
 """SL3(q) classes, the embedding of GL2(q) classes, and restriction witnesses."""
 
-import pytest
+import io
+import tracemalloc
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from packed import assert_same_stack, pack_rows
+
+from gl2rep import sl3
+from gl2rep.cli import _parse_sl3_irrep, run
 from gl2rep.cyclotomic import Cyclotomic, root
-from gl2rep.errors import InvalidLabel
-from gl2rep.gl2 import GL2Class, GL2Irrep, enumerate_classes, enumerate_irreps, params, x_orbit_reps
+from gl2rep.errors import InvalidLabel, MismatchedQ
+from gl2rep.gl2 import GL2Class, GL2Irrep, class_table, enumerate_classes, enumerate_irreps, params, x_orbit_reps
 from gl2rep.sl3 import (
+    SL3_IRREP_KINDS,
     SL3Class,
     SL3Irrep,
     embed_class,
     expected_witness_mult,
     restriction_mult,
+    sl3_char_terms,
     sl3_char_value,
+    sl3_rows,
+    witness_bytes,
     witness_no_gelfand,
     witness_report,
 )
@@ -153,3 +166,77 @@ def test_witness_report_flags_d3():
     rows3 = witness_report(params(3))
     assert all("note" not in r for r in rows3)
     assert all(r["ok"] for r in rows + rows3)
+
+
+def _sl3_irreps(pr):
+    rt = [SL3Irrep.RT(pr, n) for n in x_orbit_reps(pr)]
+    return [SL3Irrep.QS(pr), *(SL3Irrep.T(pr, u) for u in range(1, pr.r)), *rt]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32])
+def test_closed_form_sl3_rows_are_the_packed_sl3_char_terms_of_the_embedding(q):
+    # q = 2 has no piT and an empty c3 block; d = 3 at q = 4, 7, 13, 16 and 25
+    pr = params(q)
+    embedded = [embed_class(c, pr) for c in class_table(q)[0]]
+
+    def reference(pis):
+        return pack_rows(([sl3_char_terms(pi, e, pr) for e in embedded] for pi in pis), q)
+
+    pis = _sl3_irreps(pr)
+    assert_same_stack(sl3_rows(pis, pr), reference(pis))
+    for kind in SL3_IRREP_KINDS:
+        subset = [pi for pi in pis if pi.kind == kind]
+        assert_same_stack(sl3_rows(subset, pr), reference(subset))
+    # single irreps, and subsets in any order with repeats
+    rng = np.random.default_rng(q)
+    for size in (1, 1, 2, 7, 40):
+        subset = [pis[i] for i in rng.integers(len(pis), size=size)]
+        assert_same_stack(sl3_rows(subset, pr), reference(subset))
+    assert sl3_rows([], pr) == ()
+
+
+def test_closed_form_sl3_rows_reject_a_label_of_another_q():
+    with pytest.raises(MismatchedQ):
+        sl3_rows([SL3Irrep.QS(params(3)), SL3Irrep.QS(params(5))], params(3))
+
+
+def test_the_witness_sweep_never_calls_the_scalar_references(monkeypatch):
+    def scalar(*args):
+        raise AssertionError("the scalar SL3 reference was called")
+
+    monkeypatch.setattr(sl3, "embed_class", scalar)
+    monkeypatch.setattr(sl3, "sl3_char_terms", scalar)
+    out = io.StringIO()
+    assert run(["sl3-witness", "--q", "5"], out=out) == 0
+    assert out.getvalue().count("True") == 24
+
+
+@pytest.mark.parametrize("q", [16, 25, 32])
+def test_the_witness_budget_is_at_least_the_traced_peak(q):
+    # per-q tables and power tables warm: the power tables follow the prime
+    # factors of rs, and no estimate from q counts them
+    pr = params(q)
+    witness_report(pr)
+    tracemalloc.start()
+    try:
+        witness_report(pr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= witness_bytes(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from((2, 3, 4, 5, 7, 16, 27, 32, 49, 64)), kind=st.sampled_from(SL3_IRREP_KINDS), u=st.integers())
+def test_sl3_irrep_labels_round_trip_through_their_canonical_form(q, kind, u):
+    pr = params(q)
+    text = kind if kind == "piQS" else f"{kind}:{u}"
+    if (kind == "piT" and u % pr.r == 0) or (kind == "piRT" and u % pr.s == 0):
+        with pytest.raises(InvalidLabel):
+            _parse_sl3_irrep(text, pr)
+        return
+    pi = _parse_sl3_irrep(text, pr)
+    want = {"piQS": (), "piT": (u % pr.r,), "piRT": (min(u % pr.rs, q * u % pr.rs),)}[kind]
+    assert (pi.kind, pi.data) == (kind, want)
+    # the canonical form is a fixed point
+    assert _parse_sl3_irrep(pi.label(), pr) == pi and _parse_sl3_irrep(pi.label(), pr).label() == pi.label()

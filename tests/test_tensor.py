@@ -333,7 +333,7 @@ def test_norm_test_equals_the_mult_closed_sweep(q):
 def _column_sum_weights(pr):
     """|c| * S(c)^2 with S(c) the column sums of the character table, taken
     through class_sum: the reference of the closed form."""
-    cols = gl2.stack_rows(gl2.columns(gl2.char_rows(enumerate_irreps(pr), pr)))
+    cols = gl2.columns(gl2.char_rows(enumerate_irreps(pr), pr))
     unit = gl2.unit_like(cols)
     every = np.arange(cols[0].rows)
     first = np.zeros_like(every)
@@ -398,11 +398,12 @@ def test_gelfand_at_large_q_is_the_dimension_rule(q, monkeypatch):
 
 @pytest.mark.parametrize("q", [16, 25, 32])
 def test_the_gelfand_budget_is_at_least_the_traced_peak(q):
-    # from cold power tables, as one CLI run builds them
+    # from cold power tables and class parameters, as one CLI run builds them
     pr = params(q)
     irreps = enumerate_irreps(pr)
     cyclotomic._power_entries.cache_clear()
     cyclotomic._power_table.cache_clear()
+    gl2.class_params.cache_clear()
     tracemalloc.start()
     try:
         gl2.char_rows(irreps, pr)
@@ -412,7 +413,7 @@ def test_the_gelfand_budget_is_at_least_the_traced_peak(q):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows_peak <= gl2.table_bytes(q, per_entry=gl2.BUILD_ENTRY_BYTES)
+    assert rows_peak <= gl2.build_bytes(q)
     assert peak <= tensor.gelfand_bytes(q)
 
 
