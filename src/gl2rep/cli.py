@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import harmonic, oracle, sl3, tensor
-from .cyclotomic import Cyclotomic
+from .cyclotomic import _fold, coords_json, coords_text, demote
 from .errors import GL2RepError, InvalidLabel, NotPrimePower
 from .gl2 import (
     GL2Irrep,
@@ -25,6 +25,7 @@ from .gl2 import (
     char_inner_products,
     char_rows,
     class_inner_products,
+    class_table,
     enumerate_classes,
     enumerate_irreps,
     label_bytes,
@@ -32,7 +33,6 @@ from .gl2 import (
     parse_irrep,
     require_budget,
     table_bytes,
-    terms_value,
     x_orbit_reps,
 )
 
@@ -105,15 +105,14 @@ def _emit(names: list[str], columns: list[list], fmt: str, out) -> None:
 
 
 def cmd_classes(args, out) -> int:
-    classes = enumerate_classes(params(args.q))
-    _emit(["class", "size"], [[c.label() for c in classes], [c.size() for c in classes]], args.format, out)
+    _, sizes, _, labels = class_table(args.q)
+    _emit(["class", "size"], [labels, sizes], args.format, out)
     return 0
 
 
 def cmd_irreps(args, out) -> int:
     t = tensor.irrep_table(args.q)
-    duals = [pi.dual().label() for pi in t.irreps]
-    _emit(["irrep", "dim", "dual"], [t.labels.tolist(), t.dim.tolist(), duals], args.format, out)
+    _emit(["irrep", "dim", "dual"], [t.labels.tolist(), t.dim.tolist(), t.duals.tolist()], args.format, out)
     return 0
 
 
@@ -150,7 +149,7 @@ def _value_ids(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the benchmark's queries stream by about 0.4 MB.
     """
     pr = params(q)
-    irreps = enumerate_irreps(pr)
+    irreps = tensor.irrep_table(q).irreps
     # a term (coef, exp) is the digit (coef + 1) * rs + exp: every coefficient lies in [-1, s]
     radix = (pr.s + 2) * pr.rs
     n = len(irreps)
@@ -173,45 +172,41 @@ def _value_ids(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ids, digits // pr.rs - 1, digits % pr.rs
 
 
-def _value_json(value: Cyclotomic) -> str:
-    """The final text of a value at depth 4 of chartable's JSON
-    (payload["rows"][i]["values"][j]): json.dumps(value.as_json(), indent=2)
-    with 8 more spaces after each line break.
+def _value_json(order: int, coeffs) -> str:
+    """The final text of a value, given by its demoted coordinates, at depth 4
+    of chartable's JSON (payload["rows"][i]["values"][j]):
+    json.dumps(coords_json(order, coeffs), indent=2) with 8 more spaces after
+    each line break.
 
-    as_json is a dict of an int and flat lists of numbers, so the stdlib's C
-    encoder writes each field and only the line breaks are placed here: in
-    the text of a flat list of numbers, ", " separates items and nothing else.
+    coords_json is a flat dict of an int and nonempty flat lists of numbers,
+    so the stdlib's C encoder writes it on one line and only the line breaks
+    are placed here: ', "' separates its fields, and ", " the items of a list.
     """
-    fields = []
-    for key, item in value.as_json().items():
-        text = json.dumps(item)
-        if isinstance(item, list) and item:
-            text = "[\n            " + text[1:-1].replace(", ", ",\n            ") + "\n          ]"
-        fields.append(f"          {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n        }"
+    text = json.dumps(coords_json(order, coeffs)).replace(', "', ',\n          "').replace(", ", ",\n            ")
+    text = text.replace("[", "[\n            ").replace("]", "\n          ]")
+    return text.replace("{", "{\n          ").replace("}", "\n        }")
 
 
 def cmd_chartable(args, out) -> int:
     """The character table, rendered from value ids (``_value_ids``): each
-    distinct value is reduced and encoded once, and every entry is a lookup.
+    distinct value is folded from its terms and encoded once, from its
+    coordinates (no Cyclotomic is built), and every entry is a lookup.
     Nothing is kept for the next call.  BudgetExceeded is raised, before
     anything is allocated, if ``chartable_bytes`` passes the table limit."""
     pr = params(args.q)
     require_budget(chartable_bytes(pr.q, args.format), f"chartable --format {args.format} over GL2({pr.q})")
-    classes = enumerate_classes(pr)
+    _, sizes, _, classes = class_table(pr.q)
     t = tensor.irrep_table(args.q)
     ids, coefs, exps = _value_ids(pr.q)
-    encode = _value_json if args.format == "json" else Cyclotomic.render
+    encode = _value_json if args.format == "json" else coords_text
     texts = np.array(
-        [encode(terms_value(pr.rs, zip(c, e))) for c, e in zip(coefs.T.tolist(), exps.T.tolist())], dtype=object
+        [encode(*demote(pr.rs, _fold(pr.rs, zip(e, c)))) for c, e in zip(coefs.T.tolist(), exps.T.tolist())],
+        dtype=object,
     )
     if args.format == "json":
         # the bytes of json.dumps(payload, indent=2), an irrep row at a time:
         # the whole document is 80 MB at q = 16
-        head = json.dumps(
-            {"q": args.q, "classes": [{"class": c.label(), "size": c.size()} for c in classes]},
-            indent=2,
-        )
+        head = json.dumps({"q": args.q, "classes": [{"class": c, "size": n} for c, n in zip(classes, sizes)]}, indent=2)
         out.write(head[: -len("\n}")] + ',\n  "rows": [')
         for i, (label, row) in enumerate(zip(t.encoded.tolist(), ids)):
             # the values are written apart: a row of them is 9 MB at q = 32
@@ -220,7 +215,7 @@ def cmd_chartable(args, out) -> int:
             out.write("\n      ]\n    }")
         out.write("\n  ]\n}\n")
     else:
-        names = ["irrep"] + [c.label() for c in classes]
+        names = ["irrep", *classes]
         _emit(names, [t.labels.tolist(), *(texts[col].tolist() for col in ids.T)], args.format, out)
     return 0
 

@@ -162,6 +162,45 @@ def _fold(n: int, terms: Iterable[tuple[int, int]]) -> list[int]:
     return out
 
 
+def demote(order: int, coeffs):
+    """(1, coeffs[:1]) when only coordinate 0 is nonzero, as every rational
+    integer is stored; otherwise (order, coeffs).  This and the coords_*
+    forms below act on coordinates: Cyclotomic delegates to them, and the
+    CLI calls them on folded coordinates without building a Cyclotomic."""
+    return (1, coeffs[:1]) if order > 1 and not any(coeffs[1:]) else (order, coeffs)
+
+
+def coords_complex(order: int, coeffs) -> complex:
+    """The complex value of sum(coeffs[i] * zeta_order**i)."""
+    return sum(c * cmath.exp(2j * cmath.pi * i / order) for i, c in enumerate(coeffs) if c) or complex(0)
+
+
+def coords_text(order: int, coeffs) -> str:
+    """Textual form "c0 + c1*z + ..." with z = zeta_order, of demoted coordinates."""
+    if order == 1:
+        return str(coeffs[0])
+    text = ""
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        mono = "z" if i == 1 else f"z^{i}"
+        part = str(c) if i == 0 else mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}"
+        if text:
+            part = f" - {part[1:]}" if part.startswith("-") else f" + {part}"
+        text += part
+    return f"{text}  (z = zeta_{order})" if text else "0"
+
+
+def coords_json(order: int, coeffs) -> dict:
+    """JSON encoding of demoted coordinates: exact coordinates plus an advisory float."""
+    z = coords_complex(order, coeffs)
+    return {
+        "order": order,
+        "coeffs": list(coeffs),
+        "approx": [float(f"{z.real:.12g}"), float(f"{z.imag:.12g}")],
+    }
+
+
 class Cyclotomic:
     """An element of Z[zeta_N] in reduced power-basis form.
 
@@ -178,8 +217,7 @@ class Cyclotomic:
         deg = euler_phi(order)
         if len(coeffs) != deg:
             raise ValueError(f"expected {deg} coordinates for order {order}")
-        if order > 1 and not any(coeffs[1:]):
-            order, coeffs = 1, coeffs[:1]
+        order, coeffs = demote(order, coeffs)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -283,12 +321,7 @@ class Cyclotomic:
         return hash((self.order, self.coeffs))
 
     def __complex__(self) -> complex:
-        n = self.order
-        return sum(
-            c * cmath.exp(2j * cmath.pi * i / n)
-            for i, c in enumerate(self.coeffs)
-            if c
-        ) or complex(0)
+        return coords_complex(self.order, self.coeffs)
 
     def __repr__(self):
         return f"Cyclotomic({self.order}, {self.coeffs})"
@@ -298,37 +331,11 @@ class Cyclotomic:
 
     def render(self) -> str:
         """Textual form "c0 + c1*z + ..." with z = zeta_N."""
-        if self.order == 1:
-            return str(self.coeffs[0])
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mono = "z" if i == 1 else f"z^{i}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
-        if not parts:
-            return "0"
-        text = parts[0]
-        for part in parts[1:]:
-            text += " - " + part[1:] if part.startswith("-") else " + " + part
-        return f"{text}  (z = zeta_{self.order})"
+        return coords_text(self.order, self.coeffs)
 
     def as_json(self) -> dict:
         """JSON encoding: exact coordinates plus an advisory float."""
-        z = complex(self)
-        return {
-            "order": self.order,
-            "coeffs": list(self.coeffs),
-            "approx": [float(f"{z.real:.12g}"), float(f"{z.imag:.12g}")],
-        }
+        return coords_json(self.order, self.coeffs)
 
 
 def root(n: int, e: int) -> Cyclotomic:

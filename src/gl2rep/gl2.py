@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, euler_phi, fold_bound, fold_rows, fold_width, reduce_root_sum
+from .cyclotomic import Cyclotomic, _fold, euler_phi, fold_bound, fold_rows, fold_width
 from .cyclotomic import smallest_prime_factor
 from .errors import BudgetExceeded, GL2RepError, InvalidLabel, MismatchedQ, NonIntegral, NotPrimePower
 
@@ -301,11 +301,8 @@ def char_terms(pi: GL2Irrep, c: GL2Class, pr: GroupParams) -> tuple[tuple[int, i
 
 
 def terms_value(rs: int, terms) -> Cyclotomic:
-    """Exact value of sum(coef * zeta_rs^exp) over character terms (coef, exp)."""
-    weights = [0] * rs
-    for coef, exp in terms:
-        weights[exp] += coef
-    return reduce_root_sum(rs, weights)
+    """Exact value of sum(coef * zeta_rs^exp) over character terms (coef, exp), each exp in range(rs)."""
+    return Cyclotomic(rs, _fold(rs, ((exp, coef) for coef, exp in terms)))
 
 
 def char_value(pi: GL2Irrep, c: GL2Class, pr: GroupParams) -> Cyclotomic:
@@ -353,10 +350,11 @@ _FIRST = (np.zeros(1, dtype=np.intp),) * 3
 
 
 @lru_cache(maxsize=None)
-def class_table(q: int) -> tuple[tuple[GL2Class, ...], tuple[int, ...], dict[GL2Class, int]]:
-    """The classes of GL2(q) in canonical order, their sizes and their positions."""
+def class_table(q: int) -> tuple[tuple[GL2Class, ...], tuple[int, ...], dict[GL2Class, int], tuple[str, ...]]:
+    """The classes of GL2(q) in canonical order, their sizes, their positions and their labels."""
     classes = tuple(enumerate_classes(params(q)))
-    return classes, tuple(c.size() for c in classes), {c: i for i, c in enumerate(classes)}
+    sizes, labels = tuple(c.size() for c in classes), tuple(c.label() for c in classes)
+    return classes, sizes, {c: i for i, c in enumerate(classes)}, labels
 
 
 def columns(rows: Rows) -> Rows:
@@ -531,9 +529,15 @@ def int64_bound(rs: int, weights: np.ndarray, a: Rows, b: Rows, c: Rows) -> int:
 
 
 def class_sum(rs: int, weights, a: Rows, b: Rows, c: Rows, index=None) -> np.ndarray:
+    """The slices of ``class_sum_slices`` joined: a (batch, phi(rs)) int64 array."""
+    out = list(class_sum_slices(rs, weights, a, b, c, index))
+    return np.concatenate(out) if out else np.zeros((0, euler_phi(rs)), dtype=np.int64)
+
+
+def class_sum_slices(rs: int, weights, a: Rows, b: Rows, c: Rows, index=None) -> Iterator[np.ndarray]:
     """Exact sums over k of weights[k] * a[k] * b[k] * conj(c[k]) in Z[zeta_rs],
-    one per batch entry, as a (batch, phi(rs)) int64 array of power-basis
-    coordinates.
+    one per batch entry, as (slice, phi(rs)) int64 arrays of power-basis
+    coordinates, one per slice of the batch in order.
 
     a, b and c are stacks over the same blocks of the summation axis (the
     classes, or the irreps for a column sum) and weights has one integer per
@@ -563,7 +567,6 @@ def class_sum(rs: int, weights, a: Rows, b: Rows, c: Rows, index=None) -> np.nda
     # scratch per batch entry: about five int64 arrays of its products, the
     # accumulator and two arrays of the power-table entries fold_rows reads
     step = max(1, SLICE_BYTES // (40 * products + 32 * rs + 16 * fold_width(rs)))
-    out = []
     for start in range(0, len(ia), step):
         picks = [i[start : start + step] for i in (ia, ib, ic)]
         size = len(picks[0])
@@ -581,8 +584,7 @@ def class_sum(rs: int, weights, a: Rows, b: Rows, c: Rows, index=None) -> np.nda
             if coef.shape != exp.shape:
                 coef = np.broadcast_to(coef, exp.shape)
             np.add.at(acc, exp.reshape(-1), coef.reshape(-1))
-        out.append(fold_rows(rs, acc.reshape(size, 3, rs).sum(axis=1)))
-    return np.concatenate(out) if out else np.zeros((0, euler_phi(rs)), dtype=np.int64)
+        yield fold_rows(rs, acc.reshape(size, 3, rs).sum(axis=1))
 
 
 def rational(coords: np.ndarray, what: str) -> int:
@@ -590,6 +592,20 @@ def rational(coords: np.ndarray, what: str) -> int:
     if coords[1:].any():
         raise NonIntegral(f"{what} has power-basis coordinates {coords.tolist()}, not a rational integer")
     return int(coords[0])
+
+
+def rational_sums(slices: Iterable[np.ndarray], what) -> list[int]:
+    """Coordinate 0 of every sum of a stream of class_sum slices, each checked
+    to be a rational integer as its slice arrives, so no slice is kept:
+    NonIntegral names what(i) for the first sum i that is not one."""
+    out: list[int] = []
+    for coords in slices:
+        bad = coords[:, 1:].any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            rational(coords[i], what(len(out) + i))
+        out += coords[:, 0].tolist()
+    return out
 
 
 def divide_exact(total: int, divisor: int, what: str) -> int:
@@ -604,7 +620,7 @@ def char_inner_product(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> int:
 
     Row orthogonality: the result is |G| when pi1 == pi2 and 0 otherwise.
     """
-    _, sizes, _ = class_table(pr.q)
+    sizes = class_table(pr.q)[1]
     rows = char_rows([pi1, pi2], pr)
     coords = class_sum(pr.rs, sizes, rows, unit_like(rows), rows, ([0], [0], [1]))
     return rational(coords[0], f"inner product of {pi1.label()} and {pi2.label()}")
@@ -613,7 +629,7 @@ def char_inner_product(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> int:
 def class_inner_product(c1: GL2Class, c2: GL2Class, pr: GroupParams) -> int:
     """Column sum over irreps of chi(c1) conj(chi(c2)); |G|/|c| on the diagonal."""
     check_q((c1, c2), pr)
-    _, _, index = class_table(pr.q)
+    index = class_table(pr.q)[2]
     cols = columns(char_rows(enumerate_irreps(pr), pr))
     ones = [1] * cols[0].length
     coords = class_sum(pr.rs, ones, cols, unit_like(cols), cols, ([index[c1]], [0], [index[c2]]))
@@ -624,12 +640,8 @@ def _pair_sums(rs: int, weights, rows: Rows, labels, what: str) -> list[int]:
     """Sum over k of weights[k] * row_i[k] * conj(row_j[k]) for every pair i <= j
     of rows of the stack, row-major, in one class_sum call; labels[i] names row i."""
     first, second = np.triu_indices(rows[0].rows)
-    coords = class_sum(rs, weights, rows, unit_like(rows), rows, (first, np.zeros_like(first), second))
-    bad = coords[:, 1:].any(axis=1)
-    if bad.any():
-        i = int(bad.argmax())
-        rational(coords[i], f"{what} of {labels[first[i]].label()} and {labels[second[i]].label()}")
-    return coords[:, 0].tolist()
+    slices = class_sum_slices(rs, weights, rows, unit_like(rows), rows, (first, np.zeros_like(first), second))
+    return rational_sums(slices, lambda i: f"{what} of {labels[first[i]].label()} and {labels[second[i]].label()}")
 
 
 def char_inner_products(pr: GroupParams) -> list[int]:

@@ -157,7 +157,7 @@ def elementwise_mult(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, q: int) -> int
         raise BudgetExceeded(f"q={q} exceeds the element-sum ceiling {ELEMENTWISE_MAX_Q}")
     ctx = _context(q)
     pr = ctx.pr
-    classes, _, _ = class_table(q)
+    classes = class_table(q)[0]
     counts = [ctx.counts.get(c, 0) for c in classes]
     rows = char_rows([pi1, pi2, pi3], pr)
     total = rational(class_sum(pr.rs, counts, rows, rows, rows, ([0], [1], [2]))[0], "element sum")

@@ -39,12 +39,12 @@ from .gl2 import (
     char_rows,
     check_q,
     class_params,
-    class_sum,
+    class_sum_slices,
     class_table,
     divide_exact,
     enumerate_irreps,
     params,
-    rational,
+    rational_sums,
     require_budget,
     table_bytes,
     terms_value,
@@ -285,16 +285,19 @@ def sl3_rows(pis, pr: GroupParams) -> Rows:
 
 
 def _restriction_mults(pairs: list[tuple[SL3Irrep, GL2Irrep]], pr: GroupParams) -> Iterator[int]:
-    """restriction_mult of every (pi, tau) pair, from one class_sum call; each
-    sum is checked to be a multiple of |G| as its value is taken."""
-    _, sizes, _ = class_table(pr.q)
-    pi_rows = sl3_rows([pi for pi, _ in pairs], pr)
+    """restriction_mult of every (pi, tau) pair, from one class sum over the
+    rows of the distinct pi, each pair reading its pi's row by index; each sum
+    is checked to be a multiple of |G| as its value is taken."""
+    sizes = class_table(pr.q)[1]
+    rows_of: dict[SL3Irrep, int] = {}
+    at = [rows_of.setdefault(pi, len(rows_of)) for pi, _ in pairs]
+    pi_rows = sl3_rows(list(rows_of), pr)
     tau_rows = char_rows([tau for _, tau in pairs], pr)
     every = np.arange(len(pairs))
-    coords = class_sum(pr.rs, sizes, pi_rows, unit_like(pi_rows), tau_rows, (every, np.zeros_like(every), every))
-    for (pi, tau), x in zip(pairs, coords):
-        what = f"restriction sum for [{pi.label()} | : {tau.label()}]"
-        yield divide_exact(rational(x, what), pr.order, what)
+    slices = class_sum_slices(pr.rs, sizes, pi_rows, unit_like(pi_rows), tau_rows, (at, np.zeros_like(every), every))
+    what = [f"restriction sum for [{pi.label()} | : {tau.label()}]" for pi, tau in pairs]
+    for text, total in zip(what, rational_sums(slices, what.__getitem__)):
+        yield divide_exact(total, pr.order, text)
 
 
 def restriction_mult(pi: SL3Irrep, tau: GL2Irrep, pr: GroupParams) -> int:

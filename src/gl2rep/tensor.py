@@ -39,8 +39,8 @@ indicator values, one kernel call, then walks the chunk in order, so
 reports, errors and ``stop_after`` follow the order of the triples.
 
 ``irrep_table(q)`` holds, per q and in canonical order, the irreps, their
-operands, central exponents, dimensions, labels and the labels' JSON text;
-the sweeps and the CLI read it by index.
+operands, central exponents, dimensions, labels, the labels' JSON text and
+their duals' labels; the sweeps and the CLI read it by index.
 
 The Gelfand classification does not sweep triples.  ``ind_norms`` gives,
 for a fixed pi, two sums over all ordered pairs (pi1, pi2) of the
@@ -88,11 +88,13 @@ from .gl2 import (
     check_q,
     class_params,
     class_sum,
+    class_sum_slices,
     class_table,
     divide_exact,
     enumerate_irreps,
     params,
     rational,
+    rational_sums,
     require_budget,
     unit_like,
 )
@@ -105,7 +107,7 @@ _CHUNK_BYTES = 1 << 21
 
 
 def _numerator_coords(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> np.ndarray:
-    _, sizes, _ = class_table(pr.q)
+    sizes = class_table(pr.q)[1]
     rows = char_rows([pi1, pi2, pi3], pr)
     return class_sum(pr.rs, sizes, rows, rows, rows, ([0], [1], [2]))[0]
 
@@ -310,8 +312,9 @@ class IrrepTable(NamedTuple):
 
     kind, d0 and d1 are each irrep's ``operand``; omega is its central exponent
     mod r, dim its dimension; labels and encoded hold its label and that
-    label's JSON text.  by_omega lists the irreps grouped by omega, each group
-    in canonical order, group w starting at starts[w] with counts[w] members.
+    label's JSON text, and duals its dual's label.  by_omega lists the irreps
+    grouped by omega, each group in canonical order, group w starting at
+    starts[w] with counts[w] members.
     """
 
     irreps: tuple[GL2Irrep, ...]
@@ -322,6 +325,7 @@ class IrrepTable(NamedTuple):
     dim: np.ndarray
     labels: np.ndarray
     encoded: np.ndarray
+    duals: np.ndarray
     by_omega: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
@@ -336,6 +340,12 @@ def irrep_table(q: int) -> IrrepTable:
     omega = np.array([_omega(pi.kind, pi.data) % pr.r for pi in irreps], dtype=np.int64)
     labels = np.array([pi.label() for pi in irreps], dtype=object)
     counts = np.bincount(omega, minlength=pr.r)
+    # each operand is its sorted pair, so (kind, d0, d1) rises in canonical
+    # order; the dual's pair is the negated one, mod rs for X and r otherwise
+    key = (kind * pr.rs + d0) * pr.rs + d1
+    modulus = np.where(kind == X, pr.rs, pr.r)
+    u, v = -d0 % modulus, -d1 % modulus
+    dual = np.searchsorted(key, (kind * pr.rs + np.minimum(u, v)) * pr.rs + np.maximum(u, v))
     table = IrrepTable(
         irreps=irreps,
         kind=kind,
@@ -345,6 +355,7 @@ def irrep_table(q: int) -> IrrepTable:
         dim=np.array([1, q, q + 1, q - 1], dtype=np.int64)[kind],
         labels=labels,
         encoded=np.array([json.dumps(label) for label in labels], dtype=object),
+        duals=labels[dual],
         by_omega=np.argsort(omega, kind="stable"),
         starts=np.cumsum(counts) - counts,
         counts=counts,
@@ -523,17 +534,15 @@ def _class_weights(pr: GroupParams) -> np.ndarray:
 
 
 def _norms(irreps: list[GL2Irrep], rows: Rows, weights: np.ndarray, pr: GroupParams) -> list[tuple[int, int]]:
-    """ind_norms of each irrep, from the stack of their rows: two class_sum calls."""
+    """ind_norms of each irrep, from the stack of their rows: two class sums,
+    of which only coordinate 0 is kept, a slice at a time (``rational_sums``)."""
     unit = unit_like(rows)
     every, first = np.arange(len(irreps)), np.zeros(len(irreps), dtype=np.intp)
-    squares = class_sum(pr.rs, [1] * len(weights), rows, unit, rows, (every, first, every))
-    totals = class_sum(pr.rs, weights, unit, unit, rows, (first, first, every))
-    out = []
-    for pi, sq, total in zip(irreps, squares, totals):
-        what = f"pair sum for {pi.label()}"
-        sq = rational(sq, f"sum of squares for {pi.label()}")
-        out.append((sq, divide_exact(rational(total, what), pr.order, what)))
-    return out
+    squares = class_sum_slices(pr.rs, [1] * len(weights), rows, unit, rows, (every, first, every))
+    squares = rational_sums(squares, lambda i: f"sum of squares for {irreps[i].label()}")
+    totals = class_sum_slices(pr.rs, weights, unit, unit, rows, (first, first, every))
+    totals = rational_sums(totals, lambda i: f"pair sum for {irreps[i].label()}")
+    return [(sq, divide_exact(t, pr.order, f"pair sum for {pi.label()}")) for pi, sq, t in zip(irreps, squares, totals)]
 
 
 def ind_norms(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int]:
@@ -550,10 +559,10 @@ def ind_norms(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int]:
 def gelfand_bytes(q: int) -> int:
     """About the most bytes classify_gelfand holds, from q alone: the table
     with what char_rows holds while it builds it, plus the norms' class sums,
-    three (irreps, phi(rs)) int64 coordinate arrays and a slice of scratch.
-    The two phases do not overlap; their sum leaves a margin for the power
-    tables of Z[zeta_rs], which follow the prime factors of rs, not q: at
-    most 77 MB kept and 188 MB while built (q = 64) among the q it admits."""
+    a slice of scratch, and 24 bytes per irrep and coordinate of Z[zeta_rs]
+    as a margin for the power tables of Z[zeta_rs], which follow the prime
+    factors of rs, not q: at most 77 MB kept and 188 MB while built (q = 64)
+    among the q it admits.  The norms keep coordinate 0 of each sum alone."""
     n = q * q - 1
     return build_bytes(q) + 3 * 8 * n * euler_phi(n) + SLICE_BYTES
 

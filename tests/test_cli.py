@@ -7,14 +7,17 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl2rep import gl2, harmonic, oracle, tensor
 from gl2rep.cli import SUITES, _value_ids, _value_json, build_parser, chartable_bytes, run
-from gl2rep.cyclotomic import Cyclotomic, root
+from gl2rep.cyclotomic import Cyclotomic, coords_text, demote, euler_phi, root
 from gl2rep.gl2 import (
     TABLE_BYTES_LIMIT,
     GL2Irrep,
     char_value,
+    class_table,
     enumerate_classes,
     enumerate_irreps,
     label_bytes,
@@ -105,7 +108,7 @@ def _reference_chartable(q: int, fmt: str) -> str:
     return "".join("  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip() + "\n" for row in table)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 def test_chartable_json_matches_the_reference_encoder(q):
     # chartable writes its JSON from pre-encoded entries, a row at a time;
     # the bytes must be those of the stdlib encoder on the whole payload
@@ -120,14 +123,65 @@ def test_value_json_is_the_stdlib_indented_text():
     values = {char_value(pi, c, pr) for pi in enumerate_irreps(pr)[::7] for c in enumerate_classes(pr)}
     values |= {Cyclotomic.zero(), Cyclotomic.from_int(-3), root(5, 2), root(12, 7)}
     for value in values:
-        assert _value_json(value) == json.dumps(value.as_json(), indent=2).replace("\n", "\n" + " " * 8)
+        assert _value_json(value.order, value.coeffs) == json.dumps(value.as_json(), indent=2).replace("\n", "\n" + " " * 8)
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 def test_chartable_text_and_csv_match_a_char_value_reference(q, fmt):
     # chartable renders every entry from per-q value ids and encoded values
     assert _run(["chartable", "--q", str(q), "--format", fmt]) == (0, _reference_chartable(q, fmt))
+
+
+@st.composite
+def coordinates(draw):
+    """An order and phi(order) coordinates: mixed, all zero, or a rational integer."""
+    order = draw(st.sampled_from((1, 2, 3, 4, 5, 8, 12, 15, 24, 48, 63, 80, 255)))
+    deg = euler_phi(order)
+    shape = draw(st.sampled_from(("mixed", "zero", "integer")))
+    if shape == "zero":
+        return order, [0] * deg
+    if shape == "integer":
+        return order, [draw(st.integers(-(10**6), 10**6))] + [0] * (deg - 1)
+    return order, draw(st.lists(st.integers(-40, 40) | st.just(0), min_size=deg, max_size=deg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinates())
+def test_the_coordinate_renderers_give_the_cyclotomic_bytes(value):
+    # chartable demotes and renders folded coordinates without a Cyclotomic:
+    # the same order, coordinates, text and indented JSON as the object's
+    order, coeffs = value
+    x = Cyclotomic(order, coeffs)
+    demoted = demote(order, coeffs)
+    assert (demoted[0], tuple(demoted[1])) == (x.order, x.coeffs)
+    assert coords_text(*demoted) == x.render()
+    assert _value_json(*demoted) == json.dumps(x.as_json(), indent=2).replace("\n", "\n" + " " * 8)
+
+
+def test_chartable_builds_no_cyclotomic(monkeypatch):
+    built = []
+    real = Cyclotomic.__init__
+
+    def counting(self, order, coeffs):
+        built.append(order)
+        real(self, order, coeffs)
+
+    monkeypatch.setattr(Cyclotomic, "__init__", counting)
+    for fmt in ("text", "json", "csv"):
+        assert _run(["chartable", "--q", "7", "--format", fmt])[0] == 0
+    assert built == []
+    char_value(GL2Irrep.X(params(7), 1), enumerate_classes(params(7))[-1], params(7))
+    assert built == [48]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
+def test_the_label_columns_are_the_labels_of_the_objects(q):
+    # classes, irreps and chartable read these columns in place of label() and dual()
+    classes, _, _, labels = class_table(q)
+    assert labels == tuple(c.label() for c in classes)
+    t = tensor.irrep_table(q)
+    assert t.duals.tolist() == [pi.dual().label() for pi in t.irreps]
 
 
 def test_a_second_chartable_in_one_interpreter_gives_the_same_bytes():
