@@ -21,7 +21,6 @@ from .cyclotomic import _fold, coords_json, coords_text, demote
 from .errors import GL2RepError, InvalidLabel, NotPrimePower
 from .gl2 import (
     GL2Irrep,
-    _parse_ints,
     char_inner_products,
     char_rows,
     class_inner_products,
@@ -271,20 +270,9 @@ def cmd_gelfand(args, out) -> int:
     return 0
 
 
-def _parse_sl3_irrep(text: str, pr) -> sl3.SL3Irrep:
-    kind, _, body = text.partition(":")
-    if kind == "piQS" and not body:
-        return sl3.SL3Irrep.QS(pr)
-    if kind == "piT":
-        return sl3.SL3Irrep.T(pr, *_parse_ints(body, 1, "piT"))
-    if kind == "piRT":
-        return sl3.SL3Irrep.RT(pr, *_parse_ints(body, 1, "piRT"))
-    raise InvalidLabel(f"unknown SL3 irrep label {text!r} (piQS, piT:u, piRT:u)")
-
-
 def cmd_sl3_restrict(args, out) -> int:
     pr = params(args.q)
-    pi = _parse_sl3_irrep(args.pi, pr)
+    pi = sl3.parse_sl3_irrep(args.pi, pr)
     tau = parse_irrep(args.to, pr)
     mult = sl3.restriction_mult(pi, tau, pr)
     payload = {"q": args.q, "pi": pi.label(), "tau": tau.label(), "multiplicity": mult}

@@ -17,6 +17,9 @@ zeta_r^a) and phi_n (order rs, phi_n(sigma) = zeta_rs^n), with the
 compatibilities alpha_a(rho^j) = phi_{s*a}(sigma^j) and phi_n(sigma^{s*j})
 = alpha_{n mod r}(rho^j).
 
+Every label conversion is written once, here: the grammar tables kind ->
+(constructor, parameter count) that ``parse_label`` reads (sl3 keeps its own
+table), and an irrep's integer form ``operand`` and central exponent ``omega``.
 Character rows come in closed form from cell tables (``cell_rows``);
 ``char_terms`` is the scalar reference the tests pack and hold them to.
 """
@@ -25,7 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import starmap
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -34,8 +38,8 @@ from .cyclotomic import Cyclotomic, _fold, euler_phi, fold_bound, fold_rows, fol
 from .cyclotomic import smallest_prime_factor
 from .errors import BudgetExceeded, GL2RepError, InvalidLabel, MismatchedQ, NonIntegral, NotPrimePower
 
-IRREP_KINDS = ("U", "V", "W", "X")
-CLASS_KINDS = ("c1", "c2", "c3", "c4")
+# Kind codes of the label arrays: the index in IRREP_KINDS.
+U, V, W, X = range(4)
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -86,11 +90,11 @@ def params(q: int) -> GroupParams:
     )
 
 
-def x_canonical(n: int, pr: GroupParams) -> int:
-    """Canonical representative min(n, q*n) of an orbit in the X parameter set."""
+def x_canonical(n: int, pr: GroupParams, kind: str) -> int:
+    """Canonical representative min(n, q*n) of an orbit in the X parameter set of labels of this kind."""
     n %= pr.rs
     if n % pr.s == 0:
-        raise InvalidLabel(f"X-type parameter {n} is 0 mod s={pr.s}")
+        raise InvalidLabel(f"{kind} parameter {n} is 0 mod s={pr.s}")
     return min(n, (pr.q * n) % pr.rs)
 
 
@@ -174,21 +178,14 @@ class GL2Irrep(_Label):
 
     @staticmethod
     def X(pr: GroupParams, n: int) -> "GL2Irrep":
-        return GL2Irrep(pr.q, "X", (x_canonical(n, pr),))
+        return GL2Irrep(pr.q, "X", (x_canonical(n, pr, "X"),))
 
     def dim(self) -> int:
         pr = params(self.q)
         return {"U": 1, "V": pr.q, "W": pr.s, "X": pr.r}[self.kind]
 
     def dual(self) -> "GL2Irrep":
-        pr = params(self.q)
-        if self.kind == "U":
-            return GL2Irrep.U(pr, -self.data[0])
-        if self.kind == "V":
-            return GL2Irrep.V(pr, -self.data[0])
-        if self.kind == "W":
-            return GL2Irrep.W(pr, -self.data[0], -self.data[1])
-        return GL2Irrep.X(pr, -self.data[0])
+        return IRREP_GRAMMAR[self.kind][0](params(self.q), *(-v for v in self.data))
 
 
 class GL2Class(_Label):
@@ -214,33 +211,39 @@ class GL2Class(_Label):
 
     @staticmethod
     def C4(pr: GroupParams, m: int) -> "GL2Class":
-        return GL2Class(pr.q, "c4", (x_canonical(m, pr),))
+        return GL2Class(pr.q, "c4", (x_canonical(m, pr, "c4"),))
 
     def size(self) -> int:
         pr = params(self.q)
         return {"c1": 1, "c2": pr.rs, "c3": pr.q * pr.s, "c4": pr.q * pr.r}[self.kind]
 
 
+# The grammar of each label family: kind -> (constructor, parameter count),
+# in canonical kind order.  Kind by kind, both families take their parameters
+# from the same sets, which _enumerate runs over: residues mod r (the first
+# two kinds), pairs of distinct residues mod r, and orbits {n, qn} in Z_rs.
+IRREP_GRAMMAR = {"U": (GL2Irrep.U, 1), "V": (GL2Irrep.V, 1), "W": (GL2Irrep.W, 2), "X": (GL2Irrep.X, 1)}
+CLASS_GRAMMAR = {"c1": (GL2Class.C1, 1), "c2": (GL2Class.C2, 1), "c3": (GL2Class.C3, 2), "c4": (GL2Class.C4, 1)}
+IRREP_KINDS, CLASS_KINDS = tuple(IRREP_GRAMMAR), tuple(CLASS_GRAMMAR)
+
+
+def _enumerate(grammar, pr: GroupParams, what: str) -> list:
+    """Every label of a family in canonical order; BudgetExceeded, before any
+    is built, if ``label_bytes`` passes TABLE_BYTES_LIMIT."""
+    require_budget(label_bytes(pr.q), f"the {what} labels of GL2({pr.q})")
+    residues = [(a,) for a in range(pr.r)]
+    domains = (residues, residues, w_pairs(pr), [(n,) for n in x_orbit_reps(pr)])
+    return [label for (build, _), domain in zip(grammar.values(), domains) for label in starmap(partial(build, pr), domain)]
+
+
 def enumerate_irreps(pr: GroupParams) -> list[GL2Irrep]:
-    """All q^2 - 1 irreducible labels in canonical order; BudgetExceeded, before
-    any is built, if ``label_bytes`` passes TABLE_BYTES_LIMIT."""
-    require_budget(label_bytes(pr.q), f"the irrep labels of GL2({pr.q})")
-    out = [GL2Irrep.U(pr, a) for a in range(pr.r)]
-    out += [GL2Irrep.V(pr, a) for a in range(pr.r)]
-    out += [GL2Irrep.W(pr, a, b) for a, b in w_pairs(pr)]
-    out += [GL2Irrep.X(pr, n) for n in x_orbit_reps(pr)]
-    return out
+    """All q^2 - 1 irreducible labels in canonical order."""
+    return _enumerate(IRREP_GRAMMAR, pr, "irrep")
 
 
 def enumerate_classes(pr: GroupParams) -> list[GL2Class]:
-    """All q^2 - 1 conjugacy class labels in canonical order; BudgetExceeded,
-    before any is built, if ``label_bytes`` passes TABLE_BYTES_LIMIT."""
-    require_budget(label_bytes(pr.q), f"the class labels of GL2({pr.q})")
-    out = [GL2Class.C1(pr, k) for k in range(pr.r)]
-    out += [GL2Class.C2(pr, k) for k in range(pr.r)]
-    out += [GL2Class.C3(pr, k, l) for k, l in w_pairs(pr)]
-    out += [GL2Class.C4(pr, m) for m in x_orbit_reps(pr)]
-    return out
+    """All q^2 - 1 conjugacy class labels in canonical order."""
+    return _enumerate(CLASS_GRAMMAR, pr, "class")
 
 
 def check_q(labels, pr: GroupParams) -> None:
@@ -248,6 +251,35 @@ def check_q(labels, pr: GroupParams) -> None:
     for x in labels:
         if x.q != pr.q:
             raise MismatchedQ(f"{x!r} does not live over q={pr.q}")
+
+
+def operand(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int, int]:
+    """The integer form (kind, d0, d1) of an irrep, every label read as an unordered pair.
+
+    U_a and V_a are {a, a} and W_[a,b] is {a, b}, residues mod r; X_[n] is its
+    orbit {n, qn} in Z_rs.  The twist by alpha_t(det) then maps each member u
+    to u + t (mod r), or to u + s*t (mod rs) for X, and the dual maps u to -u;
+    two labels of one kind are equal iff their pairs are.
+    """
+    check_q((pi,), pr)
+    kind = IRREP_KINDS.index(pi.kind)
+    if kind == X:
+        return kind, pi.data[0], pr.q * pi.data[0] % pr.rs
+    return kind, pi.data[0], pi.data[-1]
+
+
+def operands(irreps, pr: GroupParams) -> np.ndarray:
+    """The ``operand`` of each irrep as a (3, irreps) int64 array: kind codes, d0 and d1."""
+    return np.array([operand(pi, pr) for pi in irreps], dtype=np.int64).reshape(-1, 3).T
+
+
+def omega(kind, d0, d1):
+    """The central exponent of an irrep from its operand, for scalars or arrays:
+    its central character is alpha_omega on F_q^x, so chi(c1:k) = dim *
+    zeta_r^(omega k).  omega(U_a) = omega(V_a) = 2a, omega(W_[a,b]) = a + b
+    and omega(X_[n]) = n, that is d0 + d1 but d0 for X.  Callers reduce it mod r.
+    """
+    return d0 + d1 * (kind != X)
 
 
 def char_terms(pi: GL2Irrep, c: GL2Class, pr: GroupParams) -> tuple[tuple[int, int], ...]:
@@ -346,7 +378,6 @@ Rows = tuple[Block, ...]
 SLICE_BYTES = 1 << 21
 # Every coordinate and every partial sum behind it stays below this.
 _INT64_LIMIT = 2**62
-_FIRST = (np.zeros(1, dtype=np.intp),) * 3
 
 
 @lru_cache(maxsize=None)
@@ -475,9 +506,9 @@ def cell_rows(kind: np.ndarray, cells) -> Rows:
 def char_rows(irreps, pr: GroupParams) -> Rows:
     """The character rows of these irreps, in this order, as one stack.
 
-    The cell table of GL2(q), built by ``cell_rows`` from the label arrays
-    (a, b), read as (a, a) for U_a and V_a and (n, n) for X_[n], and the
-    class arrays (k, l, m).  The coefficient of each term is a constant of
+    The cell table of GL2(q), built by ``cell_rows`` from the irreps'
+    ``operands`` (kind, a, b), which read X_[n] as (n, qn), and the class
+    arrays (k, l, m).  The coefficient of each term is a constant of
     its (irrep kind x class kind) cell (1, q, s, r or -1) and its exponent
     an affine or bilinear form mod rs, read off char_terms, which the tests
     hold it to entry for entry.  BudgetExceeded is raised, before anything
@@ -485,16 +516,13 @@ def char_rows(irreps, pr: GroupParams) -> Rows:
     (``build_bytes``) pass TABLE_BYTES_LIMIT.
     """
     require_budget(build_bytes(pr.q, len(irreps)), f"the character rows of {len(irreps)} irreps of GL2({pr.q})")
-    check_q(irreps, pr)
+    kind, a, b = operands(irreps, pr)
     if not irreps:
         return ()
-    kind = np.array([IRREP_KINDS.index(pi.kind) for pi in irreps], dtype=np.int64)
-    a, b = np.array([(pi.data[0], pi.data[-1]) for pi in irreps], dtype=np.int64).T
     q, r, s, rs = pr.q, pr.r, pr.s, pr.rs
     k, k3, l3, m = class_params(q)
-    cusp = kind == IRREP_KINDS.index("X")
-    # omega * s, where chi(c1:k) = dim * zeta_rs^(omega k s): omega = 2a, a + b or n
-    central = np.where(cusp, a, a + b) * s % rs
+    # chi(c1:k) = dim * zeta_rs^(omega k s)
+    central = omega(kind, a, b) * s % rs
     a_s, b_s = a * s % rs, b * s % rs
 
     def outer(x, y):
@@ -503,7 +531,7 @@ def char_rows(irreps, pr: GroupParams) -> Rows:
     # per class block, the coefficients of its terms for each irrep kind (U, V, W, X) and their exponents
     scalar = (lambda: outer(central, k),)
     split = (lambda: (outer(a_s, k3) + outer(b_s, l3)) % rs, lambda: (outer(a_s, l3) + outer(b_s, k3)) % rs)
-    elliptic = (lambda: outer(np.where(cusp, a, a_s), m), lambda: outer(a * q % rs, m))
+    elliptic = (lambda: outer(np.where(kind == X, a, a_s), m), lambda: outer(b, m))
     return cell_rows(
         kind,
         (
@@ -528,13 +556,13 @@ def int64_bound(rs: int, weights: np.ndarray, a: Rows, b: Rows, c: Rows) -> int:
     return total * fold_bound(rs)
 
 
-def class_sum(rs: int, weights, a: Rows, b: Rows, c: Rows, index=None) -> np.ndarray:
+def class_sum(rs: int, weights, a: Rows, b: Rows, c: Rows, index) -> np.ndarray:
     """The slices of ``class_sum_slices`` joined: a (batch, phi(rs)) int64 array."""
     out = list(class_sum_slices(rs, weights, a, b, c, index))
     return np.concatenate(out) if out else np.zeros((0, euler_phi(rs)), dtype=np.int64)
 
 
-def class_sum_slices(rs: int, weights, a: Rows, b: Rows, c: Rows, index=None) -> Iterator[np.ndarray]:
+def class_sum_slices(rs: int, weights, a: Rows, b: Rows, c: Rows, index) -> Iterator[np.ndarray]:
     """Exact sums over k of weights[k] * a[k] * b[k] * conj(c[k]) in Z[zeta_rs],
     one per batch entry, as (slice, phi(rs)) int64 arrays of power-basis
     coordinates, one per slice of the batch in order.
@@ -542,8 +570,7 @@ def class_sum_slices(rs: int, weights, a: Rows, b: Rows, c: Rows, index=None) ->
     a, b and c are stacks over the same blocks of the summation axis (the
     classes, or the irreps for a column sum) and weights has one integer per
     index k.  Batch entry i takes row index[0][i] of a, index[1][i] of b and
-    index[2][i] of c; without an index the batch is the first row of each.  A
-    two-factor sum passes unit_like(a) for b.
+    index[2][i] of c.  A two-factor sum passes unit_like(a) for b.
 
     Per block, the terms of the three rows are multiplied, times the weight,
     and their exponents combined, a's plus b's less c's; np.add.at gathers the
@@ -556,7 +583,7 @@ def class_sum_slices(rs: int, weights, a: Rows, b: Rows, c: Rows, index=None) ->
     bound = int64_bound(rs, weights, a, b, c)
     if bound >= _INT64_LIMIT:
         raise BudgetExceeded(f"class sum bound {bound} reaches 2^62 in Z[zeta_{rs}]")
-    ia, ib, ic = (np.asarray(i, dtype=np.intp) for i in (_FIRST if index is None else index))
+    ia, ib, ic = (np.asarray(i, dtype=np.intp) for i in index)
     blocks, lo, products = [], 0, 0
     for ba, bb, bc in zip(a, b, c):
         hi = lo + ba.length
@@ -656,39 +683,30 @@ def class_inner_products(pr: GroupParams) -> list[int]:
     return _pair_sums(pr.rs, [1] * cols[0].length, cols, class_table(pr.q)[0], "column product")
 
 
-def _parse_ints(body: str, count: int, what: str) -> tuple[int, ...]:
-    parts = body.split(",")
+def parse_label(text: str, pr: GroupParams, grammar, unknown: str):
+    """Parse and canonicalise a label kind:p1,...,pn by a grammar kind ->
+    (constructor, parameter count) such as IRREP_GRAMMAR; a kind of no
+    parameters is written bare or with an empty body.  InvalidLabel is
+    raised with ``unknown % text`` for a kind the grammar lacks."""
+    kind, _, body = text.partition(":")
+    build, count = grammar.get(kind, (None, 0))
+    if build is None or (body and not count):
+        raise InvalidLabel(unknown % (text,))
+    parts = body.split(",") if count else []
     if len(parts) != count:
-        raise InvalidLabel(f"{what} takes {count} integer parameter(s), got {body!r}")
+        raise InvalidLabel(f"{kind} takes {count} integer parameter(s), got {body!r}")
     try:
-        return tuple(int(p) for p in parts)
+        values = [int(p) for p in parts]
     except ValueError as exc:
         raise InvalidLabel(f"bad integer in label {body!r}") from exc
+    return build(pr, *values)
 
 
 def parse_irrep(text: str, pr: GroupParams) -> GL2Irrep:
     """Parse and canonicalise an irrep label: U:a, V:a, W:a,b or X:n."""
-    kind, _, body = text.partition(":")
-    if kind == "U":
-        return GL2Irrep.U(pr, *_parse_ints(body, 1, "U"))
-    if kind == "V":
-        return GL2Irrep.V(pr, *_parse_ints(body, 1, "V"))
-    if kind == "W":
-        return GL2Irrep.W(pr, *_parse_ints(body, 2, "W"))
-    if kind == "X":
-        return GL2Irrep.X(pr, *_parse_ints(body, 1, "X"))
-    raise InvalidLabel(f"unknown irrep label {text!r}")
+    return parse_label(text, pr, IRREP_GRAMMAR, "unknown irrep label %r")
 
 
 def parse_class(text: str, pr: GroupParams) -> GL2Class:
     """Parse and canonicalise a class label: c1:k, c2:k, c3:k,l or c4:m."""
-    kind, _, body = text.partition(":")
-    if kind == "c1":
-        return GL2Class.C1(pr, *_parse_ints(body, 1, "c1"))
-    if kind == "c2":
-        return GL2Class.C2(pr, *_parse_ints(body, 1, "c2"))
-    if kind == "c3":
-        return GL2Class.C3(pr, *_parse_ints(body, 2, "c3"))
-    if kind == "c4":
-        return GL2Class.C4(pr, *_parse_ints(body, 1, "c4"))
-    raise InvalidLabel(f"unknown class label {text!r}")
+    return parse_label(text, pr, CLASS_GRAMMAR, "unknown class label %r")

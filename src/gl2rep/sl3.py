@@ -44,6 +44,7 @@ from .gl2 import (
     divide_exact,
     enumerate_irreps,
     params,
+    parse_label,
     rational_sums,
     require_budget,
     table_bytes,
@@ -51,8 +52,6 @@ from .gl2 import (
     unit_like,
     x_canonical,
 )
-
-SL3_IRREP_KINDS = ("piQS", "piT", "piRT")
 
 
 class SL3Class(_Label):
@@ -96,7 +95,7 @@ class SL3Class(_Label):
 
     @staticmethod
     def C7(pr: GroupParams, k: int) -> "SL3Class":
-        return SL3Class(pr.q, "C7", (x_canonical(k, pr),))
+        return SL3Class(pr.q, "C7", (x_canonical(k, pr, "C7"),))
 
     @staticmethod
     def C8(pr: GroupParams, k: int) -> "SL3Class":
@@ -138,7 +137,7 @@ class SL3Irrep(_Label):
 
     @staticmethod
     def RT(pr: GroupParams, u: int) -> "SL3Irrep":
-        return SL3Irrep(pr.q, "piRT", (x_canonical(u, pr),))
+        return SL3Irrep(pr.q, "piRT", (x_canonical(u, pr, "piRT"),))
 
     def dim(self) -> int:
         pr = params(self.q)
@@ -147,6 +146,16 @@ class SL3Irrep(_Label):
         if self.kind == "piT":
             return pr.t
         return pr.r * pr.t
+
+
+# The grammar of the SL3 irrep labels, as gl2.IRREP_GRAMMAR is of the GL2 ones.
+SL3_IRREP_GRAMMAR = {"piQS": (SL3Irrep.QS, 0), "piT": (SL3Irrep.T, 1), "piRT": (SL3Irrep.RT, 1)}
+SL3_IRREP_KINDS = tuple(SL3_IRREP_GRAMMAR)
+
+
+def parse_sl3_irrep(text: str, pr: GroupParams) -> SL3Irrep:
+    """Parse and canonicalise an SL3 irrep label: piQS, piT:u or piRT:u."""
+    return parse_label(text, pr, SL3_IRREP_GRAMMAR, "unknown SL3 irrep label %r (piQS, piT:u, piRT:u)")
 
 
 def embed_class(c: GL2Class, pr: GroupParams) -> SL3Class:

@@ -23,10 +23,10 @@ Two independent evaluation routes are provided:
 
   These formulas are one numpy kernel, ``mult_closed_array``, over label
   arrays: a kind code and data (d0, d1) per operand, every label read as
-  an unordered pair (``operand``), and a table of the coefficient of each
-  part in each cell.  It returns values, negative ones too, and each
-  caller raises NegativeMultiplicity for the first negative triple in its
-  own order.  The scalar ``mult_closed`` is its batch of one.  The case
+  an unordered pair (``gl2.operand``, with ``gl2.omega``), and a table of
+  the coefficient of each part in each cell.  It returns values, negative
+  ones too, and each caller raises NegativeMultiplicity for the first
+  negative triple in its own order.  The scalar ``mult_closed`` is its batch of one.  The case
   table written triple by triple on labels is kept in tests/test_tensor.py
   as the reference the kernel is checked against.
 
@@ -35,12 +35,13 @@ structured report naming the offending cell, never patched over.
 ``verify_agreement`` compares the two routes over any iterable of triples.
 It reads the triples in chunks of a fixed byte budget; per chunk it batches
 the class sums, one ``gl2.class_sum`` call per kind triple, and the
-indicator values, one kernel call, then walks the chunk in order, so
-reports, errors and ``stop_after`` follow the order of the triples.
+indicator values, one kernel call, both from operands read once, then walks
+the chunk in order, so reports, errors and ``stop_after`` follow the order
+of the triples.
 
 ``irrep_table(q)`` holds, per q and in canonical order, the irreps, their
-operands, central exponents, dimensions, labels, the labels' JSON text and
-their duals' labels; the sweeps and the CLI read it by index.
+``gl2.operand`` and ``gl2.omega``, dimensions, labels, the labels' JSON text
+and their duals' labels; the sweeps and the CLI read it by index.
 
 The Gelfand classification does not sweep triples.  ``ind_norms`` gives,
 for a fixed pi, two sums over all ordered pairs (pi1, pi2) of the
@@ -78,20 +79,25 @@ import numpy as np
 from .cyclotomic import Cyclotomic, euler_phi
 from .errors import GL2RepError, NegativeMultiplicity, NotMultiplicityFree
 from .gl2 import (
-    IRREP_KINDS,
     SLICE_BYTES,
+    U,
+    V,
+    W,
+    X,
     GL2Irrep,
     GroupParams,
     Rows,
     build_bytes,
     char_rows,
-    check_q,
     class_params,
     class_sum,
     class_sum_slices,
     class_table,
     divide_exact,
     enumerate_irreps,
+    omega,
+    operand,
+    operands,
     params,
     rational,
     rational_sums,
@@ -131,39 +137,7 @@ def cell_name(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
     return f"{pi1.kind}x{pi2.kind}->{pi3.kind}"
 
 
-def _omega(kind: str, data: tuple[int, ...]) -> int:
-    """Central exponent of an irrep: its central character is alpha_omega on F_q^x.
-
-    omega(U_a) = omega(V_a) = 2a, omega(W_[a,b]) = a + b and omega(X_[n]) = n,
-    so chi(c1:k) = dim * zeta_r^(omega k).  Callers reduce it mod r.
-    """
-    if kind == "W":
-        return data[0] + data[1]
-    if kind == "X":
-        return data[0]
-    return 2 * data[0]
-
-
 # -- the indicator kernel ------------------------------------------------------
-
-# Kind codes of the label arrays: the index in IRREP_KINDS.
-U, V, W, X = range(4)
-
-
-def operand(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int, int]:
-    """The kernel's (kind, d0, d1) of an irrep, every label read as an unordered pair.
-
-    U_a and V_a are {a, a} and W_[a,b] is {a, b}, residues mod r; X_[n] is its
-    orbit {n, qn} in Z_rs.  The twist by alpha_t(det) then maps each member u
-    to u + t (mod r), or to u + s*t (mod rs) for X, and the dual maps u to -u;
-    two labels of one kind are equal iff their pairs are.
-    """
-    check_q((pi,), pr)
-    kind = IRREP_KINDS.index(pi.kind)
-    if kind == X:
-        return kind, pi.data[0], pr.q * pi.data[0] % pr.rs
-    return kind, pi.data[0], pi.data[-1]
-
 
 # The five terms the kernel sums, and their coefficient in each cell
 # 16*k1 + 4*k2 + k3 of kind codes with k1 <= k2.
@@ -243,8 +217,7 @@ def _evaluate(pr: GroupParams, x, y, z) -> np.ndarray:
     value = np.zeros(coef.shape[1:], dtype=np.int64)
     # only the terms of the cells present in the batch are evaluated
     if present[_OMEGA]:
-        # omega = d0 + d1 = 2a for U_a, V_a, a + b for W_[a,b], and d0 = n for X_[n]
-        w1, w2, w3 = (d0 + d1 * (k != X) for k, d0, d1 in ((k1, x0, x1), (k2, y0, y1), (k3, z0, z1)))
+        w1, w2, w3 = (omega(k, d0, d1) for k, d0, d1 in ((k1, x0, x1), (k2, y0, y1), (k3, z0, z1)))
         value += coef[_OMEGA] * ((w1 + w2 - w3) % r == 0)
     if present[_TWIST]:
         # pi3 is pi2 twisted by pi1's alpha_a(det)
@@ -286,7 +259,7 @@ def mult_closed_array(pr: GroupParams, x, y, z) -> np.ndarray:
 
 
 def _negative(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, value: int, pr: GroupParams) -> NegativeMultiplicity:
-    if IRREP_KINDS.index(pi1.kind) > IRREP_KINDS.index(pi2.kind):
+    if operand(pi1, pr)[0] > operand(pi2, pr)[0]:
         pi1, pi2 = pi2, pi1
     return NegativeMultiplicity(
         f"cell {cell_name(pi1, pi2, pi3)} evaluated to {value} for "
@@ -336,10 +309,10 @@ def irrep_table(q: int) -> IrrepTable:
     """The IrrepTable of GL2(q), built once per q: O(q^2)."""
     pr = params(q)
     irreps = tuple(enumerate_irreps(pr))
-    kind, d0, d1 = np.array([operand(pi, pr) for pi in irreps], dtype=np.int64).reshape(-1, 3).T
-    omega = np.array([_omega(pi.kind, pi.data) % pr.r for pi in irreps], dtype=np.int64)
+    kind, d0, d1 = operands(irreps, pr)
+    central = omega(kind, d0, d1) % pr.r
     labels = np.array([pi.label() for pi in irreps], dtype=object)
-    counts = np.bincount(omega, minlength=pr.r)
+    counts = np.bincount(central, minlength=pr.r)
     # each operand is its sorted pair, so (kind, d0, d1) rises in canonical
     # order; the dual's pair is the negated one, mod rs for X and r otherwise
     key = (kind * pr.rs + d0) * pr.rs + d1
@@ -351,12 +324,12 @@ def irrep_table(q: int) -> IrrepTable:
         kind=kind,
         d0=d0,
         d1=d1,
-        omega=omega,
+        omega=central,
         dim=np.array([1, q, q + 1, q - 1], dtype=np.int64)[kind],
         labels=labels,
         encoded=np.array([json.dumps(label) for label in labels], dtype=object),
         duals=labels[dual],
-        by_omega=np.argsort(omega, kind="stable"),
+        by_omega=np.argsort(central, kind="stable"),
         starts=np.cumsum(counts) - counts,
         counts=counts,
     )
@@ -409,7 +382,7 @@ def ind_sweep(pi3: GL2Irrep, pr: GroupParams) -> tuple[np.ndarray, np.ndarray, n
     """
     t = irrep_table(pr.q)
     target = operand(pi3, pr)
-    w3 = _omega(pi3.kind, pi3.data)
+    w3 = omega(*target)
     rows = _sweep_rows(pr)
     found = []
     for lo in range(0, len(t.irreps), rows):
@@ -643,24 +616,22 @@ def sample_triples(pr: GroupParams, count: int, seed: int) -> Iterator[tuple[GL2
         yield rng.choice(irreps), rng.choice(irreps), rng.choice(irreps)
 
 
-def _distinct(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]]) -> tuple[list[GL2Irrep], np.ndarray]:
-    """The distinct irreps of a chunk of triples and, per triple, the positions of its three among them."""
+def _chunk_values(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupParams) -> tuple[np.ndarray, list[int]]:
+    """mult_sum_numerator and mult_closed of every triple of the chunk: a
+    (triples, phi(rs)) array of power-basis coordinates, and a list of
+    values, negative ones too.
+
+    The chunk's distinct irreps are read as operands once.  Those of each
+    kind are stacked once, and each kind triple makes one class_sum call over
+    the chunk's triples of that kind; the indicator values take one kernel call.
+    """
     flat = [pi for triple in chunk for pi in triple]
     # labels are told apart by object, not by value: an equal label in another
     # object only repeats an entry
     first, codes = np.unique(np.fromiter(map(id, flat), np.int64, len(flat)), return_index=True, return_inverse=True)[1:]
-    return [flat[i] for i in first.tolist()], codes.reshape(-1, 3)
-
-
-def _chunk_numerators(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupParams) -> np.ndarray:
-    """mult_sum_numerator of every triple of the chunk, as a (triples, phi(rs))
-    array of power-basis coordinates.
-
-    The chunk's irreps of each kind are stacked once, and each kind triple
-    makes one class_sum call over the chunk's triples of that kind.
-    """
-    irreps, codes = _distinct(chunk)
-    kind = np.array([IRREP_KINDS.index(pi.kind) for pi in irreps])
+    irreps, codes = [flat[i] for i in first.tolist()], codes.reshape(-1, 3)
+    ops = operands(irreps, pr)
+    kind = ops[0]
     position = np.zeros(len(irreps), dtype=np.intp)
     stacks = {}
     for k in np.unique(kind).tolist():
@@ -675,14 +646,7 @@ def _chunk_numerators(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: Grou
         at = np.flatnonzero(group == g)
         k1, k2, k3 = kinds[at[0]].tolist()
         out[at] = class_sum(pr.rs, sizes, stacks[k1], stacks[k2], stacks[k3], position[codes[at]].T)
-    return out
-
-
-def _chunk_closed(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupParams) -> list[int]:
-    """mult_closed of every triple of the chunk, in one kernel call; negative values are returned."""
-    irreps, codes = _distinct(chunk)
-    ops = np.array([operand(pi, pr) for pi in irreps], dtype=np.int64).reshape(-1, 3).T
-    return mult_closed_array(pr, *(ops[:, codes[:, k]] for k in range(3))).tolist()
+    return out, mult_closed_array(pr, *(ops[:, codes[:, k]] for k in range(3))).tolist()
 
 
 def verify_agreement(
@@ -704,10 +668,9 @@ def verify_agreement(
     size = max(1, _CHUNK_BYTES // (512 + 8 * euler_phi(pr.rs)))
     bad: list[Disagreement] = []
     while chunk := list(islice(triples, size)):
-        coords = _chunk_numerators(chunk, pr)
+        coords, closed_values = _chunk_values(chunk, pr)
         totals = coords[:, 0].tolist()
         integral = (~coords[:, 1:].any(axis=1)).tolist()
-        closed_values = _chunk_closed(chunk, pr)
         for i, ((pi1, pi2, pi3), total, ok, closed) in enumerate(zip(chunk, totals, integral, closed_values)):
             if closed < 0:
                 raise _negative(pi1, pi2, pi3, closed, pr)

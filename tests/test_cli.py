@@ -343,6 +343,15 @@ def test_verify_respects_ceiling():
     assert text == f"SKIP harmonic q=4: q outside ceiling {harmonic.HARMONIC_MAX_Q}\nPASS\n"
 
 
+def test_max_q_clamps_the_ceiling_and_never_raises_it():
+    code, text = _run(["verify", "--suite", "gelfand", "--q", "3,5", "--max-q", "4"])
+    assert code == 0
+    assert text == "PASS gelfand q=3\nSKIP gelfand q=5: q outside ceiling 4\nPASS\n"
+    code, text = _run(["verify", "--suite", "harmonic", "--q", "4", "--max-q", "9"])
+    assert code == 0
+    assert text == f"SKIP harmonic q=4: q outside ceiling {harmonic.HARMONIC_MAX_Q}\nPASS\n"
+
+
 def test_suite_choices_are_the_registry_keys_plus_all():
     verify = build_parser()._subparsers._group_actions[0].choices["verify"]
     suite = next(a for a in verify._actions if a.dest == "suite")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2rep.cli import _parse_sl3_irrep
 from gl2rep.cyclotomic import Cyclotomic, root
 from gl2rep.errors import BudgetExceeded, GL2RepError, InvalidLabel, MismatchedQ, NotPrimePower
 from gl2rep.gl2 import (
@@ -35,6 +34,7 @@ from gl2rep.gl2 import (
     table_bytes,
     unit_like,
 )
+from gl2rep.sl3 import SL3Class, parse_sl3_irrep
 from packed import assert_same_stack, pack_rows
 
 PRIME_POWERS_TO_16 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -338,12 +338,29 @@ def test_class_labels_round_trip_through_their_canonical_form(q, kind, k, l):
 @given(q=st.sampled_from(PRIME_POWERS_TO_64), text=LABEL_TEXT)
 def test_label_parsers_raise_only_invalid_label_on_any_text(q, text):
     pr = params(q)
-    for parse in (parse_irrep, parse_class, _parse_sl3_irrep):
+    for parse in (parse_irrep, parse_class, parse_sl3_irrep):
         try:
             label = parse(text, pr)
         except InvalidLabel:
             continue
         assert parse(label.label(), pr) == label
+
+
+@pytest.mark.parametrize(
+    "build, kind",
+    [
+        (lambda pr, n: parse_irrep(f"X:{n}", pr), "X"),
+        (lambda pr, n: parse_class(f"c4:{n}", pr), "c4"),
+        (lambda pr, n: parse_sl3_irrep(f"piRT:{n}", pr), "piRT"),
+        (SL3Class.C7, "C7"),
+    ],
+    ids=["X", "c4", "piRT", "C7"],
+)
+def test_an_orbit_parameter_0_mod_s_names_its_label_kind(build, kind):
+    pr = params(4)  # s = 5
+    for n in (0, 5, -5):
+        with pytest.raises(InvalidLabel, match=rf"^{kind} parameter {n % pr.rs} is 0 mod s=5$"):
+            build(pr, n)
 
 
 def test_cross_q_comparison_raises():

@@ -31,6 +31,27 @@ def test_the_assert_check_sees_both_forms():
     assert _asserts(ast.parse(source)) == [1, 2, 3]
 
 
+def _label_errors(tree: ast.AST) -> list[int]:
+    """Lines of every call of InvalidLabel, by name or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "InvalidLabel" or getattr(node.func, "attr", None) == "InvalidLabel")
+    ]
+
+
+def test_only_the_label_modules_construct_invalid_label():
+    # each label family's grammar and canonical forms live in gl2 and sl3; no other module reads labels
+    found = {path.stem for path in SOURCES if _label_errors(ast.parse(path.read_text(), str(path)))}
+    assert found == {"gl2", "sl3"}
+
+
+def test_the_label_error_check_sees_both_forms():
+    source = "raise InvalidLabel('a')\nraise errors.InvalidLabel('b')\nx = InvalidLabel\n"
+    assert _label_errors(ast.parse(source)) == [1, 2]
+
+
 # The unbounded caches the library may keep, one entry per argument (mostly
 # per q).  Any other is refused: a cache of whole tables grows with every q a
 # process touches.

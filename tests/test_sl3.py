@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from packed import assert_same_stack, pack_rows
 
 from gl2rep import sl3
-from gl2rep.cli import _parse_sl3_irrep, run
+from gl2rep.cli import run
 from gl2rep.cyclotomic import Cyclotomic, root
 from gl2rep.errors import InvalidLabel, MismatchedQ
 from gl2rep.gl2 import GL2Class, GL2Irrep, class_table, enumerate_classes, enumerate_irreps, params, x_orbit_reps
@@ -20,6 +20,7 @@ from gl2rep.sl3 import (
     SL3Irrep,
     embed_class,
     expected_witness_mult,
+    parse_sl3_irrep,
     restriction_mult,
     sl3_char_terms,
     sl3_char_value,
@@ -233,10 +234,10 @@ def test_sl3_irrep_labels_round_trip_through_their_canonical_form(q, kind, u):
     text = kind if kind == "piQS" else f"{kind}:{u}"
     if (kind == "piT" and u % pr.r == 0) or (kind == "piRT" and u % pr.s == 0):
         with pytest.raises(InvalidLabel):
-            _parse_sl3_irrep(text, pr)
+            parse_sl3_irrep(text, pr)
         return
-    pi = _parse_sl3_irrep(text, pr)
+    pi = parse_sl3_irrep(text, pr)
     want = {"piQS": (), "piT": (u % pr.r,), "piRT": (min(u % pr.rs, q * u % pr.rs),)}[kind]
     assert (pi.kind, pi.data) == (kind, want)
     # the canonical form is a fixed point
-    assert _parse_sl3_irrep(pi.label(), pr) == pi and _parse_sl3_irrep(pi.label(), pr).label() == pi.label()
+    assert parse_sl3_irrep(pi.label(), pr) == pi and parse_sl3_irrep(pi.label(), pr).label() == pi.label()

@@ -52,7 +52,7 @@ def _ref_twist(kind, data, sign, a, pr):
     if kind == "W":
         return tuple(sorted(((sign * data[0] + a) % pr.r, (sign * data[1] + a) % pr.r)))
     if kind == "X":
-        return (x_canonical(sign * data[0] + pr.s * a, pr),)
+        return (x_canonical(sign * data[0] + pr.s * a, pr, "X"),)
     return ((sign * data[0] + a) % pr.r,)
 
 
@@ -379,7 +379,7 @@ def test_omega_is_the_central_character(q):
     pr = params(q)
     centre = GL2Class.C1(pr, 1)
     for pi in enumerate_irreps(pr):
-        scalar = ((pi.dim(), (pr.s * tensor._omega(pi.kind, pi.data)) % pr.rs),)
+        scalar = ((pi.dim(), (pr.s * gl2.omega(*gl2.operand(pi, pr))) % pr.rs),)
         assert terms_value(pr.rs, char_terms(pi, centre, pr)) == terms_value(pr.rs, scalar), pi.label()
 
 
@@ -583,7 +583,7 @@ def test_the_class_sum_kernel_equals_a_cyclotomic_reference(q, count):
     want = _reference_numerators(pr, triples)
     assert [mult_sum_numerator(*t, pr) for t in triples] == want
     # the batched route of verify_agreement, kind group by kind group
-    batched = tensor._chunk_numerators(triples, pr)
+    batched = tensor._chunk_values(triples, pr)[0]
     assert [Cyclotomic(pr.rs, x.tolist()) for x in batched] == want
 
 
