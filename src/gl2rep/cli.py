@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import harmonic, oracle, sl3, tensor
+from . import gl2, harmonic, oracle, sl3, tensor
 from .cyclotomic import _fold, coords_json, coords_text, demote
 from .errors import GL2RepError, InvalidLabel, NotPrimePower
 from .gl2 import (
@@ -596,10 +596,8 @@ def run(argv: list[str] | None = None, out=None) -> int:
             require_budget(label_bytes(args.q), f"the labels of GL2({args.q})")
         return _COMMANDS[args.command](args, out)
     except (InvalidLabel, NotPrimePower) as exc:
-        out.write(f"error: {exc}\n")
-        out.write(
-            "label grammar: U:a V:a W:a,b X:n | c1:k c2:k c3:k,l c4:m | piQS piT:u piRT:u\n"
-        )
+        grammars = (gl2.IRREP_GRAMMAR, gl2.CLASS_GRAMMAR, sl3.SL3_IRREP_GRAMMAR)
+        out.write(f"error: {exc}\nlabel grammar: {' | '.join(' '.join(gl2.label_forms(g)) for g in grammars)}\n")
         return 2
     except GL2RepError as exc:
         out.write(f"error: {exc}\n")

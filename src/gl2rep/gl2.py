@@ -18,7 +18,7 @@ compatibilities alpha_a(rho^j) = phi_{s*a}(sigma^j) and phi_n(sigma^{s*j})
 = alpha_{n mod r}(rho^j).
 
 Every label conversion is written once, here: the grammar tables kind ->
-(constructor, parameter count) that ``parse_label`` reads (sl3 keeps its own
+(constructor, parameter names) that ``parse_label`` reads (sl3 keeps its own
 table), and an irrep's integer form ``operand`` and central exponent ``omega``.
 Character rows come in closed form from cell tables (``cell_rows``);
 ``char_terms`` is the scalar reference the tests pack and hold them to.
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import starmap
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -218,12 +218,16 @@ class GL2Class(_Label):
         return {"c1": 1, "c2": pr.rs, "c3": pr.q * pr.s, "c4": pr.q * pr.r}[self.kind]
 
 
-# The grammar of each label family: kind -> (constructor, parameter count),
+# The grammar of each label family: kind -> (constructor, parameter names),
 # in canonical kind order.  Kind by kind, both families take their parameters
 # from the same sets, which _enumerate runs over: residues mod r (the first
 # two kinds), pairs of distinct residues mod r, and orbits {n, qn} in Z_rs.
-IRREP_GRAMMAR = {"U": (GL2Irrep.U, 1), "V": (GL2Irrep.V, 1), "W": (GL2Irrep.W, 2), "X": (GL2Irrep.X, 1)}
-CLASS_GRAMMAR = {"c1": (GL2Class.C1, 1), "c2": (GL2Class.C2, 1), "c3": (GL2Class.C3, 2), "c4": (GL2Class.C4, 1)}
+IRREP_GRAMMAR = {
+    "U": (GL2Irrep.U, ("a",)), "V": (GL2Irrep.V, ("a",)), "W": (GL2Irrep.W, ("a", "b")), "X": (GL2Irrep.X, ("n",))
+}
+CLASS_GRAMMAR = {
+    "c1": (GL2Class.C1, ("k",)), "c2": (GL2Class.C2, ("k",)), "c3": (GL2Class.C3, ("k", "l")), "c4": (GL2Class.C4, ("m",))
+}
 IRREP_KINDS, CLASS_KINDS = tuple(IRREP_GRAMMAR), tuple(CLASS_GRAMMAR)
 
 
@@ -401,19 +405,6 @@ def columns(rows: Rows) -> Rows:
     return (Block(terms, max(b.peak for b in rows)),)
 
 
-def unit_like(rows: Rows) -> Rows:
-    """The one-row stack that is 1 at every index of the blocks of ``rows``."""
-    return _unit_rows(tuple(b.length for b in rows))
-
-
-@lru_cache(maxsize=None)
-def _unit_rows(lengths: tuple[int, ...]) -> Rows:
-    rows = tuple(Block(np.array([1, 0]).reshape(2, 1, 1, 1).repeat(n, axis=3), 1) for n in lengths)
-    for block in rows:
-        block.terms.setflags(write=False)
-    return rows
-
-
 # -- the character table in closed form ------------------------------------------
 
 # The ~1 GB rule: the most bytes a closed-form character table, with what a
@@ -543,26 +534,33 @@ def char_rows(irreps, pr: GroupParams) -> Rows:
     )
 
 
-def int64_bound(rs: int, weights: np.ndarray, a: Rows, b: Rows, c: Rows) -> int:
+def _blocks(a: Rows | None, b: Rows | None, c: Rows | None) -> list[tuple[int, Block, Block, Block]]:
+    """Per block of the summation axis: its length, from the first stack given,
+    and the blocks of the three factors.  None is the constant 1: one term,
+    coefficient 1 and exponent 0, in one block that broadcasts over any."""
+    one = Block(np.array([1, 0]).reshape(2, 1, 1, 1), 1)
+    given = next(f for f in (a, b, c) if f is not None)
+    return [(g.length, *(one if f is None else f[i] for f in (a, b, c))) for i, g in enumerate(given)]
+
+
+def int64_bound(rs: int, weights: np.ndarray, a: Rows | None, b: Rows | None, c: Rows | None) -> int:
     """An upper bound on every |coordinate| that class_sum computes from these
     stacks, and on every partial sum behind it: fold_bound(rs) times the sum
-    over blocks of length * max|weight| * a.peak * b.peak * c.peak."""
+    over blocks of length * max|weight| * a.peak * b.peak * c.peak (1 for None)."""
     total, lo = 0, 0
-    for ba, bb, bc in zip(a, b, c):
-        hi = lo + ba.length
-        if hi > lo:
-            total += (hi - lo) * int(np.abs(weights[lo:hi]).max()) * ba.peak * bb.peak * bc.peak
-        lo = hi
+    for length, ba, bb, bc in _blocks(a, b, c):
+        total += length * int(np.abs(weights[lo : lo + length]).max(initial=0)) * ba.peak * bb.peak * bc.peak
+        lo += length
     return total * fold_bound(rs)
 
 
-def class_sum(rs: int, weights, a: Rows, b: Rows, c: Rows, index) -> np.ndarray:
+def class_sum(rs: int, weights, a: Rows | None, b: Rows | None, c: Rows | None, index) -> np.ndarray:
     """The slices of ``class_sum_slices`` joined: a (batch, phi(rs)) int64 array."""
     out = list(class_sum_slices(rs, weights, a, b, c, index))
     return np.concatenate(out) if out else np.zeros((0, euler_phi(rs)), dtype=np.int64)
 
 
-def class_sum_slices(rs: int, weights, a: Rows, b: Rows, c: Rows, index) -> Iterator[np.ndarray]:
+def class_sum_slices(rs: int, weights, a: Rows | None, b: Rows | None, c: Rows | None, index) -> Iterator[np.ndarray]:
     """Exact sums over k of weights[k] * a[k] * b[k] * conj(c[k]) in Z[zeta_rs],
     one per batch entry, as (slice, phi(rs)) int64 arrays of power-basis
     coordinates, one per slice of the batch in order.
@@ -570,7 +568,8 @@ def class_sum_slices(rs: int, weights, a: Rows, b: Rows, c: Rows, index) -> Iter
     a, b and c are stacks over the same blocks of the summation axis (the
     classes, or the irreps for a column sum) and weights has one integer per
     index k.  Batch entry i takes row index[0][i] of a, index[1][i] of b and
-    index[2][i] of c.  A two-factor sum passes unit_like(a) for b.
+    index[2][i] of c; a factor None is the constant 1, its index entry None.
+    Other modules take sums from ``exact_sums``, coordinates from ``class_sum``.
 
     Per block, the terms of the three rows are multiplied, times the weight,
     and their exponents combined, a's plus b's less c's; np.add.at gathers the
@@ -583,26 +582,26 @@ def class_sum_slices(rs: int, weights, a: Rows, b: Rows, c: Rows, index) -> Iter
     bound = int64_bound(rs, weights, a, b, c)
     if bound >= _INT64_LIMIT:
         raise BudgetExceeded(f"class sum bound {bound} reaches 2^62 in Z[zeta_{rs}]")
-    ia, ib, ic = (np.asarray(i, dtype=np.intp) for i in index)
+    index = [None if i is None else np.asarray(i, dtype=np.intp) for i in index]
+    count = len(next(i for i in index if i is not None))
     blocks, lo, products = [], 0, 0
-    for ba, bb, bc in zip(a, b, c):
-        hi = lo + ba.length
+    for length, ba, bb, bc in _blocks(a, b, c):
         if ba.width * bb.width * bc.width:
-            blocks.append((weights[lo:hi], ba, bb, bc))
-            products += (hi - lo) * ba.width * bb.width * bc.width
-        lo = hi
+            blocks.append((weights[lo : lo + length], ba, bb, bc))
+            products += length * ba.width * bb.width * bc.width
+        lo += length
     # scratch per batch entry: about five int64 arrays of its products, the
     # accumulator and two arrays of the power-table entries fold_rows reads
     step = max(1, SLICE_BYTES // (40 * products + 32 * rs + 16 * fold_width(rs)))
-    for start in range(0, len(ia), step):
-        picks = [i[start : start + step] for i in (ia, ib, ic)]
-        size = len(picks[0])
+    for start in range(0, count, step):
+        picks = [None if i is None else i[start : start + step] for i in index]
+        size = min(step, count - start)
         # exponents a + b - c lie in (-rs, 2rs): each batch entry gets 3 rs
         # accumulator slots, so no product needs reducing mod rs
         acc = np.zeros(size * 3 * rs, dtype=np.int64)
         offset = np.arange(rs, acc.size, 3 * rs)[:, None]
         for w, *factors in blocks:
-            # a stack of one row broadcasts; only real stacks are gathered
+            # a stack of one row, the constant 1 too, broadcasts; only real stacks are gathered
             (ca, ea), (cb, eb), (cc, ec) = (
                 f.terms if f.rows == 1 else f.terms.take(i, axis=2) for f, i in zip(factors, picks)
             )
@@ -621,20 +620,6 @@ def rational(coords: np.ndarray, what: str) -> int:
     return int(coords[0])
 
 
-def rational_sums(slices: Iterable[np.ndarray], what) -> list[int]:
-    """Coordinate 0 of every sum of a stream of class_sum slices, each checked
-    to be a rational integer as its slice arrives, so no slice is kept:
-    NonIntegral names what(i) for the first sum i that is not one."""
-    out: list[int] = []
-    for coords in slices:
-        bad = coords[:, 1:].any(axis=1)
-        if bad.any():
-            i = int(bad.argmax())
-            rational(coords[i], what(len(out) + i))
-        out += coords[:, 0].tolist()
-    return out
-
-
 def divide_exact(total: int, divisor: int, what: str) -> int:
     """total // divisor, or NonIntegral naming ``what`` if the division leaves a remainder."""
     if total % divisor:
@@ -642,15 +627,30 @@ def divide_exact(total: int, divisor: int, what: str) -> int:
     return total // divisor
 
 
+def exact_sums(rs: int, weights, a: Rows | None, b: Rows | None, c: Rows | None, index, what, divisor: int = 1) -> list[int]:
+    """The sums of ``class_sum_slices``, rational integers divided exactly by
+    ``divisor``, each slice checked as it arrives and none kept.  NonIntegral
+    names what(i), as ``rational`` or ``divide_exact`` would, for the first
+    sum i that is not a rational integer or not a multiple of ``divisor``."""
+    out: list[int] = []
+    for coords in class_sum_slices(rs, weights, a, b, c, index):
+        bad = coords[:, 1:].any(axis=1) | (coords[:, 0] % divisor != 0)
+        if bad.any():
+            i = int(bad.argmax())
+            text = what(len(out) + i)
+            divide_exact(rational(coords[i], text), divisor, text)
+        out += (coords[:, 0] // divisor).tolist()
+    return out
+
+
 def char_inner_product(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> int:
     """|G| * (chi_1 | chi_2), i.e. sum over classes of |c| chi_1(c) conj(chi_2(c)).
 
     Row orthogonality: the result is |G| when pi1 == pi2 and 0 otherwise.
     """
-    sizes = class_table(pr.q)[1]
     rows = char_rows([pi1, pi2], pr)
-    coords = class_sum(pr.rs, sizes, rows, unit_like(rows), rows, ([0], [0], [1]))
-    return rational(coords[0], f"inner product of {pi1.label()} and {pi2.label()}")
+    what = f"inner product of {pi1.label()} and {pi2.label()}"
+    return exact_sums(pr.rs, class_table(pr.q)[1], rows, None, rows, ([0], None, [1]), lambda i: what)[0]
 
 
 def class_inner_product(c1: GL2Class, c2: GL2Class, pr: GroupParams) -> int:
@@ -658,17 +658,18 @@ def class_inner_product(c1: GL2Class, c2: GL2Class, pr: GroupParams) -> int:
     check_q((c1, c2), pr)
     index = class_table(pr.q)[2]
     cols = columns(char_rows(enumerate_irreps(pr), pr))
-    ones = [1] * cols[0].length
-    coords = class_sum(pr.rs, ones, cols, unit_like(cols), cols, ([index[c1]], [0], [index[c2]]))
-    return rational(coords[0], f"column product of {c1.label()} and {c2.label()}")
+    what = f"column product of {c1.label()} and {c2.label()}"
+    return exact_sums(pr.rs, [1] * cols[0].length, cols, None, cols, ([index[c1]], None, [index[c2]]), lambda i: what)[0]
 
 
 def _pair_sums(rs: int, weights, rows: Rows, labels, what: str) -> list[int]:
     """Sum over k of weights[k] * row_i[k] * conj(row_j[k]) for every pair i <= j
-    of rows of the stack, row-major, in one class_sum call; labels[i] names row i."""
+    of rows of the stack, row-major, in one exact_sums call; labels[i] names row i."""
     first, second = np.triu_indices(rows[0].rows)
-    slices = class_sum_slices(rs, weights, rows, unit_like(rows), rows, (first, np.zeros_like(first), second))
-    return rational_sums(slices, lambda i: f"{what} of {labels[first[i]].label()} and {labels[second[i]].label()}")
+    return exact_sums(
+        rs, weights, rows, None, rows, (first, None, second),
+        lambda i: f"{what} of {labels[first[i]].label()} and {labels[second[i]].label()}",
+    )
 
 
 def char_inner_products(pr: GroupParams) -> list[int]:
@@ -683,18 +684,23 @@ def class_inner_products(pr: GroupParams) -> list[int]:
     return _pair_sums(pr.rs, [1] * cols[0].length, cols, class_table(pr.q)[0], "column product")
 
 
+def label_forms(grammar) -> list[str]:
+    """How each kind of a grammar is written, its parameters named: U:a, W:a,b, piQS."""
+    return [f"{kind}:{','.join(names)}" if names else kind for kind, (_, names) in grammar.items()]
+
+
 def parse_label(text: str, pr: GroupParams, grammar, unknown: str):
     """Parse and canonicalise a label kind:p1,...,pn by a grammar kind ->
-    (constructor, parameter count) such as IRREP_GRAMMAR; a kind of no
+    (constructor, parameter names) such as IRREP_GRAMMAR; a kind of no
     parameters is written bare or with an empty body.  InvalidLabel is
     raised with ``unknown % text`` for a kind the grammar lacks."""
     kind, _, body = text.partition(":")
-    build, count = grammar.get(kind, (None, 0))
-    if build is None or (body and not count):
+    build, names = grammar.get(kind, (None, ()))
+    if build is None or (body and not names):
         raise InvalidLabel(unknown % (text,))
-    parts = body.split(",") if count else []
-    if len(parts) != count:
-        raise InvalidLabel(f"{kind} takes {count} integer parameter(s), got {body!r}")
+    parts = body.split(",") if names else []
+    if len(parts) != len(names):
+        raise InvalidLabel(f"{kind} takes {len(names)} integer parameter(s), got {body!r}")
     try:
         values = [int(p) for p in parts]
     except ValueError as exc:

@@ -23,13 +23,12 @@ from .gl2 import (
     GroupParams,
     char_rows,
     char_value,
-    class_sum,
     class_table,
     divide_exact,
     enumerate_classes,
     enumerate_irreps,
+    exact_sums,
     params,
-    rational,
 )
 from .sl3 import SL3Class, embed_class
 
@@ -160,8 +159,7 @@ def elementwise_mult(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, q: int) -> int
     classes = class_table(q)[0]
     counts = [ctx.counts.get(c, 0) for c in classes]
     rows = char_rows([pi1, pi2, pi3], pr)
-    total = rational(class_sum(pr.rs, counts, rows, rows, rows, ([0], [1], [2]))[0], "element sum")
-    return divide_exact(total, pr.order, "element sum")
+    return exact_sums(pr.rs, counts, rows, rows, rows, ([0], [1], [2]), lambda i: "element sum", pr.order)[0]
 
 
 def _matrix_for_class(cls: GL2Class, tower: FieldTower) -> Matrix2:

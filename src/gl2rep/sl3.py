@@ -22,8 +22,6 @@ The rows on the embedded GL2 classes come in closed form (``sl3_rows``);
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from .cyclotomic import Cyclotomic
@@ -39,17 +37,15 @@ from .gl2 import (
     char_rows,
     check_q,
     class_params,
-    class_sum_slices,
     class_table,
-    divide_exact,
     enumerate_irreps,
+    exact_sums,
+    label_forms,
     params,
     parse_label,
-    rational_sums,
     require_budget,
     table_bytes,
     terms_value,
-    unit_like,
     x_canonical,
 )
 
@@ -149,13 +145,14 @@ class SL3Irrep(_Label):
 
 
 # The grammar of the SL3 irrep labels, as gl2.IRREP_GRAMMAR is of the GL2 ones.
-SL3_IRREP_GRAMMAR = {"piQS": (SL3Irrep.QS, 0), "piT": (SL3Irrep.T, 1), "piRT": (SL3Irrep.RT, 1)}
+SL3_IRREP_GRAMMAR = {"piQS": (SL3Irrep.QS, ()), "piT": (SL3Irrep.T, ("u",)), "piRT": (SL3Irrep.RT, ("u",))}
 SL3_IRREP_KINDS = tuple(SL3_IRREP_GRAMMAR)
+_UNKNOWN_SL3_IRREP = f"unknown SL3 irrep label %r ({', '.join(label_forms(SL3_IRREP_GRAMMAR))})"
 
 
 def parse_sl3_irrep(text: str, pr: GroupParams) -> SL3Irrep:
     """Parse and canonicalise an SL3 irrep label: piQS, piT:u or piRT:u."""
-    return parse_label(text, pr, SL3_IRREP_GRAMMAR, "unknown SL3 irrep label %r (piQS, piT:u, piRT:u)")
+    return parse_label(text, pr, SL3_IRREP_GRAMMAR, _UNKNOWN_SL3_IRREP)
 
 
 def embed_class(c: GL2Class, pr: GroupParams) -> SL3Class:
@@ -293,25 +290,21 @@ def sl3_rows(pis, pr: GroupParams) -> Rows:
     return cell_rows(kind, ((r, c1, scalar), (r, c2, scalar), (len(k3), c3, split), (len(m), c7, elliptic)))
 
 
-def _restriction_mults(pairs: list[tuple[SL3Irrep, GL2Irrep]], pr: GroupParams) -> Iterator[int]:
-    """restriction_mult of every (pi, tau) pair, from one class sum over the
-    rows of the distinct pi, each pair reading its pi's row by index; each sum
-    is checked to be a multiple of |G| as its value is taken."""
-    sizes = class_table(pr.q)[1]
+def _restriction_mults(pairs: list[tuple[SL3Irrep, GL2Irrep]], pr: GroupParams) -> list[int]:
+    """restriction_mult of every (pi, tau) pair, from one exact_sums call over
+    the rows of the distinct pi, each pair reading its pi's row by index."""
     rows_of: dict[SL3Irrep, int] = {}
     at = [rows_of.setdefault(pi, len(rows_of)) for pi, _ in pairs]
     pi_rows = sl3_rows(list(rows_of), pr)
     tau_rows = char_rows([tau for _, tau in pairs], pr)
-    every = np.arange(len(pairs))
-    slices = class_sum_slices(pr.rs, sizes, pi_rows, unit_like(pi_rows), tau_rows, (at, np.zeros_like(every), every))
     what = [f"restriction sum for [{pi.label()} | : {tau.label()}]" for pi, tau in pairs]
-    for text, total in zip(what, rational_sums(slices, what.__getitem__)):
-        yield divide_exact(total, pr.order, text)
+    index = (at, None, np.arange(len(pairs)))
+    return exact_sums(pr.rs, class_table(pr.q)[1], pi_rows, None, tau_rows, index, what.__getitem__, pr.order)
 
 
 def restriction_mult(pi: SL3Irrep, tau: GL2Irrep, pr: GroupParams) -> int:
     """Multiplicity of tau in the restriction of pi to the embedded GL2(q)."""
-    return next(_restriction_mults([(pi, tau)], pr))
+    return _restriction_mults([(pi, tau)], pr)[0]
 
 
 def witness_irrep(tau: GL2Irrep, pr: GroupParams) -> SL3Irrep:

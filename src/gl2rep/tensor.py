@@ -91,18 +91,16 @@ from .gl2 import (
     char_rows,
     class_params,
     class_sum,
-    class_sum_slices,
     class_table,
     divide_exact,
     enumerate_irreps,
+    exact_sums,
     omega,
     operand,
     operands,
     params,
     rational,
-    rational_sums,
     require_budget,
-    unit_like,
 )
 
 # Triples per verify_agreement chunk come from this byte budget.  A triple in
@@ -112,15 +110,10 @@ from .gl2 import (
 _CHUNK_BYTES = 1 << 21
 
 
-def _numerator_coords(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> np.ndarray:
-    sizes = class_table(pr.q)[1]
-    rows = char_rows([pi1, pi2, pi3], pr)
-    return class_sum(pr.rs, sizes, rows, rows, rows, ([0], [1], [2]))[0]
-
-
 def mult_sum_numerator(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> Cyclotomic:
     """The weighted class sum before division by |G| = q*s*r^2."""
-    return Cyclotomic(pr.rs, _numerator_coords(pi1, pi2, pi3, pr).tolist())
+    rows = char_rows([pi1, pi2, pi3], pr)
+    return Cyclotomic(pr.rs, class_sum(pr.rs, class_table(pr.q)[1], rows, rows, rows, ([0], [1], [2]))[0].tolist())
 
 
 def _what(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
@@ -129,8 +122,9 @@ def _what(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
 
 def mult_sum(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> int:
     """Exact multiplicity of pi3 inside pi1 (x) pi2 via the class sum."""
+    rows = char_rows([pi1, pi2, pi3], pr)
     what = _what(pi1, pi2, pi3)
-    return divide_exact(rational(_numerator_coords(pi1, pi2, pi3, pr), what), pr.order, what)
+    return exact_sums(pr.rs, class_table(pr.q)[1], rows, rows, rows, ([0], [1], [2]), lambda i: what, pr.order)[0]
 
 
 def cell_name(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
@@ -507,15 +501,18 @@ def _class_weights(pr: GroupParams) -> np.ndarray:
 
 
 def _norms(irreps: list[GL2Irrep], rows: Rows, weights: np.ndarray, pr: GroupParams) -> list[tuple[int, int]]:
-    """ind_norms of each irrep, from the stack of their rows: two class sums,
-    of which only coordinate 0 is kept, a slice at a time (``rational_sums``)."""
-    unit = unit_like(rows)
-    every, first = np.arange(len(irreps)), np.zeros(len(irreps), dtype=np.intp)
-    squares = class_sum_slices(pr.rs, [1] * len(weights), rows, unit, rows, (every, first, every))
-    squares = rational_sums(squares, lambda i: f"sum of squares for {irreps[i].label()}")
-    totals = class_sum_slices(pr.rs, weights, unit, unit, rows, (first, first, every))
-    totals = rational_sums(totals, lambda i: f"pair sum for {irreps[i].label()}")
-    return [(sq, divide_exact(t, pr.order, f"pair sum for {pi.label()}")) for pi, sq, t in zip(irreps, squares, totals)]
+    """ind_norms of each irrep, from the stack of their rows: two ``exact_sums``
+    calls, sum_c |chi(c)|^2 and sum_c w(c) conj(chi(c)) divided by |G|, the
+    factors 1 given as None."""
+    every = np.arange(len(irreps))
+    squares = exact_sums(
+        pr.rs, [1] * len(weights), rows, None, rows, (every, None, every),
+        lambda i: f"sum of squares for {irreps[i].label()}",
+    )
+    totals = exact_sums(
+        pr.rs, weights, None, None, rows, (None, None, every), lambda i: f"pair sum for {irreps[i].label()}", pr.order
+    )
+    return list(zip(squares, totals))
 
 
 def ind_norms(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2rep import gl2, harmonic, oracle, tensor
+from gl2rep import gl2, harmonic, oracle, sl3, tensor
 from gl2rep.cli import SUITES, _value_ids, _value_json, build_parser, chartable_bytes, run
 from gl2rep.cyclotomic import Cyclotomic, coords_text, demote, euler_phi, root
 from gl2rep.gl2 import (
@@ -281,6 +281,85 @@ def test_usage_errors_exit_2():
     assert "label grammar" in text
     code, _ = _run(["classes", "--q", "6"])
     assert code == 2
+
+
+def test_the_usage_line_is_the_join_of_the_label_grammars():
+    grammars = (gl2.IRREP_GRAMMAR, gl2.CLASS_GRAMMAR, sl3.SL3_IRREP_GRAMMAR)
+    tables = [[kind + (f":{','.join(names)}" if names else "") for kind, (_, names) in g.items()] for g in grammars]
+    usage = "label grammar: " + " | ".join(" ".join(forms) for forms in tables)
+    assert usage == "label grammar: U:a V:a W:a,b X:n | c1:k c2:k c3:k,l c4:m | piQS piT:u piRT:u"
+    assert _run(["tensor", "--q", "3", "--left", "Q:1", "--right", "U:0"]) == (
+        2,
+        f"error: unknown irrep label 'Q:1'\n{usage}\n",
+    )
+    assert _run(["sl3-restrict", "--q", "3", "--pi", "piX", "--to", "U:0"]) == (
+        2,
+        f"error: unknown SL3 irrep label 'piX' ({', '.join(tables[2])})\n{usage}\n",
+    )
+
+
+# Verify runners and text forms that the workloads of the benchmark run: their exact output.
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["verify", "--suite", "orthogonality", "--q", "3"], "PASS orthogonality q=3\nPASS\n"),
+        (
+            ["verify", "--suite", "indx-counts", "--q", "2,3"],
+            "SKIP indx-counts q=2: degenerate at q=2\nPASS indx-counts q=3\nPASS\n",
+        ),
+        (["verify", "--suite", "sl3", "--q", "4"], "PASS sl3 q=4\nPASS\n"),
+        (["verify", "--suite", "harmonic", "--q", "2"], "PASS harmonic q=2\nPASS\n"),
+        (["verify", "--suite", "tensor-agree", "--q", "7"], "PASS tensor-agree q=7\nPASS\n"),
+        (["sl3-restrict", "--q", "3", "--pi", "piQS", "--to", "U:0"], "[piQS restricted to GL2(3) : U:0] = 2\n"),
+    ],
+)
+def test_verify_runners_and_text_forms_print_their_exact_text(argv, want):
+    assert _run(argv) == (0, want)
+
+
+def test_the_sampled_tensor_agree_and_sl3_reports():
+    code, text = _run(["verify", "--suite", "tensor-agree", "--q", "7", "--format", "json"])
+    assert code == 0
+    assert json.loads(text)["reports"] == [
+        {"check": "tensor-agree", "q": 7, "mode": "sampled:10000", "triples": 10000, "pass": True, "disagreements": []}
+    ]
+    code, text = _run(["verify", "--suite", "sl3", "--q", "4", "--format", "json"])
+    assert code == 0
+    note = "d=3: X-type witnesses computed as d+1 = 4, not 2"
+    assert json.loads(text)["reports"] == [
+        {"check": "sl3", "q": 4, "pass": True, "witnesses": 15, "failures": [], "note": note}
+    ]
+
+
+def test_a_bad_q_list_is_a_usage_error(capsys):
+    assert _run(["verify", "--q", "3,x"]) == (2, "")
+    assert capsys.readouterr().err.endswith("gl2rep verify: error: argument --q: bad q list '3,x'\n")
+
+
+def _failed(report: dict) -> str:
+    return f"FAIL {report['check']} q={report['q']}\n{json.dumps(report, indent=2)}\nFAIL\n"
+
+
+def test_a_failed_indx_count_prints_its_report(monkeypatch):
+    real = tensor.ind_X_counts_by_dim
+    monkeypatch.setattr(tensor, "ind_X_counts_by_dim", lambda n, pr: {} if n == 1 else real(n, pr))
+    mismatch = {"n": 1, "got": {}, "expected": {"2": 4, "12": 4, "6": 4, "8": 2}, "total": 0}
+    report = {"check": "indx-counts", "q": 3, "pass": False, "mismatches": [mismatch]}
+    assert _run(["verify", "--suite", "indx-counts", "--q", "3"]) == (1, _failed(report))
+
+
+def test_a_tensor_agree_disagreement_prints_its_report(monkeypatch):
+    real = tensor.mult_closed_array
+    X = tensor.X
+
+    def kernel(pr, x, y, z):
+        # X x X -> X one too high: at q = 2 the sign character squares to the trivial one
+        return real(pr, x, y, z) + ((x[0] == X) & (y[0] == X) & (z[0] == X))
+
+    monkeypatch.setattr(tensor, "mult_closed_array", kernel)
+    bad = {"q": 2, "cell": "XxX->X", "left": "X:1", "right": "X:1", "target": "X:1", "closed": 1, "class_sum": 0}
+    report = {"check": "tensor-agree", "q": 2, "mode": "exhaustive", "triples": 27, "pass": False, "disagreements": [bad]}
+    assert _run(["verify", "--suite", "tensor-agree", "--q", "2"]) == (1, _failed(report))
 
 
 def test_verify_small_suites_pass():

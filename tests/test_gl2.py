@@ -1,5 +1,6 @@
 """GL2(q) labels, censuses, character values and orthogonality."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl2rep import gl2
 from gl2rep.cyclotomic import Cyclotomic, root
-from gl2rep.errors import BudgetExceeded, GL2RepError, InvalidLabel, MismatchedQ, NotPrimePower
+from gl2rep.errors import BudgetExceeded, GL2RepError, InvalidLabel, MismatchedQ, NonIntegral, NotPrimePower
 from gl2rep.gl2 import (
     CLASS_KINDS,
     TABLE_BYTES_LIMIT,
+    Block,
     GL2Class,
     GL2Irrep,
     GroupParams,
@@ -23,16 +26,17 @@ from gl2rep.gl2 import (
     class_inner_product,
     class_inner_products,
     class_sum,
+    class_sum_slices,
     class_table,
     enumerate_classes,
     enumerate_irreps,
+    exact_sums,
     int64_bound,
     params,
     parse_class,
     parse_irrep,
     require_budget,
     table_bytes,
-    unit_like,
 )
 from gl2rep.sl3 import SL3Class, parse_sl3_irrep
 from packed import assert_same_stack, pack_rows
@@ -181,11 +185,42 @@ def test_batched_orthogonality_sums_equal_a_cyclotomic_reference():
 
 
 def test_the_int64_bound_of_unit_rows_counts_the_classes():
+    # the trivial row times the constant 1 (None) twice: every peak is 1
     pr = params(3)
-    unit = unit_like(char_rows([GL2Irrep.U(pr, 0)], pr))
-    assert int64_bound(pr.rs, np.ones(pr.rs, dtype=np.int64), unit, unit, unit) == pr.rs
+    unit = char_rows([GL2Irrep.U(pr, 0)], pr)
+    assert int64_bound(pr.rs, np.ones(pr.rs, dtype=np.int64), unit, None, None) == pr.rs
     sizes = np.asarray(class_table(3)[1])
-    assert int64_bound(pr.rs, sizes, unit, unit, unit) == pr.order
+    assert int64_bound(pr.rs, sizes, None, unit, None) == pr.order
+
+
+def _one_entry_rows(coefs, exps):
+    """A stack of one-entry rows over one block: row i is coefs[i] * zeta^exps[i]."""
+    terms = np.array([coefs, exps], dtype=np.int64).reshape(2, 1, len(coefs), 1)
+    return (Block(terms, max(map(abs, coefs))),)
+
+
+def test_exact_sums_names_the_first_bad_sum_by_its_place_in_the_batch(monkeypatch):
+    # one sum per slice, so each fault is found in a later slice than the first
+    monkeypatch.setattr(gl2, "SLICE_BYTES", 1)
+    every = np.arange(6)
+
+    def sums(coefs, exps, divisor=2):
+        rows = _one_entry_rows(coefs, exps)
+        return exact_sums(8, [1], rows, None, None, (every, None, None), lambda i: f"sum {i}", divisor)
+
+    assert len(list(class_sum_slices(8, [1], _one_entry_rows([1] * 6, [0] * 6), None, None, (every, None, None)))) == 6
+    # zeta_8^4 = -1 is rational
+    assert sums([4, 6, -8, 2, 0, 6], [0, 0, 0, 0, 0, 4]) == [2, 3, -4, 1, 0, -3]
+    assert sums([4, 6, -8, 2, 0, 6], [0] * 6, divisor=1) == [4, 6, -8, 2, 0, 6]
+    with pytest.raises(NonIntegral, match=re.escape("sum 4 has power-basis coordinates [0, 4, 0, 0], not a rational integer")):
+        sums([4] * 6, [0, 0, 0, 0, 1, 0])
+    with pytest.raises(NonIntegral, match=re.escape("sum 3 = 3 is not divisible by 2")):
+        sums([4, 4, 4, 3, 4, 4], [0] * 6)
+    # two faults in one batch: the first in batch order is raised, whatever its kind
+    with pytest.raises(NonIntegral, match=re.escape("sum 1 = -3 is not divisible by 2")):
+        sums([4, -3, 4, 4, 4, 4], [0, 0, 0, 0, 1, 0])
+    with pytest.raises(NonIntegral, match=re.escape("sum 2 has power-basis coordinates [0, 0, 4, 0]")):
+        sums([4, 4, 4, 3, 4, 4], [0, 0, 2, 0, 0, 0])
 
 
 def test_class_sum_refuses_a_sum_that_could_leave_int64_before_allocating():

@@ -150,6 +150,30 @@ def test_an_embedding_into_c8_is_a_package_error(monkeypatch):
         verify_embedding(3)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 7])
+def test_the_c3_eigen_structure_is_that_of_a_jordan_block(q):
+    # no GL2 class meets C3, so verify_embedding never reads it: hold it to lambda * J_3
+    pr, tower = params(q), tower_for(q)
+    gf2 = tower.gf_q2
+    scalars = set()
+    for k in range(1, pr.d + 1):
+        for l in range(1, pr.d + 1):
+            eigs, ranks = oracle._expected_eigen_structure(SL3Class.C3(pr, k, l), tower)
+            lam = eigs[0]
+            jordan = (lam, 1, 0, 0, lam, 1, 0, 0, lam)
+            assert eigs == [lam] * 3 and ranks == {lam: 2}
+            assert gf2.pow(lam, 3) == 1  # det(lambda * J_3) = 1: the block lies in SL3
+            charpoly = [1]
+            for e in eigs:
+                charpoly = [gf2.sub(lo, gf2.mul(e, hi)) for lo, hi in zip([0, *charpoly], [*charpoly, 0])]
+            assert oracle._charpoly3_coeffs(gf2, jordan) == charpoly
+            assert oracle._rank3_shifted(gf2, jordan, lam) == ranks[lam]
+            assert oracle._rank3_shifted(gf2, jordan, 0) == 3
+            scalars.add(lam)
+    # k runs over the d cube roots of unity in F_q
+    assert len(scalars) == pr.d
+
+
 def test_s4_over_c3_multiplicity_table():
     got = generic_multiplicity(s4_char_table(), c3_char_table(), S4_OVER_C3_CLASS_MAP)
     assert got == S4_OVER_C3_EXPECTED

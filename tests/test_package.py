@@ -52,6 +52,28 @@ def test_the_label_error_check_sees_both_forms():
     assert _label_errors(ast.parse(source)) == [1, 2]
 
 
+def _names(tree: ast.AST, name: str) -> list[int]:
+    """Lines that name ``name``: as a name, an attribute or an imported name."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names))
+    )
+
+
+def test_only_gl2_names_the_class_sum_slices():
+    # the front door to the kernel is gl2.exact_sums, or gl2.class_sum for coordinates
+    found = {path.stem for path in SOURCES if _names(ast.parse(path.read_text(), str(path)), "class_sum_slices")}
+    assert found == {"gl2"}
+
+
+def test_the_name_check_sees_every_form():
+    source = "from m import (a,\n    k)\nk(1)\nm.k\nx = 'k'\nkk(2)\n"
+    assert _names(ast.parse(source), "k") == [1, 3, 4]
+
+
 # The unbounded caches the library may keep, one entry per argument (mostly
 # per q).  Any other is refused: a cache of whole tables grows with every q a
 # process touches.
@@ -60,7 +82,6 @@ ALLOWED_CACHES = {
     "cyclotomic._cyclotomic_polynomial",
     "cyclotomic._power_entries",
     "cyclotomic._power_table",
-    "gl2._unit_rows",
     "gl2.class_params",
     "gl2.class_table",
     "gl2.params",

@@ -59,6 +59,15 @@ def test_c7_orbit_canonical():
     assert SL3Class.C7(pr, 7) == SL3Class.C7(pr, 5)  # 7*3 = 21 = 5 mod 8
 
 
+def test_c3_refuses_a_second_parameter_outside_1_to_d():
+    for q, l in ((4, 0), (4, 4), (3, 2), (5, -1)):
+        pr = params(q)
+        with pytest.raises(InvalidLabel, match=f"^C3 second parameter {l} outside 1..{pr.d}$"):
+            SL3Class.C3(pr, 1, l)
+    pr = params(4)
+    assert [SL3Class.C3(pr, 2, l).data for l in (1, 2, 3)] == [(2, 1), (2, 2), (2, 3)]
+
+
 def test_embedding_rows():
     pr = params(5)  # d = 1, so r/d = r and only k = 0 is central
     assert embed_class(GL2Class.C1(pr, 0), pr) == SL3Class.C1(pr, 1)

@@ -334,10 +334,8 @@ def _column_sum_weights(pr):
     """|c| * S(c)^2 with S(c) the column sums of the character table, taken
     through class_sum: the reference of the closed form."""
     cols = gl2.columns(gl2.char_rows(enumerate_irreps(pr), pr))
-    unit = gl2.unit_like(cols)
     every = np.arange(cols[0].rows)
-    first = np.zeros_like(every)
-    coords = gl2.class_sum(pr.rs, [1] * cols[0].length, cols, unit, unit, (every, first, first))
+    coords = gl2.class_sum(pr.rs, [1] * cols[0].length, cols, None, None, (every, None, None))
     assert not coords[:, 1:].any()
     return [size * s * s for size, s in zip(gl2.class_table(pr.q)[1], coords[:, 0].tolist())]
 
