@@ -9,42 +9,52 @@ irreducible pi of H the two-sided projection
 
 is a subalgebra whose commutativity is equivalent to pi inducing
 multiplicity free from H to G'.  This module computes I_pi bases and
-tests commutativity exactly, at q in {2, 3}: all products of a stacked
-basis come out of one contraction, and the algebra is commutative iff
-that product array is symmetric in its two basis axes.  The [G':H]
-factor makes xi_pi idempotent under the 1/|G'| normalisation.
+tests commutativity exactly, at q in {2, 3}.  The [G':H] factor makes
+xi_pi idempotent under the 1/|G'| normalisation.
 
 Everything is exact: functions take values in (1/den) * Z[zeta_rs],
-stored as integer coordinate vectors with one shared denominator.
-Convolutions of H-class functions are evaluated through a precomputed
-integer tensor
+stored as integer coordinate vectors with one shared denominator, and
+every kernel runs on machine integers or on float64, never on Python
+integers.  Convolutions of H-class functions are evaluated through a
+precomputed integer tensor
 
     N[k][i][j] = #{ y in orbit_i : y^-1 x_k in orbit_j }
 
 over the H-conjugation orbits on G', which turns each convolution into
-a small bilinear form in integers.  It is evaluated in float64 through
-BLAS, one int32 slice N[k] cast at a time, and is still exact: every
-operand is an integer, and when the absolute values of the terms of each
-output entry sum to less than 2^53, every partial sum is an integer that
-float64 holds exactly, in any summation order, with or without FMA and
-on any number of threads.  That sum is at most
+a small bilinear form in integers.  One generator yields the products of
+two stacked bases one orbit slice k at a time; ``_products`` stacks all
+slices, and ``commutativity_check`` stops at the first slice that is not
+symmetric in its two basis axes, since the algebra is commutative iff
+every slice is.  Each slice is evaluated in float64 through BLAS, one
+int32 slice N[k] cast at a time, and is still exact: every operand is an
+integer, and when the absolute values of the terms of each output entry
+sum to less than 2^53, every partial sum is an integer that float64
+holds exactly, in any summation order, with or without FMA and on any
+number of threads.  That sum is at most
 
     |G'| * max|f| * max|g| * max_e sum_{c,d} |reduction[c, d, e]|,
 
 and a product stack whose bound reaches 2^53 raises BudgetExceeded before
 anything is allocated; at q <= 3 the largest bound met is 230 400.
+
+The projections and the echelon that picks a basis from them run on
+int64, under the same kind of bound taken from the operands before each
+step: a step whose terms could sum to 2^62 raises BudgetExceeded before
+any product is formed.  With content reduction the largest entry the
+echelon meets at q <= 3 is 4 800, far below it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 
 import numpy as np
 
 from .cyclotomic import Cyclotomic, euler_phi, root_coords
 from .errors import BudgetExceeded, MismatchedGroup
-from .gl2 import GL2Irrep, char_value, enumerate_classes, params
+from .gl2 import _INT64_LIMIT, GL2Irrep, char_value, enumerate_classes, params
 from .oracle import classify_element, enumerate_gl2, tower_for
 
 HARMONIC_MAX_Q = 3
@@ -124,15 +134,15 @@ class PairGroupContext:
         """N[k, i, j] = #{y in O_i with y^-1 x_k in O_j}; drives convolution."""
         if self._n_tensor is None:
             n, K = self.n, self.K
-            N = np.zeros((K, K, K), dtype=np.int32)
+            N = np.empty((K, K, K), dtype=np.int32)
             ys = np.arange(self.n2, dtype=np.int64)
             ya, yb = np.divmod(ys, n)
             inv_a, inv_b = self.inv[ya], self.inv[yb]
-            orb_y = self.orb
+            row_y = self.orb.astype(np.int64) * K  # the (i, j) cell of y is i * K + j
             for k, xk in enumerate(self.orbit_reps):
                 ka, kb = divmod(xk, n)
                 u = self.mul[inv_a, ka].astype(np.int64) * n + self.mul[inv_b, kb]
-                np.add.at(N[k], (orb_y, self.orb[u]), 1)
+                N[k] = np.bincount(row_y + self.orb[u], minlength=K * K).reshape(K, K)
             self._n_tensor = N
         return self._n_tensor
 
@@ -145,19 +155,19 @@ class PairGroupContext:
         if self._pair_count is None:
             n, K = self.n, self.K
             nc = len(self.classes)
-            count = np.zeros((K, K, nc, nc), dtype=np.int32)
+            count = np.empty((K, K, nc, nc), dtype=np.int32)
             gs = np.arange(n)
             inv_g = self.inv[gs]
-            cls_y = np.repeat(self.cls[gs], n)
-            cls_z = np.tile(self.cls[gs], n)
+            # the (j, cy, cz) cell of the pair (y, z) is j * nc^2 + cy * nc + cz
+            cls_yz = (self.cls[:, None].astype(np.int64) * nc + self.cls[None, :]).ravel()
             for k, xk in enumerate(self.orbit_reps):
                 ka, kb = divmod(xk, n)
                 wa = self.mul[inv_g, ka]  # y^-1 then x_k, first coordinate
                 wb = self.mul[inv_g, kb]
                 ua = self.mul[wa[:, None], inv_g[None, :]].astype(np.int64)
                 ub = self.mul[wb[:, None], inv_g[None, :]]
-                j = self.orb[ua * n + ub].ravel()
-                np.add.at(count[k], (j, cls_y, cls_z), 1)
+                j = self.orb[ua * n + ub].ravel().astype(np.int64)
+                count[k] = np.bincount(j * nc * nc + cls_yz, minlength=K * nc * nc).reshape(K, nc, nc)
             self._pair_count = count
         return self._pair_count
 
@@ -241,17 +251,18 @@ def _check_exact(ctx: PairGroupContext, f: np.ndarray, g: np.ndarray) -> None:
         raise BudgetExceeded(f"convolution bound {bound} reaches 2^53 at q={ctx.q}")
 
 
-def _products(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+def _product_slices(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> Iterator[np.ndarray]:
     """Integer parts of every f * g at the orbit reps, for f in the stack
-    F (a, K, phi) and g in G (b, K, phi): an (a, b, K, phi) int64 array with
+    F (a, K, phi) and g in G (b, K, phi), one orbit k at a time: the k-th
+    item is the (a, b, phi) int64 slice
 
         P[a, b, k] = sum_{i,j} N[k,i,j] F[a,i] G[b,j], reduced.
 
-    The sums run in float64 through BLAS, one K x K slice of the int32 N
-    cast at a time, never a copy of all of N, and each slice of P is
-    rounded into the int64 result as it is made.  ``_check_exact`` bounds
-    every partial sum below 2^53, so each is an exact integer and P equals
-    the integer result entry by entry.
+    ``_check_exact`` runs on the call, before N is read, and bounds every
+    partial sum below 2^53.  Each slice is then summed in float64 through
+    BLAS, from one K x K slice of the int32 N cast when the slice is asked
+    for, never a copy of all of N, so each partial sum is an exact integer
+    and the rounded slice equals the integer result entry by entry.
     """
     _check_exact(ctx, F, G)
     N = ctx.n_tensor()
@@ -260,11 +271,19 @@ def _products(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> np.ndarray
     f_cols = F.transpose(1, 2, 0).reshape(K, phi * a).astype(np.float64)  # [i, (c, a)]
     # g_mul[(b, e), (j, c)]: coordinate e of zeta^c * G[b, j]
     g_mul = np.einsum("bjd,cde->bejc", G, ctx.reduction).reshape(b * phi, K * phi).astype(np.float64)
-    out = np.empty((a, b, K, phi), dtype=np.int64)
-    for k in range(K):
-        t = (N[k].T.astype(np.float64) @ f_cols).reshape(K * phi, a)  # [(j, c), a]
-        out[:, :, k] = np.rint(g_mul @ t).reshape(b, phi, a).transpose(2, 0, 1)
-    return out
+
+    def slices() -> Iterator[np.ndarray]:
+        for k in range(K):
+            t = (N[k].T.astype(np.float64) @ f_cols).reshape(K * phi, a)  # [(j, c), a]
+            yield np.rint(g_mul @ t).astype(np.int64).reshape(b, phi, a).transpose(2, 0, 1)
+
+    return slices()
+
+
+def _products(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Every slice of ``_product_slices`` stacked: the (a, b, K, phi) int64
+    array P of the integer parts of f * g for f in F and g in G."""
+    return np.stack(list(_product_slices(ctx, F, G)), axis=2)
 
 
 def convolve(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
@@ -300,54 +319,80 @@ def _cyc_mul_matrix(vec: np.ndarray, reduction: np.ndarray) -> np.ndarray:
     return np.einsum("c,cde->de", vec, reduction)
 
 
+def _check_int64(bound: int, what: str, q: int) -> None:
+    """Raise BudgetExceeded unless ``bound``, an a-priori bound on the sum of
+    the absolute values of the terms behind every entry of an int64 step,
+    stays below 2^62, so that every partial sum of the step fits in int64."""
+    if bound >= _INT64_LIMIT:
+        raise BudgetExceeded(f"{what} bound {bound} reaches 2^62 at q={q}")
+
+
 def build_I_pi(pi: GL2Irrep, q: int) -> list[GroupFunction]:
     """A basis of I_pi(G') obtained by projecting H-orbit indicator sums.
 
-    The projections of all K orbit indicators are computed in one pass
-    from the pi-independent pair-count tensor; a maximal linearly
-    independent subset over Q(zeta_rs) is selected by exact elimination.
+    The projections of all K orbit indicators come from the pi-independent
+    pair-count tensor, one int64 matmul per orbit representative; a maximal
+    linearly independent subset over Q(zeta_rs) is selected by exact
+    elimination.
     """
     ctx = pair_context(q)
     count = ctx.pair_count()
+    K, nc, phi = ctx.K, len(ctx.classes), ctx.phi
     # xi without the [G':H] scale; scaling does not change spans or products
     xi = _xi_classes(pi, ctx)
+    # every projection entry sums n^2 pair products, each a sum of terms
+    # bounded by max|xi|^2 * reduction_mass
+    max_xi = int(np.abs(xi).max())
+    _check_int64(ctx.n**2 * max_xi * max_xi * ctx.reduction_mass, "projection", q)
     # products xi(y) xi(z) for all class pairs, reduced to the power basis
-    pair_products = np.einsum("ac,bd,cde->abe", xi, xi, ctx.reduction)
+    pair_products = np.einsum("ac,bd,cde->abe", xi, xi, ctx.reduction).reshape(nc * nc, phi)
     # C[k, j, :] = sum over class pairs of count * product
-    projections = np.einsum("kjab,abe->kje", count, pair_products)
+    projections = np.empty((K, K, phi), dtype=np.int64)
+    for k in range(K):
+        projections[k] = count[k].reshape(K, nc * nc) @ pair_products
     return [
         GroupFunction(ctx, projections[:, j, :], ctx.n2 * ctx.n**2)
         for j in _independent_columns(ctx, projections)
     ]
 
 
+def _content_reduced(v: np.ndarray) -> np.ndarray:
+    g = int(np.gcd.reduce(v, axis=None))
+    return v // g if g > 1 else v
+
+
 def _independent_columns(ctx: PairGroupContext, projections: np.ndarray) -> list[int]:
     """Indices j whose projected columns form a basis of the column span.
 
-    Exact echelon over Q(zeta_rs) on integer vectors: rows are kept
-    content-reduced, elimination uses cross-multiplication by pivot
-    values, and every multiplication is a small integer matrix product.
+    Exact echelon over Q(zeta_rs) on int64 vectors: rows are kept
+    content-reduced, and a column v is cleared at pivot p of an echelon row
+    by v <- v * piv - row * v[p], with piv = row[p], each product a small
+    integer matrix product.  Before each such step BudgetExceeded is
+    raised, ahead of any product, unless
+
+        (max|v| * max|piv| + max|row| * max|v[p]|) * reduction_mass < 2^62,
+
+    which bounds every partial sum of the step.  At q <= 3 no entry passes
+    4 800 (W:0,1 at q = 3, about 12.2 bits).
     """
-    red = ctx.reduction.astype(object)
-    echelon: list[tuple[int, np.ndarray, np.ndarray]] = []  # (pivot_idx, row, pivot_val)
+    red = ctx.reduction
+    # (pivot_idx, row, pivot_val, max|row|, max|pivot_val|)
+    echelon: list[tuple[int, np.ndarray, np.ndarray, int, int]] = []
     chosen = []
     for j in range(projections.shape[1]):
-        v = projections[:, j, :].astype(object)
-        for p, row, piv in echelon:
+        v = projections[:, j, :]
+        for p, row, piv, max_row, max_piv in echelon:
             if v[p].any():
                 coeff = v[p].copy()
-                v = v @ _cyc_mul_matrix(piv, red) - row @ _cyc_mul_matrix(coeff, red)
-                g = int(np.gcd.reduce(v, axis=None))
-                if g > 1:
-                    v //= g
+                bound = (int(np.abs(v).max()) * max_piv + max_row * int(np.abs(coeff).max())) * ctx.reduction_mass
+                _check_int64(bound, "echelon step", ctx.q)
+                v = _content_reduced(v @ _cyc_mul_matrix(piv, red) - row @ _cyc_mul_matrix(coeff, red))
         nz = np.flatnonzero(v.any(axis=1))
         if not nz.size:
             continue
         p = int(nz[0])
-        g = int(np.gcd.reduce(v, axis=None))
-        if g > 1:
-            v //= g
-        echelon.append((p, v, v[p].copy()))
+        v = _content_reduced(v)
+        echelon.append((p, v, v[p].copy(), int(np.abs(v).max()), int(np.abs(v[p]).max())))
         chosen.append(j)
         echelon.sort(key=lambda item: item[0])
     return chosen
@@ -357,7 +402,12 @@ def commutativity_check(basis: list[GroupFunction]) -> bool:
     """Whether f * g == g * f for every pair from the basis, exactly.
 
     f_a * f_b and f_b * f_a share the denominator den_a den_b |G'|, so
-    comparing integer parts is exact.
+    comparing integer parts is exact.  The products of the stacked basis
+    with itself are read one orbit slice at a time, and the answer is
+    False at the first slice that is not symmetric in its two basis axes:
+    at q = 3 that is the second slice for V:0 and W:0,1, while a
+    commutative algebra such as X:1's reads all K slices.  The exactness
+    guard runs before the first slice.
     """
     if not basis:
         return True
@@ -366,8 +416,7 @@ def commutativity_check(basis: list[GroupFunction]) -> bool:
         if f.ctx is not ctx:
             raise MismatchedGroup("basis functions live on different groups")
     B = np.stack([f.coords for f in basis])
-    P = _products(ctx, B, B)
-    return np.array_equal(P, P.swapaxes(0, 1))
+    return all(np.array_equal(s, s.swapaxes(0, 1)) for s in _product_slices(ctx, B, B))
 
 
 def xi_idempotent(pi: GL2Irrep, q: int) -> bool:

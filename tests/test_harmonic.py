@@ -1,13 +1,19 @@
 """Convolution algebras I_pi(G x G): projections, dimensions, commutativity."""
 
+import math
+
 import numpy as np
 import pytest
+from echelon import reference_basis, reference_columns, reference_projections
 
+from gl2rep import harmonic
 from gl2rep.errors import BudgetExceeded, MismatchedGroup
 from gl2rep.gl2 import GL2Irrep, enumerate_irreps, params
 from gl2rep.harmonic import (
     GroupFunction,
     _check_exact,
+    _independent_columns,
+    _product_slices,
     _products,
     build_I_pi,
     commutativity_check,
@@ -142,18 +148,24 @@ def test_products_are_exact_at_the_edge_of_the_guard():
 
 def test_guard_uses_the_reduction_mass_not_phi(monkeypatch):
     # at q = 2, zeta^c zeta^d for c, d < phi = 2 puts up to 3 units on one
-    # coordinate; with every coefficient at 1e7 the bound with phi in its
-    # place stays below 2^53, the true one does not, and the guard raises
-    # before N is built or anything is multiplied
+    # coordinate; with every coefficient at most 1e7 the bound with phi in
+    # its place stays below 2^53, the true one does not, and the guard
+    # raises before N is built or anything is multiplied, also when the
+    # products are read one slice at a time
     ctx = pair_context(2)
     assert (ctx.phi, ctx.reduction_mass) == (2, 3)
     F = np.full((1, ctx.K, ctx.phi), 10**7, dtype=np.int64)
+    F[0, 1, 1] -= 1  # content 1, so a GroupFunction keeps the coordinates
     assert ctx.n2 * ctx.phi * 10**14 < 2**53 <= ctx.n2 * ctx.reduction_mass * 10**14
     monkeypatch.setattr(ctx, "n_tensor", lambda: pytest.fail("N was read before the guard"))
     with pytest.raises(BudgetExceeded):
         _check_exact(ctx, F, F)
     with pytest.raises(BudgetExceeded):
         _products(ctx, F, F)
+    with pytest.raises(BudgetExceeded):
+        _product_slices(ctx, F, F)
+    with pytest.raises(BudgetExceeded):
+        commutativity_check([GroupFunction(ctx, F[0])])
     with pytest.raises(BudgetExceeded):
         convolve_literal(GroupFunction(ctx, F[0]), GroupFunction(ctx, F[0]))
 
@@ -252,3 +264,106 @@ def test_centrality_inside_L_pi_at_q2():
             left = dense_convolve(f_dense, g_dense)
             right = dense_convolve(g_dense, f_dense)
             assert np.array_equal(left, right), pi.label()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_n_tensor_counts_elements(q):
+    ctx = pair_context(q)
+    N = ctx.n_tensor()
+    assert N.dtype == np.int32 and N.shape == (ctx.K, ctx.K, ctx.K)
+    ks = range(ctx.K) if q == 2 else (0, 1, 17, 80, ctx.K - 1)
+    for k in ks:
+        want = np.zeros((ctx.K, ctx.K), dtype=np.int64)
+        for y in range(ctx.n2):
+            want[ctx.orb[y], ctx.orb[_inverse_times(ctx, y, ctx.orbit_reps[k])]] += 1
+        assert np.array_equal(N[k], want), k
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_pair_count_counts_element_pairs(q):
+    # y and z run over H = diag(G); y^-1 x_k z^-1 is taken one factor at a time
+    ctx = pair_context(q)
+    nc = len(ctx.classes)
+    count = ctx.pair_count()
+    assert count.dtype == np.int32 and count.shape == (ctx.K, ctx.K, nc, nc)
+    ks = range(ctx.K) if q == 2 else (0, 1, 17, 80, ctx.K - 1)
+    for k in ks:
+        ka, kb = divmod(ctx.orbit_reps[k], ctx.n)
+        want = np.zeros((ctx.K, nc, nc), dtype=np.int64)
+        for y in range(ctx.n):
+            for z in range(ctx.n):
+                ua = ctx.mul[ctx.mul[ctx.inv[y], ka], ctx.inv[z]]
+                ub = ctx.mul[ctx.mul[ctx.inv[y], kb], ctx.inv[z]]
+                want[ctx.orb[ua * ctx.n + ub], ctx.cls[y], ctx.cls[z]] += 1
+        assert np.array_equal(count[k], want), k
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_echelon_matches_the_object_reference(q):
+    ctx = pair_context(q)
+    for pi in enumerate_irreps(params(q)):
+        projections = reference_projections(pi, q)
+        assert _independent_columns(ctx, projections) == reference_columns(ctx, projections), pi.label()
+        assert build_I_pi(pi, q) == reference_basis(pi, q), pi.label()
+
+
+# the largest pivot entries a step at q = 2 may meet: 2 * 3 * TOP^2 < 2^62
+TOP = math.isqrt((2**62 - 1) // 6)
+
+
+def _edge_projections(ctx, top):
+    """Three columns at q = 2 whose one elimination step sits at the guard.
+
+    Column 0 is the echelon row, pivot (top, -top) at orbit 0; column 1
+    meets it with coefficient (-top, top), and the step's orbit-2 entry is
+    6 top^2 zeta, just below 2^62 at top = TOP.  Column 2 is the
+    content-reduced result of that step, so it is dependent exactly when the
+    step is exact.
+    """
+    P = np.zeros((ctx.K, ctx.K, ctx.phi), dtype=np.int64)
+    P[:3, 0] = [(top, -top), (1, 0), (-top, top)]
+    P[[0, 2], 1] = (-top, top)
+    P[1:3, 2] = [(1, -1), (0, 6 * top)]
+    return P
+
+
+@pytest.mark.parametrize("top", [TOP, TOP - 1])
+def test_echelon_step_just_under_the_guard_is_exact(top):
+    # TOP - 1 is odd, so float64 rounds 6 top^2 and a float step would
+    # leave column 2 independent or raise
+    ctx = pair_context(2)
+    assert ctx.reduction_mass == 3
+    assert 2 * 3 * TOP**2 < 2**62 <= 2 * 3 * (TOP + 1) ** 2
+    assert float(6 * (TOP - 1) ** 2) != 6 * (TOP - 1) ** 2
+    P = _edge_projections(ctx, top)
+    assert _independent_columns(ctx, P) == reference_columns(ctx, P) == [0, 1]
+
+
+@pytest.mark.parametrize("top", [TOP + 1, 2**31 - 1])
+def test_echelon_guard_raises_before_any_product(monkeypatch, top):
+    # at 2^31 - 1 the step's entry 6 top^2 would pass 2^63
+    ctx = pair_context(2)
+    P = _edge_projections(ctx, top)
+    monkeypatch.setattr(harmonic, "_cyc_mul_matrix", lambda *_: pytest.fail("a product ran past the guard"))
+    with pytest.raises(BudgetExceeded):
+        _independent_columns(ctx, P)
+
+
+def test_commutativity_stops_at_the_first_asymmetric_slice(monkeypatch):
+    counts = []
+    original = harmonic._product_slices
+
+    def counted(ctx, F, G):
+        counts.append(0)
+        for s in original(ctx, F, G):
+            counts[-1] += 1
+            yield s
+
+    monkeypatch.setattr(harmonic, "_product_slices", counted)
+    pr = params(3)
+    verdicts = [
+        commutativity_check(build_I_pi(pi, 3)) for pi in (GL2Irrep.V(pr, 0), GL2Irrep.W(pr, 0, 1), GL2Irrep.X(pr, 1))
+    ]
+    assert verdicts == [False, False, True]
+    assert counts[0] <= 2 and counts[1] <= 2
+    assert counts[2] == pair_context(3).K

@@ -74,6 +74,35 @@ def test_the_name_check_sees_every_form():
     assert _names(ast.parse(source), "k") == [1, 3, 4]
 
 
+def _object_dtypes(tree: ast.AST) -> list[int]:
+    """Lines that ask for numpy's object dtype: the name ``object``, or the
+    string "object" or "O" given as a dtype keyword or to astype or np.dtype."""
+    lines = _names(tree, "object")
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        args = [k.value for k in node.keywords if k.arg == "dtype"]
+        if getattr(node.func, "attr", None) in ("astype", "dtype"):
+            args += node.args[:1]
+        if any(isinstance(a, ast.Constant) and a.value in ("object", "O") for a in args):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_harmonic_layer_has_no_object_dtype():
+    # its kernels run on int64 and float64 under a priori bounds, never on Python integers
+    path = next(path for path in SOURCES if path.stem == "harmonic")
+    assert _object_dtypes(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_object_dtype_check_sees_every_form():
+    source = (
+        "a.astype(object)\nnp.zeros(3, dtype=object)\nnp.dtype('O')\nb.astype('object')\n"
+        "np.array(c, dtype='O')\nnp.int64\nd.astype(np.int64)\ne = 'O'\n"
+    )
+    assert _object_dtypes(ast.parse(source)) == [1, 2, 3, 4, 5]
+
+
 # The unbounded caches the library may keep, one entry per argument (mostly
 # per q).  Any other is refused: a cache of whole tables grows with every q a
 # process touches.
