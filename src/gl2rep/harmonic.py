@@ -12,6 +12,11 @@ multiplicity free from H to G'.  This module computes I_pi bases and
 tests commutativity exactly, at q in {2, 3}.  The [G':H] factor makes
 xi_pi idempotent under the 1/|G'| normalisation.
 
+G's elements, tower and classes come from the oracle's context for q.
+An element of G' is a flat index, read through one group law: ``times``
+and ``inverse``, elementwise with broadcasting, and ``h``, the positions
+of H.  Only the constructor and the group law know that it is a pair.
+
 Everything is exact: functions take values in (1/den) * Z[zeta_rs],
 stored as integer coordinate vectors with one shared denominator, and
 every kernel runs on machine integers or on float64, never on Python
@@ -54,14 +59,16 @@ import numpy as np
 
 from .cyclotomic import Cyclotomic, euler_phi, root_coords
 from .errors import BudgetExceeded, MismatchedGroup
-from .gl2 import _INT64_LIMIT, GL2Irrep, char_value, enumerate_classes, params
-from .oracle import classify_element, enumerate_gl2, tower_for
+from .gl2 import _INT64_LIMIT, GL2Irrep, char_value, class_table, params
+from .oracle import _context
 
 HARMONIC_MAX_Q = 3
 
 
 class PairGroupContext:
-    """Cached structure of G' = G x G with H = diag(G), for one q <= 3."""
+    """G' = G x G with H = diag(G), for one q <= 3.  The pair (a, b) of G's
+    elements, in the oracle's order, is the flat index a * n + b; ``h``
+    lists (g, g) for each g, and ``times`` and ``inverse`` are the law."""
 
     def __init__(self, q: int):
         if q > HARMONIC_MAX_Q:
@@ -70,8 +77,9 @@ class PairGroupContext:
             )
         self.q = q
         self.pr = params(q)
-        self.tower = tower_for(q)
-        elements = enumerate_gl2(self.tower)
+        group = _context(q)  # GL2(q)'s elements, tower and per-element classes
+        self.tower = group.tower
+        elements = group.elements
         self.n = n = len(elements)
         gf = self.tower.gf_q
         add, mul = np.array(gf.add_table), np.array(gf.mul_table)
@@ -86,13 +94,11 @@ class PairGroupContext:
         self.identity = elements.index((1, 0, 0, 1))
         self.inv = np.argmax(self.mul == self.identity, axis=1).astype(np.int32)
 
-        self.classes = enumerate_classes(self.pr)
-        class_index = {c: k for k, c in enumerate(self.classes)}
-        self.cls = np.array(
-            [class_index[classify_element(g, self.tower)] for g in elements], dtype=np.int32
-        )
+        self.classes, _, position, _ = class_table(q)
+        self.cls = np.array([position[group.class_of[g]] for g in elements], dtype=np.int32)
 
         self.n2 = n * n
+        self.h = np.arange(n, dtype=np.int32) * (n + 1)
         self.rs = self.pr.rs
         self.phi = euler_phi(self.rs)
         table = root_coords(self.rs)
@@ -104,45 +110,40 @@ class PairGroupContext:
         # max_e sum_{c,d} |reduction[c, d, e]|: the factor of the exactness bound
         self.reduction_mass = int(np.abs(self.reduction).sum(axis=(0, 1)).max())
 
-        # H-conjugation orbits on G'; conjugating by all of H at once gives
-        # the whole orbit in one step
-        orb = np.full(self.n2, -1, dtype=np.int32)
-        reps: list[int] = []
-        hs = np.arange(n)
-        inv_hs = self.inv[hs]
-        for x in range(self.n2):
-            if orb[x] >= 0:
-                continue
-            a, b = divmod(x, n)
-            members = self.mul[self.mul[hs, a], inv_hs].astype(np.int64) * n + self.mul[
-                self.mul[hs, b], inv_hs
-            ].astype(np.int64)
-            orb[members] = len(reps)
-            reps.append(int(members.min()))
-        self.orb = orb
-        self.orbit_reps = reps
+        # H-conjugation orbits on G', numbered by their least members: the
+        # least of h x h^-1 over all h is the least member of x's orbit
+        xs = np.arange(self.n2, dtype=np.int32)
+        least = xs
+        for g, g_inv in zip(self.h.tolist(), self.inverse(self.h).tolist()):
+            least = np.minimum(least, self.times(self.times(g, xs), g_inv))
+        reps, orb = np.unique(least, return_inverse=True)
+        self.orb = orb.astype(np.int32)
+        self.orbit_reps = reps.tolist()
         self.K = len(reps)
-        self.orbit_sizes = np.bincount(orb, minlength=self.K)
         self._n_tensor: np.ndarray | None = None
         self._pair_count: np.ndarray | None = None
 
-    # -- pair-group arithmetic on flat indices ---------------------------------
-    def diag_index(self, g: int) -> int:
-        return g * self.n + g
+    # -- the group law on flat indices ------------------------------------------
+    def times(self, x, y):
+        """x y in G', factor by factor; ``take`` reads mul[a, c] at a * n + c."""
+        n = self.n
+        return self.mul.take(x // n * n + y // n) * n + self.mul.take(x % n * n + y % n)
+
+    def inverse(self, x):
+        """x^-1 in G', factor by factor."""
+        n = self.n
+        return self.inv.take(x // n) * n + self.inv.take(x % n)
 
     def n_tensor(self) -> np.ndarray:
         """N[k, i, j] = #{y in O_i with y^-1 x_k in O_j}; drives convolution."""
         if self._n_tensor is None:
-            n, K = self.n, self.K
+            K = self.K
             N = np.empty((K, K, K), dtype=np.int32)
-            ys = np.arange(self.n2, dtype=np.int64)
-            ya, yb = np.divmod(ys, n)
-            inv_a, inv_b = self.inv[ya], self.inv[yb]
+            inv_y = self.inverse(np.arange(self.n2))
             row_y = self.orb.astype(np.int64) * K  # the (i, j) cell of y is i * K + j
             for k, xk in enumerate(self.orbit_reps):
-                ka, kb = divmod(xk, n)
-                u = self.mul[inv_a, ka].astype(np.int64) * n + self.mul[inv_b, kb]
-                N[k] = np.bincount(row_y + self.orb[u], minlength=K * K).reshape(K, K)
+                u = self.times(inv_y, xk)  # y^-1 x_k for every y at once
+                N[k] = np.bincount(row_y + self.orb.take(u), minlength=K * K).reshape(K, K)
             self._n_tensor = N
         return self._n_tensor
 
@@ -153,21 +154,15 @@ class PairGroupContext:
         xi * 1_{O_j} * xi evaluated at the orbit representatives.
         """
         if self._pair_count is None:
-            n, K = self.n, self.K
-            nc = len(self.classes)
+            K, nc = self.K, len(self.classes)
             count = np.empty((K, K, nc, nc), dtype=np.int32)
-            gs = np.arange(n)
-            inv_g = self.inv[gs]
+            inv_h = self.inverse(self.h)
             # the (j, cy, cz) cell of the pair (y, z) is j * nc^2 + cy * nc + cz
-            cls_yz = (self.cls[:, None].astype(np.int64) * nc + self.cls[None, :]).ravel()
+            cell_j = self.orb.astype(np.int64) * (nc * nc)
+            cls_yz = self.cls[:, None].astype(np.int64) * nc + self.cls[None, :]
             for k, xk in enumerate(self.orbit_reps):
-                ka, kb = divmod(xk, n)
-                wa = self.mul[inv_g, ka]  # y^-1 then x_k, first coordinate
-                wb = self.mul[inv_g, kb]
-                ua = self.mul[wa[:, None], inv_g[None, :]].astype(np.int64)
-                ub = self.mul[wb[:, None], inv_g[None, :]]
-                j = self.orb[ua * n + ub].ravel().astype(np.int64)
-                count[k] = np.bincount(j * nc * nc + cls_yz, minlength=K * nc * nc).reshape(K, nc, nc)
+                u = self.times(self.times(inv_h, xk)[:, None], inv_h[None, :])  # y^-1 x_k z^-1
+                count[k] = np.bincount((cell_j.take(u) + cls_yz).ravel(), minlength=K * nc * nc).reshape(K, nc, nc)
             self._pair_count = count
         return self._pair_count
 
@@ -213,8 +208,7 @@ class GroupFunction:
 def delta_identity(ctx: PairGroupContext, scale: int = 1) -> GroupFunction:
     """scale * (indicator of the identity of G')."""
     coords = np.zeros((ctx.K, ctx.phi), dtype=np.int64)
-    e = ctx.diag_index(ctx.identity)
-    coords[ctx.orb[e], 0] = scale
+    coords[ctx.orb[ctx.h[ctx.identity]], 0] = scale
     return GroupFunction(ctx, coords)
 
 
@@ -235,8 +229,7 @@ def _xi_classes(pi: GL2Irrep, ctx: PairGroupContext) -> np.ndarray:
 def xi_function(pi: GL2Irrep, ctx: PairGroupContext) -> GroupFunction:
     """The idempotent projector kernel [G':H] dim(pi) conj(chi_pi) on diag(H)."""
     coords = np.zeros((ctx.K, ctx.phi), dtype=np.int64)
-    gs = np.arange(ctx.n)
-    coords[ctx.orb[ctx.diag_index(gs)]] = ctx.n * _xi_classes(pi, ctx)[ctx.cls]  # [G':H] = |G|
+    coords[ctx.orb[ctx.h]] = ctx.n * _xi_classes(pi, ctx)[ctx.cls]  # [G':H] = |G|
     return GroupFunction(ctx, coords)
 
 
@@ -301,15 +294,11 @@ def convolve_literal(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
         raise MismatchedGroup("functions live on different groups")
     ctx = f1.ctx
     _check_exact(ctx, f1.coords, f2.coords)
-    n = ctx.n
-    ya, yb = np.divmod(np.arange(ctx.n2), n)
-    inv_a, inv_b = ctx.inv[ya], ctx.inv[yb]
+    inv_y = ctx.inverse(np.arange(ctx.n2))
     f_y = f1.coords[ctx.orb]  # f1(y) for every y in G'
     coords = np.zeros((ctx.K, ctx.phi), dtype=np.int64)
     for k, xk in enumerate(ctx.orbit_reps):
-        # u = y^-1 x_k for every y at once
-        u = ctx.mul[inv_a, xk // n].astype(np.int64) * n + ctx.mul[inv_b, xk % n]
-        g_u = f2.coords[ctx.orb[u]]
+        g_u = f2.coords[ctx.orb[ctx.times(inv_y, xk)]]  # f2(y^-1 x_k) for every y at once
         coords[k] = np.einsum("cd,cde->e", f_y.T @ g_u, ctx.reduction)
     return GroupFunction(ctx, coords, f1.den * f2.den * ctx.n2)
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2rep import gl2, harmonic, oracle, sl3, tensor
+from gl2rep import cli, gl2, harmonic, oracle, sl3, tensor
 from gl2rep.cli import SUITES, _value_ids, _value_json, build_parser, chartable_bytes, run
 from gl2rep.cyclotomic import Cyclotomic, coords_text, demote, euler_phi, root
 from gl2rep.gl2 import (
@@ -360,6 +360,29 @@ def test_a_tensor_agree_disagreement_prints_its_report(monkeypatch):
     bad = {"q": 2, "cell": "XxX->X", "left": "X:1", "right": "X:1", "target": "X:1", "closed": 1, "class_sum": 0}
     report = {"check": "tensor-agree", "q": 2, "mode": "exhaustive", "triples": 27, "pass": False, "disagreements": [bad]}
     assert _run(["verify", "--suite", "tensor-agree", "--q", "2"]) == (1, _failed(report))
+
+
+@pytest.mark.parametrize(
+    "name, wrong, counterexample",
+    [
+        # at q = 2 the row pairs run (U:0, U:0), (U:0, V:0), ...: the second should sum to 0
+        ("char_inner_products", (1, 1), {"kind": "row", "a": "U:0", "b": "V:0", "got": 1}),
+        # the column pairs run (c1:0, c1:0), (c1:0, c2:0), (c1:0, c4:1), (c2:0, c2:0): the fourth should be 6 / 3
+        ("class_inner_products", (3, 5), {"kind": "column", "a": "c2:0", "b": "c2:0", "got": 5}),
+    ],
+)
+def test_a_failed_orthogonality_names_its_first_bad_pair(monkeypatch, name, wrong, counterexample):
+    real = getattr(cli, name)
+    at, value = wrong
+
+    def corrupted(pr):
+        sums = real(pr)
+        sums[at] = value
+        return sums
+
+    monkeypatch.setattr(cli, name, corrupted)
+    report = {"check": "orthogonality", "q": 2, "pass": False, "counterexample": counterexample}
+    assert _run(["verify", "--suite", "orthogonality", "--q", "2"]) == (1, _failed(report))
 
 
 def test_verify_small_suites_pass():

@@ -8,7 +8,7 @@ from echelon import reference_basis, reference_columns, reference_projections
 
 from gl2rep import harmonic
 from gl2rep.errors import BudgetExceeded, MismatchedGroup
-from gl2rep.gl2 import GL2Irrep, enumerate_irreps, params
+from gl2rep.gl2 import GL2Irrep, class_table, enumerate_irreps, params
 from gl2rep.harmonic import (
     GroupFunction,
     _check_exact,
@@ -26,7 +26,7 @@ from gl2rep.harmonic import (
     xi_idempotent,
 )
 from gl2rep.cyclotomic import reduce_root_sum
-from gl2rep.oracle import enumerate_gl2
+from gl2rep.oracle import _context
 from gl2rep.tensor import ind_decompose, is_gelfand_triple_product
 
 
@@ -48,22 +48,76 @@ def test_budget():
         pair_context(4)
 
 
+def _matrix_product(gf, x, y):
+    (a, b, c, d), (e, f, g, h) = x, y
+    return (
+        gf.add(gf.mul(a, e), gf.mul(b, g)),
+        gf.add(gf.mul(a, f), gf.mul(b, h)),
+        gf.add(gf.mul(c, e), gf.mul(d, g)),
+        gf.add(gf.mul(c, f), gf.mul(d, h)),
+    )
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_pair_context_mul_is_the_matrix_product(q):
     # entry by entry, so the opposite group (a transposed table) fails
     ctx = pair_context(q)
     gf = ctx.tower.gf_q
-    elements = enumerate_gl2(ctx.tower)
+    elements = _context(q).elements
     index = {g: i for i, g in enumerate(elements)}
-    for i, (a, b, c, d) in enumerate(elements):
-        for j, (e, f, g, h) in enumerate(elements):
-            xy = (
-                gf.add(gf.mul(a, e), gf.mul(b, g)),
-                gf.add(gf.mul(a, f), gf.mul(b, h)),
-                gf.add(gf.mul(c, e), gf.mul(d, g)),
-                gf.add(gf.mul(c, f), gf.mul(d, h)),
-            )
-            assert ctx.mul[i, j] == index[xy]
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            assert ctx.mul[i, j] == index[_matrix_product(gf, x, y)]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_the_group_law_is_the_pair_of_matrix_products(q):
+    # every pair (x, y) of G' at q = 2, a seeded sample of 2 000 at q = 3;
+    # an element of G' is the pair (a, b) of G's elements at a * n + b
+    ctx = pair_context(q)
+    gf, n = ctx.tower.gf_q, ctx.n
+    elements = _context(q).elements
+    index = {g: i for i, g in enumerate(elements)}
+    if q == 2:
+        xs, ys = np.divmod(np.arange(ctx.n2**2), ctx.n2)
+    else:
+        xs, ys = np.random.default_rng(22).integers(0, ctx.n2, size=(2, 2000))
+    products = ctx.times(xs, ys)
+    for x, y, xy in zip(xs.tolist(), ys.tolist(), products.tolist()):
+        (a, b), (c, d) = divmod(x, n), divmod(y, n)
+        ac = index[_matrix_product(gf, elements[a], elements[c])]
+        bd = index[_matrix_product(gf, elements[b], elements[d])]
+        assert xy == ac * n + bd, (x, y)
+    assert np.all(ctx.times(ctx.inverse(xs), xs) == ctx.h[ctx.identity])
+    assert elements[ctx.identity] == (1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_orbits_are_the_h_conjugacy_classes_in_order_of_least_member(q):
+    # the reference walks G' in order and conjugates each new element by
+    # every g, one factor at a time
+    ctx = pair_context(q)
+    n, mul, inv = ctx.n, ctx.mul.tolist(), ctx.inv.tolist()
+    orb, reps = [-1] * ctx.n2, []
+    for x in range(ctx.n2):
+        if orb[x] < 0:
+            a, b = divmod(x, n)
+            for g in range(n):
+                orb[mul[mul[g][a]][inv[g]] * n + mul[mul[g][b]][inv[g]]] = len(reps)
+            reps.append(x)
+    assert ctx.orb.dtype == np.int32 and ctx.orb.tolist() == orb
+    assert ctx.orbit_reps == reps and ctx.K == len(reps)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_h_and_the_classes_follow_the_oracle(q):
+    # H lists (g, g) in the oracle's element order; cls[g] is g's class in class_table order
+    ctx = pair_context(q)
+    oracle = _context(q)
+    classes, _, position, _ = class_table(q)
+    assert [divmod(int(x), ctx.n) for x in ctx.h] == [(g, g) for g in range(ctx.n)]
+    assert ctx.classes == classes
+    assert ctx.cls.tolist() == [position[oracle.class_of[g]] for g in oracle.elements]
 
 
 def test_delta_scaled_by_group_order_is_the_unit():
@@ -109,6 +163,22 @@ def test_products_keep_the_operand_order_at_q3():
     fg = convolve(f, g)
     assert fg == convolve_literal(f, g)
     assert fg != convolve(g, f)
+
+
+def test_the_error_paths_of_functions_and_products():
+    two, three = pair_context(2), pair_context(3)
+    coords = np.zeros((two.K, two.phi), dtype=np.int64)
+    coords[0, 0] = 2
+    f = GroupFunction(two, coords, -4)  # content 2 comes out, then the sign moves to the coordinates
+    assert f.den == 2 and f.coords[0, 0] == -1 and not f.coords[1:].any()
+    assert f.__eq__("f") is NotImplemented and f != "f"
+    g = orbit_indicator(three, 0)
+    for mixed in (lambda: f == g, lambda: convolve(f, g), lambda: convolve_literal(f, g)):
+        with pytest.raises(MismatchedGroup, match="different groups"):
+            mixed()
+    assert commutativity_check([]) is True
+    with pytest.raises(MismatchedGroup, match="different groups"):
+        commutativity_check([f, g])
 
 
 def test_convolution_beyond_int64_raises():

@@ -144,6 +144,17 @@ def test_verify_embedding_rejects_a_relabelled_class(monkeypatch, wrong, right):
     assert all(m["target"].startswith(right) for m in rep["mismatches"])
 
 
+def test_verify_embedding_rejects_a_bad_representative(monkeypatch):
+    # c2:0's representative replaced by the identity, a matrix of class c1:0
+    pr = params(3)
+    real = oracle._matrix_for_class
+    moved, identity = GL2Class.C2(pr, 0), GL2Class.C1(pr, 0)
+    monkeypatch.setattr(oracle, "_matrix_for_class", lambda cls, tower: real(identity if cls == moved else cls, tower))
+    rep = verify_embedding(3)
+    assert not rep["pass"]
+    assert rep["mismatches"] == [{"class": "c2:0", "reason": "bad representative"}]
+
+
 def test_an_embedding_into_c8_is_a_package_error(monkeypatch):
     monkeypatch.setattr(oracle, "embed_class", lambda cls, pr: SL3Class(pr.q, "C8", (1,)))
     with pytest.raises(InvalidClassMap, match="C8"):

@@ -69,6 +69,13 @@ def test_only_gl2_names_the_class_sum_slices():
     assert found == {"gl2"}
 
 
+def test_only_the_oracle_enumerates_and_classifies_matrices():
+    # harmonic reads GL2(q)'s elements and their classes from the oracle's context
+    for name in ("enumerate_gl2", "classify_element"):
+        found = {path.stem for path in SOURCES if _names(ast.parse(path.read_text(), str(path)), name)}
+        assert found == {"oracle"}, name
+
+
 def test_the_name_check_sees_every_form():
     source = "from m import (a,\n    k)\nk(1)\nm.k\nx = 'k'\nkk(2)\n"
     assert _names(ast.parse(source), "k") == [1, 3, 4]

@@ -212,6 +212,23 @@ def test_compare_methods_reports_cells():
     assert verify_agreement(pr, [(v, w, w)]) == []
 
 
+def test_a_repeated_triple_broadcasts_its_one_row_stacks(monkeypatch):
+    # one irrep object read three times: every factor is a stack of one row,
+    # so the class-sum kernel broadcasts the coefficients over a batch of three
+    pr = params(5)
+    v = GL2Irrep.V(pr, 0)
+    shapes = []
+    real = np.broadcast_to
+    monkeypatch.setattr(np, "broadcast_to", lambda a, shape: shapes.append(shape) or real(a, shape))
+    coords, closed = tensor._chunk_values([(v, v, v)] * 3, pr)
+    assert shapes  # the broadcast branch ran
+    want = mult_sum_numerator(v, v, v, pr).coords_at(pr.rs)
+    assert want[:2] == [480, 0]
+    assert coords.tolist() == [want] * 3
+    assert closed == [1, 1, 1]
+    assert verify_agreement(pr, [(v, v, v)] * 3) == []
+
+
 def test_symmetry_and_duality():
     pr = params(4)
     rng = random.Random(5)
