@@ -132,7 +132,8 @@ def chartable_bytes(q: int, fmt: str) -> int:
     """About the most bytes chartable holds at once, from q alone: what its
     format keeps per entry (``_ENTRY_BYTES``), and one chunk of closed-form
     rows with 104 bytes per entry for its keys: the padded terms (32), their
-    two digits and the key (24), and the lists the dict reads and fills (48)."""
+    two digits and the key (24), and np.unique's sorted copy, order and
+    inverse with the ids gathered through it (48 at most)."""
     n = q * q - 1
     return _ENTRY_BYTES[fmt] * n * n + table_bytes(q, _chunk_rows(q), per_entry=104)
 
@@ -142,10 +143,10 @@ def _value_ids(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     array of ids, and the (coef, exp) terms of each id as two (2, ids) arrays.
 
     The closed-form table is built a chunk of rows at a time and never held
-    whole.  Each entry is keyed by its terms, padded to two with zero terms,
-    and each new key gets the next id (at q = 16, 65 025 entries have 541).
-    A dict numbers the keys, not np.unique: its sort raised the peak RSS of
-    the benchmark's queries stream by about 0.4 MB.
+    whole.  Each entry is keyed by its terms, padded to two with zero terms
+    (at q = 16, 65 025 entries have 541 keys).  np.unique finds a chunk's
+    distinct keys and the entries of each; a dict numbers only the distinct
+    keys, each new one with the next id.
     """
     pr = params(q)
     irreps = tensor.irrep_table(q).irreps
@@ -164,8 +165,9 @@ def _value_ids(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             at += block.length
         digits = (terms[0] + 1) * pr.rs + terms[1]
         keys = digits[0] * radix + digits[1]
-        numbered = [numbers.setdefault(k, len(numbers)) for k in keys.ravel().tolist()]
-        ids[lo : lo + step] = np.array(numbered, dtype=np.int32).reshape(keys.shape)
+        distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+        numbered = np.array([numbers.setdefault(k, len(numbers)) for k in distinct.tolist()], dtype=np.int32)
+        ids[lo : lo + step] = numbered[inverse].reshape(keys.shape)
     digits = np.fromiter(numbers, dtype=np.int64, count=len(numbers))
     digits = np.stack([digits // radix, digits % radix])
     return ids, digits // pr.rs - 1, digits % pr.rs

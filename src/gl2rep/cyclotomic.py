@@ -8,6 +8,10 @@ conjugation and integrality tests are all decidable without floating
 point.  Values of characters of the groups handled by this package are
 always of this form.
 
+Class sums are folded in another Z-basis of Z[zeta_N], the tensor basis
+of the prime-power factors (``fold_tensor``), whose coordinates convert
+to the power basis through ``power_coords``.
+
 Mixed orders are supported by promoting both operands into Z[zeta_L]
 with L = lcm of the orders.  Elements whose reduced form is a rational
 integer are demoted to order 1, so integers coming out of different
@@ -38,17 +42,22 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
+def prime_powers(n: int) -> list[tuple[int, int]]:
+    """The pairs (p, p^k), one per prime p dividing n >= 1 and p^k its exact power, p increasing."""
+    out = []
+    while n > 1:
+        p, m = smallest_prime_factor(n), 1
+        while n % p == 0:
+            n, m = n // p, m * p
+        out.append((p, m))
+    return out
+
+
 def euler_phi(n: int) -> int:
     """Euler totient of a positive integer."""
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
-    m = n
-    while m > 1:
-        p = smallest_prime_factor(m)
-        n -= n // p
-        while m % p == 0:
-            m //= p
-    return n
+    return math.prod(m - m // p for p, m in prime_powers(n))
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -81,12 +90,9 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     # the exponents n/e with mu(e) = 1 and with mu(e) = -1, one prime factor p of n at a time
-    plus, minus, rest = [n], [], n
-    while rest > 1:
-        p = smallest_prime_factor(rest)
+    plus, minus = [n], []
+    for p, _ in prime_powers(n):
         plus, minus = plus + [m // p for m in minus], minus + [m // p for m in plus]
-        while rest % p == 0:
-            rest //= p
     poly = [1]
     for m in plus:
         # times x^m - 1
@@ -119,36 +125,56 @@ def _power_table(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_entries(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The nonzeros of ``_power_table(n)`` ordered by coordinate: exponents,
-    values, the start of each coordinate's run, and the largest |value|."""
-    entries = sorted((k, e, c) for e, row in enumerate(_power_table(n)) for k, c in row)
-    ks, es, cs = (np.array(col, dtype=np.int64) for col in zip(*entries))
-    # zeta^k is itself basis vector k for k < phi(n), so no coordinate's run is empty
-    starts = np.searchsorted(ks, np.arange(ks[-1] + 1))
-    return es, cs, starts, int(np.abs(cs).max())
+def _crt_order(n: int) -> np.ndarray:
+    """The exponents e in range(n) in the order of the grid of their CRT
+    components: with p_i^k_i = prime_powers(n)[i] and z_i = zeta_n**(n / p_i^k_i)
+    a primitive p_i^k_i-th root, zeta_n**e is the product of the z_i**f_i, and
+    position (f_1, ..., f_m), first component most significant, holds
+    e = sum(f_i * n / p_i^k_i) mod n."""
+    order = np.zeros(1, dtype=np.int64)
+    for _, m in prime_powers(n):
+        order = (order[:, None] + np.arange(m) * (n // m)).ravel() % n
+    order.setflags(write=False)
+    return order
 
 
-def fold_bound(n: int) -> int:
-    """The largest |coordinate| of any zeta_n**e: fold_rows grows a sum of
-    absolute weights by at most this factor."""
-    return _power_entries(n)[3]
+def tensor_roots(n: int) -> np.ndarray:
+    """The exponent e of each tensor basis vector of Z[zeta_n], in coordinate
+    order: basis vector (j_1, ..., j_m), every j_i < phi(p_i^k_i), is the single
+    root zeta_n**e of the position (j_1, ..., j_m) of ``_crt_order``."""
+    factors = prime_powers(n)
+    cut = tuple(slice(m - m // p) for p, m in factors)
+    return _crt_order(n).reshape([m for _, m in factors])[cut].ravel()
 
 
-def fold_width(n: int) -> int:
-    """The number of power-table entries fold_rows reads for each row."""
-    return len(_power_entries(n)[0])
+def fold_tensor(n: int, weights: np.ndarray) -> np.ndarray:
+    """Tensor-basis coordinates of sum_e weights[i, e] * zeta_n**e for every row i
+    of a (rows, n) integer array, as a (rows, phi(n)) array of the same dtype.
 
-
-def fold_rows(n: int, weights: np.ndarray) -> np.ndarray:
-    """Power-basis coordinates of sum_e weights[i, e] * zeta_n**e for every row i
-    of a (rows, n) int64 array, as a (rows, phi(n)) int64 array.
-
-    Each coordinate is the sum of its few nonzero power-table entries (1.6 per
-    exponent at n = 80, 13.3 at n = 255), not a dense (n, phi(n)) product.
+    Z[zeta_n] is the tensor product of the Z[z_i] (``_crt_order``), each with
+    the basis z_i**j, j < phi(p^k).  The weights are laid out on the grid of
+    CRT components and reduced one component at a time: z**f for
+    f = phi(p^k) + u is -sum(z**(u + i*p^(k-1)) for i < p - 1), as the p-th
+    cyclotomic polynomial in z**(p^(k-1)) vanishes.  Every coefficient of the
+    fold is therefore 0 or +-1, and so is every partial result: no coordinate
+    exceeds the sum of the absolute weights.  Basis vector 0 is 1.
     """
-    es, cs, starts, _ = _power_entries(n)
-    return np.add.reduceat(weights[:, es] * cs, starts, axis=1)
+    rows, before, after = len(weights), 1, n
+    x = weights[:, _crt_order(n)]
+    for p, m in prime_powers(n):
+        after //= m
+        phi = m - m // p
+        x = x.reshape(rows, before, m, after)
+        # basis vector u + i*p^(k-1), for each i < p - 1, loses the weight at phi + u
+        x = x[:, :, :phi].reshape(rows, before, p - 1, m // p, after) - x[:, :, None, phi:]
+        before *= phi
+    return x.reshape(rows, before)
+
+
+def power_coords(n: int, coords) -> list[int]:
+    """The power-basis coordinates of an element of Z[zeta_n] given by its
+    tensor-basis coordinates (``fold_tensor``)."""
+    return _fold(n, zip(tensor_roots(n).tolist(), coords))
 
 
 def _fold(n: int, terms: Iterable[tuple[int, int]]) -> list[int]:

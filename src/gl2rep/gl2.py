@@ -34,8 +34,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, _fold, euler_phi, fold_bound, fold_rows, fold_width
-from .cyclotomic import smallest_prime_factor
+from .cyclotomic import Cyclotomic, _fold, euler_phi, fold_tensor, power_coords, smallest_prime_factor
 from .errors import BudgetExceeded, GL2RepError, InvalidLabel, MismatchedQ, NonIntegral, NotPrimePower
 
 # Kind codes of the label arrays: the index in IRREP_KINDS.
@@ -543,15 +542,17 @@ def _blocks(a: Rows | None, b: Rows | None, c: Rows | None) -> list[tuple[int, B
     return [(g.length, *(one if f is None else f[i] for f in (a, b, c))) for i, g in enumerate(given)]
 
 
-def int64_bound(rs: int, weights: np.ndarray, a: Rows | None, b: Rows | None, c: Rows | None) -> int:
+def int64_bound(weights: np.ndarray, a: Rows | None, b: Rows | None, c: Rows | None) -> int:
     """An upper bound on every |coordinate| that class_sum computes from these
-    stacks, and on every partial sum behind it: fold_bound(rs) times the sum
-    over blocks of length * max|weight| * a.peak * b.peak * c.peak (1 for None)."""
+    stacks, and on every partial sum behind it: the sum over blocks of
+    length * max|weight| * a.peak * b.peak * c.peak (1 for None).  The tensor
+    fold adds each exponent's weight to a coordinate at most once, with sign
+    +-1 (cyclotomic.fold_tensor), so it grows no sum of absolute weights."""
     total, lo = 0, 0
     for length, ba, bb, bc in _blocks(a, b, c):
         total += length * int(np.abs(weights[lo : lo + length]).max(initial=0)) * ba.peak * bb.peak * bc.peak
         lo += length
-    return total * fold_bound(rs)
+    return total
 
 
 def class_sum(rs: int, weights, a: Rows | None, b: Rows | None, c: Rows | None, index) -> np.ndarray:
@@ -562,8 +563,10 @@ def class_sum(rs: int, weights, a: Rows | None, b: Rows | None, c: Rows | None, 
 
 def class_sum_slices(rs: int, weights, a: Rows | None, b: Rows | None, c: Rows | None, index) -> Iterator[np.ndarray]:
     """Exact sums over k of weights[k] * a[k] * b[k] * conj(c[k]) in Z[zeta_rs],
-    one per batch entry, as (slice, phi(rs)) int64 arrays of power-basis
-    coordinates, one per slice of the batch in order.
+    one per batch entry, as (slice, phi(rs)) int64 arrays of tensor-basis
+    coordinates (cyclotomic.fold_tensor), one per slice of the batch in order.
+    Coordinate 0 is that of 1, so a sum is a rational integer iff it is the
+    only nonzero one; cyclotomic.power_coords converts a row to the power basis.
 
     a, b and c are stacks over the same blocks of the summation axis (the
     classes, or the irreps for a column sum) and weights has one integer per
@@ -574,12 +577,12 @@ def class_sum_slices(rs: int, weights, a: Rows | None, b: Rows | None, c: Rows |
     Per block, the terms of the three rows are multiplied, times the weight,
     and their exponents combined, a's plus b's less c's; np.add.at gathers the
     products into one int64 array of exponent weights per slice of the batch,
-    which cyclotomic.fold_rows reduces once.  The batch runs in slices of at
+    which cyclotomic.fold_tensor reduces once.  The batch runs in slices of at
     most SLICE_BYTES of scratch.  BudgetExceeded is raised, before anything
     is allocated, if a coordinate could leave int64.
     """
     weights = np.asarray(weights, dtype=np.int64)
-    bound = int64_bound(rs, weights, a, b, c)
+    bound = int64_bound(weights, a, b, c)
     if bound >= _INT64_LIMIT:
         raise BudgetExceeded(f"class sum bound {bound} reaches 2^62 in Z[zeta_{rs}]")
     index = [None if i is None else np.asarray(i, dtype=np.intp) for i in index]
@@ -591,8 +594,8 @@ def class_sum_slices(rs: int, weights, a: Rows | None, b: Rows | None, c: Rows |
             products += length * ba.width * bb.width * bc.width
         lo += length
     # scratch per batch entry: about five int64 arrays of its products, the
-    # accumulator and two arrays of the power-table entries fold_rows reads
-    step = max(1, SLICE_BYTES // (40 * products + 32 * rs + 16 * fold_width(rs)))
+    # accumulator's 3 rs slots, their sum and the fold's two arrays of rs
+    step = max(1, SLICE_BYTES // (40 * products + 56 * rs))
     for start in range(0, count, step):
         picks = [None if i is None else i[start : start + step] for i in index]
         size = min(step, count - start)
@@ -610,13 +613,14 @@ def class_sum_slices(rs: int, weights, a: Rows | None, b: Rows | None, c: Rows |
             if coef.shape != exp.shape:
                 coef = np.broadcast_to(coef, exp.shape)
             np.add.at(acc, exp.reshape(-1), coef.reshape(-1))
-        yield fold_rows(rs, acc.reshape(size, 3, rs).sum(axis=1))
+        yield fold_tensor(rs, acc.reshape(size, 3, rs).sum(axis=1))
 
 
-def rational(coords: np.ndarray, what: str) -> int:
-    """One entry of a class_sum result as a rational integer, or NonIntegral naming ``what``."""
+def rational(rs: int, coords: np.ndarray, what: str) -> int:
+    """One entry of a class_sum result as a rational integer, or NonIntegral
+    naming ``what`` with the entry's coordinates, converted to the power basis."""
     if coords[1:].any():
-        raise NonIntegral(f"{what} has power-basis coordinates {coords.tolist()}, not a rational integer")
+        raise NonIntegral(f"{what} has power-basis coordinates {power_coords(rs, coords.tolist())}, not a rational integer")
     return int(coords[0])
 
 
@@ -638,7 +642,7 @@ def exact_sums(rs: int, weights, a: Rows | None, b: Rows | None, c: Rows | None,
         if bad.any():
             i = int(bad.argmax())
             text = what(len(out) + i)
-            divide_exact(rational(coords[i], text), divisor, text)
+            divide_exact(rational(rs, coords[i], text), divisor, text)
         out += (coords[:, 0] // divisor).tolist()
     return out
 

@@ -76,7 +76,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, euler_phi
+from .cyclotomic import Cyclotomic, euler_phi, power_coords
 from .errors import GL2RepError, NegativeMultiplicity, NotMultiplicityFree
 from .gl2 import (
     SLICE_BYTES,
@@ -113,7 +113,8 @@ _CHUNK_BYTES = 1 << 21
 def mult_sum_numerator(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> Cyclotomic:
     """The weighted class sum before division by |G| = q*s*r^2."""
     rows = char_rows([pi1, pi2, pi3], pr)
-    return Cyclotomic(pr.rs, class_sum(pr.rs, class_table(pr.q)[1], rows, rows, rows, ([0], [1], [2]))[0].tolist())
+    coords = class_sum(pr.rs, class_table(pr.q)[1], rows, rows, rows, ([0], [1], [2]))[0]
+    return Cyclotomic(pr.rs, power_coords(pr.rs, coords.tolist()))
 
 
 def _what(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
@@ -530,9 +531,10 @@ def gelfand_bytes(q: int) -> int:
     """About the most bytes classify_gelfand holds, from q alone: the table
     with what char_rows holds while it builds it, plus the norms' class sums,
     a slice of scratch, and 24 bytes per irrep and coordinate of Z[zeta_rs]
-    as a margin for the power tables of Z[zeta_rs], which follow the prime
-    factors of rs, not q: at most 77 MB kept and 188 MB while built (q = 64)
-    among the q it admits.  The norms keep coordinate 0 of each sum alone."""
+    as a margin.  The margin was sized for the power tables of Z[zeta_rs],
+    which the class sums no longer build (they fold in the tensor basis),
+    and is kept so that the q admitted stay the same, q <= 67.  The norms
+    keep coordinate 0 of each sum alone."""
     n = q * q - 1
     return build_bytes(q) + 3 * 8 * n * euler_phi(n) + SLICE_BYTES
 
@@ -615,7 +617,7 @@ def sample_triples(pr: GroupParams, count: int, seed: int) -> Iterator[tuple[GL2
 
 def _chunk_values(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupParams) -> tuple[np.ndarray, list[int]]:
     """mult_sum_numerator and mult_closed of every triple of the chunk: a
-    (triples, phi(rs)) array of power-basis coordinates, and a list of
+    (triples, phi(rs)) array of tensor-basis coordinates, and a list of
     values, negative ones too.
 
     The chunk's distinct irreps are read as operands once.  Those of each
@@ -673,7 +675,7 @@ def verify_agreement(
                 raise _negative(pi1, pi2, pi3, closed, pr)
             if not ok or total % pr.order:  # raises NonIntegral naming the triple
                 what = _what(pi1, pi2, pi3)
-                divide_exact(rational(coords[i], what), pr.order, what)
+                divide_exact(rational(pr.rs, coords[i], what), pr.order, what)
             sums = total // pr.order
             if closed != sums:
                 bad.append(_disagreement(pi1, pi2, pi3, closed, sums, pr))

@@ -14,8 +14,12 @@ from gl2rep.cyclotomic import (
     Cyclotomic,
     cyclotomic_polynomial,
     euler_phi,
+    fold_tensor,
+    power_coords,
+    prime_powers,
     reduce_root_sum,
     root,
+    tensor_roots,
 )
 from gl2rep.errors import NonIntegral, OrderTooLarge
 
@@ -120,6 +124,51 @@ def test_reduce_root_sum_matches_direct_sum():
         for e, w in enumerate(weights):
             direct = direct + w * root(n, e)
         assert reduce_root_sum(n, weights) == direct
+
+
+# Orders with two or more prime factors, where the tensor basis is not the
+# power basis (at a prime power such as 8 the two coincide).
+COMPOSITE_ORDERS = [15, 63, 80, 255, 1023, 4095]
+
+
+@pytest.mark.parametrize("n", COMPOSITE_ORDERS)
+def test_the_tensor_fold_agrees_with_the_power_fold(n):
+    rng = np.random.default_rng(n)
+    # w(e) = g(gcd(e, n)) sums to a rational integer: the zeta^e with gcd(e, n) = d
+    # are the primitive n/d-th roots, whose sum is mu(n/d); a constant adds 0
+    by_gcd = rng.integers(-(2**20), 2**20, n + 1)[np.gcd(np.arange(n), n)]
+    rational = np.stack([by_gcd, 7 * by_gcd + 5])
+    near = rational[:1].copy()
+    near[0, rng.integers(1, n)] += 1
+    rows = np.concatenate([rng.integers(-(2**40), 2**40, (3, n)), rational, near])
+    folded = fold_tensor(n, rows)
+    assert folded.shape == (len(rows), euler_phi(n))
+    want = [reduce_root_sum(n, w).coords_at(n) for w in rows.tolist()]
+    assert [power_coords(n, t) for t in folded.tolist()] == want
+    # rational exactly when only coordinate 0 is nonzero, in either basis, with the same value
+    assert (~folded[:, 1:].any(axis=1)).tolist() == [not any(w[1:]) for w in want] == [False] * 3 + [True] * 2 + [False]
+    assert folded[3:5, 0].tolist() == [want[3][0], want[4][0]]
+
+
+@pytest.mark.parametrize("n, per_exponent", [(15, 2.13), (63, 2.29), (80, 1.6), (255, 4.02), (1023, 4.69), (4095, 6.75)])
+def test_every_entry_of_the_tensor_fold_is_a_sign(n, per_exponent):
+    # the fold of the unit rows is the table of every zeta^e's tensor coordinates
+    table = fold_tensor(n, np.eye(n, dtype=np.int8))
+    assert set(np.unique(table).tolist()) <= {-1, 0, 1}
+    count = np.count_nonzero(table)
+    assert count == pytest.approx(n * math.prod(2 - 2 / p for p, _ in prime_powers(n)))
+    assert round(count / n, 2) == per_exponent
+    # basis vector j is the single root zeta^e with e = tensor_roots(n)[j], and 1 is basis vector 0
+    roots = tensor_roots(n)
+    assert roots[0] == 0 and len(set(roots.tolist())) == euler_phi(n)
+    assert (table[roots] == np.eye(euler_phi(n), dtype=np.int8)).all()
+
+
+def test_prime_powers_factor_n():
+    assert prime_powers(1) == []
+    assert prime_powers(4095) == [(3, 9), (5, 5), (7, 7), (13, 13)]
+    assert prime_powers(80) == [(2, 16), (5, 5)]
+    assert all(math.prod(m for _, m in prime_powers(n)) == n for n in range(1, 300))
 
 
 @st.composite

@@ -188,9 +188,9 @@ def test_the_int64_bound_of_unit_rows_counts_the_classes():
     # the trivial row times the constant 1 (None) twice: every peak is 1
     pr = params(3)
     unit = char_rows([GL2Irrep.U(pr, 0)], pr)
-    assert int64_bound(pr.rs, np.ones(pr.rs, dtype=np.int64), unit, None, None) == pr.rs
+    assert int64_bound(np.ones(pr.rs, dtype=np.int64), unit, None, None) == pr.rs
     sizes = np.asarray(class_table(3)[1])
-    assert int64_bound(pr.rs, sizes, None, unit, None) == pr.order
+    assert int64_bound(sizes, None, unit, None) == pr.order
 
 
 def _one_entry_rows(coefs, exps):
@@ -223,12 +223,25 @@ def test_exact_sums_names_the_first_bad_sum_by_its_place_in_the_batch(monkeypatc
         sums([4, 4, 4, 3, 4, 4], [0, 0, 2, 0, 0, 0])
 
 
+def test_a_non_integral_sum_at_a_composite_rs_prints_power_basis_coordinates():
+    # at rs = 15 the kernel's tensor basis and the power basis differ: the
+    # message converts the sum back, to the coordinates of 4 * zeta_15^9
+    every = np.arange(3)
+    rows = _one_entry_rows([4, 4, 4], [0, 9, 0])
+    want = (4 * root(15, 9)).coords_at(15)
+    assert want == [-4, 0, 4, -4, 0, 0, -4, 4]
+    assert class_sum(15, [1], rows, None, None, (every, None, None))[1].tolist() != want
+    text = f"sum 1 has power-basis coordinates {want}, not a rational integer"
+    with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
+        exact_sums(15, [1], rows, None, None, (every, None, None), lambda i: f"sum {i}")
+
+
 def test_class_sum_refuses_a_sum_that_could_leave_int64_before_allocating():
     pr = params(3)
     rows = [char_rows([pi], pr) for pi in enumerate_irreps(pr)[-3:]]
-    assert int64_bound(pr.rs, np.asarray(class_table(3)[1]), *rows) < 2**62
+    assert int64_bound(np.asarray(class_table(3)[1]), *rows) < 2**62
     huge = np.full(pr.rs, 2**58, dtype=np.int64)
-    assert int64_bound(pr.rs, huge, *rows) >= 2**62
+    assert int64_bound(huge, *rows) >= 2**62
     # a batch of 10^9 entries, as broadcast views that hold no memory
     batch = np.broadcast_to(np.zeros(1, dtype=np.intp), (10**9,))
     tracemalloc.start()

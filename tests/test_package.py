@@ -116,7 +116,7 @@ def test_the_object_dtype_check_sees_every_form():
 ALLOWED_CACHES = {
     "cli._parser",
     "cyclotomic._cyclotomic_polynomial",
-    "cyclotomic._power_entries",
+    "cyclotomic._crt_order",
     "cyclotomic._power_table",
     "gl2.class_params",
     "gl2.class_table",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gl2rep import cyclotomic, gl2, tensor
-from gl2rep.cyclotomic import Cyclotomic
+from gl2rep.cyclotomic import Cyclotomic, power_coords
 from gl2rep.errors import GL2RepError, NegativeMultiplicity, NonIntegral, NotMultiplicityFree
 from gl2rep.gl2 import (
     IRREP_KINDS,
@@ -24,6 +24,7 @@ from gl2rep.gl2 import (
     x_canonical,
     x_orbit_reps,
 )
+from gl2rep.sl3 import witness_report
 from gl2rep.tensor import (
     all_triples,
     classify_gelfand,
@@ -224,7 +225,7 @@ def test_a_repeated_triple_broadcasts_its_one_row_stacks(monkeypatch):
     assert shapes  # the broadcast branch ran
     want = mult_sum_numerator(v, v, v, pr).coords_at(pr.rs)
     assert want[:2] == [480, 0]
-    assert coords.tolist() == [want] * 3
+    assert [power_coords(pr.rs, x) for x in coords.tolist()] == [want] * 3
     assert closed == [1, 1, 1]
     assert verify_agreement(pr, [(v, v, v)] * 3) == []
 
@@ -411,12 +412,23 @@ def test_gelfand_at_large_q_is_the_dimension_rule(q, monkeypatch):
     assert got == {pi for pi in enumerate_irreps(pr) if pi.dim() in (1, q - 1)}
 
 
+def test_the_class_sums_build_no_power_table():
+    # the kernel folds in the tensor basis: at rs = 255 the norms, the witnesses
+    # and a tensor-agree sample leave the power table of Z[zeta_255] unbuilt
+    pr = params(16)
+    cyclotomic._power_table.cache_clear()
+    classify_gelfand(pr)
+    witness_report(pr)
+    assert verify_agreement(pr, sample_triples(pr, 200, seed=1)) == []
+    assert cyclotomic._power_table.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("q", [16, 25, 32])
 def test_the_gelfand_budget_is_at_least_the_traced_peak(q):
-    # from cold power tables and class parameters, as one CLI run builds them
+    # from cold cyclotomic tables and class parameters, as one CLI run builds them
     pr = params(q)
     irreps = enumerate_irreps(pr)
-    cyclotomic._power_entries.cache_clear()
+    cyclotomic._crt_order.cache_clear()
     cyclotomic._power_table.cache_clear()
     gl2.class_params.cache_clear()
     tracemalloc.start()
@@ -599,7 +611,7 @@ def test_the_class_sum_kernel_equals_a_cyclotomic_reference(q, count):
     assert [mult_sum_numerator(*t, pr) for t in triples] == want
     # the batched route of verify_agreement, kind group by kind group
     batched = tensor._chunk_values(triples, pr)[0]
-    assert [Cyclotomic(pr.rs, x.tolist()) for x in batched] == want
+    assert [Cyclotomic(pr.rs, power_coords(pr.rs, x)) for x in batched.tolist()] == want
 
 
 def _interleaved_bad_triples(pr, triples):
@@ -659,3 +671,29 @@ def test_a_non_integral_class_sum_names_the_first_triple(monkeypatch):
     # stop_after is reached at ok2, before the sweep comes to bad1
     got = verify_agreement(pr, triples, stop_after=1)
     assert [(d.left, d.right, d.target) for d in got] == [("U:1", "V:0", "V:0")]
+
+
+def test_a_non_integral_class_sum_at_a_composite_rs_prints_power_basis_coordinates(monkeypatch):
+    # at rs = 15 the kernel's tensor basis and the power basis differ: both
+    # routes convert the sum back and print the reference's power-basis coordinates
+    pr = params(4)
+    real = gl2.char_terms
+
+    def shifted(terms):
+        return ((terms[0][0], (terms[0][1] + 1) % pr.rs),) + terms[1:]
+
+    def corrupted(pi, c, pr):
+        terms = real(pi, c, pr)
+        return shifted(terms) if (pi.label(), c.label()) == ("X:1", "c4:1") else terms
+
+    monkeypatch.setattr(gl2, "char_terms", corrupted)
+    _corrupt(monkeypatch, tensor, "X:1", "c4:1", shifted)
+    u, x = GL2Irrep.U(pr, 1), GL2Irrep.X(pr, 1)
+    want = _reference_numerators(pr, [(u, x, x)])[0].coords_at(pr.rs)
+    assert want == [12, -12, -12, 24, -12, 12, 0, 0]
+    assert tensor.class_sum(pr.rs, gl2.class_table(4)[1], *[tensor.char_rows([u, x, x], pr)] * 3, ([0], [1], [2]))[0].tolist() != want
+    text = f"class sum for [U:1 x X:1 : X:1] has power-basis coordinates {want}, not a rational integer"
+    with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
+        mult_sum(u, x, x, pr)
+    with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
+        verify_agreement(pr, [(u, u, u), (u, x, x)])
