@@ -27,7 +27,6 @@ from .gl2 import (
     class_table,
     enumerate_classes,
     enumerate_irreps,
-    label_bytes,
     params,
     parse_irrep,
     require_budget,
@@ -369,7 +368,13 @@ def _suite_gelfand(q: int, seed: int) -> dict:
     gelfand = tensor.classify_gelfand(pr)
     irreps = enumerate_irreps(pr)
     got = [pi.label() for pi in irreps if pi in gelfand]
-    # the second route: the mult_closed sweep, (q^2-1)^3 triples at most, so
+    # the class-sum norms of every irrep must be the closed forms it was classified by
+    norms = []
+    for pi, found in zip(irreps, tensor.class_sum_norms(pr), strict=True):
+        closed = tensor.family_norms(pi.kind, q)
+        if found != closed:
+            norms.append({"irrep": pi.label(), "class_sum": list(found), "family_norms": list(closed)})
+    # the third route: the mult_closed sweep, (q^2-1)^3 triples at most, so
     # it runs only under the suite's ceiling q <= 9
     sweep = [pi.label() for pi in irreps if tensor.is_gelfand_triple_product(pi, pr)]
     dims_rule = [pi.label() for pi in irreps if pi.dim() in (1, q - 1)]
@@ -379,12 +384,14 @@ def _suite_gelfand(q: int, seed: int) -> dict:
     report = {
         "check": "gelfand",
         "q": q,
-        "pass": set(got) == expected and sweep == got,
+        "pass": set(got) == expected and sweep == got and not norms,
         "classified": got,
         "dims_rule": dims_rule,
     }
     if sweep != got:
         report["sweep"] = sweep
+    if norms:
+        report["norms"] = norms[:5]
     if q == 2:
         report["note"] = (
             "q=2: GL2(2) ~ S3 has no W family, and its two-dimensional V:0 "
@@ -593,9 +600,6 @@ def run(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if hasattr(args, "q"):
-            # before params(q): factoring a large prime q takes about sqrt(q) steps
-            require_budget(label_bytes(args.q), f"the labels of GL2({args.q})")
         return _COMMANDS[args.command](args, out)
     except (InvalidLabel, NotPrimePower) as exc:
         grammars = (gl2.IRREP_GRAMMAR, gl2.CLASS_GRAMMAR, sl3.SL3_IRREP_GRAMMAR)

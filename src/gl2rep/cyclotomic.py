@@ -29,7 +29,28 @@ import numpy as np
 
 from .errors import NonIntegral, OrderTooLarge
 
-MAX_ORDER = 2**31
+# The ~1 GB rule: the most bytes one computation may hold, worked out before
+# anything is allocated.
+TABLE_BYTES_LIMIT = 1 << 30
+
+# Bytes _cyclotomic_polynomial(n) holds per unit of n at its peak.  Its
+# longest list is the product of the binomials x^(n/e) - 1 with mu(e) = 1,
+# of degree below 1.8 n for every n with at most seven prime factors, so for
+# every n below 2*3*5*7*11*13*17*19 and every n up to MAX_ORDER.  Per unit of
+# that degree it holds at most three lists of pointers and two generations
+# of int objects, 88 bytes: 159 per unit of n, rounded up.  Under tracemalloc
+# it peaks at 145 bytes per unit of n at n = 510510, the product of the
+# first seven primes, and at most 30 at any prime or prime power.
+POLYNOMIAL_ORDER_BYTES = 192
+
+
+def polynomial_bytes(n: int) -> int:
+    """About the most bytes _cyclotomic_polynomial(n) holds, from n alone."""
+    return POLYNOMIAL_ORDER_BYTES * (n + 1)
+
+
+# The largest order whose cyclotomic polynomial fits TABLE_BYTES_LIMIT.
+MAX_ORDER = TABLE_BYTES_LIMIT // POLYNOMIAL_ORDER_BYTES - 1
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -73,7 +94,10 @@ def _check_order(n: int) -> None:
     if n < 1:
         raise ValueError("root-of-unity order must be >= 1")
     if n > MAX_ORDER:
-        raise OrderTooLarge(f"order {n} exceeds cap {MAX_ORDER}")
+        raise OrderTooLarge(
+            f"order {n} exceeds cap {MAX_ORDER}: its cyclotomic polynomial needs about "
+            f"{polynomial_bytes(n)} bytes, over the limit of {TABLE_BYTES_LIMIT}"
+        )
 
 
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ class NonIntegral(GL2RepError):
 
 
 class OrderTooLarge(GL2RepError):
-    """Requested root-of-unity order exceeds the supported cap (2**31)."""
+    """Requested root-of-unity order exceeds the supported cap, cyclotomic.MAX_ORDER."""
 
 
 class NotPrime(GL2RepError):

@@ -34,7 +34,15 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, _fold, euler_phi, fold_tensor, power_coords, smallest_prime_factor
+from .cyclotomic import (
+    TABLE_BYTES_LIMIT,
+    Cyclotomic,
+    _fold,
+    euler_phi,
+    fold_tensor,
+    power_coords,
+    smallest_prime_factor,
+)
 from .errors import BudgetExceeded, GL2RepError, InvalidLabel, MismatchedQ, NonIntegral, NotPrimePower
 
 # Kind codes of the label arrays: the index in IRREP_KINDS.
@@ -73,7 +81,12 @@ class GroupParams:
 
 @lru_cache(maxsize=None)
 def params(q: int) -> GroupParams:
-    """Group constants for GL2(q); raises NotPrimePower for bad q."""
+    """Group constants for GL2(q); raises NotPrimePower for bad q.
+
+    BudgetExceeded is raised first if ``label_bytes`` passes TABLE_BYTES_LIMIT:
+    every use of GL2(q) holds its labels, and factoring a large prime q by
+    trial division takes about sqrt(q) steps."""
+    require_budget(label_bytes(q), f"the labels of GL2({q})")
     p, ell = _factor_prime_power(q)
     r, s = q - 1, q + 1
     return GroupParams(
@@ -405,10 +418,6 @@ def columns(rows: Rows) -> Rows:
 
 
 # -- the character table in closed form ------------------------------------------
-
-# The ~1 GB rule: the most bytes a closed-form character table, with what a
-# command derives from it entry by entry, may take.
-TABLE_BYTES_LIMIT = 1 << 30
 
 # What char_rows holds besides the blocks while it fills them, counted by
 # build_bytes.  Per entry of the stack: at most two int64 (rows, length)

@@ -15,7 +15,9 @@ xi_pi idempotent under the 1/|G'| normalisation.
 G's elements, tower and classes come from the oracle's context for q.
 An element of G' is a flat index, read through one group law: ``times``
 and ``inverse``, elementwise with broadcasting, and ``h``, the positions
-of H.  Only the constructor and the group law know that it is a pair.
+of H; ``split`` hands ``times`` an operand already cut into its two
+factors, for a caller that multiplies it many times.  Only the
+constructor and the group law know that it is a pair.
 
 Everything is exact: functions take values in (1/den) * Z[zeta_rs],
 stored as integer coordinate vectors with one shared denominator, and
@@ -124,10 +126,19 @@ class PairGroupContext:
         self._pair_count: np.ndarray | None = None
 
     # -- the group law on flat indices ------------------------------------------
-    def times(self, x, y):
-        """x y in G', factor by factor; ``take`` reads mul[a, c] at a * n + c."""
+    def split(self, x):
+        """x's two factors (a, b) as the offsets a * n and b * n of their rows of mul.
+
+        A caller that multiplies the same x by many y splits it once and
+        passes the pair to ``times`` in place of x."""
         n = self.n
-        return self.mul.take(x // n * n + y // n) * n + self.mul.take(x % n * n + y % n)
+        return x // n * n, x % n * n
+
+    def times(self, x, y):
+        """x y in G', factor by factor; ``take`` reads mul[a, c] at a * n + c.
+        x may be given as its ``split``."""
+        (a, b), n = x if isinstance(x, tuple) else self.split(x), self.n
+        return self.mul.take(a + y // n) * n + self.mul.take(b + y % n)
 
     def inverse(self, x):
         """x^-1 in G', factor by factor."""
@@ -139,7 +150,7 @@ class PairGroupContext:
         if self._n_tensor is None:
             K = self.K
             N = np.empty((K, K, K), dtype=np.int32)
-            inv_y = self.inverse(np.arange(self.n2))
+            inv_y = self.split(self.inverse(np.arange(self.n2)))
             row_y = self.orb.astype(np.int64) * K  # the (i, j) cell of y is i * K + j
             for k, xk in enumerate(self.orbit_reps):
                 u = self.times(inv_y, xk)  # y^-1 x_k for every y at once

@@ -43,9 +43,9 @@ of the triples.
 ``gl2.operand`` and ``gl2.omega``, dimensions, labels, the labels' JSON text
 and their duals' labels; the sweeps and the CLI read it by index.
 
-The Gelfand classification does not sweep triples.  ``ind_norms`` gives,
-for a fixed pi, two sums over all ordered pairs (pi1, pi2) of the
-multiplicity m = [pi1 (x) pi2 : pi], each one class sum long:
+The Gelfand classification sweeps no triples.  ``ind_norms`` gives, for a
+fixed pi, two sums over all ordered pairs (pi1, pi2) of the multiplicity
+m = [pi1 (x) pi2 : pi], each one class sum long:
 
     sum m^2 = sum_c |chi(c)|^2                    (no class sizes)
     sum m   = |G|^-1 sum_c |c| S(c)^2 conj(chi(c)),  S(c) = sum_pi chi_pi(c)
@@ -54,10 +54,11 @@ Every m is a non-negative integer, so pi induces multiplicity free iff the
 two sums are equal.  S(c) is the twisted Frobenius-Schur count
 #{h : h (h^T)^-1 = g_c}, which takes three values, and ``_class_weights``
 gives |c| S(c)^2 in closed form from the class parameters: the table is
-never transposed.  ``classify_gelfand`` takes both norms of every irrep in
-two batched class sums; ``ind_norms`` builds only its own pi's row.
-``is_gelfand_triple_product``, the ``mult_closed`` sweep of ``ind_sweep``,
-is kept as the route that cross-checks it.
+never transposed.  Both sums are the same polynomial in q for every irrep
+of a family, ``family_norms``, and ``classify_gelfand`` reads only those:
+O(#irreps) at any q.  Two routes check it: ``class_sum_norms``, the class
+sums of every irrep, its rows built a chunk at a time, and
+``is_gelfand_triple_product``, the ``mult_closed`` sweep of ``ind_sweep``.
 
 ``ind_sweep`` (and ``ind_decompose``, its list of labels) skips the pairs
 whose central characters do not match: by Schur's lemma on the centre,
@@ -68,6 +69,7 @@ visits about 1/r of the ordered pairs, in kernel calls of a bounded size.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -79,6 +81,8 @@ import numpy as np
 from .cyclotomic import Cyclotomic, euler_phi, power_coords
 from .errors import GL2RepError, NegativeMultiplicity, NotMultiplicityFree
 from .gl2 import (
+    BUILD_ENTRY_BYTES,
+    IRREP_KINDS,
     SLICE_BYTES,
     U,
     V,
@@ -101,6 +105,7 @@ from .gl2 import (
     params,
     rational,
     require_budget,
+    table_bytes,
 )
 
 # Triples per verify_agreement chunk come from this byte budget.  A triple in
@@ -527,27 +532,68 @@ def ind_norms(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int]:
     return norms
 
 
-def gelfand_bytes(q: int) -> int:
-    """About the most bytes classify_gelfand holds, from q alone: the table
-    with what char_rows holds while it builds it, plus the norms' class sums,
-    a slice of scratch, and 24 bytes per irrep and coordinate of Z[zeta_rs]
-    as a margin.  The margin was sized for the power tables of Z[zeta_rs],
-    which the class sums no longer build (they fold in the tensor basis),
-    and is kept so that the q admitted stay the same, q <= 67.  The norms
-    keep coordinate 0 of each sum alone."""
-    n = q * q - 1
-    return build_bytes(q) + 3 * 8 * n * euler_phi(n) + SLICE_BYTES
+def family_norms(kind: str, q: int) -> tuple[int, int]:
+    """``ind_norms`` of every irrep of the family ``kind`` (U, V, W or X) of GL2(q).
+
+    Both norms are polynomials in q, the same for every member of a family
+    (notes/decisions.md derives them).  Their difference, the defect, is 0
+    for U and X, (q - 1)(q - 2) for V and 2(q - 1)^2 for W.
+    """
+    return {
+        "U": (q * q - 1, q * q - 1),
+        "V": (q**3 - 2 * q + 1, (q - 1) * (q * q + 1)),
+        "W": (q**3 + 2 * q * q - 4 * q + 1, q**3 - 1),
+        "X": ((q - 1) * (q * q - q + 1),) * 2,
+    }[kind]
+
+
+# Bytes of character rows, with what char_rows holds while it builds them,
+# that one chunk of class_sum_norms may hold: every irrep fits one chunk at
+# q <= 16.
+_NORM_CHUNK_BYTES = 1 << 23
+# Bytes class_sum_norms holds per irrep besides its chunk of rows: its label,
+# a class's label and entries in class_table (built when cold) and its two
+# norms, at most 540 under tracemalloc at q = 2 to 64, rounded up.
+_NORM_IRREP_BYTES = 768
+
+
+def _norm_rows(q: int) -> int:
+    """Irreps per chunk of class_sum_norms."""
+    return max(1, min(q * q - 1, _NORM_CHUNK_BYTES // table_bytes(q, 1, per_entry=BUILD_ENTRY_BYTES)))
+
+
+def class_sum_norms_bytes(q: int) -> int:
+    """About the most bytes class_sum_norms holds, from q alone: one chunk of
+    rows as char_rows builds it, a slice of the class sums' scratch, and
+    ``_NORM_IRREP_BYTES`` per irrep."""
+    return build_bytes(q, _norm_rows(q)) + SLICE_BYTES + _NORM_IRREP_BYTES * (q * q - 1)
+
+
+def class_sum_norms(pr: GroupParams) -> list[tuple[int, int]]:
+    """``ind_norms`` of every irrep in canonical order, by class sums: the
+    check of ``family_norms``.
+
+    The rows are built a chunk of ``_norm_rows`` irreps at a time, and the
+    character table is never held whole.  BudgetExceeded is raised, before
+    anything is allocated, if ``class_sum_norms_bytes`` passes TABLE_BYTES_LIMIT.
+    """
+    require_budget(class_sum_norms_bytes(pr.q), f"the class-sum norms of GL2({pr.q})")
+    irreps, weights, step = enumerate_irreps(pr), _class_weights(pr), _norm_rows(pr.q)
+    norms: list[tuple[int, int]] = []
+    for lo in range(0, len(irreps), step):
+        chunk = irreps[lo : lo + step]
+        norms += _norms(chunk, char_rows(chunk, pr), weights, pr)
+    return norms
 
 
 def classify_gelfand(pr: GroupParams) -> set[GL2Irrep]:
     """All irreducibles of GL2(q) that induce multiplicity free to the product.
 
-    pi qualifies iff its two ``ind_norms`` agree: no multiplicity exceeds 1.
+    pi qualifies iff the two ``family_norms`` of its family agree, since
+    every m is a non-negative integer: O(#irreps), and no class sum.
     """
-    require_budget(gelfand_bytes(pr.q), f"the character table of GL2({pr.q})")
-    irreps = enumerate_irreps(pr)
-    norms = _norms(irreps, char_rows(irreps, pr), _class_weights(pr), pr)
-    return {pi for pi, (squares, total) in zip(irreps, norms) if squares == total}
+    free = {kind for kind in IRREP_KINDS if operator.eq(*family_norms(kind, pr.q))}
+    return {pi for pi in enumerate_irreps(pr) if pi.kind in free}
 
 
 def dim_E(pi: GL2Irrep, pr: GroupParams) -> int:
@@ -559,7 +605,7 @@ def dim_E(pi: GL2Irrep, pr: GroupParams) -> int:
     """
     if pi.kind not in ("U", "X"):
         raise NotMultiplicityFree(f"{pi.label()} does not induce multiplicity free")
-    return ind_norms(pi, pr)[1]
+    return family_norms(pi.kind, pr.q)[1]
 
 
 def e_module_freeness_obstruction(pi: GL2Irrep, pr: GroupParams) -> bool:

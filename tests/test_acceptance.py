@@ -5,8 +5,9 @@ stated wall-clock ceilings, asserted where the criterion carries one.
 Each criterion prints one PASS/FAIL line (visible under ``pytest -s``).
 
 Criterion 2 is asserted for every q it names, and at each of them the
-classification (the character-norm test) must equal the mult_closed
-sweep over all pairs.  For q >= 3 it expects the
+classification (the closed-form family norms) is checked by two routes:
+the class-sum norms of every irrep must equal its family's norms, and the
+classified set must equal the mult_closed sweep over all pairs.  For q >= 3 it expects the
 dimension rule {1, q-1}.  At q = 2 that rule is incomplete: GL2(2) ~ S3,
 and its two-dimensional irreducible V:0 also induces multiplicity free,
 since V (x) V = 1 + sgn + V and the W family that carries the
@@ -33,9 +34,9 @@ from gl2rep.oracle import (
     verify_embedding,
 )
 from gl2rep.sl3 import expected_witness_mult, witness_no_gelfand
+from gl2rep import tensor
 from gl2rep.tensor import (
     all_triples,
-    classify_gelfand,
     dim_E,
     e_module_freeness_obstruction,
     ind_X_counts_by_dim,
@@ -76,12 +77,17 @@ def test_criterion_1_closed_form_equals_character_sum():
     assert ok, f"runtime {elapsed:.1f}s exceeds the 5 minute ceiling"
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
-def test_criterion_2_gelfand_classification(q):
+def _criterion_2(q: int) -> None:
     pr = params(q)
-    got = {pi.label() for pi in classify_gelfand(pr)}
-    # the norm test against the second route, the mult_closed sweep
-    sweep = {pi.label() for pi in enumerate_irreps(pr) if is_gelfand_triple_product(pi, pr)}
+    irreps = enumerate_irreps(pr)
+    got = {pi.label() for pi in tensor.classify_gelfand(pr)}
+    # the closed-form family norms against the class sums of every irrep
+    norms = tensor.class_sum_norms(pr)
+    for pi, found in zip(irreps, norms, strict=True):
+        closed = tensor.family_norms(pi.kind, q)
+        assert found == closed, f"q={q}: {pi.label()} has class-sum norms {found} but family norms {closed}"
+    # and against the third route, the mult_closed sweep
+    sweep = {pi.label() for pi in irreps if tensor.is_gelfand_triple_product(pi, pr)}
     assert got == sweep, f"q={q}: norm test {sorted(got)} but sweep {sorted(sweep)}"
     if q == 2:
         # GL2(2) ~ S3: U:0 is trivial, X:1 the sign and V:0 the standard
@@ -103,6 +109,41 @@ def test_criterion_2_gelfand_classification(q):
         f"q={q}: classified {sorted(got)} but the {rule} gives {sorted(expected)}. "
         "See notes/decisions.md for the q=2 case."
     )
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_criterion_2_gelfand_classification(q):
+    _criterion_2(q)
+
+
+def _wrong_norm(real, kind, q):
+    # U's norms one too large: the classification is unchanged
+    return (q * q, q * q) if kind == "U" else real(kind, q)
+
+
+def _wrong_defect(real, kind, q):
+    # W's sum of m^2 equal to its sum of m: W is classified as well
+    return (q**3 - 1, q**3 - 1) if kind == "W" else real(kind, q)
+
+
+@pytest.mark.parametrize(
+    "name, mutant, caught",
+    [
+        ("family_norms", lambda real: lambda kind, q: _wrong_norm(real, kind, q), "U:0 has class-sum norms"),
+        ("family_norms", lambda real: lambda kind, q: _wrong_defect(real, kind, q), "W:0,1 has class-sum norms"),
+        (
+            "class_sum_norms",
+            lambda real: lambda pr: [(a, b + (i == 1)) for i, (a, b) in enumerate(real(pr))],
+            "U:1 has class-sum norms",
+        ),
+        ("is_gelfand_triple_product", lambda real: lambda pi, pr: real(pi, pr) or pi.kind == "V", "but sweep"),
+    ],
+    ids=["closed-form-norm", "closed-form-defect", "class-sums", "sweep"],
+)
+def test_criterion_2_catches_a_mutant_of_each_route(monkeypatch, name, mutant, caught):
+    monkeypatch.setattr(tensor, name, mutant(getattr(tensor, name)))
+    with pytest.raises(AssertionError, match=caught):
+        _criterion_2(3)
 
 
 def test_criterion_3_induced_cuspidal_counts():

@@ -44,6 +44,16 @@ def test_tensor_json_schema():
     assert {"irrep": "W:1,3", "mult": 2} in payload["constituents"]
 
 
+def test_gelfand_q128_lists_the_dimension_rule():
+    # the closed-form family norms need no character table: q = 128 lists
+    # r + qr/2 = 8255 labels, U:a and X:n, in canonical order
+    code, text = _run(["gelfand", "--q", "128", "--format", "csv"])
+    assert code == 0
+    pr = params(128)
+    assert text.splitlines() == ["irrep", *(pi.label() for pi in enumerate_irreps(pr) if pi.dim() in (1, 127))]
+    assert len(text.splitlines()) - 1 == 127 + 128 * 127 // 2 == 8255
+
+
 def test_gelfand_q7_lists_exactly_u_and_x():
     code, text = _run(["gelfand", "--q", "7", "--format", "json"])
     assert code == 0
@@ -193,7 +203,7 @@ def test_a_second_chartable_in_one_interpreter_gives_the_same_bytes():
             assert _run(["chartable", "--q", "7", "--format", fmt]) == want[fmt]
 
 
-@pytest.mark.parametrize("command", ["chartable", "gelfand", "sl3-witness"])
+@pytest.mark.parametrize("command", ["chartable", "sl3-witness"])
 def test_table_commands_refuse_a_table_past_the_budget_before_allocating(command):
     # q = 1024 would need about 35 TB of table; the estimate from q refuses it
     run(["classes", "--q", "2"], out=io.StringIO())  # builds the parser outside the trace
@@ -207,7 +217,7 @@ def test_table_commands_refuse_a_table_past_the_budget_before_allocating(command
     assert peak < 1 << 20
 
 
-LABEL_COMMANDS = [["classes"], ["irreps"], ["tensor", "--left", "U:0", "--right", "V:1"]]
+LABEL_COMMANDS = [["classes"], ["irreps"], ["tensor", "--left", "U:0", "--right", "V:1"], ["gelfand"]]
 
 
 @pytest.mark.parametrize("argv", LABEL_COMMANDS)
@@ -425,6 +435,24 @@ def test_verify_gelfand_reports_the_sweep_only_on_a_disagreement(monkeypatch):
     assert report["pass"] is False
     assert report["sweep"] == ["U:0", "U:1", "X:1", "X:2", "X:5"]
     assert "U:0" not in report["classified"]
+
+
+@pytest.mark.parametrize("kind, wrong", [("U", (9, 9)), ("X", (4, 3))])
+def test_verify_gelfand_fails_on_a_wrong_family_norm(monkeypatch, kind, wrong):
+    # at q = 3 U's norms are (8, 8) and X's (14, 14): a wrong U keeps the
+    # classification, which only the class sums catch; a wrong X also drops
+    # the X family from it, which the sweep catches too
+    real = tensor.family_norms
+    monkeypatch.setattr(tensor, "family_norms", lambda k, q: wrong if k == kind else real(k, q))
+    code, text = _run(["verify", "--q", "3", "--suite", "gelfand", "--format", "json"])
+    assert code == 1
+    (report,) = json.loads(text)["reports"]
+    assert report["pass"] is False
+    labels = [pi.label() for pi in enumerate_irreps(params(3)) if pi.kind == kind]
+    assert report["norms"] == [
+        {"irrep": label, "class_sum": list(real(kind, 3)), "family_norms": list(wrong)} for label in labels
+    ][:5]
+    assert ("sweep" in report) == (kind == "X")
 
 
 def test_empty_q_list_is_a_usage_error():

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,10 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl2rep.cyclotomic import (
+    MAX_ORDER,
+    TABLE_BYTES_LIMIT,
     Cyclotomic,
+    _cyclotomic_polynomial,
     cyclotomic_polynomial,
     euler_phi,
     fold_tensor,
+    polynomial_bytes,
     power_coords,
     prime_powers,
     reduce_root_sum,
@@ -215,6 +220,29 @@ def test_render_and_json():
 def test_order_cap():
     with pytest.raises(OrderTooLarge):
         root(2**31 + 1, 1)
+
+
+def test_the_order_cap_is_where_the_polynomial_passes_the_byte_limit():
+    # worked out from n, never allocated: the cap refuses the first order
+    # whose cyclotomic polynomial would pass the limit, before building it
+    assert polynomial_bytes(MAX_ORDER) <= TABLE_BYTES_LIMIT < polynomial_bytes(MAX_ORDER + 1)
+    for build in (cyclotomic_polynomial, lambda n: root(n, 1), lambda n: Cyclotomic(n, ())):
+        with pytest.raises(OrderTooLarge, match=f"needs about {polynomial_bytes(MAX_ORDER + 1)} bytes"):
+            build(MAX_ORDER + 1)
+
+
+@pytest.mark.parametrize("n", [2, 97, 1024, 2310, 4095, 4620])
+def test_the_polynomial_budget_is_at_least_the_traced_peak(n):
+    # primes, prime powers and products of the first primes, whose binomial
+    # products run longest; cold, as the first use of an order builds it
+    _cyclotomic_polynomial.cache_clear()
+    tracemalloc.start()
+    try:
+        _cyclotomic_polynomial(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= polynomial_bytes(n)
 
 
 def test_concurrent_table_construction():

@@ -32,6 +32,7 @@ from gl2rep.gl2 import (
     enumerate_irreps,
     exact_sums,
     int64_bound,
+    label_bytes,
     params,
     parse_class,
     parse_irrep,
@@ -59,13 +60,25 @@ def test_params_rejects_non_prime_powers():
 
 
 def test_params_of_a_large_prime_stops_trial_division_at_the_square_root():
-    # trial division up to isqrt(q): 46341 candidates here, not 2^31
-    pr = params(2**31 - 1)
-    assert (pr.p, pr.ell) == (2**31 - 1, 1)
+    # trial division up to isqrt(q): 46341 candidates here, not 2^31; params
+    # refuses a q this large before factoring it, so the factoring is called alone
+    assert gl2._factor_prime_power(2**31 - 1) == (2**31 - 1, 1)
     # the first factor found ends the search: 2 * (2^61 - 1) is refused at p = 2
     for bad in (2**31 * 3, 2**61 - 2, 2 * (2**61 - 1)):
         with pytest.raises(NotPrimePower):
-            params(bad)
+            gl2._factor_prime_power(bad)
+
+
+def test_params_refuses_a_huge_q_before_factoring(monkeypatch):
+    # the prime 2^61 - 1 would take about 1.5 * 10^9 steps of trial division;
+    # its labels alone pass the limit, and params says so first
+    def no_factoring(q):
+        raise AssertionError(f"factored {q}")
+
+    monkeypatch.setattr(gl2, "_factor_prime_power", no_factoring)
+    q = 2**61 - 1
+    with pytest.raises(BudgetExceeded, match=re.escape(f"the labels of GL2({q}) needs about {label_bytes(q)} bytes")):
+        params(q)
 
 
 def test_inconsistent_group_params_raise_a_package_error():

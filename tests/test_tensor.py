@@ -1,5 +1,7 @@
 """Tensor multiplicities: class sums vs indicator formulas, decompositions, counts."""
 
+import io
+import json
 import random
 import re
 import tracemalloc
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from gl2rep import cyclotomic, gl2, tensor
+from gl2rep.cli import run
 from gl2rep.cyclotomic import Cyclotomic, power_coords
 from gl2rep.errors import GL2RepError, NegativeMultiplicity, NonIntegral, NotMultiplicityFree
 from gl2rep.gl2 import (
@@ -401,7 +404,7 @@ def test_omega_is_the_central_character(q):
 
 @pytest.mark.parametrize("q", [16, 25])
 def test_gelfand_at_large_q_is_the_dimension_rule(q, monkeypatch):
-    # the norm test makes no call to mult_closed, so q = 25 runs in about a second
+    # the closed-form family norms make no call to mult_closed
     def no_sweep(*args):
         raise AssertionError("classify_gelfand called mult_closed")
 
@@ -417,36 +420,43 @@ def test_the_class_sums_build_no_power_table():
     # and a tensor-agree sample leave the power table of Z[zeta_255] unbuilt
     pr = params(16)
     cyclotomic._power_table.cache_clear()
-    classify_gelfand(pr)
+    tensor.class_sum_norms(pr)
     witness_report(pr)
     assert verify_agreement(pr, sample_triples(pr, 200, seed=1)) == []
     assert cyclotomic._power_table.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_family_norms_are_the_class_sum_norms_of_every_irrep(q):
+    pr = params(q)
+    want = [tensor.family_norms(pi.kind, q) for pi in enumerate_irreps(pr)]
+    assert tensor.class_sum_norms(pr) == want
+
+
 @pytest.mark.parametrize("q", [16, 25, 32])
 def test_the_gelfand_budget_is_at_least_the_traced_peak(q):
-    # from cold cyclotomic tables and class parameters, as one CLI run builds them
+    # the budget of the class-sum check, class_sum_norms, which builds the rows
+    # a chunk at a time (several chunks at q = 25 and 32), from cold cyclotomic
+    # tables and class parameters, as one CLI run builds them
     pr = params(q)
     irreps = enumerate_irreps(pr)
     cyclotomic._crt_order.cache_clear()
     cyclotomic._power_table.cache_clear()
     gl2.class_params.cache_clear()
+    gl2.class_table.cache_clear()
     tracemalloc.start()
     try:
         gl2.char_rows(irreps, pr)
         rows_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        classify_gelfand(pr)
+        norms = tensor.class_sum_norms(pr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rows_peak <= gl2.build_bytes(q)
-    assert peak <= tensor.gelfand_bytes(q)
-
-
-def test_the_gelfand_budget_admits_q_64_and_refuses_q_71():
-    # worked out from q, never allocated
-    assert tensor.gelfand_bytes(64) <= gl2.TABLE_BYTES_LIMIT < tensor.gelfand_bytes(71)
+    assert peak <= tensor.class_sum_norms_bytes(q)
+    assert q < 25 or tensor._norm_rows(q) < len(irreps)
+    assert norms == [tensor.family_norms(pi.kind, q) for pi in irreps]
 
 
 def _corrupt(monkeypatch, module, irrep, cls, change):
@@ -474,22 +484,33 @@ def _corrupt(monkeypatch, module, irrep, cls, change):
 
 def test_a_corrupted_character_value_breaks_the_pair_sum(monkeypatch):
     # chi_U:0(1) = 1 -> -1: every S(c) stays an integer, but the pair sum of
-    # U:0 is no longer divisible by |G|, so divide_exact raises
+    # U:0 is no longer divisible by |G|, so divide_exact raises in the
+    # class-sum check, and verify reports the error
     pr = params(5)
     _corrupt(monkeypatch, tensor, "U:0", "c1:0", lambda terms: tuple((-a, e) for a, e in terms))
     with pytest.raises(NonIntegral, match="pair sum for U:0"):
-        classify_gelfand(pr)
+        tensor.class_sum_norms(pr)
+    out = io.StringIO()
+    assert run(["verify", "--suite", "gelfand", "--q", "5"], out=out) == 1
+    assert out.getvalue().startswith("error: pair sum for U:0 = ")
 
 
 def test_a_corrupted_character_value_changes_the_set(monkeypatch):
     # chi_U:0(c3:1,3) = 1 -> -1, on a class of determinant 1, whose weight
-    # |c| S(c)^2 the norm test reads: both sums stay integral, but U:0 then
-    # fails the test, so the set changes instead
+    # |c| S(c)^2 = 30 * 4^2 the pair sum reads: both sums stay integral, but
+    # sum m of U:0 falls by 2 * 480 / |G| = 2, so the class sums would drop U:0
+    # from the set, and verify fails on the norms of U:0 alone
     pr = params(5)
-    before = classify_gelfand(pr)
     _corrupt(monkeypatch, tensor, "U:0", "c3:1,3", lambda terms: tuple((-a, e) for a, e in terms))
-    after = classify_gelfand(pr)
-    assert after == before - {GL2Irrep.U(pr, 0)}
+    norms = tensor.class_sum_norms(pr)
+    irreps = enumerate_irreps(pr)
+    assert [pi.label() for pi, n in zip(irreps, norms) if n != tensor.family_norms(pi.kind, 5)] == ["U:0"]
+    assert norms[0] == (24, 22)
+    out = io.StringIO()
+    assert run(["verify", "--suite", "gelfand", "--q", "5", "--format", "json"], out=out) == 1
+    (report,) = json.loads(out.getvalue())["reports"]
+    assert report["pass"] is False and "sweep" not in report
+    assert report["norms"] == [{"irrep": "U:0", "class_sum": [24, 22], "family_norms": [24, 24]}]
 
 
 def test_dim_E_values():
