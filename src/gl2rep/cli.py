@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 
@@ -44,8 +45,9 @@ def _write_json(payload, out, indent: int | None = None) -> None:
     out.write(json.dumps(payload, indent=indent) + "\n")
 
 
-# Rows per write of a table or a list of JSON records.
-BLOCK_ROWS = 1 << 12
+# Bytes of text per write of a table or a list of JSON records: a block of
+# rows and their join hold about twice this.
+WRITE_BYTES = 1 << 16
 
 
 class _Encodings(dict):
@@ -61,6 +63,13 @@ def _encode(values) -> list[str]:
     return [memo[type(v), v] for v in values]
 
 
+def _blocks(columns: list[list], width: int):
+    """The rows of these columns, as many rows of ``width`` per block as fill WRITE_BYTES, at least one."""
+    rows, step = zip(*columns), max(1, WRITE_BYTES // width)
+    for _ in range(0, len(columns[0]), step):
+        yield islice(rows, step)
+
+
 def _write_records(out, names: list[str], columns: list[list[str]], depth: int) -> None:
     """A list of flat records with these keys, from columns of JSON-encoded
     values: the bytes json.dumps(records, indent=2) gives for the list at
@@ -72,15 +81,15 @@ def _write_records(out, names: list[str], columns: list[list[str]], depth: int) 
     field = outer + "    "
     fields = ",\n".join(f"{field}{json.dumps(name).replace('%', '%%')}: %s" for name in names)
     record = f"{outer}  {{\n{fields}\n{outer}  }}"
-    out.write("[\n")
-    for lo in range(0, len(columns[0]), BLOCK_ROWS):
-        block = ",\n".join([record % row for row in zip(*(col[lo : lo + BLOCK_ROWS] for col in columns))])
-        out.write(f",\n{block}" if lo else block)
+    # values repeat down a column: the widest is found among the distinct ones
+    for i, block in enumerate(_blocks(columns, len(record) + sum(max(map(len, set(col))) for col in columns))):
+        out.write(("," if i else "[") + "\n" + ",\n".join([record % row for row in block]))
     out.write(f"\n{outer}]")
 
 
 def _emit(names: list[str], columns: list[list], fmt: str, out) -> None:
-    """A table given by its column names and one list of values per column."""
+    """A table given by its column names and one list of values per column; text
+    formats each column's str copy through one template of ``%-{width}s`` fields."""
     if fmt == "json":
         _write_records(out, names, [_encode(col) for col in columns], 0)
         out.write("\n")
@@ -89,17 +98,13 @@ def _emit(names: list[str], columns: list[list], fmt: str, out) -> None:
         writer.writerow(names)
         writer.writerows(zip(*columns))
     else:
-        texts = [list(map(str, col)) for col in columns]
-        widths = [max([len(name), *map(len, col)]) for name, col in zip(names, texts)]
-        out.write("  ".join(name.ljust(w) for name, w in zip(names, widths)).rstrip() + "\n")
-        # values repeat down a column: each distinct one is padded once
-        padded = []
-        for col, w in zip(texts, widths):
-            pads = {v: v.ljust(w) for v in set(col)}
-            padded.append([pads[v] for v in col])
-        for lo in range(0, len(padded[0]), BLOCK_ROWS):
-            rows = zip(*(col[lo : lo + BLOCK_ROWS] for col in padded))
-            out.write("".join(["  ".join(row).rstrip() + "\n" for row in rows]))
+        columns = [list(map(str, col)) for col in columns]
+        widths = [max(len(name), max(map(len, col), default=0)) for name, col in zip(names, columns)]
+        line = "  ".join(f"%-{w}s" for w in widths)
+        head = line % tuple(names)
+        out.write(head.rstrip() + "\n")
+        for block in _blocks(columns, len(head) + 1):
+            out.write("".join([(line % row).rstrip() + "\n" for row in block]))
 
 
 def cmd_classes(args, out) -> int:
@@ -117,9 +122,10 @@ def cmd_irreps(args, out) -> int:
 # Bytes of closed-form table one chunk of _value_ids's rows may hold.
 VALUE_ID_CHUNK_BYTES = 1 << 18
 
-# Bytes chartable holds per entry, past one chunk: the int32 value id, plus
-# a pointer in the column lists for csv, and in two more lists for text,
-# which converts and pads each column.
+# Bytes chartable holds per entry, past one chunk and one write block: for csv
+# the int32 value id and a pointer in the column lists; for text also one in
+# their str copies, and 8 for a padded row wider than a block, held about twice
+# (at most 2.4 bytes per entry at q <= 73: 2.5 MB at q = 32, 1.25 MB at q = 73).
 _ENTRY_BYTES = {"json": 4, "csv": 12, "text": 28}
 
 
@@ -129,12 +135,12 @@ def _chunk_rows(q: int) -> int:
 
 def chartable_bytes(q: int, fmt: str) -> int:
     """About the most bytes chartable holds at once, from q alone: what its
-    format keeps per entry (``_ENTRY_BYTES``), and one chunk of closed-form
-    rows with 104 bytes per entry for its keys: the padded terms (32), their
-    two digits and the key (24), and np.unique's sorted copy, order and
-    inverse with the ids gathered through it (48 at most)."""
+    format keeps per entry (``_ENTRY_BYTES``), a write block and its join, and
+    one chunk of closed-form rows with 104 bytes per entry for its keys: the
+    padded terms (32), their two digits and the key (24), and np.unique's
+    sorted copy, order and inverse with the ids gathered through it (48)."""
     n = q * q - 1
-    return _ENTRY_BYTES[fmt] * n * n + table_bytes(q, _chunk_rows(q), per_entry=104)
+    return _ENTRY_BYTES[fmt] * n * n + 2 * WRITE_BYTES + table_bytes(q, _chunk_rows(q), per_entry=104)
 
 
 def _value_ids(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -431,7 +437,7 @@ def _suite_harmonic(q: int, seed: int) -> dict:
         comm = harmonic.commutativity_check(basis)
         # sum of m^2 over the constituents of the induction of pi, and whether
         # that equals sum of m, i.e. whether pi induces multiplicity free
-        expected_dim, constituents = tensor.ind_norms(pi, pr)
+        expected_dim, constituents = tensor.family_norms(pi.kind, q)
         gelf = expected_dim == constituents
         good = comm == gelf and len(basis) == expected_dim
         ok = ok and good

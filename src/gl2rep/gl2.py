@@ -431,8 +431,8 @@ BUILD_LABEL_BYTES = 128
 BUILD_CALL_BYTES = 1 << 16
 
 # Bytes per label the label commands hold: the labels with their per-q
-# tables and rendered columns, 770 at most (irreps in text at q = 32, 64 and
-# 128, under tracemalloc), rounded up.
+# tables and rendered columns, 627 at most (irreps in json at q = 32), under
+# tracemalloc at q = 32, 64 and 128 with cold caches, rounded up.
 LABEL_BYTES = 1024
 
 

@@ -43,8 +43,8 @@ of the triples.
 ``gl2.operand`` and ``gl2.omega``, dimensions, labels, the labels' JSON text
 and their duals' labels; the sweeps and the CLI read it by index.
 
-The Gelfand classification sweeps no triples.  ``ind_norms`` gives, for a
-fixed pi, two sums over all ordered pairs (pi1, pi2) of the multiplicity
+The Gelfand classification sweeps no triples.  It reads, for a fixed pi,
+two sums over all ordered pairs (pi1, pi2) of the multiplicity
 m = [pi1 (x) pi2 : pi], each one class sum long:
 
     sum m^2 = sum_c |chi(c)|^2                    (no class sizes)
@@ -507,7 +507,7 @@ def _class_weights(pr: GroupParams) -> np.ndarray:
 
 
 def _norms(irreps: list[GL2Irrep], rows: Rows, weights: np.ndarray, pr: GroupParams) -> list[tuple[int, int]]:
-    """ind_norms of each irrep, from the stack of their rows: two ``exact_sums``
+    """The two norms of each irrep, from the stack of their rows: two ``exact_sums``
     calls, sum_c |chi(c)|^2 and sum_c w(c) conj(chi(c)) divided by |G|, the
     factors 1 given as None."""
     every = np.arange(len(irreps))
@@ -521,23 +521,15 @@ def _norms(irreps: list[GL2Irrep], rows: Rows, weights: np.ndarray, pr: GroupPar
     return list(zip(squares, totals))
 
 
-def ind_norms(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int]:
-    """(sum of m^2, sum of m) over the ordered pairs (pi1, pi2), m = [pi1 (x) pi2 : pi].
+def family_norms(kind: str, q: int) -> tuple[int, int]:
+    """(sum of m^2, sum of m) over the ordered pairs (pi1, pi2), m = [pi1 (x) pi2 : pi],
+    for every irrep pi of the family ``kind`` (U, V, W or X) of GL2(q).
 
     By Frobenius reciprocity these are the squared norm and the number of
     constituents, counted with multiplicity, of the induction of pi to the
-    product group.
-    """
-    (norms,) = _norms([pi], char_rows([pi], pr), _class_weights(pr), pr)
-    return norms
-
-
-def family_norms(kind: str, q: int) -> tuple[int, int]:
-    """``ind_norms`` of every irrep of the family ``kind`` (U, V, W or X) of GL2(q).
-
-    Both norms are polynomials in q, the same for every member of a family
-    (notes/decisions.md derives them).  Their difference, the defect, is 0
-    for U and X, (q - 1)(q - 2) for V and 2(q - 1)^2 for W.
+    product group.  Both are polynomials in q, the same for every member of
+    a family (notes/decisions.md derives them).  Their difference, the
+    defect, is 0 for U and X, (q - 1)(q - 2) for V and 2(q - 1)^2 for W.
     """
     return {
         "U": (q * q - 1, q * q - 1),
@@ -570,8 +562,8 @@ def class_sum_norms_bytes(q: int) -> int:
 
 
 def class_sum_norms(pr: GroupParams) -> list[tuple[int, int]]:
-    """``ind_norms`` of every irrep in canonical order, by class sums: the
-    check of ``family_norms``.
+    """(sum of m^2, sum of m) of every irrep in canonical order, by class
+    sums: the check of ``family_norms``.
 
     The rows are built a chunk of ``_norm_rows`` irreps at a time, and the
     character table is never held whole.  BudgetExceeded is raised, before

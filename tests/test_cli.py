@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2rep import cli, gl2, harmonic, oracle, sl3, tensor
+from gl2rep import cli, cyclotomic, gl2, harmonic, oracle, sl3, tensor
 from gl2rep.cli import SUITES, _value_ids, _value_json, build_parser, chartable_bytes, run
 from gl2rep.cyclotomic import Cyclotomic, coords_text, demote, euler_phi, root
 from gl2rep.gl2 import (
@@ -268,6 +268,75 @@ def test_chartable_budget_counts_the_ids_and_what_each_format_keeps_per_entry():
     ids = _value_ids(16)[0]
     assert ids.nbytes == 4 * 255 * 255
     assert 0 < chartable_bytes(16, "json") - ids.nbytes < table_bytes(16)
+
+
+class _HashSink:
+    """Write-only stdout that keeps a digest of the bytes, not the text."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+
+@pytest.mark.parametrize("q", [9, 16, 25])
+def test_the_chartable_budget_is_at_least_the_traced_peak(q):
+    # the padded rows are formatted a block at a time: at q = 25 the whole
+    # padded text would be 34 MB, against an estimate of about 12 MB
+    run(["classes", "--q", "2"], out=io.StringIO())  # builds the parser outside the trace
+    for fmt in ("text", "csv"):
+        # cold per-q caches, as in one CLI run
+        for cache in (gl2.class_table, gl2.class_params, tensor.irrep_table, cyclotomic._power_table,
+                      cyclotomic._cyclotomic_polynomial, cyclotomic._crt_order):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            code = run(["chartable", "--q", str(q), "--format", fmt], out=_HashSink())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak <= chartable_bytes(q, fmt), fmt
+
+
+class _WriteLog:
+    """Stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def test_a_write_block_of_one_row_gives_the_same_bytes(monkeypatch):
+    # the seams between write blocks leave no trace in the output: with a
+    # one-byte bound every block holds one row, and the bytes are those of
+    # the default bound and of the char_value reference
+    argvs = (
+        ["chartable", "--q", "5", "--format", "text"],
+        ["induct", "--q", "5", "--pi", "X:1", "--format", "text"],
+        ["induct", "--q", "5", "--pi", "X:1", "--format", "json"],
+        ["irreps", "--q", "7", "--format", "json"],
+    )
+    want = [_run(argv) for argv in argvs]
+    assert want[0] == (0, _reference_chartable(5, "text"))
+    monkeypatch.setattr(cli, "WRITE_BYTES", 1)
+    for argv, (code, text) in zip(argvs, want):
+        log = _WriteLog()
+        assert run(argv, out=log) == code
+        assert "".join(log.writes) == text
+        if argv[-1] == "text":
+            # the header, then one line per row, then induct's count line
+            assert all(w.count("\n") == 1 for w in log.writes)
+        else:
+            # one flat record per write, after "[\n" or ",\n"
+            payload = json.loads(text)
+            records = payload["constituents"] if argv[0] == "induct" else payload
+            blocks = [w for w in log.writes if w.startswith(("[\n", ",\n"))]
+            assert len(blocks) == len(records) and all(w.count("{") == 1 for w in blocks)
 
 
 def test_chartable_csv_labels_round_trip():
