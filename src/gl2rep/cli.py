@@ -18,7 +18,7 @@ from itertools import islice
 import numpy as np
 
 from . import gl2, harmonic, oracle, sl3, tensor
-from .cyclotomic import _fold, coords_json, coords_text, demote
+from .cyclotomic import _fold, coords_json, coords_text, demote, euler_phi
 from .errors import GL2RepError, InvalidLabel, NotPrimePower
 from .gl2 import (
     GL2Irrep,
@@ -133,14 +133,30 @@ def _chunk_rows(q: int) -> int:
     return max(1, VALUE_ID_CHUNK_BYTES // table_bytes(q, 1))
 
 
+# Bytes of one distinct value's JSON text (``_value_json``) per coordinate,
+# and per value for its braces, order, approx and the pointers to it: at most
+# 15.7 and 160 at every q <= 49 measured (q = 2 to 16, 25, 27, 31, 32, 37, 49).
+_JSON_COORD_BYTES, _JSON_VALUE_BYTES = 16, 256
+
+
 def chartable_bytes(q: int, fmt: str) -> int:
     """About the most bytes chartable holds at once, from q alone: what its
     format keeps per entry (``_ENTRY_BYTES``), a write block and its join, and
     one chunk of closed-form rows with 104 bytes per entry for its keys: the
     padded terms (32), their two digits and the key (24), and np.unique's
-    sorted copy, order and inverse with the ids gathered through it (48)."""
+    sorted copy, order and inverse with the ids gathered through it (48).
+
+    JSON also holds the text of every distinct value, and a row of them
+    joined, which the sink encodes once more.  The values are at most
+    2qr + 10r + 3, r = q - 1: a value is keyed by its terms, which per class
+    kind take at most 4r (c1), 2r + 1 (c2), r^2 + 2r + 1 (c3) and
+    rs + 2r + 1 (c4) forms, s = q + 1."""
     n = q * q - 1
-    return _ENTRY_BYTES[fmt] * n * n + 2 * WRITE_BYTES + table_bytes(q, _chunk_rows(q), per_entry=104)
+    held = _ENTRY_BYTES[fmt] * n * n + 2 * WRITE_BYTES + table_bytes(q, _chunk_rows(q), per_entry=104)
+    if fmt == "json":
+        values = 2 * q * (q - 1) + 10 * (q - 1) + 3
+        held += (values + 2 * n) * (_JSON_COORD_BYTES * euler_phi(n) + _JSON_VALUE_BYTES)
+    return held
 
 
 def _value_ids(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

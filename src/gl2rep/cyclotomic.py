@@ -23,34 +23,39 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NonIntegral, OrderTooLarge
+from .errors import BudgetExceeded, NonIntegral, OrderTooLarge
 
 # The ~1 GB rule: the most bytes one computation may hold, worked out before
 # anything is allocated.
 TABLE_BYTES_LIMIT = 1 << 30
+# Every int64 array entry and every partial sum behind it stays below this.
+INT64_LIMIT = 2**62
 
-# Bytes _cyclotomic_polynomial(n) holds per unit of n at its peak.  Its
-# longest list is the product of the binomials x^(n/e) - 1 with mu(e) = 1,
-# of degree below 1.8 n for every n with at most seven prime factors, so for
-# every n below 2*3*5*7*11*13*17*19 and every n up to MAX_ORDER.  Per unit of
-# that degree it holds at most three lists of pointers and two generations
-# of int objects, 88 bytes: 159 per unit of n, rounded up.  Under tracemalloc
-# it peaks at 145 bytes per unit of n at n = 510510, the product of the
-# first seven primes, and at most 30 at any prime or prime power.
+# Bytes _cyclotomic_polynomial(n) holds per unit of n, and per call, at its
+# peak.  Per unit of phi(n) <= n it holds the int64 half series and the padded
+# copy a quotient sums (8 each), the int64 coefficients (8) and the tuple it
+# returns with the list it is made from (16: the coefficients are small, and
+# Python caches small ints); per call, numpy's array headers and temporaries.
+# Under tracemalloc it peaks at 32 bytes per unit of n at the prime 100003, 24
+# at n = 4849845 and 13 at n = 1048575, and at 1.7 KB for n < 40.  The order
+# cap keeps 192 per unit of n: the tables built per order, such as
+# _power_table's n tuples, hold several times the polynomial.
 POLYNOMIAL_ORDER_BYTES = 192
+POLYNOMIAL_CALL_BYTES = 1 << 12
 
 
 def polynomial_bytes(n: int) -> int:
     """About the most bytes _cyclotomic_polynomial(n) holds, from n alone."""
-    return POLYNOMIAL_ORDER_BYTES * (n + 1)
+    return POLYNOMIAL_ORDER_BYTES * (n + 1) + POLYNOMIAL_CALL_BYTES
 
 
 # The largest order whose cyclotomic polynomial fits TABLE_BYTES_LIMIT.
-MAX_ORDER = TABLE_BYTES_LIMIT // POLYNOMIAL_ORDER_BYTES - 1
+MAX_ORDER = (TABLE_BYTES_LIMIT - POLYNOMIAL_CALL_BYTES) // POLYNOMIAL_ORDER_BYTES - 1
 
 
 def smallest_prime_factor(n: int) -> int:
@@ -104,29 +109,60 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (constant term first) of the monic N-th cyclotomic polynomial.
 
     The Moebius product over the squarefree divisors e of n of the binomials
-    (x^(n/e) - 1)^mu(e): the product of those with mu(e) = 1, divided exactly
-    by each of the rest.
+    (x^(n/e) - 1)^mu(e), taken for the squarefree part of n as an int64 power
+    series to half its degree, products and quotients interleaved.
+    BudgetExceeded is raised if a coefficient could leave int64.
     """
     _check_order(n)
     return _cyclotomic_polynomial(n)
 
 
+def _check_int64(n: int, bound: int) -> None:
+    if bound >= INT64_LIMIT:
+        raise BudgetExceeded(f"a coefficient of the cyclotomic polynomial {n} could reach {bound} >= 2^62")
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    # the exponents n/e with mu(e) = 1 and with mu(e) = -1, one prime factor p of n at a time
-    plus, minus = [n], []
-    for p, _ in prime_powers(n):
+    # Phi_n(x) = Phi_rad(x^(n/rad)) for rad the product of the primes of n,
+    # and Phi_rad(x) = Phi_odd(-x) for rad = 2 * odd, odd > 1.  For odd > 1,
+    # Phi_odd is palindromic and the Moebius product of the (1 - x^m)^mu(odd/m),
+    # whose signs cancel: its lower half is that product as an int64 power
+    # series mod x^half, in which every m >= half is 1
+    if n == 1:
+        return (-1, 1)
+    primes = [p for p, _ in prime_powers(n)]
+    rad = math.prod(primes)
+    deg = euler_phi(rad)
+    half = deg // 2 + 1
+    negate = rad % 2 == 0 and rad > 2
+    if negate:
+        primes = primes[1:]
+    plus, minus = [math.prod(primes)], []
+    for p in primes:
         plus, minus = plus + [m // p for m in minus], minus + [m // p for m in plus]
-    poly = [1]
-    for m in plus:
-        # times x^m - 1
-        poly = [c - (poly[i] if i < len(poly) else 0) for i, c in enumerate([0] * m + poly)]
-    for m in minus:
-        # over x^m - 1: poly = quot * (x^m - 1) gives quot[i] = quot[i - m] - poly[i]
-        poly = [-c for c in poly[: len(poly) - m]]
-        for i in range(m, len(poly)):
-            poly[i] += poly[i - m]
-    return tuple(poly)
+    series = np.zeros(half, dtype=np.int64)
+    series[0] = 1
+    # one product, then one quotient, smallest first: every bound checked
+    # below stays under 2^41 at each of the 1261 odd squarefree orders up to
+    # MAX_ORDER with six or seven prime factors (the largest at 4849845)
+    for times, over in zip_longest(sorted(plus), sorted(minus)):
+        if times and times < half:
+            # times 1 - x^m: every coefficient at most doubles
+            _check_int64(n, 2 * int(np.abs(series).max()))
+            series[times:] -= series[:-times].copy()
+        if over and over < half:
+            # over 1 - x^m: a running sum along each residue class mod m, of at most rows terms
+            rows = -(-half // over)
+            _check_int64(n, rows * int(np.abs(series).max()))
+            padded = np.zeros(rows * over, dtype=np.int64)
+            padded[:half] = series
+            series = padded.reshape(rows, over).cumsum(axis=0).ravel()[:half]
+    if negate:
+        series[1::2] *= -1
+    out = np.zeros(deg * (n // rad) + 1, dtype=np.int64)
+    out[:: n // rad] = np.concatenate([series, series[: deg + 1 - half][::-1]])
+    return tuple(out.tolist())
 
 
 @lru_cache(maxsize=None)

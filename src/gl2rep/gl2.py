@@ -35,6 +35,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .cyclotomic import (
+    INT64_LIMIT,
     TABLE_BYTES_LIMIT,
     Cyclotomic,
     _fold,
@@ -386,14 +387,15 @@ class Block(NamedTuple):
 
 # A stack of rows over the blocks of a summation axis.  A character row has
 # one block per class kind, c1 to c4, as wide as the most terms an entry of the
-# block has: 0, 1 or 2 for GL2, so the blocks hold no padding and the products
-# no zero terms.
+# block has among the rows: 0, 1 or 2 for GL2.  A stack of one irrep kind so
+# holds no padding, and its products no zero terms; a stack of several kinds
+# pads its narrower rows with zero terms (at q = 9 the rows of every irrep
+# have 0, 1 and 2 terms in the split block for 36, 16 and 28 rows, and 2, 1
+# and 0 in the elliptic one, both of width 2).
 Rows = tuple[Block, ...]
 
 # Scratch bytes one slice of a class_sum batch may hold; the batch is cut to fit.
 SLICE_BYTES = 1 << 21
-# Every coordinate and every partial sum behind it stays below this.
-_INT64_LIMIT = 2**62
 
 
 @lru_cache(maxsize=None)
@@ -592,7 +594,7 @@ def class_sum_slices(rs: int, weights, a: Rows | None, b: Rows | None, c: Rows |
     """
     weights = np.asarray(weights, dtype=np.int64)
     bound = int64_bound(weights, a, b, c)
-    if bound >= _INT64_LIMIT:
+    if bound >= INT64_LIMIT:
         raise BudgetExceeded(f"class sum bound {bound} reaches 2^62 in Z[zeta_{rs}]")
     index = [None if i is None else np.asarray(i, dtype=np.intp) for i in index]
     count = len(next(i for i in index if i is not None))

@@ -59,9 +59,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, euler_phi, root_coords
+from .cyclotomic import INT64_LIMIT, Cyclotomic, euler_phi, root_coords
 from .errors import BudgetExceeded, MismatchedGroup
-from .gl2 import _INT64_LIMIT, GL2Irrep, char_value, class_table, params
+from .gl2 import GL2Irrep, char_value, class_table, params
 from .oracle import _context
 
 HARMONIC_MAX_Q = 3
@@ -323,7 +323,7 @@ def _check_int64(bound: int, what: str, q: int) -> None:
     """Raise BudgetExceeded unless ``bound``, an a-priori bound on the sum of
     the absolute values of the terms behind every entry of an int64 step,
     stays below 2^62, so that every partial sum of the step fits in int64."""
-    if bound >= _INT64_LIMIT:
+    if bound >= INT64_LIMIT:
         raise BudgetExceeded(f"{what} bound {bound} reaches 2^62 at q={q}")
 
 

@@ -33,11 +33,15 @@ Two independent evaluation routes are provided:
 ``mult_sum`` is authoritative: any disagreement is surfaced as a
 structured report naming the offending cell, never patched over.
 ``verify_agreement`` compares the two routes over any iterable of triples.
-It reads the triples in chunks of a fixed byte budget; per chunk it batches
-the class sums, one ``gl2.class_sum`` call per kind triple, and the
-indicator values, one kernel call, both from operands read once, then walks
-the chunk in order, so reports, errors and ``stop_after`` follow the order
-of the triples.
+It reads the triples in chunks of a fixed byte budget, and a chunk keeps per
+triple only its irreps' positions, its class sum reduced to coordinate 0 and
+whether it is a rational integer, and its indicator value.  Per chunk it
+batches the class sums, one ``gl2.class_sum`` call per kind triple whose
+coordinates are reduced as they arrive, and the indicator values, one kernel
+call, both from operands read once; then it walks the triples that fail a
+check in order, so reports, errors and ``stop_after`` follow the order of
+the triples.  A sum that is not a rational integer multiple of |G| is taken
+again for its triple alone, whose NonIntegral prints its coordinates.
 
 ``irrep_table(q)`` holds, per q and in canonical order, the irreps, their
 ``gl2.operand`` and ``gl2.omega``, dimensions, labels, the labels' JSON text
@@ -73,7 +77,7 @@ import operator
 import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -96,23 +100,29 @@ from .gl2 import (
     class_params,
     class_sum,
     class_table,
-    divide_exact,
     enumerate_irreps,
     exact_sums,
     omega,
     operand,
     operands,
     params,
-    rational,
     require_budget,
     table_bytes,
 )
 
-# Triples per verify_agreement chunk come from this byte budget.  A triple in
-# a chunk holds about 512 bytes of Python objects and index arrays plus its
-# phi(rs) int64 coordinates: 2730 triples at q = 9.  The rows are stacked once
-# per distinct irrep, and class_sum bounds its own scratch.
+# Triples per verify_agreement chunk come from this byte budget: 16 384, so
+# every default tensor-agree sweep at q <= 9 is one chunk.  A triple in a chunk
+# holds its irrep positions (24 bytes), its indicator value, class-sum
+# coordinate 0 and integrality (17) and its place in the grouping by kind
+# triple (24), and, at the kernel call, its three operands (72): at most 104
+# bytes, rounded up.  Besides the chunk, one kernel slice (_KERNEL_BYTES) or
+# one class_sum slice (SLICE_BYTES) of scratch with the coordinates of one
+# class_sum call, at most _COORD_BYTES.  Traced at q = 4 to 9 from cold per-q
+# caches (all triples, or 10 000 sampled), the peak is at most 55 bytes per
+# triple over one class_sum slice: 2.64 MB at q = 9.
 _CHUNK_BYTES = 1 << 21
+_CHUNK_TRIPLE_BYTES = 128
+_COORD_BYTES = 1 << 19
 
 
 def mult_sum_numerator(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> Cyclotomic:
@@ -653,37 +663,68 @@ def sample_triples(pr: GroupParams, count: int, seed: int) -> Iterator[tuple[GL2
         yield rng.choice(irreps), rng.choice(irreps), rng.choice(irreps)
 
 
-def _chunk_values(chunk: list[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupParams) -> tuple[np.ndarray, list[int]]:
-    """mult_sum_numerator and mult_closed of every triple of the chunk: a
-    (triples, phi(rs)) array of tensor-basis coordinates, and a list of
-    values, negative ones too.
-
-    The chunk's distinct irreps are read as operands once.  Those of each
-    kind are stacked once, and each kind triple makes one class_sum call over
-    the chunk's triples of that kind; the indicator values take one kernel call.
-    """
-    flat = [pi for triple in chunk for pi in triple]
+def _positions(triples: Iterable[tuple[GL2Irrep, GL2Irrep, GL2Irrep]]) -> tuple[list[GL2Irrep], np.ndarray]:
+    """The distinct irreps of some triples, and a (triples, 3) array of each
+    triple's positions among them; the triples themselves are not kept."""
+    flat = list(chain.from_iterable(triples))
     # labels are told apart by object, not by value: an equal label in another
     # object only repeats an entry
     first, codes = np.unique(np.fromiter(map(id, flat), np.int64, len(flat)), return_index=True, return_inverse=True)[1:]
-    irreps, codes = [flat[i] for i in first.tolist()], codes.reshape(-1, 3)
-    ops = operands(irreps, pr)
-    kind = ops[0]
+    return [flat[i] for i in first.tolist()], codes.reshape(-1, 3)
+
+
+def _kind_sums(
+    irreps: list[GL2Irrep], codes: np.ndarray, kind: np.ndarray, pr: GroupParams
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The mult_sum_numerator of the triples ``_positions`` gives, kind triple
+    by kind triple (``kind`` holds each irrep's kind code): pairs (at, coords)
+    of their rising positions and their (len(at), phi(rs)) tensor-basis
+    coordinates.
+
+    The irreps of each kind are stacked once, and each kind triple makes one
+    class_sum call, cut only where its coordinates would pass _COORD_BYTES.
+    """
     position = np.zeros(len(irreps), dtype=np.intp)
     stacks = {}
     for k in np.unique(kind).tolist():
         members = np.flatnonzero(kind == k)
         position[members] = np.arange(len(members))
         stacks[k] = char_rows([irreps[i] for i in members.tolist()], pr)
-    kinds = kind[codes]
-    group = kinds @ np.array([16, 4, 1])
+    cells = kind[codes] @ np.array([16, 4, 1])
+    order = np.argsort(cells, kind="stable")
+    step = max(1, _COORD_BYTES // (8 * euler_phi(pr.rs)))
     sizes = class_table(pr.q)[1]
-    out = np.empty((len(chunk), euler_phi(pr.rs)), dtype=np.int64)
-    for g in np.unique(group).tolist():
-        at = np.flatnonzero(group == g)
-        k1, k2, k3 = kinds[at[0]].tolist()
-        out[at] = class_sum(pr.rs, sizes, stacks[k1], stacks[k2], stacks[k3], position[codes[at]].T)
-    return out, mult_closed_array(pr, *(ops[:, codes[:, k]] for k in range(3))).tolist()
+    for group in np.split(order, np.flatnonzero(np.diff(cells[order])) + 1):
+        k1, k2, k3 = kind[codes[group[0]]].tolist()
+        for lo in range(0, len(group), step):
+            at = group[lo : lo + step]
+            yield at, class_sum(pr.rs, sizes, stacks[k1], stacks[k2], stacks[k3], position[codes[at]].T)
+
+
+def _flagged(triples: Iterable[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupParams) -> list | None:
+    """The triples of a chunk that fail a check, in order, each with its
+    mult_closed value and its class sum's coordinate 0, None when the sum is
+    not a rational integer; None for an empty chunk.
+
+    Per triple the chunk holds only its irreps' positions, its class sum so
+    reduced and its indicator value.  The distinct irreps are read as operands
+    once, for one kernel call and for the class sums' stacks, and each kind
+    triple's coordinates are reduced as they arrive.
+    """
+    irreps, codes = _positions(triples)
+    if not len(codes):
+        return None
+    ops = operands(irreps, pr)
+    closed = mult_closed_array(pr, *(ops[:, codes[:, k]] for k in range(3)))
+    total = np.empty(len(codes), dtype=np.int64)
+    integral = np.empty(len(codes), dtype=bool)
+    for at, coords in _kind_sums(irreps, codes, ops[0], pr):
+        total[at], integral[at] = coords[:, 0], ~coords[:, 1:].any(axis=1)
+    flagged = (closed < 0) | ~integral | (total % pr.order != 0) | (closed != total // pr.order)
+    return [
+        (tuple(irreps[k] for k in codes[i].tolist()), int(closed[i]), int(total[i]) if integral[i] else None)
+        for i in np.flatnonzero(flagged).tolist()
+    ]
 
 
 def verify_agreement(
@@ -694,29 +735,24 @@ def verify_agreement(
     """Compare mult_closed against mult_sum; returns all disagreements found.
 
     The triples are read in chunks of a fixed byte budget, never all at once:
-    the class sums of a chunk are batched per kind triple and its indicator
-    values taken in one kernel call, then the chunk is walked in order.
-    Reports, errors and ``stop_after`` follow iteration order, as a
-    triple-by-triple loop would.
+    the class sums of a chunk are batched per kind triple and reduced as they
+    arrive, and its indicator values taken in one kernel call (``_flagged``).
+    The triples that fail a check are then walked in order, so reports,
+    errors and ``stop_after`` follow iteration order, as a triple-by-triple
+    loop would.
     """
-    if triples is None:
-        triples = all_triples(pr)
-    triples = iter(triples)
-    size = max(1, _CHUNK_BYTES // (512 + 8 * euler_phi(pr.rs)))
+    triples = iter(all_triples(pr) if triples is None else triples)
+    size = max(1, _CHUNK_BYTES // _CHUNK_TRIPLE_BYTES)
     bad: list[Disagreement] = []
-    while chunk := list(islice(triples, size)):
-        coords, closed_values = _chunk_values(chunk, pr)
-        totals = coords[:, 0].tolist()
-        integral = (~coords[:, 1:].any(axis=1)).tolist()
-        for i, ((pi1, pi2, pi3), total, ok, closed) in enumerate(zip(chunk, totals, integral, closed_values)):
+    while (flagged := _flagged(islice(triples, size), pr)) is not None:
+        for (pi1, pi2, pi3), closed, total in flagged:
             if closed < 0:
                 raise _negative(pi1, pi2, pi3, closed, pr)
-            if not ok or total % pr.order:  # raises NonIntegral naming the triple
-                what = _what(pi1, pi2, pi3)
-                divide_exact(rational(pr.rs, coords[i], what), pr.order, what)
-            sums = total // pr.order
-            if closed != sums:
-                bad.append(_disagreement(pi1, pi2, pi3, closed, sums, pr))
-                if stop_after is not None and len(bad) >= stop_after:
-                    return bad
+            if total is None or total % pr.order:
+                # the triple's class sum again, alone: NonIntegral with its power-basis coordinates
+                mult_sum(pi1, pi2, pi3, pr)
+                raise GL2RepError(f"{_what(pi1, pi2, pi3)} is exact alone but not in its chunk's batch")
+            bad.append(_disagreement(pi1, pi2, pi3, closed, total // pr.order, pr))
+            if stop_after is not None and len(bad) >= stop_after:
+                return bad
     return bad

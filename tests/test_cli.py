@@ -261,13 +261,32 @@ def test_the_label_budget_is_at_least_what_a_label_command_holds(argv):
 def test_chartable_budget_counts_the_ids_and_what_each_format_keeps_per_entry():
     # worked out from q, never allocated: the last q that fits and the first
     # that does not, per format
-    for fmt, fits, refused in (("json", 127, 128), ("csv", 97, 101), ("text", 73, 79)):
+    for fmt, fits, refused in (("json", 79, 81), ("csv", 97, 101), ("text", 73, 79)):
         assert chartable_bytes(fits, fmt) <= TABLE_BYTES_LIMIT < chartable_bytes(refused, fmt)
-    # at q = 16 the json estimate is the int32 ids and one chunk of rows with
-    # its keys, less than the whole closed-form table
+    # the JSON text grows with phi(q^2 - 1): 2560 at q = 81, 1920 at q = 83 and 89
+    assert chartable_bytes(83, "json") <= TABLE_BYTES_LIMIT < chartable_bytes(89, "json")
+    # at q = 16 the json estimate is the int32 ids, the JSON text of the values
+    # and a row of them, and one chunk of rows with its keys, less than the
+    # whole closed-form table
     ids = _value_ids(16)[0]
     assert ids.nbytes == 4 * 255 * 255
-    assert 0 < chartable_bytes(16, "json") - ids.nbytes < table_bytes(16)
+    text = (2 * 16 * 15 + 10 * 15 + 3 + 2 * 255) * (cli._JSON_COORD_BYTES * 128 + cli._JSON_VALUE_BYTES)
+    assert 0 < chartable_bytes(16, "json") - ids.nbytes - text < table_bytes(16)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_the_json_text_budget_bounds_the_distinct_values(q):
+    # chartable_bytes counts at most 2qr + 10r + 3 distinct values, each of
+    # at most _JSON_COORD_BYTES per coordinate and _JSON_VALUE_BYTES besides
+    pr = params(q)
+    ids, coefs, exps = _value_ids(q)
+    assert int(ids.max()) + 1 <= 2 * q * pr.r + 10 * pr.r + 3
+    longest = max(
+        len(_value_json(*demote(pr.rs, cyclotomic._fold(pr.rs, zip(e, c)))))
+        for c, e in zip(coefs.T.tolist(), exps.T.tolist())
+    )
+    # the text, its str header (49 bytes) and two pointers to it (16)
+    assert longest + 49 + 16 <= cli._JSON_COORD_BYTES * euler_phi(pr.rs) + cli._JSON_VALUE_BYTES
 
 
 class _HashSink:
@@ -286,7 +305,8 @@ def test_the_chartable_budget_is_at_least_the_traced_peak(q):
     # the padded rows are formatted a block at a time: at q = 25 the whole
     # padded text would be 34 MB, against an estimate of about 12 MB
     run(["classes", "--q", "2"], out=io.StringIO())  # builds the parser outside the trace
-    for fmt in ("text", "csv"):
+    # json at q = 25 writes 607 MB, about 1 s to hash alone: it runs at 9 and 16
+    for fmt in ("text", "csv", "json") if q < 25 else ("text", "csv"):
         # cold per-q caches, as in one CLI run
         for cache in (gl2.class_table, gl2.class_params, tensor.irrep_table, cyclotomic._power_table,
                       cyclotomic._cyclotomic_polynomial, cyclotomic._crt_order):

@@ -1,8 +1,10 @@
 """Exact cyclotomic arithmetic: reduction, ring axioms, conjugation, integrality."""
 
 import cmath
+import hashlib
 import math
 import random
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,7 +28,8 @@ from gl2rep.cyclotomic import (
     root,
     tensor_roots,
 )
-from gl2rep.errors import NonIntegral, OrderTooLarge
+from gl2rep import cyclotomic
+from gl2rep.errors import BudgetExceeded, NonIntegral, OrderTooLarge
 
 
 def test_cyclotomic_polynomial_small_cases():
@@ -46,6 +49,47 @@ def test_cyclotomic_polynomial_against_numeric_roots(n):
     for coeff, approx in zip(got, reversed(numeric)):
         assert abs(coeff - approx.real) < 1e-8
         assert abs(approx.imag) < 1e-8
+
+
+# sha256 of repr(cyclotomic_polynomial(n)), for every n <= 3000 in turn, and
+# for two orders with four and five odd prime factors: the coefficients of the
+# Moebius product of the binomials multiplied out and divided in Python ints
+_POLYNOMIAL_DIGESTS = {
+    range(1, 3001): "3f1bf866f8f672a26083309eb07836bd6de9e7840b0473b65801f604880b48ca",
+    (15015,): "be94f9746f951208e8c7a3c731d2efe4059441a731105662be793e904c35e0a9",
+    (30030,): "8cd119a3001c5125aa6edf09030069ddb3324a2976e8d07e9b2d20dc4651ee9d",
+}
+
+
+def test_cyclotomic_polynomials_equal_the_pinned_coefficients():
+    for orders, digest in _POLYNOMIAL_DIGESTS.items():
+        h = hashlib.sha256()
+        for n in orders:
+            h.update(repr(cyclotomic_polynomial(n)).encode())
+        assert h.hexdigest() == digest, orders
+
+
+@pytest.mark.parametrize("n", [510510, 1048575])
+def test_a_polynomial_of_many_prime_factors_is_fast(n):
+    # 2*3*5*7*11*13*17, and rs = 3*5^2*11*31*41 at q = 1024: 64 and 32 binomials
+    _cyclotomic_polynomial.cache_clear()
+    start = time.perf_counter()
+    coefficients = cyclotomic_polynomial(n)
+    assert time.perf_counter() - start < 0.3
+    assert len(coefficients) == euler_phi(n) + 1 and coefficients[0] == coefficients[-1] == 1
+    # the largest |coefficient|: Phi_510510(x) = Phi_255255(-x) has that of Phi_255255
+    assert max(map(abs, coefficients)) == {510510: 532, 1048575: 42}[n]
+
+
+def test_a_coefficient_that_could_leave_int64_is_refused(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "INT64_LIMIT", 64)
+    _cyclotomic_polynomial.cache_clear()
+    try:
+        assert cyclotomic_polynomial(105)[7] == -2
+        with pytest.raises(BudgetExceeded, match="cyclotomic polynomial 15015 could reach"):
+            cyclotomic_polynomial(15015)
+    finally:
+        _cyclotomic_polynomial.cache_clear()
 
 
 def test_degree_is_totient():
@@ -231,7 +275,7 @@ def test_the_order_cap_is_where_the_polynomial_passes_the_byte_limit():
             build(MAX_ORDER + 1)
 
 
-@pytest.mark.parametrize("n", [2, 97, 1024, 2310, 4095, 4620])
+@pytest.mark.parametrize("n", [2, 3, 97, 1024, 2310, 4095, 4620, 30030, 510510])
 def test_the_polynomial_budget_is_at_least_the_traced_peak(n):
     # primes, prime powers and products of the first primes, whose binomial
     # products run longest; cold, as the first use of an order builds it

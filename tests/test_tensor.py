@@ -1,5 +1,6 @@
 """Tensor multiplicities: class sums vs indicator formulas, decompositions, counts."""
 
+import hashlib
 import io
 import json
 import random
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 from gl2rep import cyclotomic, gl2, tensor
-from gl2rep.cli import run
-from gl2rep.cyclotomic import Cyclotomic, power_coords
+from gl2rep.cli import SAMPLED_TRIPLES as SAMPLED, run
+from gl2rep.cyclotomic import Cyclotomic, euler_phi, power_coords
 from gl2rep.errors import GL2RepError, NegativeMultiplicity, NonIntegral, NotMultiplicityFree
 from gl2rep.gl2 import (
     IRREP_KINDS,
@@ -215,6 +216,22 @@ def test_compare_methods_reports_cells():
     assert verify_agreement(pr, [(v, w, w)]) == []
 
 
+def _batched_coords(triples, pr):
+    """The tensor-basis coordinates of the batched route of verify_agreement,
+    before it reduces them: every position is covered by exactly one kind
+    triple, in rising order."""
+    irreps, codes = tensor._positions(triples)
+    coords = np.zeros((len(triples), euler_phi(pr.rs)), dtype=np.int64)
+    seen = []
+    step = max(1, tensor._COORD_BYTES // (8 * euler_phi(pr.rs)))
+    for at, part in tensor._kind_sums(irreps, codes, tensor.operands(irreps, pr)[0], pr):
+        assert part.shape == (len(at), euler_phi(pr.rs)) and len(at) <= step and (np.diff(at) > 0).all()
+        coords[at] = part
+        seen += at.tolist()
+    assert sorted(seen) == list(range(len(triples)))
+    return coords
+
+
 def test_a_repeated_triple_broadcasts_its_one_row_stacks(monkeypatch):
     # one irrep object read three times: every factor is a stack of one row,
     # so the class-sum kernel broadcasts the coefficients over a batch of three
@@ -223,12 +240,12 @@ def test_a_repeated_triple_broadcasts_its_one_row_stacks(monkeypatch):
     shapes = []
     real = np.broadcast_to
     monkeypatch.setattr(np, "broadcast_to", lambda a, shape: shapes.append(shape) or real(a, shape))
-    coords, closed = tensor._chunk_values([(v, v, v)] * 3, pr)
+    coords = _batched_coords([(v, v, v)] * 3, pr)
     assert shapes  # the broadcast branch ran
     want = mult_sum_numerator(v, v, v, pr).coords_at(pr.rs)
     assert want[:2] == [480, 0]
     assert [power_coords(pr.rs, x) for x in coords.tolist()] == [want] * 3
-    assert closed == [1, 1, 1]
+    assert mult_closed(v, v, v, pr) == 1
     assert verify_agreement(pr, [(v, v, v)] * 3) == []
 
 
@@ -625,14 +642,17 @@ def _reference_numerators(pr, triples):
 
 
 @pytest.mark.parametrize("q, count", [(2, None), (3, None), (4, 600)])
-def test_the_class_sum_kernel_equals_a_cyclotomic_reference(q, count):
+def test_the_class_sum_kernel_equals_a_cyclotomic_reference(monkeypatch, q, count):
     pr = params(q)
     triples = list(all_triples(pr) if count is None else sample_triples(pr, count, seed=11))
     want = _reference_numerators(pr, triples)
     assert [mult_sum_numerator(*t, pr) for t in triples] == want
-    # the batched route of verify_agreement, kind group by kind group
-    batched = tensor._chunk_values(triples, pr)[0]
-    assert [Cyclotomic(pr.rs, power_coords(pr.rs, x)) for x in batched.tolist()] == want
+    # the batched route of verify_agreement, kind group by kind group, and
+    # with each kind triple cut into class_sum calls of at most 3 triples
+    for coord_bytes in (tensor._COORD_BYTES, 3 * 8 * euler_phi(pr.rs)):
+        monkeypatch.setattr(tensor, "_COORD_BYTES", coord_bytes)
+        batched = _batched_coords(triples, pr)
+        assert [Cyclotomic(pr.rs, power_coords(pr.rs, x)) for x in batched.tolist()] == want
 
 
 def _interleaved_bad_triples(pr, triples):
@@ -648,7 +668,7 @@ def _interleaved_bad_triples(pr, triples):
     raise AssertionError("the triples lack the wanted kinds")
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, (512 + 8 * 8) * 7])
+@pytest.mark.parametrize("chunk_bytes", [None, tensor._CHUNK_TRIPLE_BYTES * 7])
 def test_disagreements_follow_iteration_order(monkeypatch, chunk_bytes):
     # a kind-by-kind pass would report A A B B C C; the sweep reports A B C A B C
     pr = params(4)
@@ -718,3 +738,81 @@ def test_a_non_integral_class_sum_at_a_composite_rs_prints_power_basis_coordinat
         mult_sum(u, x, x, pr)
     with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
         verify_agreement(pr, [(u, u, u), (u, x, x)])
+
+
+def test_a_batch_that_differs_from_the_single_class_sum_is_an_error(monkeypatch):
+    # the batched coordinates of one triple are made non-integral; the class
+    # sum of that triple alone is exact, so the sweep refuses to go on
+    pr = params(3)
+    u, x = GL2Irrep.U(pr, 1), GL2Irrep.X(pr, 1)
+    real = tensor.class_sum
+
+    def shifted(*args):
+        out = real(*args)
+        out[:, 1] += 1
+        return out
+
+    monkeypatch.setattr(tensor, "class_sum", shifted)
+    assert mult_sum(u, x, x, pr) == mult_closed(u, x, x, pr)
+    with pytest.raises(GL2RepError, match=re.escape("class sum for [U:1 x X:1 : X:1] is exact alone")):
+        verify_agreement(pr, [(u, x, x)])
+
+
+# sha256 of the first 10 000 triples of sample_triples, each written pi1/pi2/pi3
+# and separated by spaces: the stream of rng.choice over the canonical irreps
+_SAMPLED_DIGESTS = {
+    (7, 0): "77e30ae57fe7b12d60fc291a18c432eb41beb8ad641f5227195dabcb2b82a1a5",
+    (7, 1): "36f1cc88aa78537ace04855761c6a9bd4616480d3f984012f17bcdb8447b8944",
+    (9, 0): "0a8868edc8e8d5e8fe29e7148520fc3c90a5e4044d144557ea96ed8d64663532",
+    (9, 1): "e804bc82e010e2dc5e86159be81b9cae7d24de31cce1bb43b6c999936c6b86b5",
+}
+
+
+@pytest.mark.parametrize("q, seed", sorted(_SAMPLED_DIGESTS))
+def test_sample_triples_draws_the_pinned_triples(q, seed):
+    pr = params(q)
+    first = {
+        (7, 0): [("W:3,4", "W:4,5", "U:2"), ("W:0,5", "X:6", "X:5"), ("W:3,5", "W:1,4", "X:4")],
+        (7, 1): [("V:2", "X:12", "U:4"), ("W:0,5", "V:1", "X:5"), ("X:2", "X:4", "X:20")],
+        (9, 0): [("X:6", "X:12", "U:5"), ("W:2,7", "X:31", "X:24"), ("X:8", "W:4,5", "X:23")],
+        (9, 1): [("W:0,2", "X:43", "V:0"), ("W:2,6", "V:7", "X:25"), ("X:16", "X:22", "X:5")],
+    }[q, seed]
+    drawn = [tuple(pi.label() for pi in t) for t in sample_triples(pr, SAMPLED, seed)]
+    assert drawn[:3] == first
+    text = " ".join("/".join(t) for t in drawn)
+    assert hashlib.sha256(text.encode()).hexdigest() == _SAMPLED_DIGESTS[q, seed]
+
+
+@pytest.mark.parametrize("q, count", [(9, SAMPLED), (5, None)])
+def test_the_agreement_chunk_budget_is_at_least_the_traced_peak(q, count):
+    # one chunk of the default sweep (10 000 sampled triples, or all 13 824 at
+    # q = 5) holds _CHUNK_TRIPLE_BYTES per triple and, at a time, one slice of
+    # class_sum or kernel scratch; per-q caches start cold, as in one CLI run
+    verify_agreement(params(2))
+    pr = params(q)
+    triples_in_chunk = count or (q * q - 1) ** 3
+    assert triples_in_chunk <= tensor._CHUNK_BYTES // tensor._CHUNK_TRIPLE_BYTES
+    for cache in (gl2.class_table, gl2.class_params, tensor.irrep_table, cyclotomic._power_table,
+                  cyclotomic._cyclotomic_polynomial, cyclotomic._crt_order):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        triples = all_triples(pr) if count is None else sample_triples(pr, count, seed=0)
+        assert verify_agreement(pr, triples) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= triples_in_chunk * tensor._CHUNK_TRIPLE_BYTES + gl2.SLICE_BYTES
+
+
+def test_a_class_sum_not_divisible_by_the_group_order_names_its_triple(monkeypatch):
+    # U:0 doubled on the identity: [U:0 x U:0 : U:0] sums to |G| + 7 at q = 3,
+    # a rational integer that floors to the indicator value 1
+    pr = params(3)
+    u = GL2Irrep.U(pr, 0)
+    _corrupt(monkeypatch, tensor, "U:0", "c1:0", lambda terms: ((2, terms[0][1]),))
+    text = f"class sum for [U:0 x U:0 : U:0] = {pr.order + 7} is not divisible by {pr.order}"
+    with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
+        mult_sum(u, u, u, pr)
+    with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
+        verify_agreement(pr, [(GL2Irrep.V(pr, 0),) * 3, (u, u, u)])
