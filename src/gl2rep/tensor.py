@@ -704,12 +704,8 @@ def _kind_sums(
 def _flagged(triples: Iterable[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupParams) -> list | None:
     """The triples of a chunk that fail a check, in order, each with its
     mult_closed value and its class sum's coordinate 0, None when the sum is
-    not a rational integer; None for an empty chunk.
-
-    Per triple the chunk holds only its irreps' positions, its class sum so
-    reduced and its indicator value.  The distinct irreps are read as operands
-    once, for one kernel call and for the class sums' stacks, and each kind
-    triple's coordinates are reduced as they arrive.
+    not a rational integer; None for an empty chunk.  The distinct irreps are
+    read as operands once, for one kernel call and for the class sums' stacks.
     """
     irreps, codes = _positions(triples)
     if not len(codes):
