@@ -36,26 +36,25 @@ TABLE_BYTES_LIMIT = 1 << 30
 # Every int64 array entry and every partial sum behind it stays below this.
 INT64_LIMIT = 2**62
 
-# Bytes _cyclotomic_polynomial(n) holds per unit of n, and per call, at its
-# peak.  Per unit of phi(n) <= n it holds the int64 half series and the padded
-# copy a quotient sums (8 each), the int64 coefficients (8) and the tuple it
-# returns with the list it is made from (16: the coefficients are small, and
-# Python caches small ints); per call, numpy's array headers and temporaries.
-# Under tracemalloc it peaks at 32 bytes per unit of n at the prime 100003, 24
-# at n = 4849845 and 13 at n = 1048575, and at 1.7 KB for n < 40.  The order
-# cap keeps 192 per unit of n: the tables built per order, such as
-# _power_table's n tuples, hold several times the polynomial.
+# Bytes _cyclotomic_polynomial(n) holds per unit of n at its peak.  Per unit
+# of phi(n) <= n it holds the int64 half series and the padded copy a
+# quotient sums (8 each), the int64 coefficients (8) and the tuple it returns
+# with the list it is made from (16: the coefficients are small, and Python
+# caches small ints).  Under tracemalloc it peaks at 32 bytes per unit of n at
+# the prime 100003, 24 at n = 4849845 and 13 at n = 1048575, and at most
+# 1.7 KB, numpy's array headers, for n < 40: every n counts as at least 16
+# units.  The order cap keeps 192 per unit of n: the tables built per order,
+# such as _power_table's n tuples, hold several times the polynomial.
 POLYNOMIAL_ORDER_BYTES = 192
-POLYNOMIAL_CALL_BYTES = 1 << 12
 
 
 def polynomial_bytes(n: int) -> int:
     """About the most bytes _cyclotomic_polynomial(n) holds, from n alone."""
-    return POLYNOMIAL_ORDER_BYTES * (n + 1) + POLYNOMIAL_CALL_BYTES
+    return POLYNOMIAL_ORDER_BYTES * max(n + 1, 16)
 
 
 # The largest order whose cyclotomic polynomial fits TABLE_BYTES_LIMIT.
-MAX_ORDER = (TABLE_BYTES_LIMIT - POLYNOMIAL_CALL_BYTES) // POLYNOMIAL_ORDER_BYTES - 1
+MAX_ORDER = TABLE_BYTES_LIMIT // POLYNOMIAL_ORDER_BYTES - 1
 
 
 def smallest_prime_factor(n: int) -> int:

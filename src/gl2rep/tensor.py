@@ -33,15 +33,17 @@ Two independent evaluation routes are provided:
 ``mult_sum`` is authoritative: any disagreement is surfaced as a
 structured report naming the offending cell, never patched over.
 ``verify_agreement`` compares the two routes over any iterable of triples.
-It reads the triples in chunks of a fixed byte budget, and a chunk keeps per
-triple only its irreps' positions, its class sum reduced to coordinate 0 and
-whether it is a rational integer, and its indicator value.  Per chunk it
-batches the class sums, one ``gl2.class_sum`` call per kind triple whose
-coordinates are reduced as they arrive, and the indicator values, one kernel
-call, both from operands read once; then it walks the triples that fail a
-check in order, so reports, errors and ``stop_after`` follow the order of
-the triples.  A sum that is not a rational integer multiple of |G| is taken
-again for its triple alone, whose NonIntegral prints its coordinates.
+It reads the triples in chunks sized from q by two byte budgets, one for
+the triples and one for the character rows of their irreps, and a chunk
+keeps per triple only its irreps' positions, its class sum reduced to
+coordinate 0 and whether it is a rational integer, and its indicator value.
+Per chunk it batches the class sums, one ``gl2.class_sum`` call per kind
+triple whose coordinates are reduced as they arrive, and the indicator
+values, one kernel call, both from operands read once; then it walks the
+triples that fail a check in order, so reports, errors and ``stop_after``
+follow the order of the triples.  A sum that is not a rational integer
+multiple of |G| is taken again for its triple alone, whose NonIntegral
+prints its coordinates.
 
 ``irrep_table(q)`` holds, per q and in canonical order, the irreps, their
 ``gl2.operand`` and ``gl2.omega``, dimensions, labels, the labels' JSON text
@@ -110,18 +112,24 @@ from .gl2 import (
     table_bytes,
 )
 
-# Triples per verify_agreement chunk come from this byte budget: 16 384, so
-# every default tensor-agree sweep at q <= 9 is one chunk.  A triple in a chunk
-# holds its irrep positions (24 bytes), its indicator value, class-sum
-# coordinate 0 and integrality (17) and its place in the grouping by kind
-# triple (24), and, at the kernel call, its three operands (72): at most 104
-# bytes, rounded up.  Besides the chunk, one kernel slice (_KERNEL_BYTES) or
-# one class_sum slice (SLICE_BYTES) of scratch with the coordinates of one
-# class_sum call, at most _COORD_BYTES.  Traced at q = 4 to 9 from cold per-q
-# caches (all triples, or 10 000 sampled), the peak is at most 55 bytes per
-# triple over one class_sum slice: 2.64 MB at q = 9.
+# A verify_agreement chunk holds, per triple, its irrep positions (24 bytes),
+# its indicator value, class-sum coordinate 0 and integrality (17) and its
+# place in the grouping by kind triple (24), and, at the kernel call, its
+# three operands (72): at most 104 bytes, rounded up to _CHUNK_TRIPLE_BYTES.
+# Beside them it holds the character rows of the chunk's distinct irreps,
+# stacked per kind for the class sums: at most build_bytes of their count.
+# A chunk is 16 384 triples (_CHUNK_BYTES of them) while the rows of every
+# irrep fit _ROWS_BYTES, at q <= 32, so every default tensor-agree sweep at
+# q <= 9 is one chunk; past that, as many as bring at most three new rows
+# each within _ROWS_BYTES (136 at q = 64, 33 at q = 128).  Besides the chunk,
+# one kernel slice (_KERNEL_BYTES) or one class_sum slice (SLICE_BYTES) of
+# scratch with the coordinates of one class_sum call, at most _COORD_BYTES.
+# Traced from cold per-q caches, the peak is at most 55 bytes per triple over
+# one class_sum slice at q = 4 to 9 (all triples, or 10 000 sampled), 2.64 MB
+# at q = 9, and half of _agreement_bytes at q = 49 and 64.
 _CHUNK_BYTES = 1 << 21
 _CHUNK_TRIPLE_BYTES = 128
+_ROWS_BYTES = 1 << 26
 _COORD_BYTES = 1 << 19
 
 
@@ -723,6 +731,22 @@ def _flagged(triples: Iterable[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupPa
     ]
 
 
+def _chunk_triples(q: int) -> int:
+    """Triples per verify_agreement chunk at q, from _CHUNK_BYTES and _ROWS_BYTES."""
+    most = _CHUNK_BYTES // _CHUNK_TRIPLE_BYTES
+    if build_bytes(q) > _ROWS_BYTES:
+        row = build_bytes(q, 1) - build_bytes(q, 0)
+        most = min(most, (_ROWS_BYTES - build_bytes(q, 0)) // (3 * row))
+    return max(1, most)
+
+
+def _agreement_bytes(q: int) -> int:
+    """The most bytes a verify_agreement chunk holds at q, worked out from q
+    alone: its triples and the character rows of their irreps."""
+    size = _chunk_triples(q)
+    return size * _CHUNK_TRIPLE_BYTES + build_bytes(q, min(3 * size, q * q - 1))
+
+
 def verify_agreement(
     pr: GroupParams,
     triples: Iterable[tuple[GL2Irrep, GL2Irrep, GL2Irrep]] | None = None,
@@ -730,15 +754,17 @@ def verify_agreement(
 ) -> list[Disagreement]:
     """Compare mult_closed against mult_sum; returns all disagreements found.
 
-    The triples are read in chunks of a fixed byte budget, never all at once:
-    the class sums of a chunk are batched per kind triple and reduced as they
-    arrive, and its indicator values taken in one kernel call (``_flagged``).
-    The triples that fail a check are then walked in order, so reports,
-    errors and ``stop_after`` follow iteration order, as a triple-by-triple
-    loop would.
+    The triples are read in chunks of a byte budget (``_agreement_bytes``),
+    never all at once: the class sums of a chunk are batched per kind triple
+    and reduced as they arrive, and its indicator values taken in one kernel
+    call (``_flagged``).  The triples that fail a check are then walked in
+    order, so reports, errors and ``stop_after`` follow iteration order, as a
+    triple-by-triple loop would.  BudgetExceeded is raised, before anything
+    is allocated, if a chunk could pass TABLE_BYTES_LIMIT.
     """
+    require_budget(_agreement_bytes(pr.q), f"a tensor-agree chunk of GL2({pr.q})")
     triples = iter(all_triples(pr) if triples is None else triples)
-    size = max(1, _CHUNK_BYTES // _CHUNK_TRIPLE_BYTES)
+    size = _chunk_triples(pr.q)
     bad: list[Disagreement] = []
     while (flagged := _flagged(islice(triples, size), pr)) is not None:
         for (pi1, pi2, pi3), closed, total in flagged:

@@ -783,15 +783,21 @@ def test_sample_triples_draws_the_pinned_triples(q, seed):
     assert hashlib.sha256(text.encode()).hexdigest() == _SAMPLED_DIGESTS[q, seed]
 
 
-@pytest.mark.parametrize("q, count", [(9, SAMPLED), (5, None)])
+@pytest.mark.parametrize("q, count", [(9, SAMPLED), (5, None), (64, 300)])
 def test_the_agreement_chunk_budget_is_at_least_the_traced_peak(q, count):
-    # one chunk of the default sweep (10 000 sampled triples, or all 13 824 at
-    # q = 5) holds _CHUNK_TRIPLE_BYTES per triple and, at a time, one slice of
-    # class_sum or kernel scratch; per-q caches start cold, as in one CLI run
+    # a chunk holds _CHUNK_TRIPLE_BYTES per triple and the character rows of
+    # its irreps and, at a time, one slice of class_sum or kernel scratch;
+    # per-q caches start cold, as in one CLI run.  The default sweep at q <= 9
+    # (10 000 sampled triples, or all 13 824 at q = 5) is one chunk; at q = 64
+    # the rows of every irrep would pass _ROWS_BYTES, and 300 triples are
+    # three chunks
     verify_agreement(params(2))
     pr = params(q)
-    triples_in_chunk = count or (q * q - 1) ** 3
-    assert triples_in_chunk <= tensor._CHUNK_BYTES // tensor._CHUNK_TRIPLE_BYTES
+    swept = count or (q * q - 1) ** 3
+    in_chunk = min(swept, tensor._chunk_triples(q))
+    assert (in_chunk == swept) == (q <= 9)
+    held = in_chunk * tensor._CHUNK_TRIPLE_BYTES + gl2.build_bytes(q, min(3 * in_chunk, q * q - 1))
+    assert held <= tensor._agreement_bytes(q) <= tensor._CHUNK_BYTES + tensor._ROWS_BYTES
     for cache in (gl2.class_table, gl2.class_params, tensor.irrep_table, cyclotomic._power_table,
                   cyclotomic._cyclotomic_polynomial, cyclotomic._crt_order):
         cache.cache_clear()
@@ -802,7 +808,17 @@ def test_the_agreement_chunk_budget_is_at_least_the_traced_peak(q, count):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= triples_in_chunk * tensor._CHUNK_TRIPLE_BYTES + gl2.SLICE_BYTES
+    assert peak <= held + gl2.SLICE_BYTES
+
+
+def test_an_agreement_chunk_fits_its_two_budgets_up_to_q_256():
+    # 16 384 triples while every irrep's rows fit _ROWS_BYTES, fewer past
+    # that, and one triple at q = 1024, whose three rows the ~1 GB rule admits
+    for q in (2, 9, 16, 32, 37, 49, 64, 81, 89, 128, 256):
+        assert tensor._agreement_bytes(q) <= tensor._CHUNK_BYTES + tensor._ROWS_BYTES
+    assert tensor._chunk_triples(1024) == 1 and tensor._agreement_bytes(1024) <= gl2.TABLE_BYTES_LIMIT
+    assert tensor._chunk_triples(32) == tensor._CHUNK_BYTES // tensor._CHUNK_TRIPLE_BYTES
+    assert tensor._chunk_triples(37) < tensor._chunk_triples(32)
 
 
 def test_a_class_sum_not_divisible_by_the_group_order_names_its_triple(monkeypatch):
