@@ -21,12 +21,10 @@ from . import gl2, harmonic, oracle, sl3, tensor
 from .cyclotomic import _fold, coords_json, coords_text, demote, euler_phi
 from .errors import GL2RepError, InvalidLabel, NotPrimePower
 from .gl2 import (
-    GL2Irrep,
     char_inner_products,
     char_rows,
     class_inner_products,
     class_table,
-    enumerate_classes,
     enumerate_irreps,
     params,
     parse_irrep,
@@ -88,8 +86,8 @@ def _write_records(out, names: list[str], columns: list[list[str]], depth: int) 
 
 
 def _emit(names: list[str], columns: list[list], fmt: str, out) -> None:
-    """A table given by its column names and one list of values per column; text
-    formats each column's str copy through one template of ``%-{width}s`` fields."""
+    """A table given by its column names and one list of values per column; text formats
+    the columns, each not of str as a str copy, through one template of ``%-{width}s`` fields."""
     if fmt == "json":
         _write_records(out, names, [_encode(col) for col in columns], 0)
         out.write("\n")
@@ -98,7 +96,7 @@ def _emit(names: list[str], columns: list[list], fmt: str, out) -> None:
         writer.writerow(names)
         writer.writerows(zip(*columns))
     else:
-        columns = [list(map(str, col)) for col in columns]
+        columns = [col if all(isinstance(v, str) for v in col) else list(map(str, col)) for col in columns]
         widths = [max(len(name), max(map(len, col), default=0)) for name, col in zip(names, columns)]
         line = "  ".join(f"%-{w}s" for w in widths)
         head = line % tuple(names)
@@ -108,8 +106,8 @@ def _emit(names: list[str], columns: list[list], fmt: str, out) -> None:
 
 
 def cmd_classes(args, out) -> int:
-    _, sizes, _, labels = class_table(args.q)
-    _emit(["class", "size"], [labels, sizes], args.format, out)
+    t = class_table(args.q)
+    _emit(["class", "size"], [t.labels, t.sizes.tolist()], args.format, out)
     return 0
 
 
@@ -170,16 +168,16 @@ def _value_ids(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keys, each new one with the next id.
     """
     pr = params(q)
-    irreps = tensor.irrep_table(q).irreps
+    t = tensor.irrep_table(q)
     # a term (coef, exp) is the digit (coef + 1) * rs + exp: every coefficient lies in [-1, s]
     radix = (pr.s + 2) * pr.rs
-    n = len(irreps)
+    n = len(t.kind)
     ids = np.empty((n, n), dtype=np.int32)
     numbers: dict[int, int] = {}
     step = _chunk_rows(q)
     for lo in range(0, n, step):
-        chunk = irreps[lo : lo + step]
-        terms = np.zeros((2, 2, len(chunk), n), dtype=np.int64)
+        chunk = t.operands(slice(lo, lo + step))
+        terms = np.zeros((2, 2, len(chunk[0]), n), dtype=np.int64)
         at = 0
         for block in char_rows(chunk, pr):
             terms[:, : block.width, :, at : at + block.length] = block.terms
@@ -217,7 +215,7 @@ def cmd_chartable(args, out) -> int:
     anything is allocated, if ``chartable_bytes`` passes the table limit."""
     pr = params(args.q)
     require_budget(chartable_bytes(pr.q, args.format), f"chartable --format {args.format} over GL2({pr.q})")
-    _, sizes, _, classes = class_table(pr.q)
+    classes = class_table(pr.q)
     t = tensor.irrep_table(args.q)
     ids, coefs, exps = _value_ids(pr.q)
     encode = _value_json if args.format == "json" else coords_text
@@ -228,7 +226,8 @@ def cmd_chartable(args, out) -> int:
     if args.format == "json":
         # the bytes of json.dumps(payload, indent=2), an irrep row at a time:
         # the whole document is 80 MB at q = 16
-        head = json.dumps({"q": args.q, "classes": [{"class": c, "size": n} for c, n in zip(classes, sizes)]}, indent=2)
+        sized = zip(classes.labels, classes.sizes.tolist())
+        head = json.dumps({"q": args.q, "classes": [{"class": c, "size": n} for c, n in sized]}, indent=2)
         out.write(head[: -len("\n}")] + ',\n  "rows": [')
         for i, (label, row) in enumerate(zip(t.encoded.tolist(), ids)):
             # the values are written apart: a row of them is 9 MB at q = 32
@@ -237,7 +236,7 @@ def cmd_chartable(args, out) -> int:
             out.write("\n      ]\n    }")
         out.write("\n  ]\n}\n")
     else:
-        names = ["irrep", *classes]
+        names = ["irrep", *classes.labels]
         _emit(names, [t.labels.tolist(), *(texts[col].tolist() for col in ids.T)], args.format, out)
     return 0
 
@@ -284,8 +283,8 @@ def cmd_induct(args, out) -> int:
 
 
 def cmd_gelfand(args, out) -> int:
-    pr = params(args.q)
-    labels = [pi.label() for pi in sorted(tensor.classify_gelfand(pr), key=GL2Irrep.sort_key)]
+    t = tensor.irrep_table(args.q)
+    labels = t.labels[np.isin(t.kind, tensor.gelfand_kinds(args.q))].tolist()
     if args.format == "json":
         _write_json({"q": args.q, "gelfand": labels}, out)
     else:
@@ -326,30 +325,20 @@ def cmd_sl3_witness(args, out) -> int:
 
 def _suite_orthogonality(q: int, seed: int) -> dict:
     pr = params(q)
-    irreps = enumerate_irreps(pr)
-    classes = enumerate_classes(pr)
+    classes = class_table(q)
     first_bad = None
-    # every row pair in one class sum, then every column pair in another
-    row_sums = iter(char_inner_products(pr))
-    for i, a in enumerate(irreps):
-        for b in irreps[i:]:
-            want = pr.order if a is b else 0
-            got = next(row_sums)
-            if got != want and first_bad is None:
-                first_bad = {"kind": "row", "a": a.label(), "b": b.label(), "got": got}
-    column_sums = iter(class_inner_products(pr))
-    for i, c in enumerate(classes):
-        for c2 in classes[i:]:
-            want = pr.order // c.size() if c is c2 else 0
-            got = next(column_sums)
-            if got != want and first_bad is None:
-                first_bad = {"kind": "column", "a": c.label(), "b": c2.label(), "got": got}
-    return {
-        "check": "orthogonality",
-        "q": q,
-        "pass": first_bad is None,
-        "counterexample": first_bad,
-    }
+    # every row pair in one class sum, then every column pair in another: |G|
+    # and |G|/|c| on the diagonal, 0 off it
+    for kind, labels, sums, diagonal in (
+        ("row", tensor.irrep_table(q).labels, char_inner_products(pr), np.full_like(classes.sizes, pr.order)),
+        ("column", classes.labels, class_inner_products(pr), pr.order // classes.sizes),
+    ):
+        i, j = np.triu_indices(len(labels))
+        bad = np.flatnonzero(np.array(sums) != np.where(i == j, diagonal[i], 0))
+        if len(bad) and first_bad is None:
+            at = bad[0]
+            first_bad = {"kind": kind, "a": labels[i[at]], "b": labels[j[at]], "got": sums[at]}
+    return {"check": "orthogonality", "q": q, "pass": first_bad is None, "counterexample": first_bad}
 
 
 def _suite_tensor_agree(q: int, seed: int) -> dict:

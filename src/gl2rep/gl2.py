@@ -19,7 +19,8 @@ compatibilities alpha_a(rho^j) = phi_{s*a}(sigma^j) and phi_n(sigma^{s*j})
 
 Every label conversion is written once, here: the grammar tables kind ->
 (constructor, parameter names) that ``parse_label`` reads (sl3 keeps its own
-table), and an irrep's integer form ``operand`` and central exponent ``omega``.
+table), the integer rows every label table is built from (``label_arrays``),
+and an irrep's integer form ``operand`` and central exponent ``omega``.
 Character rows come in closed form from cell tables (``cell_rows``);
 ``char_terms`` is the scalar reference the tests pack and hold them to.
 """
@@ -27,9 +28,10 @@ Character rows come in closed form from cell tables (``cell_rows``);
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import starmap
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -111,26 +113,12 @@ def x_canonical(n: int, pr: GroupParams, kind: str) -> int:
     return min(n, (pr.q * n) % pr.rs)
 
 
-def x_orbit_reps(pr: GroupParams) -> list[int]:
-    """Sorted canonical representatives of the X parameter orbits."""
-    seen = []
-    for n in range(pr.rs):
-        if n % pr.s == 0:
-            continue
-        if n <= (pr.q * n) % pr.rs:
-            seen.append(n)
-    return seen
-
-
-def w_pairs(pr: GroupParams) -> list[tuple[int, int]]:
-    """Sorted unordered pairs of distinct residues mod r."""
-    return [(a, b) for a in range(pr.r) for b in range(a + 1, pr.r)]
-
-
 class _Label:
     """Shared behaviour of parameterised GL2(q) labels."""
 
     __slots__ = ("q", "kind", "data")
+    # the kinds of the family in canonical order, indexed by kind code
+    KINDS: tuple[str, ...] = ()
 
     def __init__(self, q: int, kind: str, data: tuple[int, ...]):
         object.__setattr__(self, "q", q)
@@ -140,15 +128,12 @@ class _Label:
     def __setattr__(self, name, value):
         raise AttributeError("labels are immutable")
 
-    def _key(self):
-        return (self.kind, self.data)
-
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         if self.q != other.q:
             raise MismatchedQ(f"comparing labels for q={self.q} and q={other.q}")
-        return self._key() == other._key()
+        return (self.kind, self.data) == (other.kind, other.data)
 
     def __hash__(self):
         return hash((type(self).__name__, self.q, self.kind, self.data))
@@ -162,105 +147,114 @@ class _Label:
         return f"{type(self).__name__}({self.label()!r}, q={self.q})"
 
     def sort_key(self):
-        return (self._kind_index(), self.data)
-
-    def _kind_index(self) -> int:
-        raise NotImplementedError
+        return (self.KINDS.index(self.kind), self.data)
 
 
-class GL2Irrep(_Label):
-    """Canonical label of an irreducible representation of GL2(q)."""
+class _GL2Label(_Label):
+    """A label of GL2(q), of either family: see ``label_arrays`` for its parameters."""
 
-    def _kind_index(self) -> int:
-        return IRREP_KINDS.index(self.kind)
+    @classmethod
+    def of(cls, code: int, pr: GroupParams, *values: int):
+        """The canonical label of kind KINDS[code] from its parameters."""
+        kind = cls.KINDS[code]
+        if code == W:
+            a, b = (v % pr.r for v in values)
+            if a == b:
+                raise InvalidLabel(f"{kind} pair needs distinct residues, got {{{a},{b}}}")
+            return cls(pr.q, kind, (min(a, b), max(a, b)))
+        return cls(pr.q, kind, (x_canonical(values[0], pr, kind) if code == X else values[0] % pr.r,))
 
-    @staticmethod
-    def U(pr: GroupParams, a: int) -> "GL2Irrep":
-        return GL2Irrep(pr.q, "U", (a % pr.r,))
 
-    @staticmethod
-    def V(pr: GroupParams, a: int) -> "GL2Irrep":
-        return GL2Irrep(pr.q, "V", (a % pr.r,))
+class GL2Irrep(_GL2Label):
+    """Canonical label of an irreducible representation of GL2(q):
+    GL2Irrep.U(pr, a), V(pr, a), W(pr, a, b) and X(pr, n) build one."""
 
-    @staticmethod
-    def W(pr: GroupParams, a: int, b: int) -> "GL2Irrep":
-        a, b = a % pr.r, b % pr.r
-        if a == b:
-            raise InvalidLabel(f"W pair needs distinct residues, got {{{a},{b}}}")
-        return GL2Irrep(pr.q, "W", (min(a, b), max(a, b)))
-
-    @staticmethod
-    def X(pr: GroupParams, n: int) -> "GL2Irrep":
-        return GL2Irrep(pr.q, "X", (x_canonical(n, pr, "X"),))
+    KINDS = ("U", "V", "W", "X")
 
     def dim(self) -> int:
-        pr = params(self.q)
-        return {"U": 1, "V": pr.q, "W": pr.s, "X": pr.r}[self.kind]
+        return (1, self.q, self.q + 1, self.q - 1)[self.KINDS.index(self.kind)]
 
     def dual(self) -> "GL2Irrep":
-        return IRREP_GRAMMAR[self.kind][0](params(self.q), *(-v for v in self.data))
+        return self.of(self.KINDS.index(self.kind), params(self.q), *(-v for v in self.data))
 
 
-class GL2Class(_Label):
-    """Canonical label of a conjugacy class of GL2(q)."""
+class GL2Class(_GL2Label):
+    """Canonical label of a conjugacy class of GL2(q): GL2Class.C1(pr, k),
+    C2(pr, k), C3(pr, k, l) and C4(pr, m) build one."""
 
-    def _kind_index(self) -> int:
-        return CLASS_KINDS.index(self.kind)
-
-    @staticmethod
-    def C1(pr: GroupParams, k: int) -> "GL2Class":
-        return GL2Class(pr.q, "c1", (k % pr.r,))
-
-    @staticmethod
-    def C2(pr: GroupParams, k: int) -> "GL2Class":
-        return GL2Class(pr.q, "c2", (k % pr.r,))
-
-    @staticmethod
-    def C3(pr: GroupParams, k: int, l: int) -> "GL2Class":
-        k, l = k % pr.r, l % pr.r
-        if k == l:
-            raise InvalidLabel(f"c3 pair needs distinct residues, got {{{k},{l}}}")
-        return GL2Class(pr.q, "c3", (min(k, l), max(k, l)))
-
-    @staticmethod
-    def C4(pr: GroupParams, m: int) -> "GL2Class":
-        return GL2Class(pr.q, "c4", (x_canonical(m, pr, "c4"),))
+    KINDS = ("c1", "c2", "c3", "c4")
 
     def size(self) -> int:
-        pr = params(self.q)
-        return {"c1": 1, "c2": pr.rs, "c3": pr.q * pr.s, "c4": pr.q * pr.r}[self.kind]
+        q = self.q
+        return (1, q * q - 1, q * (q + 1), q * (q - 1))[self.KINDS.index(self.kind)]
+
+
+GL2Irrep.U, GL2Irrep.V, GL2Irrep.W, GL2Irrep.X = (partial(GL2Irrep.of, code) for code in range(4))
+GL2Class.C1, GL2Class.C2, GL2Class.C3, GL2Class.C4 = (partial(GL2Class.of, code) for code in range(4))
 
 
 # The grammar of each label family: kind -> (constructor, parameter names),
-# in canonical kind order.  Kind by kind, both families take their parameters
-# from the same sets, which _enumerate runs over: residues mod r (the first
-# two kinds), pairs of distinct residues mod r, and orbits {n, qn} in Z_rs.
+# in canonical kind order.
 IRREP_GRAMMAR = {
     "U": (GL2Irrep.U, ("a",)), "V": (GL2Irrep.V, ("a",)), "W": (GL2Irrep.W, ("a", "b")), "X": (GL2Irrep.X, ("n",))
 }
 CLASS_GRAMMAR = {
     "c1": (GL2Class.C1, ("k",)), "c2": (GL2Class.C2, ("k",)), "c3": (GL2Class.C3, ("k", "l")), "c4": (GL2Class.C4, ("m",))
 }
-IRREP_KINDS, CLASS_KINDS = tuple(IRREP_GRAMMAR), tuple(CLASS_GRAMMAR)
+IRREP_KINDS, CLASS_KINDS = GL2Irrep.KINDS, GL2Class.KINDS
 
 
-def _enumerate(grammar, pr: GroupParams, what: str) -> list:
-    """Every label of a family in canonical order; BudgetExceeded, before any
-    is built, if ``label_bytes`` passes TABLE_BYTES_LIMIT."""
-    require_budget(label_bytes(pr.q), f"the {what} labels of GL2({pr.q})")
-    residues = [(a,) for a in range(pr.r)]
-    domains = (residues, residues, w_pairs(pr), [(n,) for n in x_orbit_reps(pr)])
-    return [label for (build, _), domain in zip(grammar.values(), domains) for label in starmap(partial(build, pr), domain)]
+def label_arrays(pr: GroupParams) -> np.ndarray:
+    """The rows (kind code, p0, p1) of the labels of either family in canonical order,
+    a (3, q^2 - 1) int64 array: kind by kind, both take their parameters from the
+    same sets, (a, a) for the residues a mod r of U and V (c1 and c2), (a, b) for the
+    pairs a < b of W (c3), and (n, qn mod rs) for the X (c4) orbits {n, qn} in Z_rs,
+    n != 0 mod s and n < qn.  A label's row is its ``operand``."""
+    r, rs = pr.r, pr.rs
+    a, b = np.triu_indices(r, 1)
+    n = np.array(x_orbit_reps(pr), dtype=np.int64)
+    residues = np.tile(np.arange(r), 2)
+    kind = np.repeat(np.arange(4), [r, r, len(a), len(n)])
+    return np.stack([kind, np.concatenate([residues, a, n]), np.concatenate([residues, b, pr.q * n % rs])])
+
+
+def x_orbit_reps(pr: GroupParams) -> list[int]:
+    """The canonical members n < qn mod rs of the X (c4) orbits {n, qn} in Z_rs, n != 0 mod s, rising."""
+    n = np.arange(pr.rs)
+    return n[(n % pr.s != 0) & (n <= pr.q * n % pr.rs)].tolist()
+
+
+def label_texts(kinds: tuple[str, ...], rows: np.ndarray) -> list[str]:
+    """The label of each row of ``label_arrays``, kinds named by ``kinds``, read 256 rows at a time."""
+    texts: list[str] = []
+    for lo in range(0, rows.shape[1], 256):
+        block = zip(*rows[:, lo : lo + 256].tolist())
+        texts += [f"{kinds[k]}:{a},{b}" if k == W else f"{kinds[k]}:{a}" for k, a, b in block]
+    return texts
+
+
+def from_row(family: type[_GL2Label], q: int, kind: int, p0: int, p1: int) -> _GL2Label:
+    """The GL2Irrep or GL2Class of a row of ``label_arrays``, given as Python ints."""
+    return family(q, family.KINDS[kind], (p0, p1) if kind == W else (p0,))
 
 
 def enumerate_irreps(pr: GroupParams) -> list[GL2Irrep]:
-    """All q^2 - 1 irreducible labels in canonical order."""
-    return _enumerate(IRREP_GRAMMAR, pr, "irrep")
+    """All q^2 - 1 irreducible labels in canonical order; ``params`` has held them to their budget."""
+    return [from_row(GL2Irrep, pr.q, *row) for row in zip(*label_arrays(pr).tolist())]
 
 
 def enumerate_classes(pr: GroupParams) -> list[GL2Class]:
-    """All q^2 - 1 conjugacy class labels in canonical order."""
-    return _enumerate(CLASS_GRAMMAR, pr, "class")
+    """All q^2 - 1 conjugacy class labels in canonical order; ``params`` has held them to their budget."""
+    return [from_row(GL2Class, pr.q, *row) for row in zip(*label_arrays(pr).tolist())]
+
+
+def position(x: GL2Irrep | GL2Class, pr: GroupParams) -> int:
+    """The row of an irrep or a class in canonical order, from its kind and data:
+    r of U (c1), r of V (c2), the pairs a < b row-major, the X (c4) orbits."""
+    (kind, a, b), r = operand(x, pr), pr.r
+    if kind == X:
+        return 2 * r + r * (r - 1) // 2 + x_orbit_reps(pr).index(a)
+    return kind * r + (a * (2 * r - a - 1) // 2 + b - a - 1 if kind == W else a)
 
 
 def check_q(labels, pr: GroupParams) -> None:
@@ -270,8 +264,9 @@ def check_q(labels, pr: GroupParams) -> None:
             raise MismatchedQ(f"{x!r} does not live over q={pr.q}")
 
 
-def operand(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int, int]:
-    """The integer form (kind, d0, d1) of an irrep, every label read as an unordered pair.
+def operand(pi: GL2Irrep | GL2Class, pr: GroupParams) -> tuple[int, int, int]:
+    """The integer form (kind, d0, d1) of an irrep, or a class, every label read
+    as an unordered pair: its row of ``label_arrays``.
 
     U_a and V_a are {a, a} and W_[a,b] is {a, b}, residues mod r; X_[n] is its
     orbit {n, qn} in Z_rs.  The twist by alpha_t(det) then maps each member u
@@ -279,7 +274,7 @@ def operand(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int, int]:
     two labels of one kind are equal iff their pairs are.
     """
     check_q((pi,), pr)
-    kind = IRREP_KINDS.index(pi.kind)
+    kind = pi.KINDS.index(pi.kind)
     if kind == X:
         return kind, pi.data[0], pr.q * pi.data[0] % pr.rs
     return kind, pi.data[0], pi.data[-1]
@@ -287,7 +282,8 @@ def operand(pi: GL2Irrep, pr: GroupParams) -> tuple[int, int, int]:
 
 def operands(irreps, pr: GroupParams) -> np.ndarray:
     """The ``operand`` of each irrep as a (3, irreps) int64 array: kind codes, d0 and d1."""
-    return np.array([operand(pi, pr) for pi in irreps], dtype=np.int64).reshape(-1, 3).T
+    flat = chain.from_iterable(operand(pi, pr) for pi in irreps)
+    return np.fromiter(flat, np.int64, 3 * len(irreps)).reshape(-1, 3).T
 
 
 def omega(kind, d0, d1):
@@ -398,12 +394,19 @@ Rows = tuple[Block, ...]
 SLICE_BYTES = 1 << 21
 
 
+# The classes of GL2(q) in canonical order: rows of label_arrays, sizes, labels.
+ClassTable = namedtuple("ClassTable", "kind p0 p1 sizes labels")
+
+
 @lru_cache(maxsize=None)
-def class_table(q: int) -> tuple[tuple[GL2Class, ...], tuple[int, ...], dict[GL2Class, int], tuple[str, ...]]:
-    """The classes of GL2(q) in canonical order, their sizes, their positions and their labels."""
-    classes = tuple(enumerate_classes(params(q)))
-    sizes, labels = tuple(c.size() for c in classes), tuple(c.label() for c in classes)
-    return classes, sizes, {c: i for i, c in enumerate(classes)}, labels
+def class_table(q: int) -> ClassTable:
+    """The ClassTable of GL2(q), built once per q from arrays: O(q^2)."""
+    pr = params(q)
+    kind, p0, p1 = rows = label_arrays(pr)
+    sizes = np.array([1, pr.rs, q * pr.s, q * pr.r])[kind]
+    for array in (kind, p0, p1, sizes):
+        array.setflags(write=False)
+    return ClassTable(kind, p0, p1, sizes, tuple(label_texts(CLASS_KINDS, rows)))
 
 
 def columns(rows: Rows) -> Rows:
@@ -423,18 +426,19 @@ def columns(rows: Rows) -> Rows:
 
 # What char_rows holds besides the blocks while it fills them, counted by
 # build_bytes.  Per entry of the stack: at most two int64 (rows, length)
-# exponent arrays beside the c4 block.  Per label, irrep or class: the label
-# arrays, and the class parameters, which class_params builds from Python
-# lists when cold (at most 95 and 30 bytes under tracemalloc).  Per call:
+# exponent arrays beside the c4 block.  Per label, irrep or class: the
+# operands, 24 bytes an irrep as ``operands`` reads them off labels, and the
+# class table, which char_rows builds when cold (at most 125 bytes a class at
+# q = 16 to 256 under tracemalloc).  Per call:
 # the cell tables and the temporaries numpy keeps of arrays too small for it
 # to elide (at most 50 KB, q = 2 to 64 and 1 to 1024 rows).
 BUILD_ENTRY_BYTES = 8
 BUILD_LABEL_BYTES = 128
 BUILD_CALL_BYTES = 1 << 16
 
-# Bytes per label the label commands hold: the labels with their per-q
-# tables and rendered columns, 627 at most (irreps in json at q = 32), under
-# tracemalloc at q = 32, 64 and 128 with cold caches, rounded up.
+# Bytes per label the label commands hold: the labels with their per-q tables and rendered
+# columns, 514 at most (irreps in json at q = 32) under tracemalloc at q = 32, 64 and 128 with
+# cold caches.  It is not lowered to that: it sets the largest q a label command answers, 1024.
 LABEL_BYTES = 1024
 
 
@@ -470,12 +474,11 @@ def require_budget(need: int, what: str) -> None:
         raise BudgetExceeded(f"{what} needs about {need} bytes, over the limit of {TABLE_BYTES_LIMIT}")
 
 
-@lru_cache(maxsize=None)
 def class_params(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The class parameters of the canonical class order: k of c1 and c2, (k, l) of c3, m of c4."""
-    pr = params(q)
-    pairs = np.array(w_pairs(pr), dtype=np.int64).reshape(-1, 2)
-    return np.arange(pr.r), pairs[:, 0], pairs[:, 1], np.array(x_orbit_reps(pr), dtype=np.int64)
+    """The class parameters in canonical class order, views of class_table: k of c1 and c2, (k, l) of c3, m of c4."""
+    t, r = class_table(q), q - 1
+    split = slice(2 * r, 2 * r + r * (r - 1) // 2)
+    return t.p0[:r], t.p0[split], t.p1[split], t.p0[split.stop :]
 
 
 def cell_rows(kind: np.ndarray, cells) -> Rows:
@@ -504,21 +507,21 @@ def cell_rows(kind: np.ndarray, cells) -> Rows:
     return tuple(blocks)
 
 
-def char_rows(irreps, pr: GroupParams) -> Rows:
-    """The character rows of these irreps, in this order, as one stack.
+def char_rows(ops, pr: GroupParams) -> Rows:
+    """The character rows of the irreps of these operands (kind, a, b), three
+    int arrays (table slices, or ``operands`` of labels), in order, as one stack.
 
-    The cell table of GL2(q), built by ``cell_rows`` from the irreps'
-    ``operands`` (kind, a, b), which read X_[n] as (n, qn), and the class
-    arrays (k, l, m).  The coefficient of each term is a constant of
-    its (irrep kind x class kind) cell (1, q, s, r or -1) and its exponent
-    an affine or bilinear form mod rs, read off char_terms, which the tests
-    hold it to entry for entry.  BudgetExceeded is raised, before anything
-    is allocated, if the stack and what is held while it is built
-    (``build_bytes``) pass TABLE_BYTES_LIMIT.
+    The cell table of GL2(q), built by ``cell_rows`` from the operands, which
+    read X_[n] as (n, qn), and the class arrays (k, l, m).  The coefficient of
+    each term is a constant of its (irrep kind x class kind) cell (1, q, s, r
+    or -1) and its exponent an affine or bilinear form mod rs, read off
+    char_terms, which the tests hold it to entry for entry.  BudgetExceeded
+    is raised, before anything is allocated, if the stack and what is held
+    while it is built (``build_bytes``) pass TABLE_BYTES_LIMIT.
     """
-    require_budget(build_bytes(pr.q, len(irreps)), f"the character rows of {len(irreps)} irreps of GL2({pr.q})")
-    kind, a, b = operands(irreps, pr)
-    if not irreps:
+    kind, a, b = ops
+    require_budget(build_bytes(pr.q, len(kind)), f"the character rows of {len(kind)} irreps of GL2({pr.q})")
+    if not len(kind):
         return ()
     q, r, s, rs = pr.q, pr.r, pr.s, pr.rs
     k, k3, l3, m = class_params(q)
@@ -663,18 +666,17 @@ def char_inner_product(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> int:
 
     Row orthogonality: the result is |G| when pi1 == pi2 and 0 otherwise.
     """
-    rows = char_rows([pi1, pi2], pr)
+    rows = char_rows(operands([pi1, pi2], pr), pr)
     what = f"inner product of {pi1.label()} and {pi2.label()}"
-    return exact_sums(pr.rs, class_table(pr.q)[1], rows, None, rows, ([0], None, [1]), lambda i: what)[0]
+    return exact_sums(pr.rs, class_table(pr.q).sizes, rows, None, rows, ([0], None, [1]), lambda i: what)[0]
 
 
 def class_inner_product(c1: GL2Class, c2: GL2Class, pr: GroupParams) -> int:
     """Column sum over irreps of chi(c1) conj(chi(c2)); |G|/|c| on the diagonal."""
-    check_q((c1, c2), pr)
-    index = class_table(pr.q)[2]
-    cols = columns(char_rows(enumerate_irreps(pr), pr))
+    index = ([position(c1, pr)], None, [position(c2, pr)])
+    cols = columns(char_rows(label_arrays(pr), pr))
     what = f"column product of {c1.label()} and {c2.label()}"
-    return exact_sums(pr.rs, [1] * cols[0].length, cols, None, cols, ([index[c1]], None, [index[c2]]), lambda i: what)[0]
+    return exact_sums(pr.rs, [1] * cols[0].length, cols, None, cols, index, lambda i: what)[0]
 
 
 def _pair_sums(rs: int, weights, rows: Rows, labels, what: str) -> list[int]:
@@ -683,20 +685,21 @@ def _pair_sums(rs: int, weights, rows: Rows, labels, what: str) -> list[int]:
     first, second = np.triu_indices(rows[0].rows)
     return exact_sums(
         rs, weights, rows, None, rows, (first, None, second),
-        lambda i: f"{what} of {labels[first[i]].label()} and {labels[second[i]].label()}",
+        lambda i: f"{what} of {labels[first[i]]} and {labels[second[i]]}",
     )
 
 
 def char_inner_products(pr: GroupParams) -> list[int]:
     """char_inner_product of every pair pi_i, pi_j (i <= j) of irreps in canonical order, row-major."""
-    irreps = enumerate_irreps(pr)
-    return _pair_sums(pr.rs, class_table(pr.q)[1], char_rows(irreps, pr), irreps, "inner product")
+    rows = label_arrays(pr)
+    labels = label_texts(IRREP_KINDS, rows)
+    return _pair_sums(pr.rs, class_table(pr.q).sizes, char_rows(rows, pr), labels, "inner product")
 
 
 def class_inner_products(pr: GroupParams) -> list[int]:
     """class_inner_product of every pair c_i, c_j (i <= j) of classes in canonical order, row-major."""
-    cols = columns(char_rows(enumerate_irreps(pr), pr))
-    return _pair_sums(pr.rs, [1] * cols[0].length, cols, class_table(pr.q)[0], "column product")
+    cols = columns(char_rows(label_arrays(pr), pr))
+    return _pair_sums(pr.rs, [1] * cols[0].length, cols, class_table(pr.q).labels, "column product")
 
 
 def label_forms(grammar) -> list[str]:

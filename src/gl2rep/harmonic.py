@@ -61,7 +61,7 @@ import numpy as np
 
 from .cyclotomic import INT64_LIMIT, Cyclotomic, euler_phi, root_coords
 from .errors import BudgetExceeded, MismatchedGroup
-from .gl2 import GL2Irrep, char_value, class_table, params
+from .gl2 import GL2Irrep, char_value, enumerate_classes, params, position
 from .oracle import _context
 
 HARMONIC_MAX_Q = 3
@@ -96,8 +96,8 @@ class PairGroupContext:
         self.identity = elements.index((1, 0, 0, 1))
         self.inv = np.argmax(self.mul == self.identity, axis=1).astype(np.int32)
 
-        self.classes, _, position, _ = class_table(q)
-        self.cls = np.array([position[group.class_of[g]] for g in elements], dtype=np.int32)
+        self.classes = enumerate_classes(self.pr)
+        self.cls = np.array([position(group.class_of[g], self.pr) for g in elements], dtype=np.int32)
 
         self.n2 = n * n
         self.h = np.arange(n, dtype=np.int32) * (n + 1)

@@ -10,6 +10,7 @@ character tables (with the S4 over C3 fixture as its reference case).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -23,11 +24,11 @@ from .gl2 import (
     GroupParams,
     char_rows,
     char_value,
-    class_table,
     divide_exact,
     enumerate_classes,
     enumerate_irreps,
     exact_sums,
+    operands,
     params,
 )
 from .sl3 import SL3Class, embed_class
@@ -108,9 +109,9 @@ class OracleContext:
         self.class_of: dict[Matrix2, GL2Class] = {
             g: classify_element(g, self.tower) for g in self.elements
         }
-        self.counts: dict[GL2Class, int] = {}
-        for cls in self.class_of.values():
-            self.counts[cls] = self.counts.get(cls, 0) + 1
+        self.counts: Counter[GL2Class] = Counter(self.class_of.values())
+        # the same tally in canonical class order, 0 for a class no element falls in
+        self.tally = [self.counts[c] for c in enumerate_classes(self.pr)]
 
 
 @lru_cache(maxsize=None)
@@ -156,10 +157,8 @@ def elementwise_mult(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, q: int) -> int
         raise BudgetExceeded(f"q={q} exceeds the element-sum ceiling {ELEMENTWISE_MAX_Q}")
     ctx = _context(q)
     pr = ctx.pr
-    classes = class_table(q)[0]
-    counts = [ctx.counts.get(c, 0) for c in classes]
-    rows = char_rows([pi1, pi2, pi3], pr)
-    return exact_sums(pr.rs, counts, rows, rows, rows, ([0], [1], [2]), lambda i: "element sum", pr.order)[0]
+    rows = char_rows(operands([pi1, pi2, pi3], pr), pr)
+    return exact_sums(pr.rs, ctx.tally, rows, rows, rows, ([0], [1], [2]), lambda i: "element sum", pr.order)[0]
 
 
 def _matrix_for_class(cls: GL2Class, tower: FieldTower) -> Matrix2:

@@ -41,6 +41,7 @@ from .gl2 import (
     enumerate_irreps,
     exact_sums,
     label_forms,
+    operands,
     params,
     parse_label,
     require_budget,
@@ -296,10 +297,10 @@ def _restriction_mults(pairs: list[tuple[SL3Irrep, GL2Irrep]], pr: GroupParams) 
     rows_of: dict[SL3Irrep, int] = {}
     at = [rows_of.setdefault(pi, len(rows_of)) for pi, _ in pairs]
     pi_rows = sl3_rows(list(rows_of), pr)
-    tau_rows = char_rows([tau for _, tau in pairs], pr)
+    tau_rows = char_rows(operands([tau for _, tau in pairs], pr), pr)
     what = [f"restriction sum for [{pi.label()} | : {tau.label()}]" for pi, tau in pairs]
     index = (at, None, np.arange(len(pairs)))
-    return exact_sums(pr.rs, class_table(pr.q)[1], pi_rows, None, tau_rows, index, what.__getitem__, pr.order)
+    return exact_sums(pr.rs, class_table(pr.q).sizes, pi_rows, None, tau_rows, index, what.__getitem__, pr.order)
 
 
 def restriction_mult(pi: SL3Irrep, tau: GL2Irrep, pr: GroupParams) -> int:

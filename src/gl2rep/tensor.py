@@ -45,9 +45,9 @@ follow the order of the triples.  A sum that is not a rational integer
 multiple of |G| is taken again for its triple alone, whose NonIntegral
 prints its coordinates.
 
-``irrep_table(q)`` holds, per q and in canonical order, the irreps, their
-``gl2.operand`` and ``gl2.omega``, dimensions, labels, the labels' JSON text
-and their duals' labels; the sweeps and the CLI read it by index.
+``irrep_table(q)`` holds the irreps, per q, as arrays built from
+``gl2.label_arrays``, which the sweeps and the CLI read by index; a
+``GL2Irrep`` is built from its row only where an API returns one.
 
 The Gelfand classification sweeps no triples.  It reads, for a fixed pi,
 two sums over all ordered pairs (pi1, pi2) of the multiplicity
@@ -74,7 +74,6 @@ visits about 1/r of the ordered pairs, in kernel calls of a bounded size.
 
 from __future__ import annotations
 
-import json
 import operator
 import random
 from dataclasses import asdict, dataclass
@@ -104,6 +103,9 @@ from .gl2 import (
     class_table,
     enumerate_irreps,
     exact_sums,
+    from_row,
+    label_arrays,
+    label_texts,
     omega,
     operand,
     operands,
@@ -135,8 +137,8 @@ _COORD_BYTES = 1 << 19
 
 def mult_sum_numerator(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> Cyclotomic:
     """The weighted class sum before division by |G| = q*s*r^2."""
-    rows = char_rows([pi1, pi2, pi3], pr)
-    coords = class_sum(pr.rs, class_table(pr.q)[1], rows, rows, rows, ([0], [1], [2]))[0]
+    rows = char_rows(operands([pi1, pi2, pi3], pr), pr)
+    coords = class_sum(pr.rs, class_table(pr.q).sizes, rows, rows, rows, ([0], [1], [2]))[0]
     return Cyclotomic(pr.rs, power_coords(pr.rs, coords.tolist()))
 
 
@@ -146,9 +148,9 @@ def _what(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
 
 def mult_sum(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> int:
     """Exact multiplicity of pi3 inside pi1 (x) pi2 via the class sum."""
-    rows = char_rows([pi1, pi2, pi3], pr)
+    rows = char_rows(operands([pi1, pi2, pi3], pr), pr)
     what = _what(pi1, pi2, pi3)
-    return exact_sums(pr.rs, class_table(pr.q)[1], rows, rows, rows, ([0], [1], [2]), lambda i: what, pr.order)[0]
+    return exact_sums(pr.rs, class_table(pr.q).sizes, rows, rows, rows, ([0], [1], [2]), lambda i: what, pr.order)[0]
 
 
 def cell_name(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
@@ -308,7 +310,6 @@ class IrrepTable(NamedTuple):
     starts[w] with counts[w] members.
     """
 
-    irreps: tuple[GL2Irrep, ...]
     kind: np.ndarray
     d0: np.ndarray
     d1: np.ndarray
@@ -321,15 +322,19 @@ class IrrepTable(NamedTuple):
     starts: np.ndarray
     counts: np.ndarray
 
+    def operands(self, at=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The operands (kind, d0, d1) of the irreps at these positions."""
+        return self.kind[at], self.d0[at], self.d1[at]
+
 
 @lru_cache(maxsize=None)
 def irrep_table(q: int) -> IrrepTable:
-    """The IrrepTable of GL2(q), built once per q: O(q^2)."""
+    """The IrrepTable of GL2(q), built once per q from arrays: O(q^2)."""
     pr = params(q)
-    irreps = tuple(enumerate_irreps(pr))
-    kind, d0, d1 = operands(irreps, pr)
+    kind, d0, d1 = rows = label_arrays(pr)
     central = omega(kind, d0, d1) % pr.r
-    labels = np.array([pi.label() for pi in irreps], dtype=object)
+    texts = label_texts(IRREP_KINDS, rows)
+    labels = np.array(texts, dtype=object)
     counts = np.bincount(central, minlength=pr.r)
     # each operand is its sorted pair, so (kind, d0, d1) rises in canonical
     # order; the dual's pair is the negated one, mod rs for X and r otherwise
@@ -338,37 +343,40 @@ def irrep_table(q: int) -> IrrepTable:
     u, v = -d0 % modulus, -d1 % modulus
     dual = np.searchsorted(key, (kind * pr.rs + np.minimum(u, v)) * pr.rs + np.maximum(u, v))
     table = IrrepTable(
-        irreps=irreps,
         kind=kind,
         d0=d0,
         d1=d1,
         omega=central,
         dim=np.array([1, q, q + 1, q - 1], dtype=np.int64)[kind],
         labels=labels,
-        encoded=np.array([json.dumps(label) for label in labels], dtype=object),
+        # a label holds only letters, digits, ':' and ',': quoted, it is its JSON text
+        encoded=np.array([f'"{text}"' for text in texts], dtype=object),
         duals=labels[dual],
         by_omega=np.argsort(central, kind="stable"),
         starts=np.cumsum(counts) - counts,
         counts=counts,
     )
-    for array in table[1:]:
+    for array in table:
         array.setflags(write=False)
     return table
+
+
+def _irrep(at: int, pr: GroupParams) -> GL2Irrep:
+    """The irrep at this position of the canonical order, built from its row of irrep_table."""
+    return from_row(GL2Irrep, pr.q, *map(int, irrep_table(pr.q).operands(at)))
 
 
 def decompose(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> list[tuple[GL2Irrep, int]]:
     """All irreducible constituents of pi1 (x) pi2 with multiplicities."""
     t = irrep_table(pr.q)
-    values = mult_closed_array(pr, operand(pi1, pr), operand(pi2, pr), (t.kind, t.d0, t.d1))
+    values = mult_closed_array(pr, operand(pi1, pr), operand(pi2, pr), t.operands())
     if (at := _first_negative(values)) is not None:
-        raise _negative(pi1, pi2, t.irreps[at], int(values[at]), pr)
+        raise _negative(pi1, pi2, _irrep(at, pr), int(values[at]), pr)
     total = int(values @ t.dim)
     expected = pi1.dim() * pi2.dim()
     if total != expected:
-        raise GL2RepError(
-            f"dimension leak in {pi1.label()} (x) {pi2.label()}: {total} != {expected}"
-        )
-    return [(t.irreps[k], m) for k, m in zip(np.flatnonzero(values).tolist(), values[values != 0].tolist())]
+        raise GL2RepError(f"dimension leak in {pi1.label()} (x) {pi2.label()}: {total} != {expected}")
+    return [(_irrep(k, pr), m) for k, m in zip(np.flatnonzero(values).tolist(), values[values != 0].tolist())]
 
 
 # Bytes ind_sweep holds per candidate pair besides the kernel's: the pair's
@@ -403,16 +411,16 @@ def ind_sweep(pi3: GL2Irrep, pr: GroupParams) -> tuple[np.ndarray, np.ndarray, n
     w3 = omega(*target)
     rows = _sweep_rows(pr)
     found = []
-    for lo in range(0, len(t.irreps), rows):
-        first = np.arange(lo, min(lo + rows, len(t.irreps)))
+    for lo in range(0, len(t.kind), rows):
+        first = np.arange(lo, min(lo + rows, len(t.kind)))
         bucket = (w3 - t.omega[first]) % pr.r
         sizes = t.counts[bucket]
         i = np.repeat(first, sizes)
         within = np.arange(len(i)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         j = t.by_omega[np.repeat(t.starts[bucket], sizes) + within]
-        values = mult_closed_array(pr, (t.kind[i], t.d0[i], t.d1[i]), (t.kind[j], t.d0[j], t.d1[j]), target)
+        values = mult_closed_array(pr, t.operands(i), t.operands(j), target)
         if (at := _first_negative(values)) is not None:
-            raise _negative(t.irreps[i[at]], t.irreps[j[at]], pi3, int(values[at]), pr)
+            raise _negative(_irrep(i[at], pr), _irrep(j[at], pr), pi3, int(values[at]), pr)
         keep = values > 0
         found.append((i[keep], j[keep], values[keep]))
     return tuple(np.concatenate(parts) for parts in zip(*found))
@@ -424,8 +432,7 @@ def ind_decompose(pi3: GL2Irrep, pr: GroupParams) -> list[tuple[tuple[GL2Irrep, 
     By Frobenius reciprocity this is the decomposition of the module
     induced from pi3 on the diagonal subgroup up to the product group.
     """
-    irreps = irrep_table(pr.q).irreps
-    return [((irreps[a], irreps[b]), m) for a, b, m in zip(*(x.tolist() for x in ind_sweep(pi3, pr)))]
+    return [((_irrep(a, pr), _irrep(b, pr)), m) for a, b, m in zip(*(x.tolist() for x in ind_sweep(pi3, pr)))]
 
 
 def ind_X_counts_by_dim(n: int, pr: GroupParams) -> dict[int, int]:
@@ -521,20 +528,19 @@ def _class_weights(pr: GroupParams) -> np.ndarray:
     sums = np.where(det_one, r, 0)
     sums[0] = pr.q * pr.q * r  # c1:0, the identity
     sums[r] = 0  # c2:0, the transvections
-    return np.array(class_table(pr.q)[1], dtype=np.int64) * sums**2
+    return class_table(pr.q).sizes * sums**2
 
 
-def _norms(irreps: list[GL2Irrep], rows: Rows, weights: np.ndarray, pr: GroupParams) -> list[tuple[int, int]]:
-    """The two norms of each irrep, from the stack of their rows: two ``exact_sums``
-    calls, sum_c |chi(c)|^2 and sum_c w(c) conj(chi(c)) divided by |G|, the
-    factors 1 given as None."""
-    every = np.arange(len(irreps))
+def _norms(labels, rows: Rows, weights: np.ndarray, pr: GroupParams) -> list[tuple[int, int]]:
+    """The two norms of each irrep, named by its label, from the stack of their
+    rows: two ``exact_sums`` calls, sum_c |chi(c)|^2 and sum_c w(c) conj(chi(c))
+    divided by |G|, the factors 1 given as None."""
+    every = np.arange(len(labels))
     squares = exact_sums(
-        pr.rs, [1] * len(weights), rows, None, rows, (every, None, every),
-        lambda i: f"sum of squares for {irreps[i].label()}",
+        pr.rs, [1] * len(weights), rows, None, rows, (every, None, every), lambda i: f"sum of squares for {labels[i]}"
     )
     totals = exact_sums(
-        pr.rs, weights, None, None, rows, (None, None, every), lambda i: f"pair sum for {irreps[i].label()}", pr.order
+        pr.rs, weights, None, None, rows, (None, None, every), lambda i: f"pair sum for {labels[i]}", pr.order
     )
     return list(zip(squares, totals))
 
@@ -561,9 +567,9 @@ def family_norms(kind: str, q: int) -> tuple[int, int]:
 # that one chunk of class_sum_norms may hold: every irrep fits one chunk at
 # q <= 16.
 _NORM_CHUNK_BYTES = 1 << 23
-# Bytes class_sum_norms holds per irrep besides its chunk of rows: its label,
-# a class's label and entries in class_table (built when cold) and its two
-# norms, at most 540 under tracemalloc at q = 2 to 64, rounded up.
+# Bytes class_sum_norms holds per irrep besides its chunk of rows: its row of
+# irrep_table and a class's of class_table (both built when cold) and its two
+# norms, at most 450 under tracemalloc at q = 8 to 128, rounded up.
 _NORM_IRREP_BYTES = 768
 
 
@@ -588,21 +594,23 @@ def class_sum_norms(pr: GroupParams) -> list[tuple[int, int]]:
     anything is allocated, if ``class_sum_norms_bytes`` passes TABLE_BYTES_LIMIT.
     """
     require_budget(class_sum_norms_bytes(pr.q), f"the class-sum norms of GL2({pr.q})")
-    irreps, weights, step = enumerate_irreps(pr), _class_weights(pr), _norm_rows(pr.q)
+    t, weights, step = irrep_table(pr.q), _class_weights(pr), _norm_rows(pr.q)
     norms: list[tuple[int, int]] = []
-    for lo in range(0, len(irreps), step):
-        chunk = irreps[lo : lo + step]
-        norms += _norms(chunk, char_rows(chunk, pr), weights, pr)
+    for lo in range(0, len(t.kind), step):
+        chunk = slice(lo, lo + step)
+        norms += _norms(t.labels[chunk], char_rows(t.operands(chunk), pr), weights, pr)
     return norms
 
 
-def classify_gelfand(pr: GroupParams) -> set[GL2Irrep]:
-    """All irreducibles of GL2(q) that induce multiplicity free to the product.
+def gelfand_kinds(q: int) -> list[int]:
+    """The kind codes of the families that induce multiplicity free: those whose
+    two ``family_norms`` agree, since every m is a non-negative integer."""
+    return [code for code, kind in enumerate(IRREP_KINDS) if operator.eq(*family_norms(kind, q))]
 
-    pi qualifies iff the two ``family_norms`` of its family agree, since
-    every m is a non-negative integer: O(#irreps), and no class sum.
-    """
-    free = {kind for kind in IRREP_KINDS if operator.eq(*family_norms(kind, pr.q))}
+
+def classify_gelfand(pr: GroupParams) -> set[GL2Irrep]:
+    """All irreducibles of GL2(q) that induce multiplicity free to the product: O(#irreps)."""
+    free = [IRREP_KINDS[code] for code in gelfand_kinds(pr.q)]
     return {pi for pi in enumerate_irreps(pr) if pi.kind in free}
 
 
@@ -681,27 +689,26 @@ def _positions(triples: Iterable[tuple[GL2Irrep, GL2Irrep, GL2Irrep]]) -> tuple[
     return [flat[i] for i in first.tolist()], codes.reshape(-1, 3)
 
 
-def _kind_sums(
-    irreps: list[GL2Irrep], codes: np.ndarray, kind: np.ndarray, pr: GroupParams
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _kind_sums(ops: np.ndarray, codes: np.ndarray, pr: GroupParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The mult_sum_numerator of the triples ``_positions`` gives, kind triple
-    by kind triple (``kind`` holds each irrep's kind code): pairs (at, coords)
-    of their rising positions and their (len(at), phi(rs)) tensor-basis
-    coordinates.
+    by kind triple (``ops`` holds the operands of its irreps): pairs (at,
+    coords) of their rising positions and their (len(at), phi(rs))
+    tensor-basis coordinates.
 
     The irreps of each kind are stacked once, and each kind triple makes one
     class_sum call, cut only where its coordinates would pass _COORD_BYTES.
     """
-    position = np.zeros(len(irreps), dtype=np.intp)
+    kind = ops[0]
+    position = np.zeros(len(kind), dtype=np.intp)
     stacks = {}
     for k in np.unique(kind).tolist():
         members = np.flatnonzero(kind == k)
         position[members] = np.arange(len(members))
-        stacks[k] = char_rows([irreps[i] for i in members.tolist()], pr)
+        stacks[k] = char_rows(ops[:, members], pr)
     cells = kind[codes] @ np.array([16, 4, 1])
     order = np.argsort(cells, kind="stable")
     step = max(1, _COORD_BYTES // (8 * euler_phi(pr.rs)))
-    sizes = class_table(pr.q)[1]
+    sizes = class_table(pr.q).sizes
     for group in np.split(order, np.flatnonzero(np.diff(cells[order])) + 1):
         k1, k2, k3 = kind[codes[group[0]]].tolist()
         for lo in range(0, len(group), step):
@@ -722,7 +729,7 @@ def _flagged(triples: Iterable[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupPa
     closed = mult_closed_array(pr, *(ops[:, codes[:, k]] for k in range(3)))
     total = np.empty(len(codes), dtype=np.int64)
     integral = np.empty(len(codes), dtype=bool)
-    for at, coords in _kind_sums(irreps, codes, ops[0], pr):
+    for at, coords in _kind_sums(ops, codes, pr):
         total[at], integral[at] = coords[:, 0], ~coords[:, 1:].any(axis=1)
     flagged = (closed < 0) | ~integral | (total % pr.order != 0) | (closed != total // pr.order)
     return [

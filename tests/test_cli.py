@@ -6,6 +6,7 @@ import io
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,10 +189,90 @@ def test_chartable_builds_no_cyclotomic(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
 def test_the_label_columns_are_the_labels_of_the_objects(q):
     # classes, irreps and chartable read these columns in place of label() and dual()
-    classes, _, _, labels = class_table(q)
-    assert labels == tuple(c.label() for c in classes)
+    pr = params(q)
+    assert class_table(q).labels == tuple(c.label() for c in enumerate_classes(pr))
+    t, irreps = tensor.irrep_table(q), enumerate_irreps(pr)
+    assert t.labels.tolist() == [pi.label() for pi in irreps]
+    assert t.duals.tolist() == [pi.dual().label() for pi in irreps]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_the_label_tables_round_trip_through_the_parsers(q):
+    # both tables are built from label_arrays alone: every label parses back
+    # to itself, in strictly rising sort_key order, at the row that position
+    # computes from its kind and data, and an irrep's row is its operand
+    pr = params(q)
+    t, c = tensor.irrep_table(q), class_table(q)
+    for labels, parse in ((t.labels.tolist(), parse_irrep), (list(c.labels), parse_class)):
+        parsed = [parse(label, pr) for label in labels]
+        assert [x.label() for x in parsed] == labels
+        keys = [x.sort_key() for x in parsed]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert [gl2.position(x, pr) for x in parsed] == list(range(len(labels)))
+    irreps = [parse_irrep(label, pr) for label in t.labels]
+    assert np.array_equal(gl2.operands(irreps, pr), np.stack(t.operands()))
+    assert t.duals.tolist() == [pi.dual().label() for pi in irreps]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_the_encoded_labels_are_their_json_text(q):
     t = tensor.irrep_table(q)
-    assert t.duals.tolist() == [pi.dual().label() for pi in t.irreps]
+    assert t.encoded.tolist() == [json.dumps(label) for label in t.labels]
+
+
+def _count_labels(monkeypatch) -> list[str]:
+    """The type name of every GL2 or SL3 label object built from now on."""
+    built = []
+    real = gl2._Label.__init__
+
+    def counting(self, *args):
+        built.append(type(self).__name__)
+        real(self, *args)
+
+    monkeypatch.setattr(gl2._Label, "__init__", counting)
+    return built
+
+
+def _run_cold(argv):
+    """_run with the per-q label tables cleared, as in one CLI run."""
+    gl2.class_table.cache_clear()
+    tensor.irrep_table.cache_clear()
+    return _run(argv)
+
+
+# A command, and the labels it parses from its arguments.  chartable runs at
+# q = 16: at q = 64 it writes 16.8 million entries.
+ARGUMENT_LABELS = [
+    (["irreps", "--q", "64"], []),
+    (["classes", "--q", "64"], []),
+    (["chartable", "--q", "16"], []),
+    (["sl3-restrict", "--q", "64", "--pi", "piQS", "--to", "U:0"], ["SL3Irrep", "GL2Irrep"]),
+    (["induct", "--q", "64", "--pi", "X:1"], ["GL2Irrep"]),
+]
+
+
+@pytest.mark.parametrize("argv, parsed", ARGUMENT_LABELS, ids=[argv[0] for argv, _ in ARGUMENT_LABELS])
+def test_label_commands_build_no_label_object_past_their_arguments(argv, parsed, monkeypatch):
+    built = _count_labels(monkeypatch)
+    for fmt in ("text", "json", "csv"):
+        built.clear()
+        assert _run_cold([*argv, "--format", fmt])[0] == 0
+        assert built == parsed, fmt
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tensor", "--q", "64", "--left", "X:1", "--right", "X:3"], ["gelfand", "--q", "64"]],
+    ids=["tensor", "gelfand"],
+)
+def test_tensor_and_gelfand_build_at_most_the_labels_they_print(argv, monkeypatch):
+    payload = json.loads(_run_cold([*argv, "--format", "json"])[1])
+    printed = len(payload.get("constituents", payload.get("gelfand"))) + 2 * ("left" in payload)
+    built = _count_labels(monkeypatch)
+    for fmt in ("text", "json", "csv"):
+        built.clear()
+        assert _run_cold([*argv, "--format", fmt])[0] == 0
+        assert len(built) <= printed, fmt
 
 
 def test_a_second_chartable_in_one_interpreter_gives_the_same_bytes():
@@ -247,7 +328,7 @@ def test_the_label_budget_is_at_least_what_a_label_command_holds(argv):
     run(["classes", "--q", "2"], out=io.StringIO())
     for fmt in ("text", "json", "csv"):
         # cold per-q caches, as in one CLI run
-        for cache in (gl2.class_table, gl2.class_params, tensor.irrep_table):
+        for cache in (gl2.class_table, tensor.irrep_table):
             cache.cache_clear()
         tracemalloc.start()
         try:
@@ -308,7 +389,7 @@ def test_the_chartable_budget_is_at_least_the_traced_peak(q):
     # json at q = 25 writes 607 MB, about 1 s to hash alone: it runs at 9 and 16
     for fmt in ("text", "csv", "json") if q < 25 else ("text", "csv"):
         # cold per-q caches, as in one CLI run
-        for cache in (gl2.class_table, gl2.class_params, tensor.irrep_table, cyclotomic._power_table,
+        for cache in (gl2.class_table, tensor.irrep_table, cyclotomic._power_table,
                       cyclotomic._cyclotomic_polynomial, cyclotomic._crt_order):
             cache.cache_clear()
         tracemalloc.start()

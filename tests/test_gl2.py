@@ -33,6 +33,7 @@ from gl2rep.gl2 import (
     exact_sums,
     int64_bound,
     label_bytes,
+    operands,
     params,
     parse_class,
     parse_irrep,
@@ -200,9 +201,9 @@ def test_batched_orthogonality_sums_equal_a_cyclotomic_reference():
 def test_the_int64_bound_of_unit_rows_counts_the_classes():
     # the trivial row times the constant 1 (None) twice: every peak is 1
     pr = params(3)
-    unit = char_rows([GL2Irrep.U(pr, 0)], pr)
+    unit = char_rows(operands([GL2Irrep.U(pr, 0)], pr), pr)
     assert int64_bound(np.ones(pr.rs, dtype=np.int64), unit, None, None) == pr.rs
-    sizes = np.asarray(class_table(3)[1])
+    sizes = class_table(3).sizes
     assert int64_bound(sizes, None, unit, None) == pr.order
 
 
@@ -251,8 +252,8 @@ def test_a_non_integral_sum_at_a_composite_rs_prints_power_basis_coordinates():
 
 def test_class_sum_refuses_a_sum_that_could_leave_int64_before_allocating():
     pr = params(3)
-    rows = [char_rows([pi], pr) for pi in enumerate_irreps(pr)[-3:]]
-    assert int64_bound(np.asarray(class_table(3)[1]), *rows) < 2**62
+    rows = [char_rows(operands([pi], pr), pr) for pi in enumerate_irreps(pr)[-3:]]
+    assert int64_bound(class_table(3).sizes, *rows) < 2**62
     huge = np.full(pr.rs, 2**58, dtype=np.int64)
     assert int64_bound(huge, *rows) >= 2**62
     # a batch of 10^9 entries, as broadcast views that hold no memory
@@ -269,8 +270,13 @@ def test_class_sum_refuses_a_sum_that_could_leave_int64_before_allocating():
 
 def _reference_rows(irreps, pr):
     """pack_rows of the char_terms rows: the scalar reference of char_rows."""
-    classes = class_table(pr.q)[0]
+    classes = enumerate_classes(pr)
     return pack_rows(([char_terms(pi, c, pr) for c in classes] for pi in irreps), pr.q)
+
+
+def _rows(irreps, pr):
+    """char_rows of these irreps, read as operands."""
+    return char_rows(operands(irreps, pr), pr)
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_16)
@@ -278,28 +284,28 @@ def test_closed_form_rows_are_the_packed_char_terms(q):
     # q = 2 has no W family and an empty c3 block
     pr = params(q)
     irreps = enumerate_irreps(pr)
-    assert_same_stack(char_rows(irreps, pr), _reference_rows(irreps, pr))
+    assert_same_stack(_rows(irreps, pr), _reference_rows(irreps, pr))
     for pi in (irreps[0], irreps[pr.r], irreps[-1], *irreps[2 * pr.r : 2 * pr.r + 1]):
-        assert_same_stack(char_rows([pi], pr), _reference_rows([pi], pr))
+        assert_same_stack(_rows([pi], pr), _reference_rows([pi], pr))
     # a subset in any order, with repeats: its blocks are only as wide as its kinds need
     rng = np.random.default_rng(q)
     for size in (1, 2, 7, 40):
         subset = [irreps[i] for i in rng.integers(len(irreps), size=size)]
-        assert_same_stack(char_rows(subset, pr), _reference_rows(subset, pr))
+        assert_same_stack(_rows(subset, pr), _reference_rows(subset, pr))
     for kind in "UVWX":
         subset = [pi for pi in irreps if pi.kind == kind]
-        assert_same_stack(char_rows(subset, pr), _reference_rows(subset, pr))
+        assert_same_stack(_rows(subset, pr), _reference_rows(subset, pr))
 
 
 def test_closed_form_rows_reject_a_label_of_another_q():
     with pytest.raises(MismatchedQ):
-        char_rows([GL2Irrep.U(params(3), 0), GL2Irrep.U(params(5), 0)], params(3))
+        _rows([GL2Irrep.U(params(3), 0), GL2Irrep.U(params(5), 0)], params(3))
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_16)
 def test_table_bytes_is_the_size_of_the_whole_table(q):
     pr = params(q)
-    assert table_bytes(q) == sum(b.terms.nbytes for b in char_rows(enumerate_irreps(pr), pr))
+    assert table_bytes(q) == sum(b.terms.nbytes for b in _rows(enumerate_irreps(pr), pr))
 
 
 def test_the_table_budget_is_checked_from_q_alone():

@@ -8,7 +8,7 @@ from echelon import reference_basis, reference_columns, reference_projections
 
 from gl2rep import harmonic
 from gl2rep.errors import BudgetExceeded, MismatchedGroup
-from gl2rep.gl2 import GL2Irrep, class_table, enumerate_irreps, params
+from gl2rep.gl2 import GL2Irrep, enumerate_classes, enumerate_irreps, params
 from gl2rep.harmonic import (
     GroupFunction,
     _check_exact,
@@ -111,10 +111,11 @@ def test_orbits_are_the_h_conjugacy_classes_in_order_of_least_member(q):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_h_and_the_classes_follow_the_oracle(q):
-    # H lists (g, g) in the oracle's element order; cls[g] is g's class in class_table order
+    # H lists (g, g) in the oracle's element order; cls[g] is g's class in canonical order
     ctx = pair_context(q)
     oracle = _context(q)
-    classes, _, position, _ = class_table(q)
+    classes = enumerate_classes(params(q))
+    position = {c: i for i, c in enumerate(classes)}
     assert [divmod(int(x), ctx.n) for x in ctx.h] == [(g, g) for g in range(ctx.n)]
     assert ctx.classes == classes
     assert ctx.cls.tolist() == [position[oracle.class_of[g]] for g in oracle.elements]

@@ -118,7 +118,6 @@ ALLOWED_CACHES = {
     "cyclotomic._cyclotomic_polynomial",
     "cyclotomic._crt_order",
     "cyclotomic._power_table",
-    "gl2.class_params",
     "gl2.class_table",
     "gl2.params",
     "harmonic.pair_context",

@@ -13,7 +13,7 @@ from gl2rep import sl3
 from gl2rep.cli import run
 from gl2rep.cyclotomic import Cyclotomic, root
 from gl2rep.errors import InvalidLabel, MismatchedQ
-from gl2rep.gl2 import GL2Class, GL2Irrep, class_table, enumerate_classes, enumerate_irreps, params, x_orbit_reps
+from gl2rep.gl2 import GL2Class, GL2Irrep, enumerate_classes, enumerate_irreps, params, x_orbit_reps
 from gl2rep.sl3 import (
     SL3_IRREP_KINDS,
     SL3Class,
@@ -187,7 +187,7 @@ def _sl3_irreps(pr):
 def test_closed_form_sl3_rows_are_the_packed_sl3_char_terms_of_the_embedding(q):
     # q = 2 has no piT and an empty c3 block; d = 3 at q = 4, 7, 13, 16 and 25
     pr = params(q)
-    embedded = [embed_class(c, pr) for c in class_table(q)[0]]
+    embedded = [embed_class(c, pr) for c in enumerate_classes(pr)]
 
     def reference(pis):
         return pack_rows(([sl3_char_terms(pi, e, pr) for e in embedded] for pi in pis), q)

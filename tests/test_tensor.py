@@ -160,7 +160,7 @@ def test_the_ind_sweep_at_q_256_stays_within_the_kernel_budget():
     # visits about 16.8 million candidate pairs
     pr = params(256)
     assert tensor.ind_sweep_bytes(pr) <= tensor._KERNEL_BYTES
-    assert tensor._sweep_rows(pr) < len(tensor.irrep_table(256).irreps)
+    assert tensor._sweep_rows(pr) < len(tensor.irrep_table(256).labels)
 
 
 def test_tensor_with_one_dimensional_twists():
@@ -224,7 +224,7 @@ def _batched_coords(triples, pr):
     coords = np.zeros((len(triples), euler_phi(pr.rs)), dtype=np.int64)
     seen = []
     step = max(1, tensor._COORD_BYTES // (8 * euler_phi(pr.rs)))
-    for at, part in tensor._kind_sums(irreps, codes, tensor.operands(irreps, pr)[0], pr):
+    for at, part in tensor._kind_sums(tensor.operands(irreps, pr), codes, pr):
         assert part.shape == (len(at), euler_phi(pr.rs)) and len(at) <= step and (np.diff(at) > 0).all()
         coords[at] = part
         seen += at.tolist()
@@ -370,11 +370,11 @@ def test_norm_test_equals_the_mult_closed_sweep(q):
 def _column_sum_weights(pr):
     """|c| * S(c)^2 with S(c) the column sums of the character table, taken
     through class_sum: the reference of the closed form."""
-    cols = gl2.columns(gl2.char_rows(enumerate_irreps(pr), pr))
+    cols = gl2.columns(gl2.char_rows(gl2.label_arrays(pr), pr))
     every = np.arange(cols[0].rows)
     coords = gl2.class_sum(pr.rs, [1] * cols[0].length, cols, None, None, (every, None, None))
     assert not coords[:, 1:].any()
-    return [size * s * s for size, s in zip(gl2.class_table(pr.q)[1], coords[:, 0].tolist())]
+    return [size * s * s for size, s in zip(gl2.class_table(pr.q).sizes.tolist(), coords[:, 0].tolist())]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
@@ -459,11 +459,10 @@ def test_the_gelfand_budget_is_at_least_the_traced_peak(q):
     irreps = enumerate_irreps(pr)
     cyclotomic._crt_order.cache_clear()
     cyclotomic._power_table.cache_clear()
-    gl2.class_params.cache_clear()
     gl2.class_table.cache_clear()
     tracemalloc.start()
     try:
-        gl2.char_rows(irreps, pr)
+        gl2.char_rows(tensor.operands(irreps, pr), pr)
         rows_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         norms = tensor.class_sum_norms(pr)
@@ -481,16 +480,17 @@ def _corrupt(monkeypatch, module, irrep, cls, change):
     rows that ``module.char_rows`` builds; it keeps the number of terms."""
     real = module.char_rows
 
-    def char_rows(irreps, pr):
-        rows = list(real(irreps, pr))
-        at = [c.label() for c in gl2.class_table(pr.q)[0]].index(cls)
+    def char_rows(ops, pr):
+        rows = list(real(ops, pr))
+        at = gl2.class_table(pr.q).labels.index(cls)
         k = 0
         while at >= rows[k].length:
             at -= rows[k].length
             k += 1
         terms = rows[k].terms.copy()
-        for i, pi in enumerate(irreps):
-            if pi.label() == irrep:
+        target = gl2.operand(gl2.parse_irrep(irrep, pr), pr)
+        for i, row in enumerate(zip(*np.asarray(ops).tolist())):
+            if row == target:
                 new = change(tuple((c, e) for c, e in terms[:, :, i, at].T.tolist() if c))
                 terms[:, : len(new), i, at] = np.array(new).T
         rows[k] = gl2.Block(terms, rows[k].peak)
@@ -732,7 +732,8 @@ def test_a_non_integral_class_sum_at_a_composite_rs_prints_power_basis_coordinat
     u, x = GL2Irrep.U(pr, 1), GL2Irrep.X(pr, 1)
     want = _reference_numerators(pr, [(u, x, x)])[0].coords_at(pr.rs)
     assert want == [12, -12, -12, 24, -12, 12, 0, 0]
-    assert tensor.class_sum(pr.rs, gl2.class_table(4)[1], *[tensor.char_rows([u, x, x], pr)] * 3, ([0], [1], [2]))[0].tolist() != want
+    rows = tensor.char_rows(tensor.operands([u, x, x], pr), pr)
+    assert tensor.class_sum(pr.rs, gl2.class_table(4).sizes, rows, rows, rows, ([0], [1], [2]))[0].tolist() != want
     text = f"class sum for [U:1 x X:1 : X:1] has power-basis coordinates {want}, not a rational integer"
     with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
         mult_sum(u, x, x, pr)
@@ -798,7 +799,7 @@ def test_the_agreement_chunk_budget_is_at_least_the_traced_peak(q, count):
     assert (in_chunk == swept) == (q <= 9)
     held = in_chunk * tensor._CHUNK_TRIPLE_BYTES + gl2.build_bytes(q, min(3 * in_chunk, q * q - 1))
     assert held <= tensor._agreement_bytes(q) <= tensor._CHUNK_BYTES + tensor._ROWS_BYTES
-    for cache in (gl2.class_table, gl2.class_params, tensor.irrep_table, cyclotomic._power_table,
+    for cache in (gl2.class_table, tensor.irrep_table, cyclotomic._power_table,
                   cyclotomic._cyclotomic_polynomial, cyclotomic._crt_order):
         cache.cache_clear()
     tracemalloc.start()
