@@ -24,8 +24,8 @@ from .gl2 import (
     char_inner_products,
     char_rows,
     class_inner_products,
-    class_table,
     enumerate_irreps,
+    label_table,
     params,
     parse_irrep,
     require_budget,
@@ -48,19 +48,6 @@ def _write_json(payload, out, indent: int | None = None) -> None:
 WRITE_BYTES = 1 << 16
 
 
-class _Encodings(dict):
-    """JSON text of values, keyed by (type, value): True == 1, but they encode apart."""
-
-    def __missing__(self, key):
-        text = self[key] = json.dumps(key[1])
-        return text
-
-
-def _encode(values) -> list[str]:
-    memo = _Encodings()
-    return [memo[type(v), v] for v in values]
-
-
 def _blocks(columns: list[list], width: int):
     """The rows of these columns, as many rows of ``width`` per block as fill WRITE_BYTES, at least one."""
     rows, step = zip(*columns), max(1, WRITE_BYTES // width)
@@ -72,48 +59,82 @@ def _write_records(out, names: list[str], columns: list[list[str]], depth: int) 
     """A list of flat records with these keys, from columns of JSON-encoded
     values: the bytes json.dumps(records, indent=2) gives for the list at
     nesting depth ``depth``, without a trailing newline."""
-    if not columns[0]:
+    if not len(columns[0]):
         out.write("[]")
         return
     outer = "  " * depth
     field = outer + "    "
     fields = ",\n".join(f"{field}{json.dumps(name).replace('%', '%%')}: %s" for name in names)
     record = f"{outer}  {{\n{fields}\n{outer}  }}"
-    # values repeat down a column: the widest is found among the distinct ones
-    for i, block in enumerate(_blocks(columns, len(record) + sum(max(map(len, set(col))) for col in columns))):
+    for i, block in enumerate(_blocks(columns, len(record) + sum(max(map(len, col)) for col in columns))):
         out.write(("," if i else "[") + "\n" + ",\n".join([record % row for row in block]))
     out.write(f"\n{outer}]")
 
 
-def _emit(names: list[str], columns: list[list], fmt: str, out) -> None:
-    """A table given by its column names and one list of values per column; text formats
-    the columns, each not of str as a str copy, through one template of ``%-{width}s`` fields."""
-    if fmt == "json":
-        _write_records(out, names, [_encode(col) for col in columns], 0)
-        out.write("\n")
-    elif fmt == "csv":
+def _emit(names: list[str], columns: list, fmt: str, out) -> None:
+    """A table given by its column names and one list or array of values per
+    column.  An int array is read as the str of its ints (``_int_texts``).  Text
+    and json read each column as str, one not all of str converted once: in
+    json a column of str is JSON text already (a label table's ``irrep_json``
+    or ``class_json``), and any other is encoded value by value.  Text
+    fills one template of ``%-{width}s`` fields, a row wider than WRITE_BYTES a
+    group of its columns at a time."""
+    columns = [_int_texts(col) if isinstance(col, np.ndarray) and col.dtype.kind in "iu" else col for col in columns]
+    if fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(names)
         writer.writerows(zip(*columns))
-    else:
-        columns = [col if all(isinstance(v, str) for v in col) else list(map(str, col)) for col in columns]
-        widths = [max(len(name), max(map(len, col), default=0)) for name, col in zip(names, columns)]
-        line = "  ".join(f"%-{w}s" for w in widths)
-        head = line % tuple(names)
-        out.write(head.rstrip() + "\n")
+        return
+    convert = str if fmt == "text" else json.dumps
+    columns = [col if all(isinstance(v, str) for v in col) else list(map(convert, col)) for col in columns]
+    if fmt == "json":
+        _write_records(out, names, columns, 0)
+        out.write("\n")
+        return
+    widths = [max(len(name), max(map(len, col), default=0)) for name, col in zip(names, columns)]
+    line = "  ".join(f"%-{w}s" for w in widths)
+    head = line % tuple(names)
+    out.write(head.rstrip() + "\n")
+    if len(head) < WRITE_BYTES:
         for block in _blocks(columns, len(head) + 1):
             out.write("".join([(line % row).rstrip() + "\n" for row in block]))
+        return
+    # a row wider than a write block goes a group of columns at a time, each
+    # group the columns that end within one WRITE_BYTES of the row
+    group = np.cumsum(np.add(widths, 2)) // WRITE_BYTES
+    cuts = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(widths)]
+    groups = [(a, b, ("  " if a else "") + "  ".join(f"%-{w}s" for w in widths[a:b])) for a, b in zip(cuts, cuts[1:])]
+    for row in zip(*columns):
+        pieces = [template % row[a:b] for a, b, template in groups]
+        # the rstrip of the whole row: its blank last pieces go, and the last one left is stripped
+        while len(pieces) > 1 and not pieces[-1].strip():
+            pieces.pop()
+        pieces[-1] = pieces[-1].rstrip() + "\n"
+        for piece in pieces:
+            out.write(piece)
+
+
+def _int_texts(values: np.ndarray) -> np.ndarray:
+    """The str of each int of an array, which is also its JSON text: one str object per distinct value."""
+    # np.unique would import numpy.ma on its first call, 15 ms of a short query
+    distinct = np.sort(values)
+    first = np.ones(len(distinct), dtype=bool)
+    first[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[first]
+    return np.array(list(map(str, distinct.tolist())), dtype=object)[np.searchsorted(distinct, values)]
 
 
 def cmd_classes(args, out) -> int:
-    t = class_table(args.q)
-    _emit(["class", "size"], [t.labels, t.sizes.tolist()], args.format, out)
+    t = label_table(args.q)
+    labels = t.class_json if args.format == "json" else t.class_labels
+    _emit(["class", "size"], [labels, t.sizes], args.format, out)
     return 0
 
 
 def cmd_irreps(args, out) -> int:
-    t = tensor.irrep_table(args.q)
-    _emit(["irrep", "dim", "dual"], [t.labels.tolist(), t.dim.tolist(), t.duals.tolist()], args.format, out)
+    t = label_table(args.q)
+    labels = t.irrep_json if args.format == "json" else t.irrep_labels
+    _emit(["irrep", "dim", "dual"], [labels, t.dim, labels[t.dual]], args.format, out)
     return 0
 
 
@@ -122,8 +143,9 @@ VALUE_ID_CHUNK_BYTES = 1 << 18
 
 # Bytes chartable holds per entry, past one chunk and one write block: for csv
 # the int32 value id and a pointer in the column lists; for text also one in
-# their str copies, and 8 for a padded row wider than a block, held about twice
-# (at most 2.4 bytes per entry at q <= 73: 2.5 MB at q = 32, 1.25 MB at q = 73).
+# their str copies, and 8 for a padded row wider than a block, its groups of
+# columns held once (at most 2.4 bytes per entry at q <= 73: 2.5 MB at q = 32,
+# 1.25 MB at q = 73).
 _ENTRY_BYTES = {"json": 4, "csv": 12, "text": 28}
 
 
@@ -168,7 +190,7 @@ def _value_ids(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keys, each new one with the next id.
     """
     pr = params(q)
-    t = tensor.irrep_table(q)
+    t = label_table(q)
     # a term (coef, exp) is the digit (coef + 1) * rs + exp: every coefficient lies in [-1, s]
     radix = (pr.s + 2) * pr.rs
     n = len(t.kind)
@@ -176,7 +198,7 @@ def _value_ids(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     numbers: dict[int, int] = {}
     step = _chunk_rows(q)
     for lo in range(0, n, step):
-        chunk = t.operands(slice(lo, lo + step))
+        chunk = t.rows[:, lo : lo + step]
         terms = np.zeros((2, 2, len(chunk[0]), n), dtype=np.int64)
         at = 0
         for block in char_rows(chunk, pr):
@@ -215,8 +237,7 @@ def cmd_chartable(args, out) -> int:
     anything is allocated, if ``chartable_bytes`` passes the table limit."""
     pr = params(args.q)
     require_budget(chartable_bytes(pr.q, args.format), f"chartable --format {args.format} over GL2({pr.q})")
-    classes = class_table(pr.q)
-    t = tensor.irrep_table(args.q)
+    t = label_table(pr.q)
     ids, coefs, exps = _value_ids(pr.q)
     encode = _value_json if args.format == "json" else coords_text
     texts = np.array(
@@ -226,18 +247,18 @@ def cmd_chartable(args, out) -> int:
     if args.format == "json":
         # the bytes of json.dumps(payload, indent=2), an irrep row at a time:
         # the whole document is 80 MB at q = 16
-        sized = zip(classes.labels, classes.sizes.tolist())
+        sized = zip(t.class_labels.tolist(), t.sizes.tolist())
         head = json.dumps({"q": args.q, "classes": [{"class": c, "size": n} for c, n in sized]}, indent=2)
         out.write(head[: -len("\n}")] + ',\n  "rows": [')
-        for i, (label, row) in enumerate(zip(t.encoded.tolist(), ids)):
+        for i, (label, row) in enumerate(zip(t.irrep_json.tolist(), ids)):
             # the values are written apart: a row of them is 9 MB at q = 32
             out.write(f'{"," if i else ""}\n    {{\n      "irrep": {label},\n      "values": [\n        ')
             out.write(",\n        ".join(texts[row].tolist()))
             out.write("\n      ]\n    }")
         out.write("\n  ]\n}\n")
     else:
-        names = ["irrep", *classes.labels]
-        _emit(names, [t.labels.tolist(), *(texts[col].tolist() for col in ids.T)], args.format, out)
+        names = ["irrep", *t.class_labels.tolist()]
+        _emit(names, [t.irrep_labels.tolist(), *(texts[col].tolist() for col in ids.T)], args.format, out)
     return 0
 
 
@@ -266,25 +287,25 @@ def cmd_tensor(args, out) -> int:
 def cmd_induct(args, out) -> int:
     pr = params(args.q)
     pi = parse_irrep(args.pi, pr)
-    t = tensor.irrep_table(args.q)
+    t = label_table(args.q)
     i, j, m = tensor.ind_sweep(pi, pr)
     count, total_dim = len(m), int((m * t.dim[i] * t.dim[j]).sum())
     names = ["left", "right", "mult"]
     if args.format == "json":
         head = json.dumps({"q": args.q, "pi": pi.label(), "count": count, "total_dim": total_dim}, indent=2)
         out.write(head[: -len("\n}")] + ',\n  "constituents": ')
-        _write_records(out, names, [t.encoded[i].tolist(), t.encoded[j].tolist(), _encode(m.tolist())], 1)
+        _write_records(out, names, [t.irrep_json[i], t.irrep_json[j], _int_texts(m)], 1)
         out.write("\n}\n")
     else:
-        _emit(names, [t.labels[i].tolist(), t.labels[j].tolist(), m.tolist()], args.format, out)
+        _emit(names, [t.irrep_labels[i], t.irrep_labels[j], m], args.format, out)
         if args.format == "text":
             out.write(f"count: {count}  total_dim: {total_dim}\n")
     return 0
 
 
 def cmd_gelfand(args, out) -> int:
-    t = tensor.irrep_table(args.q)
-    labels = t.labels[np.isin(t.kind, tensor.gelfand_kinds(args.q))].tolist()
+    t = label_table(args.q)
+    labels = t.irrep_labels[np.isin(t.kind, tensor.gelfand_kinds(args.q))].tolist()
     if args.format == "json":
         _write_json({"q": args.q, "gelfand": labels}, out)
     else:
@@ -325,19 +346,20 @@ def cmd_sl3_witness(args, out) -> int:
 
 def _suite_orthogonality(q: int, seed: int) -> dict:
     pr = params(q)
-    classes = class_table(q)
+    t = label_table(q)
     first_bad = None
     # every row pair in one class sum, then every column pair in another: |G|
     # and |G|/|c| on the diagonal, 0 off it
-    for kind, labels, sums, diagonal in (
-        ("row", tensor.irrep_table(q).labels, char_inner_products(pr), np.full_like(classes.sizes, pr.order)),
-        ("column", classes.labels, class_inner_products(pr), pr.order // classes.sizes),
+    for kind, family, sums, diagonal in (
+        ("row", gl2.GL2Irrep, char_inner_products(pr), np.full_like(t.sizes, pr.order)),
+        ("column", gl2.GL2Class, class_inner_products(pr), pr.order // t.sizes),
     ):
-        i, j = np.triu_indices(len(labels))
+        i, j = np.triu_indices(len(t.kind))
         bad = np.flatnonzero(np.array(sums) != np.where(i == j, diagonal[i], 0))
         if len(bad) and first_bad is None:
             at = bad[0]
-            first_bad = {"kind": kind, "a": labels[i[at]], "b": labels[j[at]], "got": sums[at]}
+            a, b = (t.label(family, k[at]).label() for k in (i, j))
+            first_bad = {"kind": kind, "a": a, "b": b, "got": sums[at]}
     return {"check": "orthogonality", "q": q, "pass": first_bad is None, "counterexample": first_bad}
 
 

@@ -19,8 +19,10 @@ compatibilities alpha_a(rho^j) = phi_{s*a}(sigma^j) and phi_n(sigma^{s*j})
 
 Every label conversion is written once, here: the grammar tables kind ->
 (constructor, parameter names) that ``parse_label`` reads (sl3 keeps its own
-table), the integer rows every label table is built from (``label_arrays``),
-and an irrep's integer form ``operand`` and central exponent ``omega``.
+table), the integer rows of the labels of both families (``label_arrays``),
+kept once per q with every column read of them, label text too, in one table
+(``label_table``), and an irrep's integer form ``operand`` and central
+exponent ``omega``.
 Character rows come in closed form from cell tables (``cell_rows``);
 ``char_terms`` is the scalar reference the tests pack and hold them to.
 """
@@ -28,9 +30,8 @@ Character rows come in closed form from cell tables (``cell_rows``);
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 from typing import Iterator, NamedTuple
 
@@ -212,7 +213,8 @@ def label_arrays(pr: GroupParams) -> np.ndarray:
     n != 0 mod s and n < qn.  A label's row is its ``operand``."""
     r, rs = pr.r, pr.rs
     a, b = np.triu_indices(r, 1)
-    n = np.array(x_orbit_reps(pr), dtype=np.int64)
+    n = np.arange(rs)
+    n = n[(n % pr.s != 0) & (n <= pr.q * n % rs)]
     residues = np.tile(np.arange(r), 2)
     kind = np.repeat(np.arange(4), [r, r, len(a), len(n)])
     return np.stack([kind, np.concatenate([residues, a, n]), np.concatenate([residues, b, pr.q * n % rs])])
@@ -220,17 +222,21 @@ def label_arrays(pr: GroupParams) -> np.ndarray:
 
 def x_orbit_reps(pr: GroupParams) -> list[int]:
     """The canonical members n < qn mod rs of the X (c4) orbits {n, qn} in Z_rs, n != 0 mod s, rising."""
-    n = np.arange(pr.rs)
-    return n[(n % pr.s != 0) & (n <= pr.q * n % pr.rs)].tolist()
+    t = label_table(pr.q)
+    return t.p0[t.kind == X].tolist()
 
 
-def label_texts(kinds: tuple[str, ...], rows: np.ndarray) -> list[str]:
-    """The label of each row of ``label_arrays``, kinds named by ``kinds``, read 256 rows at a time."""
-    texts: list[str] = []
+def label_texts(kinds: tuple[str, ...], rows: np.ndarray, quote: str = "") -> np.ndarray:
+    """The label of each row of ``label_arrays``, kinds named by ``kinds``, read 256
+    rows at a time, each between two ``quote``: a label holds only letters, digits,
+    ':' and ',', so quoted by '"' it is its JSON text.  A read-only object array."""
+    texts = np.empty(rows.shape[1], dtype=object)
     for lo in range(0, rows.shape[1], 256):
         block = zip(*rows[:, lo : lo + 256].tolist())
-        texts += [f"{kinds[k]}:{a},{b}" if k == W else f"{kinds[k]}:{a}" for k, a, b in block]
-    return texts
+        texts[lo : lo + 256] = [
+            f"{quote}{kinds[k]}:{a},{b}{quote}" if k == W else f"{quote}{kinds[k]}:{a}{quote}" for k, a, b in block
+        ]
+    return _frozen(texts)
 
 
 def from_row(family: type[_GL2Label], q: int, kind: int, p0: int, p1: int) -> _GL2Label:
@@ -238,22 +244,104 @@ def from_row(family: type[_GL2Label], q: int, kind: int, p0: int, p1: int) -> _G
     return family(q, family.KINDS[kind], (p0, p1) if kind == W else (p0,))
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+class LabelTable:
+    """The labels of GL2(q), irreps and classes alike, in canonical order: their
+    rows of ``label_arrays``, read as kind, p0 and p1 (an irrep's ``operand``).
+
+    Every other column is built from the rows the first time it is read, and
+    kept: the class sizes; the irreps' dimensions, central exponents omega mod
+    r, dual positions and omega buckets; and the label text of each family,
+    and its JSON text.  The arrays are read-only.  No label object is kept:
+    ``label`` builds one from its row.
+    """
+
+    def __init__(self, q: int):
+        self.pr = params(q)
+        self.rows = _frozen(label_arrays(self.pr))
+        self.kind, self.p0, self.p1 = self.rows
+
+    def label(self, family: type[_GL2Label], at: int) -> _GL2Label:
+        """The GL2Irrep or GL2Class at this position, built from its row."""
+        return from_row(family, self.pr.q, *map(int, self.rows[:, at]))
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        q, r, s = self.pr.q, self.pr.r, self.pr.s
+        return _frozen(np.array([1, r * s, q * s, q * r])[self.kind])
+
+    @cached_property
+    def dim(self) -> np.ndarray:
+        q = self.pr.q
+        return _frozen(np.array([1, q, q + 1, q - 1])[self.kind])
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        return _frozen(omega(*self.rows) % self.pr.r)
+
+    @cached_property
+    def dual(self) -> np.ndarray:
+        # each row is its sorted pair, so (kind, p0, p1) rises in canonical
+        # order; the dual's pair is the negated one, mod rs for X and r otherwise
+        (kind, p0, p1), rs = self.rows, self.pr.rs
+        modulus = np.where(kind == X, rs, self.pr.r)
+        u, v = -p0 % modulus, -p1 % modulus
+        key = (kind * rs + p0) * rs + p1
+        return _frozen(np.searchsorted(key, (kind * rs + np.minimum(u, v)) * rs + np.maximum(u, v)))
+
+    @cached_property
+    def buckets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(by_omega, starts, counts): the irreps grouped by omega, each group in
+        canonical order, group w starting at by_omega[starts[w]] with counts[w] members."""
+        counts = np.bincount(self.omega, minlength=self.pr.r)
+        return tuple(map(_frozen, (np.argsort(self.omega, kind="stable"), np.cumsum(counts) - counts, counts)))
+
+    @cached_property
+    def irrep_labels(self) -> np.ndarray:
+        return label_texts(IRREP_KINDS, self.rows)
+
+    @cached_property
+    def class_labels(self) -> np.ndarray:
+        return label_texts(CLASS_KINDS, self.rows)
+
+    @cached_property
+    def irrep_json(self) -> np.ndarray:
+        return label_texts(IRREP_KINDS, self.rows, '"')
+
+    @cached_property
+    def class_json(self) -> np.ndarray:
+        return label_texts(CLASS_KINDS, self.rows, '"')
+
+
+@lru_cache(maxsize=None)
+def label_table(q: int) -> LabelTable:
+    """The LabelTable of GL2(q), one per q: its rows are built here, O(q^2), and
+    each other column when first read."""
+    return LabelTable(q)
+
+
 def enumerate_irreps(pr: GroupParams) -> list[GL2Irrep]:
     """All q^2 - 1 irreducible labels in canonical order; ``params`` has held them to their budget."""
-    return [from_row(GL2Irrep, pr.q, *row) for row in zip(*label_arrays(pr).tolist())]
+    return [from_row(GL2Irrep, pr.q, *row) for row in zip(*label_table(pr.q).rows.tolist())]
 
 
 def enumerate_classes(pr: GroupParams) -> list[GL2Class]:
     """All q^2 - 1 conjugacy class labels in canonical order; ``params`` has held them to their budget."""
-    return [from_row(GL2Class, pr.q, *row) for row in zip(*label_arrays(pr).tolist())]
+    return [from_row(GL2Class, pr.q, *row) for row in zip(*label_table(pr.q).rows.tolist())]
 
 
 def position(x: GL2Irrep | GL2Class, pr: GroupParams) -> int:
     """The row of an irrep or a class in canonical order, from its kind and data:
-    r of U (c1), r of V (c2), the pairs a < b row-major, the X (c4) orbits."""
+    r of U (c1), r of V (c2), the pairs a < b row-major, the X (c4) orbits by
+    their rising first members, found among the table's rows."""
     (kind, a, b), r = operand(x, pr), pr.r
     if kind == X:
-        return 2 * r + r * (r - 1) // 2 + x_orbit_reps(pr).index(a)
+        start = 2 * r + r * (r - 1) // 2
+        return start + int(np.searchsorted(label_table(pr.q).p0[start:], a))
     return kind * r + (a * (2 * r - a - 1) // 2 + b - a - 1 if kind == W else a)
 
 
@@ -394,21 +482,6 @@ Rows = tuple[Block, ...]
 SLICE_BYTES = 1 << 21
 
 
-# The classes of GL2(q) in canonical order: rows of label_arrays, sizes, labels.
-ClassTable = namedtuple("ClassTable", "kind p0 p1 sizes labels")
-
-
-@lru_cache(maxsize=None)
-def class_table(q: int) -> ClassTable:
-    """The ClassTable of GL2(q), built once per q from arrays: O(q^2)."""
-    pr = params(q)
-    kind, p0, p1 = rows = label_arrays(pr)
-    sizes = np.array([1, pr.rs, q * pr.s, q * pr.r])[kind]
-    for array in (kind, p0, p1, sizes):
-        array.setflags(write=False)
-    return ClassTable(kind, p0, p1, sizes, tuple(label_texts(CLASS_KINDS, rows)))
-
-
 def columns(rows: Rows) -> Rows:
     """The columns of a stack of character rows as a stack over one block, the
     rows: one row per class in class order, each padded with zero terms to
@@ -428,17 +501,18 @@ def columns(rows: Rows) -> Rows:
 # build_bytes.  Per entry of the stack: at most two int64 (rows, length)
 # exponent arrays beside the c4 block.  Per label, irrep or class: the
 # operands, 24 bytes an irrep as ``operands`` reads them off labels, and the
-# class table, which char_rows builds when cold (at most 125 bytes a class at
-# q = 16 to 256 under tracemalloc).  Per call:
+# rows of the label table, which char_rows builds when cold (at most 69 bytes
+# a class at q = 16 to 256 under tracemalloc).  Per call:
 # the cell tables and the temporaries numpy keeps of arrays too small for it
 # to elide (at most 50 KB, q = 2 to 64 and 1 to 1024 rows).
 BUILD_ENTRY_BYTES = 8
 BUILD_LABEL_BYTES = 128
 BUILD_CALL_BYTES = 1 << 16
 
-# Bytes per label the label commands hold: the labels with their per-q tables and rendered
-# columns, 514 at most (irreps in json at q = 32) under tracemalloc at q = 32, 64 and 128 with
-# cold caches.  It is not lowered to that: it sets the largest q a label command answers, 1024.
+# Bytes per label the label commands hold: the per-q label table with the columns they read,
+# label text too, and their rendered output, 289 at most (irreps in json at q = 32) under
+# tracemalloc at q = 32, 64 and 128 with a cold table.  It is not lowered to that: it sets the
+# largest q a label command answers, 1024.
 LABEL_BYTES = 1024
 
 
@@ -475,8 +549,8 @@ def require_budget(need: int, what: str) -> None:
 
 
 def class_params(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The class parameters in canonical class order, views of class_table: k of c1 and c2, (k, l) of c3, m of c4."""
-    t, r = class_table(q), q - 1
+    """The class parameters in canonical class order, views of label_table's rows: k of c1 and c2, (k, l) of c3, m of c4."""
+    t, r = label_table(q), q - 1
     split = slice(2 * r, 2 * r + r * (r - 1) // 2)
     return t.p0[:r], t.p0[split], t.p1[split], t.p0[split.stop :]
 
@@ -668,38 +742,39 @@ def char_inner_product(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> int:
     """
     rows = char_rows(operands([pi1, pi2], pr), pr)
     what = f"inner product of {pi1.label()} and {pi2.label()}"
-    return exact_sums(pr.rs, class_table(pr.q).sizes, rows, None, rows, ([0], None, [1]), lambda i: what)[0]
+    return exact_sums(pr.rs, label_table(pr.q).sizes, rows, None, rows, ([0], None, [1]), lambda i: what)[0]
 
 
 def class_inner_product(c1: GL2Class, c2: GL2Class, pr: GroupParams) -> int:
     """Column sum over irreps of chi(c1) conj(chi(c2)); |G|/|c| on the diagonal."""
     index = ([position(c1, pr)], None, [position(c2, pr)])
-    cols = columns(char_rows(label_arrays(pr), pr))
+    cols = columns(char_rows(label_table(pr.q).rows, pr))
     what = f"column product of {c1.label()} and {c2.label()}"
     return exact_sums(pr.rs, [1] * cols[0].length, cols, None, cols, index, lambda i: what)[0]
 
 
-def _pair_sums(rs: int, weights, rows: Rows, labels, what: str) -> list[int]:
+def _pair_sums(pr: GroupParams, weights, rows: Rows, family: type[_GL2Label], what: str) -> list[int]:
     """Sum over k of weights[k] * row_i[k] * conj(row_j[k]) for every pair i <= j
-    of rows of the stack, row-major, in one exact_sums call; labels[i] names row i."""
+    of rows of the stack, row-major, in one exact_sums call; row i is the label
+    of ``family`` at position i, rendered only to name a sum that fails."""
     first, second = np.triu_indices(rows[0].rows)
+    t = label_table(pr.q)
     return exact_sums(
-        rs, weights, rows, None, rows, (first, None, second),
-        lambda i: f"{what} of {labels[first[i]]} and {labels[second[i]]}",
+        pr.rs, weights, rows, None, rows, (first, None, second),
+        lambda i: f"{what} of {t.label(family, first[i]).label()} and {t.label(family, second[i]).label()}",
     )
 
 
 def char_inner_products(pr: GroupParams) -> list[int]:
     """char_inner_product of every pair pi_i, pi_j (i <= j) of irreps in canonical order, row-major."""
-    rows = label_arrays(pr)
-    labels = label_texts(IRREP_KINDS, rows)
-    return _pair_sums(pr.rs, class_table(pr.q).sizes, char_rows(rows, pr), labels, "inner product")
+    t = label_table(pr.q)
+    return _pair_sums(pr, t.sizes, char_rows(t.rows, pr), GL2Irrep, "inner product")
 
 
 def class_inner_products(pr: GroupParams) -> list[int]:
     """class_inner_product of every pair c_i, c_j (i <= j) of classes in canonical order, row-major."""
-    cols = columns(char_rows(label_arrays(pr), pr))
-    return _pair_sums(pr.rs, [1] * cols[0].length, cols, class_table(pr.q).labels, "column product")
+    cols = columns(char_rows(label_table(pr.q).rows, pr))
+    return _pair_sums(pr, [1] * cols[0].length, cols, GL2Class, "column product")
 
 
 def label_forms(grammar) -> list[str]:

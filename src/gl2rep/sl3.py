@@ -37,10 +37,10 @@ from .gl2 import (
     char_rows,
     check_q,
     class_params,
-    class_table,
     enumerate_irreps,
     exact_sums,
     label_forms,
+    label_table,
     operands,
     params,
     parse_label,
@@ -298,9 +298,11 @@ def _restriction_mults(pairs: list[tuple[SL3Irrep, GL2Irrep]], pr: GroupParams) 
     at = [rows_of.setdefault(pi, len(rows_of)) for pi, _ in pairs]
     pi_rows = sl3_rows(list(rows_of), pr)
     tau_rows = char_rows(operands([tau for _, tau in pairs], pr), pr)
-    what = [f"restriction sum for [{pi.label()} | : {tau.label()}]" for pi, tau in pairs]
     index = (at, None, np.arange(len(pairs)))
-    return exact_sums(pr.rs, class_table(pr.q).sizes, pi_rows, None, tau_rows, index, what.__getitem__, pr.order)
+    return exact_sums(
+        pr.rs, label_table(pr.q).sizes, pi_rows, None, tau_rows, index,
+        lambda i: f"restriction sum for [{pairs[i][0].label()} | : {pairs[i][1].label()}]", pr.order,
+    )
 
 
 def restriction_mult(pi: SL3Irrep, tau: GL2Irrep, pr: GroupParams) -> int:
@@ -317,18 +319,14 @@ def witness_irrep(tau: GL2Irrep, pr: GroupParams) -> SL3Irrep:
             return SL3Irrep.QS(pr)
         return SL3Irrep.T(pr, -a)
     if tau.kind == "V":
+        # -a, but -r for a = 0, the one residue a mod r with -a = 0 mod s
         a = tau.data[0]
-        u = (-a) % rs
-        if u % s == 0:  # only a = 0; shift down by r to leave the excluded coset
-            u = (rs - r) % rs
-        return SL3Irrep.RT(pr, u)
+        return SL3Irrep.RT(pr, -a if a else -r)
     if tau.kind == "W":
+        # the first shift u = b - 2a + c r (mod rs), c = 0, 1, ..., with u != 0
+        # mod s: r = -2 mod s, so c = 1 leaves the coset of c = 0, as s >= 3
         a, b = tau.data
-        for c in range(s):
-            u = (b - 2 * a + c * r) % rs
-            if u % s != 0:
-                return SL3Irrep.RT(pr, u)
-        raise WitnessFailed(f"no admissible shift for {tau.label()}; s >= 3 guarantees one")
+        return SL3Irrep.RT(pr, (b - 2 * a + r * ((b - 2 * a) % s == 0)) % rs)
     return SL3Irrep.RT(pr, tau.data[0])
 
 

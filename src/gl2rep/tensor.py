@@ -45,9 +45,9 @@ follow the order of the triples.  A sum that is not a rational integer
 multiple of |G| is taken again for its triple alone, whose NonIntegral
 prints its coordinates.
 
-``irrep_table(q)`` holds the irreps, per q, as arrays built from
-``gl2.label_arrays``, which the sweeps and the CLI read by index; a
-``GL2Irrep`` is built from its row only where an API returns one.
+The sweeps read the irreps by position from ``gl2.label_table(q)``: their
+operands, dimensions and omega buckets.  A ``GL2Irrep`` is built from its
+row only where an API returns one or an error names it.
 
 The Gelfand classification sweeps no triples.  It reads, for a fixed pi,
 two sums over all ordered pairs (pi1, pi2) of the multiplicity
@@ -77,9 +77,8 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from itertools import chain, islice, product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -100,16 +99,12 @@ from .gl2 import (
     char_rows,
     class_params,
     class_sum,
-    class_table,
     enumerate_irreps,
     exact_sums,
-    from_row,
-    label_arrays,
-    label_texts,
+    label_table,
     omega,
     operand,
     operands,
-    params,
     require_budget,
     table_bytes,
 )
@@ -138,7 +133,7 @@ _COORD_BYTES = 1 << 19
 def mult_sum_numerator(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> Cyclotomic:
     """The weighted class sum before division by |G| = q*s*r^2."""
     rows = char_rows(operands([pi1, pi2, pi3], pr), pr)
-    coords = class_sum(pr.rs, class_table(pr.q).sizes, rows, rows, rows, ([0], [1], [2]))[0]
+    coords = class_sum(pr.rs, label_table(pr.q).sizes, rows, rows, rows, ([0], [1], [2]))[0]
     return Cyclotomic(pr.rs, power_coords(pr.rs, coords.tolist()))
 
 
@@ -150,7 +145,7 @@ def mult_sum(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> in
     """Exact multiplicity of pi3 inside pi1 (x) pi2 via the class sum."""
     rows = char_rows(operands([pi1, pi2, pi3], pr), pr)
     what = _what(pi1, pi2, pi3)
-    return exact_sums(pr.rs, class_table(pr.q).sizes, rows, rows, rows, ([0], [1], [2]), lambda i: what, pr.order)[0]
+    return exact_sums(pr.rs, label_table(pr.q).sizes, rows, rows, rows, ([0], [1], [2]), lambda i: what, pr.order)[0]
 
 
 def cell_name(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
@@ -300,76 +295,15 @@ def mult_closed(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) ->
     return value
 
 
-class IrrepTable(NamedTuple):
-    """The irreps of GL2(q) in canonical order, as arrays the kernel and the CLI read.
-
-    kind, d0 and d1 are each irrep's ``operand``; omega is its central exponent
-    mod r, dim its dimension; labels and encoded hold its label and that
-    label's JSON text, and duals its dual's label.  by_omega lists the irreps
-    grouped by omega, each group in canonical order, group w starting at
-    starts[w] with counts[w] members.
-    """
-
-    kind: np.ndarray
-    d0: np.ndarray
-    d1: np.ndarray
-    omega: np.ndarray
-    dim: np.ndarray
-    labels: np.ndarray
-    encoded: np.ndarray
-    duals: np.ndarray
-    by_omega: np.ndarray
-    starts: np.ndarray
-    counts: np.ndarray
-
-    def operands(self, at=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The operands (kind, d0, d1) of the irreps at these positions."""
-        return self.kind[at], self.d0[at], self.d1[at]
-
-
-@lru_cache(maxsize=None)
-def irrep_table(q: int) -> IrrepTable:
-    """The IrrepTable of GL2(q), built once per q from arrays: O(q^2)."""
-    pr = params(q)
-    kind, d0, d1 = rows = label_arrays(pr)
-    central = omega(kind, d0, d1) % pr.r
-    texts = label_texts(IRREP_KINDS, rows)
-    labels = np.array(texts, dtype=object)
-    counts = np.bincount(central, minlength=pr.r)
-    # each operand is its sorted pair, so (kind, d0, d1) rises in canonical
-    # order; the dual's pair is the negated one, mod rs for X and r otherwise
-    key = (kind * pr.rs + d0) * pr.rs + d1
-    modulus = np.where(kind == X, pr.rs, pr.r)
-    u, v = -d0 % modulus, -d1 % modulus
-    dual = np.searchsorted(key, (kind * pr.rs + np.minimum(u, v)) * pr.rs + np.maximum(u, v))
-    table = IrrepTable(
-        kind=kind,
-        d0=d0,
-        d1=d1,
-        omega=central,
-        dim=np.array([1, q, q + 1, q - 1], dtype=np.int64)[kind],
-        labels=labels,
-        # a label holds only letters, digits, ':' and ',': quoted, it is its JSON text
-        encoded=np.array([f'"{text}"' for text in texts], dtype=object),
-        duals=labels[dual],
-        by_omega=np.argsort(central, kind="stable"),
-        starts=np.cumsum(counts) - counts,
-        counts=counts,
-    )
-    for array in table:
-        array.setflags(write=False)
-    return table
-
-
 def _irrep(at: int, pr: GroupParams) -> GL2Irrep:
-    """The irrep at this position of the canonical order, built from its row of irrep_table."""
-    return from_row(GL2Irrep, pr.q, *map(int, irrep_table(pr.q).operands(at)))
+    """The irrep at this position of the canonical order, built from its row."""
+    return label_table(pr.q).label(GL2Irrep, at)
 
 
 def decompose(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> list[tuple[GL2Irrep, int]]:
     """All irreducible constituents of pi1 (x) pi2 with multiplicities."""
-    t = irrep_table(pr.q)
-    values = mult_closed_array(pr, operand(pi1, pr), operand(pi2, pr), t.operands())
+    t = label_table(pr.q)
+    values = mult_closed_array(pr, operand(pi1, pr), operand(pi2, pr), t.rows)
     if (at := _first_negative(values)) is not None:
         raise _negative(pi1, pi2, _irrep(at, pr), int(values[at]), pr)
     total = int(values @ t.dim)
@@ -388,13 +322,13 @@ _CANDIDATE_BYTES = 8 * 12
 def _sweep_rows(pr: GroupParams) -> int:
     """pi1 rows per slice of ind_sweep: each holds at most this many times the
     largest omega bucket of candidate pairs."""
-    return max(1, _kernel_step(_CANDIDATE_BYTES) // int(irrep_table(pr.q).counts.max()))
+    return max(1, _kernel_step(_CANDIDATE_BYTES) // int(label_table(pr.q).buckets[2].max()))
 
 
 def ind_sweep_bytes(pr: GroupParams) -> int:
     """The most scratch bytes one slice of ind_sweep holds, worked out without
     sweeping: its candidate pairs times their bytes and the kernel's."""
-    return _sweep_rows(pr) * int(irrep_table(pr.q).counts.max()) * (_TRIPLE_BYTES + _CANDIDATE_BYTES)
+    return _sweep_rows(pr) * int(label_table(pr.q).buckets[2].max()) * (_TRIPLE_BYTES + _CANDIDATE_BYTES)
 
 
 def ind_sweep(pi3: GL2Irrep, pr: GroupParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -406,7 +340,8 @@ def ind_sweep(pi3: GL2Irrep, pr: GroupParams) -> tuple[np.ndarray, np.ndarray, n
     order, so the pairs come in the order of the full sweep.  The pi1 rows
     run in slices of at most _KERNEL_BYTES of scratch (``ind_sweep_bytes``).
     """
-    t = irrep_table(pr.q)
+    t = label_table(pr.q)
+    by_omega, starts, counts = t.buckets
     target = operand(pi3, pr)
     w3 = omega(*target)
     rows = _sweep_rows(pr)
@@ -414,11 +349,11 @@ def ind_sweep(pi3: GL2Irrep, pr: GroupParams) -> tuple[np.ndarray, np.ndarray, n
     for lo in range(0, len(t.kind), rows):
         first = np.arange(lo, min(lo + rows, len(t.kind)))
         bucket = (w3 - t.omega[first]) % pr.r
-        sizes = t.counts[bucket]
+        sizes = counts[bucket]
         i = np.repeat(first, sizes)
         within = np.arange(len(i)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        j = t.by_omega[np.repeat(t.starts[bucket], sizes) + within]
-        values = mult_closed_array(pr, t.operands(i), t.operands(j), target)
+        j = by_omega[np.repeat(starts[bucket], sizes) + within]
+        values = mult_closed_array(pr, t.rows[:, i], t.rows[:, j], target)
         if (at := _first_negative(values)) is not None:
             raise _negative(_irrep(i[at], pr), _irrep(j[at], pr), pi3, int(values[at]), pr)
         keep = values > 0
@@ -438,12 +373,13 @@ def ind_decompose(pi3: GL2Irrep, pr: GroupParams) -> list[tuple[tuple[GL2Irrep, 
 def ind_X_counts_by_dim(n: int, pr: GroupParams) -> dict[int, int]:
     """Constituent counts of the induction of X_[n], grouped by pair dimension."""
     target = GL2Irrep.X(pr, n)
-    t = irrep_table(pr.q)
+    t = label_table(pr.q)
     i, j, m = ind_sweep(target, pr)
     if (m != 1).any():
         at = int((m != 1).argmax())
         raise NotMultiplicityFree(
-            f"{t.labels[i[at]]} (x) {t.labels[j[at]]} contains {target.label()} {m[at]} times"
+            f"{t.label(GL2Irrep, i[at]).label()} (x) {t.label(GL2Irrep, j[at]).label()} "
+            f"contains {target.label()} {m[at]} times"
         )
     # in order of first appearance, as a dict filled pair by pair would be
     dims, first, counts = np.unique(t.dim[i] * t.dim[j], return_index=True, return_counts=True)
@@ -528,19 +464,22 @@ def _class_weights(pr: GroupParams) -> np.ndarray:
     sums = np.where(det_one, r, 0)
     sums[0] = pr.q * pr.q * r  # c1:0, the identity
     sums[r] = 0  # c2:0, the transvections
-    return class_table(pr.q).sizes * sums**2
+    return label_table(pr.q).sizes * sums**2
 
 
-def _norms(labels, rows: Rows, weights: np.ndarray, pr: GroupParams) -> list[tuple[int, int]]:
-    """The two norms of each irrep, named by its label, from the stack of their
-    rows: two ``exact_sums`` calls, sum_c |chi(c)|^2 and sum_c w(c) conj(chi(c))
-    divided by |G|, the factors 1 given as None."""
-    every = np.arange(len(labels))
+def _norms(lo: int, rows: Rows, weights: np.ndarray, pr: GroupParams) -> list[tuple[int, int]]:
+    """The two norms of each irrep of the stack of rows of the irreps from
+    position lo on: two ``exact_sums`` calls, sum_c |chi(c)|^2 and sum_c w(c)
+    conj(chi(c)) divided by |G|, the factors 1 given as None.  A sum that
+    fails is named by its irrep's label."""
+    every = np.arange(rows[0].rows)
     squares = exact_sums(
-        pr.rs, [1] * len(weights), rows, None, rows, (every, None, every), lambda i: f"sum of squares for {labels[i]}"
+        pr.rs, [1] * len(weights), rows, None, rows, (every, None, every),
+        lambda i: f"sum of squares for {_irrep(lo + i, pr).label()}",
     )
     totals = exact_sums(
-        pr.rs, weights, None, None, rows, (None, None, every), lambda i: f"pair sum for {labels[i]}", pr.order
+        pr.rs, weights, None, None, rows, (None, None, every),
+        lambda i: f"pair sum for {_irrep(lo + i, pr).label()}", pr.order,
     )
     return list(zip(squares, totals))
 
@@ -568,8 +507,8 @@ def family_norms(kind: str, q: int) -> tuple[int, int]:
 # q <= 16.
 _NORM_CHUNK_BYTES = 1 << 23
 # Bytes class_sum_norms holds per irrep besides its chunk of rows: its row of
-# irrep_table and a class's of class_table (both built when cold) and its two
-# norms, at most 450 under tracemalloc at q = 8 to 128, rounded up.
+# the label table with the class sizes (built when cold) and its two norms,
+# at most 165 under tracemalloc at q = 8 to 128, rounded up well past that.
 _NORM_IRREP_BYTES = 768
 
 
@@ -594,11 +533,10 @@ def class_sum_norms(pr: GroupParams) -> list[tuple[int, int]]:
     anything is allocated, if ``class_sum_norms_bytes`` passes TABLE_BYTES_LIMIT.
     """
     require_budget(class_sum_norms_bytes(pr.q), f"the class-sum norms of GL2({pr.q})")
-    t, weights, step = irrep_table(pr.q), _class_weights(pr), _norm_rows(pr.q)
+    t, weights, step = label_table(pr.q), _class_weights(pr), _norm_rows(pr.q)
     norms: list[tuple[int, int]] = []
     for lo in range(0, len(t.kind), step):
-        chunk = slice(lo, lo + step)
-        norms += _norms(t.labels[chunk], char_rows(t.operands(chunk), pr), weights, pr)
+        norms += _norms(lo, char_rows(t.rows[:, lo : lo + step], pr), weights, pr)
     return norms
 
 
@@ -708,7 +646,7 @@ def _kind_sums(ops: np.ndarray, codes: np.ndarray, pr: GroupParams) -> Iterator[
     cells = kind[codes] @ np.array([16, 4, 1])
     order = np.argsort(cells, kind="stable")
     step = max(1, _COORD_BYTES // (8 * euler_phi(pr.rs)))
-    sizes = class_table(pr.q).sizes
+    sizes = label_table(pr.q).sizes
     for group in np.split(order, np.flatnonzero(np.diff(cells[order])) + 1):
         k1, k2, k3 = kind[codes[group[0]]].tolist()
         for lo in range(0, len(group), step):

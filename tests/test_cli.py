@@ -18,7 +18,6 @@ from gl2rep.gl2 import (
     TABLE_BYTES_LIMIT,
     GL2Irrep,
     char_value,
-    class_table,
     enumerate_classes,
     enumerate_irreps,
     label_bytes,
@@ -190,34 +189,38 @@ def test_chartable_builds_no_cyclotomic(monkeypatch):
 def test_the_label_columns_are_the_labels_of_the_objects(q):
     # classes, irreps and chartable read these columns in place of label() and dual()
     pr = params(q)
-    assert class_table(q).labels == tuple(c.label() for c in enumerate_classes(pr))
-    t, irreps = tensor.irrep_table(q), enumerate_irreps(pr)
-    assert t.labels.tolist() == [pi.label() for pi in irreps]
-    assert t.duals.tolist() == [pi.dual().label() for pi in irreps]
+    t, irreps = gl2.label_table(q), enumerate_irreps(pr)
+    assert t.class_labels.tolist() == [c.label() for c in enumerate_classes(pr)]
+    assert t.irrep_labels.tolist() == [pi.label() for pi in irreps]
+    assert t.irrep_labels[t.dual].tolist() == [pi.dual().label() for pi in irreps]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
 def test_the_label_tables_round_trip_through_the_parsers(q):
-    # both tables are built from label_arrays alone: every label parses back
-    # to itself, in strictly rising sort_key order, at the row that position
-    # computes from its kind and data, and an irrep's row is its operand
+    # the label texts of both families are built from the rows of
+    # label_arrays alone: every label parses back to itself, in strictly
+    # rising sort_key order, at the row that position computes from its kind
+    # and data, which is the row the table builds its object from, and an
+    # irrep's row is its operand
     pr = params(q)
-    t, c = tensor.irrep_table(q), class_table(q)
-    for labels, parse in ((t.labels.tolist(), parse_irrep), (list(c.labels), parse_class)):
+    t = gl2.label_table(q)
+    for labels, parse in ((t.irrep_labels.tolist(), parse_irrep), (t.class_labels.tolist(), parse_class)):
         parsed = [parse(label, pr) for label in labels]
         assert [x.label() for x in parsed] == labels
         keys = [x.sort_key() for x in parsed]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert [gl2.position(x, pr) for x in parsed] == list(range(len(labels)))
-    irreps = [parse_irrep(label, pr) for label in t.labels]
-    assert np.array_equal(gl2.operands(irreps, pr), np.stack(t.operands()))
-    assert t.duals.tolist() == [pi.dual().label() for pi in irreps]
+        assert [t.label(type(x), k) for k, x in enumerate(parsed)] == parsed
+    irreps = [parse_irrep(label, pr) for label in t.irrep_labels]
+    assert np.array_equal(gl2.operands(irreps, pr), t.rows)
+    assert t.irrep_labels[t.dual].tolist() == [pi.dual().label() for pi in irreps]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_the_encoded_labels_are_their_json_text(q):
-    t = tensor.irrep_table(q)
-    assert t.encoded.tolist() == [json.dumps(label) for label in t.labels]
+    t = gl2.label_table(q)
+    assert t.irrep_json.tolist() == [json.dumps(label) for label in t.irrep_labels]
+    assert t.class_json.tolist() == [json.dumps(label) for label in t.class_labels]
 
 
 def _count_labels(monkeypatch) -> list[str]:
@@ -234,9 +237,8 @@ def _count_labels(monkeypatch) -> list[str]:
 
 
 def _run_cold(argv):
-    """_run with the per-q label tables cleared, as in one CLI run."""
-    gl2.class_table.cache_clear()
-    tensor.irrep_table.cache_clear()
+    """_run with the per-q label table cleared, as in one CLI run."""
+    gl2.label_table.cache_clear()
     return _run(argv)
 
 
@@ -273,6 +275,32 @@ def test_tensor_and_gelfand_build_at_most_the_labels_they_print(argv, monkeypatc
         built.clear()
         assert _run_cold([*argv, "--format", fmt])[0] == 0
         assert len(built) <= printed, fmt
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tensor", "--q", "64", "--left", "X:1", "--right", "X:3"], ["sl3-restrict", "--q", "64", "--pi", "piQS", "--to", "U:0"]],
+    ids=["tensor", "sl3-restrict"],
+)
+def test_tensor_and_sl3_restrict_render_no_label_text(argv, monkeypatch):
+    # each label they print is rendered from its own label object; the label
+    # text of a family is rendered only by a command that reads it
+    rendered = []
+    real = gl2.label_texts
+
+    def counting(kinds, rows):
+        rendered.append(rows.shape[1])
+        return real(kinds, rows)
+
+    for module in (gl2, tensor, sl3, cli):
+        if getattr(module, "label_texts", None) is real:
+            monkeypatch.setattr(module, "label_texts", counting)
+    for fmt in ("text", "json", "csv"):
+        rendered.clear()
+        assert _run_cold([*argv, "--format", fmt])[0] == 0
+        assert rendered == [], fmt
+        kept = {"irrep_labels", "irrep_json", "class_labels", "class_json"} & vars(gl2.label_table(64)).keys()
+        assert kept == set(), fmt
 
 
 def test_a_second_chartable_in_one_interpreter_gives_the_same_bytes():
@@ -328,8 +356,7 @@ def test_the_label_budget_is_at_least_what_a_label_command_holds(argv):
     run(["classes", "--q", "2"], out=io.StringIO())
     for fmt in ("text", "json", "csv"):
         # cold per-q caches, as in one CLI run
-        for cache in (gl2.class_table, tensor.irrep_table):
-            cache.cache_clear()
+        gl2.label_table.cache_clear()
         tracemalloc.start()
         try:
             code, _ = _run([*argv, "--q", "32", "--format", fmt])
@@ -389,8 +416,8 @@ def test_the_chartable_budget_is_at_least_the_traced_peak(q):
     # json at q = 25 writes 607 MB, about 1 s to hash alone: it runs at 9 and 16
     for fmt in ("text", "csv", "json") if q < 25 else ("text", "csv"):
         # cold per-q caches, as in one CLI run
-        for cache in (gl2.class_table, tensor.irrep_table, cyclotomic._power_table,
-                      cyclotomic._cyclotomic_polynomial, cyclotomic._crt_order):
+        for cache in (gl2.label_table, cyclotomic._power_table, cyclotomic._cyclotomic_polynomial,
+                      cyclotomic._crt_order):
             cache.cache_clear()
         tracemalloc.start()
         try:
@@ -430,14 +457,30 @@ def test_a_write_block_of_one_row_gives_the_same_bytes(monkeypatch):
         assert run(argv, out=log) == code
         assert "".join(log.writes) == text
         if argv[-1] == "text":
-            # the header, then one line per row, then induct's count line
-            assert all(w.count("\n") == 1 for w in log.writes)
+            # the header, then each row a column at a time, its newline
+            # written last, then induct's count line: no write holds two lines
+            assert all(w.count("\n") <= 1 for w in log.writes)
+            assert len(log.writes) > text.count("\n")
         else:
             # one flat record per write, after "[\n" or ",\n"
             payload = json.loads(text)
             records = payload["constituents"] if argv[0] == "induct" else payload
             blocks = [w for w in log.writes if w.startswith(("[\n", ",\n"))]
             assert len(blocks) == len(records) and all(w.count("{") == 1 for w in blocks)
+
+
+def test_a_row_written_in_column_groups_drops_only_the_trailing_blanks_of_the_whole_row(monkeypatch):
+    # blank cells inside a row keep their padding, and a row whose last
+    # groups are all blank loses them as rstrip would the whole row
+    names = ["a", "b", "c", "d"]
+    columns = [["x", "", "y"], ["", "", "z"], ["long value", "", ""], ["", "", ""]]
+    want = io.StringIO()
+    cli._emit(names, columns, "text", want)
+    monkeypatch.setattr(cli, "WRITE_BYTES", 1)
+    log = _WriteLog()
+    cli._emit(names, columns, "text", log)
+    assert "".join(log.writes) == want.getvalue()
+    assert want.getvalue().splitlines() == ["a  b  c           d", "x     long value", "", "y  z"]
 
 
 def test_chartable_csv_labels_round_trip():

@@ -27,12 +27,12 @@ from gl2rep.gl2 import (
     class_inner_products,
     class_sum,
     class_sum_slices,
-    class_table,
     enumerate_classes,
     enumerate_irreps,
     exact_sums,
     int64_bound,
     label_bytes,
+    label_table,
     operands,
     params,
     parse_class,
@@ -203,7 +203,7 @@ def test_the_int64_bound_of_unit_rows_counts_the_classes():
     pr = params(3)
     unit = char_rows(operands([GL2Irrep.U(pr, 0)], pr), pr)
     assert int64_bound(np.ones(pr.rs, dtype=np.int64), unit, None, None) == pr.rs
-    sizes = class_table(3).sizes
+    sizes = label_table(3).sizes
     assert int64_bound(sizes, None, unit, None) == pr.order
 
 
@@ -253,7 +253,7 @@ def test_a_non_integral_sum_at_a_composite_rs_prints_power_basis_coordinates():
 def test_class_sum_refuses_a_sum_that_could_leave_int64_before_allocating():
     pr = params(3)
     rows = [char_rows(operands([pi], pr), pr) for pi in enumerate_irreps(pr)[-3:]]
-    assert int64_bound(class_table(3).sizes, *rows) < 2**62
+    assert int64_bound(label_table(3).sizes, *rows) < 2**62
     huge = np.full(pr.rs, 2**58, dtype=np.int64)
     assert int64_bound(huge, *rows) >= 2**62
     # a batch of 10^9 entries, as broadcast views that hold no memory

@@ -69,6 +69,13 @@ def test_only_gl2_names_the_class_sum_slices():
     assert found == {"gl2"}
 
 
+def test_only_gl2_names_label_texts():
+    # the label text of either family is rendered by gl2's label table the
+    # first time it is read, and kept there; no other module renders a column
+    found = {path.stem for path in SOURCES if _names(ast.parse(path.read_text(), str(path)), "label_texts")}
+    assert found == {"gl2"}
+
+
 def test_only_the_oracle_enumerates_and_classifies_matrices():
     # harmonic reads GL2(q)'s elements and their classes from the oracle's context
     for name in ("enumerate_gl2", "classify_element"):
@@ -118,13 +125,12 @@ ALLOWED_CACHES = {
     "cyclotomic._cyclotomic_polynomial",
     "cyclotomic._crt_order",
     "cyclotomic._power_table",
-    "gl2.class_table",
+    "gl2.label_table",
     "gl2.params",
     "harmonic.pair_context",
     "oracle._context",
     "oracle._eigenvalue",
     "oracle.tower_for",
-    "tensor.irrep_table",
 }
 
 

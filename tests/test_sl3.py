@@ -26,6 +26,7 @@ from gl2rep.sl3 import (
     sl3_char_value,
     sl3_rows,
     witness_bytes,
+    witness_irrep,
     witness_no_gelfand,
     witness_report,
 )
@@ -140,6 +141,27 @@ def test_w_witness_values():
         tau = GL2Irrep.W(pr, a, b)
         pi, m = witness_no_gelfand(tau, pr)
         assert m == expected == expected_witness_mult(tau, pr)
+
+
+PRIME_POWERS_TO_64 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64)
+
+
+def _first_admissible_shift(tau, pr):
+    """The reference: the first u = b - 2a + c r (mod rs), c = 0, 1, ..., s - 1, that is not 0 mod s."""
+    a, b = tau.data
+    return next(u for c in range(pr.s) if (u := (b - 2 * a + c * pr.r) % pr.rs) % pr.s)
+
+
+def test_the_w_witness_is_the_first_admissible_shift():
+    # the closed form against the loop it replaces, at every W irrep of every prime power q <= 64
+    count = 0
+    for q in PRIME_POWERS_TO_64:
+        pr = params(q)
+        for tau in enumerate_irreps(pr):
+            if tau.kind == "W":
+                assert witness_irrep(tau, pr) == SL3Irrep.RT(pr, _first_admissible_shift(tau, pr)), tau
+                count += 1
+    assert count == 13809
 
 
 def test_witness_q4_steinberg():

@@ -114,8 +114,8 @@ def _reference_cube(q):
 
 def _kernel_on(pr, positions):
     """mult_closed_array on triples of positions in canonical order, a (3, n) array."""
-    t = tensor.irrep_table(pr.q)
-    return tensor.mult_closed_array(pr, *((t.kind[p], t.d0[p], t.d1[p]) for p in positions))
+    t = gl2.label_table(pr.q)
+    return tensor.mult_closed_array(pr, *(t.rows[:, p] for p in positions))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -160,7 +160,7 @@ def test_the_ind_sweep_at_q_256_stays_within_the_kernel_budget():
     # visits about 16.8 million candidate pairs
     pr = params(256)
     assert tensor.ind_sweep_bytes(pr) <= tensor._KERNEL_BYTES
-    assert tensor._sweep_rows(pr) < len(tensor.irrep_table(256).labels)
+    assert tensor._sweep_rows(pr) < len(gl2.label_table(256).kind)
 
 
 def test_tensor_with_one_dimensional_twists():
@@ -370,11 +370,11 @@ def test_norm_test_equals_the_mult_closed_sweep(q):
 def _column_sum_weights(pr):
     """|c| * S(c)^2 with S(c) the column sums of the character table, taken
     through class_sum: the reference of the closed form."""
-    cols = gl2.columns(gl2.char_rows(gl2.label_arrays(pr), pr))
+    cols = gl2.columns(gl2.char_rows(gl2.label_table(pr.q).rows, pr))
     every = np.arange(cols[0].rows)
     coords = gl2.class_sum(pr.rs, [1] * cols[0].length, cols, None, None, (every, None, None))
     assert not coords[:, 1:].any()
-    return [size * s * s for size, s in zip(gl2.class_table(pr.q).sizes.tolist(), coords[:, 0].tolist())]
+    return [size * s * s for size, s in zip(gl2.label_table(pr.q).sizes.tolist(), coords[:, 0].tolist())]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
@@ -459,7 +459,7 @@ def test_the_gelfand_budget_is_at_least_the_traced_peak(q):
     irreps = enumerate_irreps(pr)
     cyclotomic._crt_order.cache_clear()
     cyclotomic._power_table.cache_clear()
-    gl2.class_table.cache_clear()
+    gl2.label_table.cache_clear()
     tracemalloc.start()
     try:
         gl2.char_rows(tensor.operands(irreps, pr), pr)
@@ -482,7 +482,7 @@ def _corrupt(monkeypatch, module, irrep, cls, change):
 
     def char_rows(ops, pr):
         rows = list(real(ops, pr))
-        at = gl2.class_table(pr.q).labels.index(cls)
+        at = gl2.label_table(pr.q).class_labels.tolist().index(cls)
         k = 0
         while at >= rows[k].length:
             at -= rows[k].length
@@ -733,7 +733,7 @@ def test_a_non_integral_class_sum_at_a_composite_rs_prints_power_basis_coordinat
     want = _reference_numerators(pr, [(u, x, x)])[0].coords_at(pr.rs)
     assert want == [12, -12, -12, 24, -12, 12, 0, 0]
     rows = tensor.char_rows(tensor.operands([u, x, x], pr), pr)
-    assert tensor.class_sum(pr.rs, gl2.class_table(4).sizes, rows, rows, rows, ([0], [1], [2]))[0].tolist() != want
+    assert tensor.class_sum(pr.rs, gl2.label_table(4).sizes, rows, rows, rows, ([0], [1], [2]))[0].tolist() != want
     text = f"class sum for [U:1 x X:1 : X:1] has power-basis coordinates {want}, not a rational integer"
     with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
         mult_sum(u, x, x, pr)
@@ -799,8 +799,7 @@ def test_the_agreement_chunk_budget_is_at_least_the_traced_peak(q, count):
     assert (in_chunk == swept) == (q <= 9)
     held = in_chunk * tensor._CHUNK_TRIPLE_BYTES + gl2.build_bytes(q, min(3 * in_chunk, q * q - 1))
     assert held <= tensor._agreement_bytes(q) <= tensor._CHUNK_BYTES + tensor._ROWS_BYTES
-    for cache in (gl2.class_table, tensor.irrep_table, cyclotomic._power_table,
-                  cyclotomic._cyclotomic_polynomial, cyclotomic._crt_order):
+    for cache in (gl2.label_table, cyclotomic._power_table, cyclotomic._cyclotomic_polynomial, cyclotomic._crt_order):
         cache.cache_clear()
     tracemalloc.start()
     try:
