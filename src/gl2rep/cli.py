@@ -46,6 +46,8 @@ def _write_json(payload, out, indent: int | None = None) -> None:
 # Bytes of text per write of a table or a list of JSON records: a block of
 # rows and their join hold about twice this.
 WRITE_BYTES = 1 << 16
+# Rows per block of csv, which reads an int array as text a block at a time.
+CSV_ROWS = 1 << 12
 
 
 def _blocks(columns: list[list], width: int):
@@ -73,20 +75,24 @@ def _write_records(out, names: list[str], columns: list[list[str]], depth: int) 
 
 def _emit(names: list[str], columns: list, fmt: str, out) -> None:
     """A table given by its column names and one list or array of values per
-    column.  An int array is read as the str of its ints (``_int_texts``).  Text
-    and json read each column as str, one not all of str converted once: in
-    json a column of str is JSON text already (a label table's ``irrep_json``
-    or ``class_json``), and any other is encoded value by value.  Text
-    fills one template of ``%-{width}s`` fields, a row wider than WRITE_BYTES a
-    group of its columns at a time."""
-    columns = [_int_texts(col) if isinstance(col, np.ndarray) and col.dtype.kind in "iu" else col for col in columns]
+    column.  An int array is read as the str of its ints (``_int_texts``), in
+    csv a block of CSV_ROWS at a time, and csv writes any other value as it is.
+    Text and json read each column as str by its type, not value by value: any
+    other array as text already (in json a label table's ``irrep_json`` or
+    ``class_json``), a list by str or json.dumps.  Text fills one template of
+    ``%-{width}s`` fields, a row wider than WRITE_BYTES a group of its columns
+    at a time."""
+    ints = [isinstance(col, np.ndarray) and col.dtype.kind in "iu" for col in columns]
     if fmt == "csv":
         writer = csv.writer(out)
         writer.writerow(names)
-        writer.writerows(zip(*columns))
+        for lo in range(0, len(columns[0]), CSV_ROWS):
+            block = [col[lo : lo + CSV_ROWS] for col in columns]
+            writer.writerows(zip(*(_int_texts(b) if i else b for b, i in zip(block, ints))))
         return
+    columns = [_int_texts(col) if i else col for col, i in zip(columns, ints)]
     convert = str if fmt == "text" else json.dumps
-    columns = [col if all(isinstance(v, str) for v in col) else list(map(convert, col)) for col in columns]
+    columns = [col if isinstance(col, np.ndarray) else list(map(convert, col)) for col in columns]
     if fmt == "json":
         _write_records(out, names, columns, 0)
         out.write("\n")
@@ -258,7 +264,7 @@ def cmd_chartable(args, out) -> int:
         out.write("\n  ]\n}\n")
     else:
         names = ["irrep", *t.class_labels.tolist()]
-        _emit(names, [t.irrep_labels.tolist(), *(texts[col].tolist() for col in ids.T)], args.format, out)
+        _emit(names, [t.irrep_labels, *(texts[col] for col in ids.T)], args.format, out)
     return 0
 
 
@@ -305,9 +311,9 @@ def cmd_induct(args, out) -> int:
 
 def cmd_gelfand(args, out) -> int:
     t = label_table(args.q)
-    labels = t.irrep_labels[np.isin(t.kind, tensor.gelfand_kinds(args.q))].tolist()
+    labels = t.texts(gl2.GL2Irrep, np.isin(t.kind, tensor.gelfand_kinds(args.q)))
     if args.format == "json":
-        _write_json({"q": args.q, "gelfand": labels}, out)
+        _write_json({"q": args.q, "gelfand": labels.tolist()}, out)
     else:
         _emit(["irrep"], [labels], args.format, out)
     return 0
@@ -364,21 +370,14 @@ def _suite_orthogonality(q: int, seed: int) -> dict:
 
 
 def _suite_tensor_agree(q: int, seed: int) -> dict:
-    pr = params(q)
-    if q <= EXHAUSTIVE_TENSOR_MAX_Q:
-        triples = tensor.all_triples(pr)
-        mode = "exhaustive"
-        count = (q * q - 1) ** 3
-    else:
-        triples = tensor.sample_triples(pr, SAMPLED_TRIPLES, seed)
-        mode = f"sampled:{SAMPLED_TRIPLES}"
-        count = SAMPLED_TRIPLES
+    pr, exhaustive = params(q), q <= EXHAUSTIVE_TENSOR_MAX_Q
+    triples = None if exhaustive else tensor.sample_positions(pr, SAMPLED_TRIPLES, seed)
     bad = tensor.verify_agreement(pr, triples, stop_after=5)
     return {
         "check": "tensor-agree",
         "q": q,
-        "mode": mode,
-        "triples": count,
+        "mode": "exhaustive" if exhaustive else f"sampled:{SAMPLED_TRIPLES}",
+        "triples": (q * q - 1) ** 3 if exhaustive else SAMPLED_TRIPLES,
         "pass": not bad,
         "disagreements": [d.as_json() for d in bad],
     }

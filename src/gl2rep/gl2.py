@@ -269,6 +269,10 @@ class LabelTable:
         """The GL2Irrep or GL2Class at this position, built from its row."""
         return from_row(family, self.pr.q, *map(int, self.rows[:, at]))
 
+    def texts(self, family: type[_GL2Label], at) -> np.ndarray:
+        """The label text of the GL2Irrep or GL2Class at these positions, not kept."""
+        return label_texts(family.KINDS, self.rows[:, at])
+
     @cached_property
     def sizes(self) -> np.ndarray:
         q, r, s = self.pr.q, self.pr.r, self.pr.s

@@ -32,18 +32,18 @@ Two independent evaluation routes are provided:
 
 ``mult_sum`` is authoritative: any disagreement is surfaced as a
 structured report naming the offending cell, never patched over.
-``verify_agreement`` compares the two routes over any iterable of triples.
-It reads the triples in chunks sized from q by two byte budgets, one for
-the triples and one for the character rows of their irreps, and a chunk
-keeps per triple only its irreps' positions, its class sum reduced to
-coordinate 0 and whether it is a rational integer, and its indicator value.
-Per chunk it batches the class sums, one ``gl2.class_sum`` call per kind
-triple whose coordinates are reduced as they arrive, and the indicator
-values, one kernel call, both from operands read once; then it walks the
-triples that fail a check in order, so reports, errors and ``stop_after``
-follow the order of the triples.  A sum that is not a rational integer
-multiple of |G| is taken again for its triple alone, whose NonIntegral
-prints its coordinates.
+``verify_agreement`` compares the two routes over an (m, 3) int array of
+label_table positions (``sample_positions`` draws one), or every triple.
+It reads them in chunks sized from q by two byte budgets, one for the
+triples and one for the character rows of their irreps; per triple a chunk
+keeps its positions, its class sum reduced to coordinate 0 and whether it
+is a rational integer, and its indicator value.  Per chunk it batches the
+class sums, one ``gl2.class_sum`` call per width triple (U and V share a
+stack), reduced as they arrive, and the indicator values, one kernel call,
+both from operands read off the table once; then it walks the triples that
+fail a check in order, so reports, errors and ``stop_after`` follow their
+order.  A sum that is not a rational integer multiple of |G| is taken
+again for its triple alone, whose NonIntegral prints its coordinates.
 
 The sweeps read the irreps by position from ``gl2.label_table(q)``: their
 operands, dimensions and omega buckets.  A ``GL2Irrep`` is built from its
@@ -77,8 +77,8 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import asdict, dataclass
-from itertools import chain, islice, product
-from typing import Iterable, Iterator
+from itertools import product
+from typing import Iterator
 
 import numpy as np
 
@@ -109,20 +109,21 @@ from .gl2 import (
     table_bytes,
 )
 
-# A verify_agreement chunk holds, per triple, its irrep positions (24 bytes),
-# its indicator value, class-sum coordinate 0 and integrality (17) and its
-# place in the grouping by kind triple (24), and, at the kernel call, its
-# three operands (72): at most 104 bytes, rounded up to _CHUNK_TRIPLE_BYTES.
-# Beside them it holds the character rows of the chunk's distinct irreps,
-# stacked per kind for the class sums: at most build_bytes of their count.
+# A verify_agreement chunk holds, per triple, its positions (24 bytes), their
+# places among its distinct irreps (24), its indicator value, class-sum
+# coordinate 0 and integrality (17) and its place in the grouping by width
+# triple (16), and, at the kernel call, its three operands (72): at most 128
+# bytes, _CHUNK_TRIPLE_BYTES (np.unique, finding the places, holds 123 more
+# but no rows or slice).  Beside them it holds the character rows of the
+# chunk's distinct irreps, stacked per width: build_bytes of their count.
 # A chunk is 16 384 triples (_CHUNK_BYTES of them) while the rows of every
 # irrep fit _ROWS_BYTES, at q <= 32, so every default tensor-agree sweep at
 # q <= 9 is one chunk; past that, as many as bring at most three new rows
 # each within _ROWS_BYTES (136 at q = 64, 33 at q = 128).  Besides the chunk,
 # one kernel slice (_KERNEL_BYTES) or one class_sum slice (SLICE_BYTES) of
 # scratch with the coordinates of one class_sum call, at most _COORD_BYTES.
-# Traced from cold per-q caches, the peak is at most 55 bytes per triple over
-# one class_sum slice at q = 4 to 9 (all triples, or 10 000 sampled), 2.64 MB
+# Traced from cold per-q caches, the peak is at most 82 bytes per triple over
+# one class_sum slice at q = 4 to 9 (all triples, or 10 000 sampled), 2.91 MB
 # at q = 9, and half of _agreement_bytes at q = 49 and 64.
 _CHUNK_BYTES = 1 << 21
 _CHUNK_TRIPLE_BYTES = 128
@@ -590,80 +591,71 @@ class Disagreement:
         return asdict(self)
 
 
-def _disagreement(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, closed: int, sums: int, pr: GroupParams) -> Disagreement:
-    return Disagreement(
-        q=pr.q,
-        cell=cell_name(pi1, pi2, pi3),
-        left=pi1.label(),
-        right=pi2.label(),
-        target=pi3.label(),
-        closed=closed,
-        class_sum=sums,
-    )
-
-
 def all_triples(pr: GroupParams) -> Iterator[tuple[GL2Irrep, GL2Irrep, GL2Irrep]]:
-    irreps = enumerate_irreps(pr)
-    for pi1 in irreps:
-        for pi2 in irreps:
-            for pi3 in irreps:
-                yield pi1, pi2, pi3
+    return product(enumerate_irreps(pr), repeat=3)
+
+
+def sample_positions(pr: GroupParams, count: int, seed: int) -> np.ndarray:
+    """A (count, 3) array of label_table positions: the triples that
+    ``random.Random(seed).choice`` draws over the q^2 - 1 irreps, three a triple.
+
+    choice over n labels takes getrandbits(k), k = n.bit_length(), until one
+    is below n, and getrandbits(k <= 32) is the top k bits of the next 32-bit
+    word of the stream that getrandbits(32 m) returns little end first."""
+    rng, n = random.Random(seed), pr.q * pr.q - 1
+    k, kept, need = n.bit_length(), [np.zeros(0, dtype=np.uint32)], 3 * count
+    while need:
+        # about as many words as keep ``need``, and more while too few are kept
+        words = (need << k) // n + 1
+        drawn = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), "<u4") >> (32 - k)
+        kept.append(drawn[drawn < n][:need])
+        need -= len(kept[-1])
+    return np.concatenate(kept).astype(np.intp).reshape(count, 3)
 
 
 def sample_triples(pr: GroupParams, count: int, seed: int) -> Iterator[tuple[GL2Irrep, GL2Irrep, GL2Irrep]]:
-    rng = random.Random(seed)
-    irreps = enumerate_irreps(pr)
-    for _ in range(count):
-        yield rng.choice(irreps), rng.choice(irreps), rng.choice(irreps)
-
-
-def _positions(triples: Iterable[tuple[GL2Irrep, GL2Irrep, GL2Irrep]]) -> tuple[list[GL2Irrep], np.ndarray]:
-    """The distinct irreps of some triples, and a (triples, 3) array of each
-    triple's positions among them; the triples themselves are not kept."""
-    flat = list(chain.from_iterable(triples))
-    # labels are told apart by object, not by value: an equal label in another
-    # object only repeats an entry
-    first, codes = np.unique(np.fromiter(map(id, flat), np.int64, len(flat)), return_index=True, return_inverse=True)[1:]
-    return [flat[i] for i in first.tolist()], codes.reshape(-1, 3)
+    """The labels of ``sample_positions``."""
+    return (tuple(_irrep(k, pr) for k in at) for at in sample_positions(pr, count, seed).tolist())
 
 
 def _kind_sums(ops: np.ndarray, codes: np.ndarray, pr: GroupParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The mult_sum_numerator of the triples ``_positions`` gives, kind triple
-    by kind triple (``ops`` holds the operands of its irreps): pairs (at,
-    coords) of their rising positions and their (len(at), phi(rs))
-    tensor-basis coordinates.
+    """The mult_sum_numerator of some triples, width triple by width triple:
+    pairs (at, coords) of their rising positions among the triples and their
+    (len(at), phi(rs)) tensor-basis coordinates.  ``ops`` holds the operands
+    of their distinct irreps and ``codes`` each triple's three places in it.
 
-    The irreps of each kind are stacked once, and each kind triple makes one
-    class_sum call, cut only where its coordinates would pass _COORD_BYTES.
+    The irreps are stacked once per term width, U and V in one stack (their
+    rows are as wide in every class block but c2, where V's zero entries are
+    padded), so a chunk makes one class_sum call per width triple, at most
+    27, cut only where its coordinates would pass _COORD_BYTES.
     """
-    kind = ops[0]
-    position = np.zeros(len(kind), dtype=np.intp)
+    width = np.maximum(ops[0] - V, 0)
+    position = np.zeros(len(width), dtype=np.intp)
     stacks = {}
-    for k in np.unique(kind).tolist():
-        members = np.flatnonzero(kind == k)
+    for k in np.unique(width).tolist():
+        members = np.flatnonzero(width == k)
         position[members] = np.arange(len(members))
         stacks[k] = char_rows(ops[:, members], pr)
-    cells = kind[codes] @ np.array([16, 4, 1])
+    cells = width[codes] @ np.array([9, 3, 1])
     order = np.argsort(cells, kind="stable")
     step = max(1, _COORD_BYTES // (8 * euler_phi(pr.rs)))
     sizes = label_table(pr.q).sizes
     for group in np.split(order, np.flatnonzero(np.diff(cells[order])) + 1):
-        k1, k2, k3 = kind[codes[group[0]]].tolist()
+        k1, k2, k3 = width[codes[group[0]]].tolist()
         for lo in range(0, len(group), step):
             at = group[lo : lo + step]
             yield at, class_sum(pr.rs, sizes, stacks[k1], stacks[k2], stacks[k3], position[codes[at]].T)
 
 
-def _flagged(triples: Iterable[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupParams) -> list | None:
-    """The triples of a chunk that fail a check, in order, each with its
-    mult_closed value and its class sum's coordinate 0, None when the sum is
-    not a rational integer; None for an empty chunk.  The distinct irreps are
-    read as operands once, for one kernel call and for the class sums' stacks.
+def _flagged(chunk: np.ndarray, pr: GroupParams) -> list[tuple[list[int], int, int | None]]:
+    """The triples of a chunk, an (m, 3) array of label_table positions, that
+    fail a check, in order: each its positions with its mult_closed value and
+    its class sum's coordinate 0, None when the sum is not a rational integer.
+    The distinct irreps are read as operands once, off the table's rows, for
+    one kernel call and for the class sums' stacks.
     """
-    irreps, codes = _positions(triples)
-    if not len(codes):
-        return None
-    ops = operands(irreps, pr)
+    present, codes = np.unique(chunk, return_inverse=True)
+    ops, codes = label_table(pr.q).rows[:, present], codes.reshape(-1, 3)
     closed = mult_closed_array(pr, *(ops[:, codes[:, k]] for k in range(3)))
     total = np.empty(len(codes), dtype=np.int64)
     integral = np.empty(len(codes), dtype=bool)
@@ -671,7 +663,7 @@ def _flagged(triples: Iterable[tuple[GL2Irrep, GL2Irrep, GL2Irrep]], pr: GroupPa
         total[at], integral[at] = coords[:, 0], ~coords[:, 1:].any(axis=1)
     flagged = (closed < 0) | ~integral | (total % pr.order != 0) | (closed != total // pr.order)
     return [
-        (tuple(irreps[k] for k in codes[i].tolist()), int(closed[i]), int(total[i]) if integral[i] else None)
+        (chunk[i].tolist(), int(closed[i]), int(total[i]) if integral[i] else None)
         for i in np.flatnonzero(flagged).tolist()
     ]
 
@@ -694,32 +686,42 @@ def _agreement_bytes(q: int) -> int:
 
 def verify_agreement(
     pr: GroupParams,
-    triples: Iterable[tuple[GL2Irrep, GL2Irrep, GL2Irrep]] | None = None,
+    triples: np.ndarray | None = None,
     stop_after: int | None = 10,
 ) -> list[Disagreement]:
     """Compare mult_closed against mult_sum; returns all disagreements found.
 
-    The triples are read in chunks of a byte budget (``_agreement_bytes``),
-    never all at once: the class sums of a chunk are batched per kind triple
-    and reduced as they arrive, and its indicator values taken in one kernel
-    call (``_flagged``).  The triples that fail a check are then walked in
-    order, so reports, errors and ``stop_after`` follow iteration order, as a
-    triple-by-triple loop would.  BudgetExceeded is raised, before anything
-    is allocated, if a chunk could pass TABLE_BYTES_LIMIT.
+    The triples are an (m, 3) array of label_table positions, or None for all
+    of them in canonical order, a chunk of flat indices at a time.  Chunks of
+    a byte budget (``_agreement_bytes``) batch their class sums per width
+    triple, reduced as they arrive, and their indicator values in one kernel
+    call (``_flagged``); the triples that fail a check are then walked in
+    order, so reports, errors and ``stop_after`` follow iteration order, and
+    a GL2Irrep is built only for them.  BudgetExceeded is raised, before
+    anything is allocated, if a chunk could pass TABLE_BYTES_LIMIT.
     """
     require_budget(_agreement_bytes(pr.q), f"a tensor-agree chunk of GL2({pr.q})")
-    triples = iter(all_triples(pr) if triples is None else triples)
-    size = _chunk_triples(pr.q)
+    size, n = _chunk_triples(pr.q), pr.q * pr.q - 1
+    if triples is not None:
+        triples = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
+        if triples.size and not 0 <= triples.min() <= triples.max() < n:
+            raise GL2RepError(f"a tensor-agree triple holds a position outside range({n}) at q={pr.q}")
     bad: list[Disagreement] = []
-    while (flagged := _flagged(islice(triples, size), pr)) is not None:
-        for (pi1, pi2, pi3), closed, total in flagged:
+    for lo in range(0, n**3 if triples is None else len(triples), size):
+        if triples is None:
+            chunk = np.stack(np.unravel_index(np.arange(lo, min(lo + size, n**3)), (n, n, n)), axis=1)
+        else:
+            chunk = triples[lo : lo + size]
+        for at, closed, total in _flagged(chunk, pr):
+            pi1, pi2, pi3 = (_irrep(k, pr) for k in at)
             if closed < 0:
                 raise _negative(pi1, pi2, pi3, closed, pr)
             if total is None or total % pr.order:
                 # the triple's class sum again, alone: NonIntegral with its power-basis coordinates
                 mult_sum(pi1, pi2, pi3, pr)
                 raise GL2RepError(f"{_what(pi1, pi2, pi3)} is exact alone but not in its chunk's batch")
-            bad.append(_disagreement(pi1, pi2, pi3, closed, total // pr.order, pr))
+            left, right, target = (pi.label() for pi in (pi1, pi2, pi3))
+            bad.append(Disagreement(pr.q, cell_name(pi1, pi2, pi3), left, right, target, closed, total // pr.order))
             if stop_after is not None and len(bad) >= stop_after:
                 return bad
     return bad

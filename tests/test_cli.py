@@ -277,6 +277,43 @@ def test_tensor_and_gelfand_build_at_most_the_labels_they_print(argv, monkeypatc
         assert len(built) <= printed, fmt
 
 
+def test_a_passing_tensor_agree_builds_no_label_object(monkeypatch):
+    # all 3375 triples at q = 4 and 10 000 sampled at q = 7, read as positions
+    built = _count_labels(monkeypatch)
+    code, text = _run_cold(["verify", "--suite", "tensor-agree", "--q", "4,7"])
+    assert code == 0 and text.count("PASS") >= 2
+    assert built == []
+
+
+def test_gelfand_renders_only_the_labels_it_prints(monkeypatch):
+    rendered = []
+    real = gl2.label_texts
+
+    def counting(kinds, rows, quote=""):
+        rendered.append(rows.shape[1])
+        return real(kinds, rows, quote)
+
+    monkeypatch.setattr(gl2, "label_texts", counting)
+    printed = len(json.loads(_run_cold(["gelfand", "--q", "64", "--format", "json"])[1])["gelfand"])
+    for fmt in ("text", "json", "csv"):
+        rendered.clear()
+        assert _run_cold(["gelfand", "--q", "64", "--format", fmt])[0] == 0
+        assert rendered == [printed], fmt
+
+
+def test_csv_reads_an_int_array_a_block_at_a_time(monkeypatch):
+    # text and json need the str of every int of a column for its width; csv
+    # converts one block of rows at a time and never holds the whole column
+    real, sizes = cli._int_texts, []
+    monkeypatch.setattr(cli, "_int_texts", lambda values: sizes.append(len(values)) or real(values))
+    monkeypatch.setattr(cli, "CSV_ROWS", 2)
+    out = io.StringIO()
+    labels = np.array(["U:0", "U:1", "X:1", "X:2", "X:3"], dtype=object)
+    cli._emit(["irrep", "dim"], [labels, np.array([1, 1, 40, 40, 41])], "csv", out)
+    assert out.getvalue() == "irrep,dim\r\nU:0,1\r\nU:1,1\r\nX:1,40\r\nX:2,40\r\nX:3,41\r\n"
+    assert sizes == [2, 2, 1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["tensor", "--q", "64", "--left", "X:1", "--right", "X:3"], ["sl3-restrict", "--q", "64", "--pi", "piQS", "--to", "U:0"]],

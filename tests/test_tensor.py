@@ -7,6 +7,7 @@ import random
 import re
 import tracemalloc
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gl2rep.gl2 import (
     enumerate_classes,
     enumerate_irreps,
     params,
+    position,
     terms_value,
     x_canonical,
     x_orbit_reps,
@@ -42,6 +44,7 @@ from gl2rep.tensor import (
     mult_closed,
     mult_sum,
     mult_sum_numerator,
+    sample_positions,
     sample_triples,
     verify_agreement,
 )
@@ -205,26 +208,31 @@ def test_closed_equals_sum_exhaustive_small(q):
     assert verify_agreement(pr) == []
 
 
+def _at(pr, triples):
+    """The label_table positions of triples of labels, the (m, 3) array verify_agreement reads."""
+    return np.array([[position(pi, pr) for pi in t] for t in triples], dtype=np.intp).reshape(-1, 3)
+
+
 def test_closed_equals_sum_sampled_q7():
     pr = params(7)
-    assert verify_agreement(pr, sample_triples(pr, 500, seed=42)) == []
+    assert verify_agreement(pr, _at(pr, sample_triples(pr, 500, seed=42))) == []
 
 
 def test_compare_methods_reports_cells():
     pr = params(3)
     v, w = GL2Irrep.V(pr, 0), GL2Irrep.W(pr, 0, 1)
-    assert verify_agreement(pr, [(v, w, w)]) == []
+    assert verify_agreement(pr, _at(pr, [(v, w, w)])) == []
 
 
 def _batched_coords(triples, pr):
     """The tensor-basis coordinates of the batched route of verify_agreement,
-    before it reduces them: every position is covered by exactly one kind
+    before it reduces them: every position is covered by exactly one width
     triple, in rising order."""
-    irreps, codes = tensor._positions(triples)
+    present, codes = np.unique(_at(pr, triples), return_inverse=True)
     coords = np.zeros((len(triples), euler_phi(pr.rs)), dtype=np.int64)
     seen = []
     step = max(1, tensor._COORD_BYTES // (8 * euler_phi(pr.rs)))
-    for at, part in tensor._kind_sums(tensor.operands(irreps, pr), codes, pr):
+    for at, part in tensor._kind_sums(gl2.label_table(pr.q).rows[:, present], codes.reshape(-1, 3), pr):
         assert part.shape == (len(at), euler_phi(pr.rs)) and len(at) <= step and (np.diff(at) > 0).all()
         coords[at] = part
         seen += at.tolist()
@@ -246,7 +254,7 @@ def test_a_repeated_triple_broadcasts_its_one_row_stacks(monkeypatch):
     assert want[:2] == [480, 0]
     assert [power_coords(pr.rs, x) for x in coords.tolist()] == [want] * 3
     assert mult_closed(v, v, v, pr) == 1
-    assert verify_agreement(pr, [(v, v, v)] * 3) == []
+    assert verify_agreement(pr, _at(pr, [(v, v, v)] * 3)) == []
 
 
 def test_symmetry_and_duality():
@@ -439,7 +447,7 @@ def test_the_class_sums_build_no_power_table():
     cyclotomic._power_table.cache_clear()
     tensor.class_sum_norms(pr)
     witness_report(pr)
-    assert verify_agreement(pr, sample_triples(pr, 200, seed=1)) == []
+    assert verify_agreement(pr, _at(pr, sample_triples(pr, 200, seed=1))) == []
     assert cyclotomic._power_table.cache_info().currsize == 0
 
 
@@ -621,7 +629,7 @@ def test_a_negative_kernel_value_names_the_first_negative_triple(monkeypatch):
     triples = [(*later, target), (GL2Irrep.U(pr, 0),) * 3, (*first, target)]
     left, right = sorted(later, key=lambda pi: IRREP_KINDS.index(pi.kind))
     with pytest.raises(NegativeMultiplicity, match=re.escape(f"({left.label()}, {right.label()}, X:1)")):
-        verify_agreement(pr, triples, stop_after=None)
+        verify_agreement(pr, _at(pr, triples), stop_after=None)
 
 
 def _reference_numerators(pr, triples):
@@ -679,10 +687,10 @@ def test_disagreements_follow_iteration_order(monkeypatch, chunk_bytes):
     bad = _interleaved_bad_triples(pr, triples)
     _kernel_adding(monkeypatch, 1, [triples[i] for i in bad])
     order = [tuple(pi.label() for pi in triples[i]) for i in bad]
-    got = verify_agreement(pr, iter(triples), stop_after=None)
+    got = verify_agreement(pr, _at(pr, triples), stop_after=None)
     assert [(d.left, d.right, d.target) for d in got] == order
     for k in range(1, 7):
-        got = verify_agreement(pr, iter(triples), stop_after=k)
+        got = verify_agreement(pr, _at(pr, triples), stop_after=k)
         assert [(d.left, d.right, d.target) for d in got] == order[:k]
 
 
@@ -708,9 +716,9 @@ def test_a_non_integral_class_sum_names_the_first_triple(monkeypatch):
     _kernel_adding(monkeypatch, 1, [ok2])
     triples = [ok1, ok2, bad1, ok3, bad2]
     with pytest.raises(NonIntegral, match=re.escape("[U:1 x X:1 : X:1]")):
-        verify_agreement(pr, triples, stop_after=2)
+        verify_agreement(pr, _at(pr, triples), stop_after=2)
     # stop_after is reached at ok2, before the sweep comes to bad1
-    got = verify_agreement(pr, triples, stop_after=1)
+    got = verify_agreement(pr, _at(pr, triples), stop_after=1)
     assert [(d.left, d.right, d.target) for d in got] == [("U:1", "V:0", "V:0")]
 
 
@@ -738,7 +746,7 @@ def test_a_non_integral_class_sum_at_a_composite_rs_prints_power_basis_coordinat
     with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
         mult_sum(u, x, x, pr)
     with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
-        verify_agreement(pr, [(u, u, u), (u, x, x)])
+        verify_agreement(pr, _at(pr, [(u, u, u), (u, x, x)]))
 
 
 def test_a_batch_that_differs_from_the_single_class_sum_is_an_error(monkeypatch):
@@ -756,7 +764,62 @@ def test_a_batch_that_differs_from_the_single_class_sum_is_an_error(monkeypatch)
     monkeypatch.setattr(tensor, "class_sum", shifted)
     assert mult_sum(u, x, x, pr) == mult_closed(u, x, x, pr)
     with pytest.raises(GL2RepError, match=re.escape("class sum for [U:1 x X:1 : X:1] is exact alone")):
-        verify_agreement(pr, [(u, x, x)])
+        verify_agreement(pr, _at(pr, [(u, x, x)]))
+
+
+def test_the_position_sampler_draws_what_a_choice_loop_draws(monkeypatch):
+    # one or two triples take so few words that a first draw can keep too
+    # few of them, and the sampler draws again from the same stream
+    draws = []
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            draws.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(tensor, "random", SimpleNamespace(Random=Counting))
+    again = 0
+    for q in (2, 3, 4, 7, 16):
+        n = q * q - 1
+        for seed in (0, 1, 7, 20240601):
+            for count in (0, 1, 2, 500):
+                rng = random.Random(seed)
+                want = [[rng.choice(range(n)) for _ in range(3)] for _ in range(count)]
+                draws.clear()
+                assert sample_positions(params(q), count, seed).tolist() == want, (q, seed, count)
+                again += len(draws) > 1
+    assert again
+
+
+def test_the_exhaustive_sweep_reads_every_triple_in_order_a_chunk_at_a_time(monkeypatch):
+    pr = params(3)
+    monkeypatch.setattr(tensor, "_CHUNK_BYTES", 7 * tensor._CHUNK_TRIPLE_BYTES)
+    chunks = []
+    real = tensor._flagged
+    monkeypatch.setattr(tensor, "_flagged", lambda chunk, pr: chunks.append(chunk.copy()) or real(chunk, pr))
+    assert verify_agreement(pr) == []
+    assert max(map(len, chunks)) == 7
+    assert np.concatenate(chunks).tolist() == _at(pr, all_triples(pr)).tolist()
+
+
+def test_a_position_outside_the_label_table_is_an_error():
+    pr = params(3)
+    for bad in ([[0, 0, 8]], [[-1, 0, 0]]):
+        with pytest.raises(GL2RepError, match=re.escape("position outside range(8) at q=3")):
+            verify_agreement(pr, bad)
+
+
+def test_a_chunk_makes_one_class_sum_call_per_width_triple(monkeypatch):
+    # U and V share one stack: the 64 kind triples of a sampled chunk at q = 9
+    # take one class_sum call for each of the 27 width triples
+    pr = params(9)
+    triples = sample_positions(pr, SAMPLED, seed=0)
+    assert len({tuple(k) for k in gl2.label_table(9).kind[triples].tolist()}) == 64
+    calls = []
+    real = tensor.class_sum
+    monkeypatch.setattr(tensor, "class_sum", lambda *args: calls.append(len(args[-1][0])) or real(*args))
+    assert verify_agreement(pr, triples) == []
+    assert len(calls) == 27 and sum(calls) == SAMPLED
 
 
 # sha256 of the first 10 000 triples of sample_triples, each written pi1/pi2/pi3
@@ -803,7 +866,7 @@ def test_the_agreement_chunk_budget_is_at_least_the_traced_peak(q, count):
         cache.cache_clear()
     tracemalloc.start()
     try:
-        triples = all_triples(pr) if count is None else sample_triples(pr, count, seed=0)
+        triples = None if count is None else sample_positions(pr, count, seed=0)
         assert verify_agreement(pr, triples) == []
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -831,4 +894,4 @@ def test_a_class_sum_not_divisible_by_the_group_order_names_its_triple(monkeypat
     with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
         mult_sum(u, u, u, pr)
     with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
-        verify_agreement(pr, [(GL2Irrep.V(pr, 0),) * 3, (u, u, u)])
+        verify_agreement(pr, _at(pr, [(GL2Irrep.V(pr, 0),) * 3, (u, u, u)]))
