@@ -151,8 +151,9 @@ class FieldTower:
     embed: list[int]  # F_q element -> its image in F_{q^2}
     sigma: int  # primitive in F_{q^2}, order rs
     rho: int  # primitive in F_q (as an F_q element), order r; sigma^s = embed[rho]
-    dlog_q_table: dict[int, int] = field(repr=False, default_factory=dict)
-    dlog_q2_table: dict[int, int] = field(repr=False, default_factory=dict)
+    # entry x - 1 is the exponent of the nonzero x: sigma^k = x in F_{q^2}, rho^k = x in F_q
+    dlog_q_table: np.ndarray = field(repr=False)
+    dlog_q2_table: np.ndarray = field(repr=False)
 
     @property
     def r(self) -> int:
@@ -166,13 +167,13 @@ class FieldTower:
         """Exponent k with rho^k = x, for nonzero x in F_q."""
         if x == 0:
             raise ZeroElement("dlog of zero")
-        return self.dlog_q_table[x]
+        return int(self.dlog_q_table[x - 1])
 
     def dlog_q2(self, x: int) -> int:
         """Exponent k with sigma^k = x, for nonzero x in F_{q^2}."""
         if x == 0:
             raise ZeroElement("dlog of zero")
-        return self.dlog_q2_table[x]
+        return int(self.dlog_q2_table[x - 1])
 
 
 def build_tower(p: int, ell: int) -> FieldTower:
@@ -213,19 +214,24 @@ def build_tower(p: int, ell: int) -> FieldTower:
     rho_image = gf_q2.pow(sigma, q + 1)
     rho = embed.index(rho_image)
 
-    tower = FieldTower(p=p, ell=ell, q=q, gf_q=gf_q, gf_q2=gf_q2, embed=embed, sigma=sigma, rho=rho)
-
-    x = 1
-    for k in range(q - 1):
-        tower.dlog_q_table[x] = k
-        x = gf_q.mul(x, rho)
-    y = 1
-    for k in range(rs):
-        tower.dlog_q2_table[y] = k
-        y = gf_q2.mul(y, sigma)
-    if x != 1 or y != 1:
+    dlog_q, dlog_q2 = _dlog_table(gf_q, rho, q - 1), _dlog_table(gf_q2, sigma, rs)
+    if dlog_q is None or dlog_q2 is None:
         raise GL2RepError(f"rho^{q - 1} or sigma^{rs} is not 1 in the tower for q={q}")
-    return tower
+    return FieldTower(
+        p=p, ell=ell, q=q, gf_q=gf_q, gf_q2=gf_q2, embed=embed, sigma=sigma, rho=rho,
+        dlog_q_table=dlog_q, dlog_q2_table=dlog_q2,
+    )
+
+
+def _dlog_table(gf: GF, g: int, order: int) -> np.ndarray | None:
+    """The exponent k of g^k = x at entry x - 1, for the ``order`` powers of g,
+    or None if g^order is not 1.  Entries no power reaches hold -1."""
+    table = np.full(gf.size - 1, -1, dtype=np.int64)
+    x = 1
+    for k in range(order):
+        table[x - 1] = k
+        x = gf.mul(x, g)
+    return table if x == 1 else None
 
 
 def _eval_poly(gf: GF, poly: tuple[int, ...], x: int) -> int:

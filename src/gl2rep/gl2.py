@@ -287,15 +287,27 @@ class LabelTable:
     def omega(self) -> np.ndarray:
         return _frozen(omega(*self.rows) % self.pr.r)
 
+    def find(self, kind, p0, p1) -> np.ndarray:
+        """The positions of rows (kind, p0, p1), int arrays, each given as the
+        table holds it, p0 <= p1 and X (c4) as (n, qn); GL2RepError if one is
+        not a row of the table."""
+        rs = self.pr.rs
+        # each row is its sorted pair, so (kind, p0, p1) rises in canonical order
+        rows, key = (self.kind * rs + self.p0) * rs + self.p1, (kind * rs + p0) * rs + p1
+        at = np.searchsorted(rows, key)
+        missing = rows[np.minimum(at, len(rows) - 1)] != key
+        if missing.any():
+            i = int(missing.argmax())
+            raise GL2RepError(f"({kind[i]}, {p0[i]}, {p1[i]}) is not a label row at q={self.pr.q}")
+        return at
+
     @cached_property
     def dual(self) -> np.ndarray:
-        # each row is its sorted pair, so (kind, p0, p1) rises in canonical
-        # order; the dual's pair is the negated one, mod rs for X and r otherwise
-        (kind, p0, p1), rs = self.rows, self.pr.rs
-        modulus = np.where(kind == X, rs, self.pr.r)
+        # the dual's pair is the negated one, mod rs for X and r otherwise
+        kind, p0, p1 = self.rows
+        modulus = np.where(kind == X, self.pr.rs, self.pr.r)
         u, v = -p0 % modulus, -p1 % modulus
-        key = (kind * rs + p0) * rs + p1
-        return _frozen(np.searchsorted(key, (kind * rs + np.minimum(u, v)) * rs + np.maximum(u, v)))
+        return _frozen(self.find(kind, np.minimum(u, v), np.maximum(u, v)))
 
     @cached_property
     def buckets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -347,6 +359,15 @@ def position(x: GL2Irrep | GL2Class, pr: GroupParams) -> int:
         start = 2 * r + r * (r - 1) // 2
         return start + int(np.searchsorted(label_table(pr.q).p0[start:], a))
     return kind * r + (a * (2 * r - a - 1) // 2 + b - a - 1 if kind == W else a)
+
+
+def triple_positions(triples, pr: GroupParams, what: str) -> np.ndarray:
+    """Triples of label_table positions as an (m, 3) intp array; GL2RepError
+    naming ``what`` if one holds a position outside range(q^2 - 1)."""
+    triples, n = np.asarray(triples, dtype=np.intp).reshape(-1, 3), pr.q * pr.q - 1
+    if triples.size and not 0 <= triples.min() <= triples.max() < n:
+        raise GL2RepError(f"{what} holds a position outside range({n}) at q={pr.q}")
+    return triples
 
 
 def check_q(labels, pr: GroupParams) -> None:

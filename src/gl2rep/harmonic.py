@@ -61,7 +61,7 @@ import numpy as np
 
 from .cyclotomic import INT64_LIMIT, Cyclotomic, euler_phi, root_coords
 from .errors import BudgetExceeded, MismatchedGroup
-from .gl2 import GL2Irrep, char_value, enumerate_classes, params, position
+from .gl2 import GL2Irrep, char_value, enumerate_classes, params
 from .oracle import _context
 
 HARMONIC_MAX_Q = 3
@@ -81,23 +81,18 @@ class PairGroupContext:
         self.pr = params(q)
         group = _context(q)  # GL2(q)'s elements, tower and per-element classes
         self.tower = group.tower
-        elements = group.elements
-        self.n = n = len(elements)
+        self.n = n = len(group.elements)
         gf = self.tower.gf_q
         add, mul = np.array(gf.add_table), np.array(gf.mul_table)
-        E = np.array(elements)
-        place = q ** np.arange(3, -1, -1)  # entries a, b, c, d as base-q digits of one code
-        index_of_code = np.zeros(q**4, dtype=np.int32)
-        index_of_code[E @ place] = np.arange(n)
-        X = E.reshape(n, 2, 2)
+        X = group.elements.reshape(n, 2, 2)
         # terms[i, j, r, k, c] = x_i[r, k] x_j[k, c]; adding over k gives (x_i x_j)[r, c]
         terms = mul[X[:, None, :, :, None], X[None, :, None, :, :]]
-        self.mul = index_of_code[add[terms[:, :, :, 0], terms[:, :, :, 1]].reshape(n, n, 4) @ place]
-        self.identity = elements.index((1, 0, 0, 1))
+        self.mul = group.index_of(add[terms[:, :, :, 0], terms[:, :, :, 1]].reshape(n, n, 4)).astype(np.int32)
+        self.identity = int(group.index_of([1, 0, 0, 1]))
         self.inv = np.argmax(self.mul == self.identity, axis=1).astype(np.int32)
 
         self.classes = enumerate_classes(self.pr)
-        self.cls = np.array([position(group.class_of[g], self.pr) for g in elements], dtype=np.int32)
+        self.cls = group.cls.astype(np.int32)
 
         self.n2 = n * n
         self.h = np.arange(n, dtype=np.int32) * (n + 1)

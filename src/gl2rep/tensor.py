@@ -105,8 +105,10 @@ from .gl2 import (
     omega,
     operand,
     operands,
+    position,
     require_budget,
     table_bytes,
+    triple_positions,
 )
 
 # A verify_agreement chunk holds, per triple, its positions (24 bytes), their
@@ -142,11 +144,23 @@ def _what(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
     return f"class sum for [{pi1.label()} x {pi2.label()} : {pi3.label()}]"
 
 
+def mult_sums(pr: GroupParams, triples) -> list[int]:
+    """Exact multiplicity of pi3 inside pi1 (x) pi2 via the class sum, for each
+    row of an (m, 3) array of label_table positions (pi1, pi2, pi3): one
+    ``exact_sums`` call over the character rows of their distinct irreps."""
+    triples = triple_positions(triples, pr, "a class-sum triple")
+    present, codes = np.unique(triples, return_inverse=True)
+    t = label_table(pr.q)
+    rows = char_rows(t.rows[:, present], pr)
+    return exact_sums(
+        pr.rs, t.sizes, rows, rows, rows, codes.reshape(-1, 3).T,
+        lambda i: _what(*(_irrep(k, pr) for k in triples[i].tolist())), pr.order,
+    )
+
+
 def mult_sum(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> int:
-    """Exact multiplicity of pi3 inside pi1 (x) pi2 via the class sum."""
-    rows = char_rows(operands([pi1, pi2, pi3], pr), pr)
-    what = _what(pi1, pi2, pi3)
-    return exact_sums(pr.rs, label_table(pr.q).sizes, rows, rows, rows, ([0], [1], [2]), lambda i: what, pr.order)[0]
+    """``mult_sums`` of one triple of labels."""
+    return mult_sums(pr, [[position(pi, pr) for pi in (pi1, pi2, pi3)]])[0]
 
 
 def cell_name(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
@@ -703,9 +717,7 @@ def verify_agreement(
     require_budget(_agreement_bytes(pr.q), f"a tensor-agree chunk of GL2({pr.q})")
     size, n = _chunk_triples(pr.q), pr.q * pr.q - 1
     if triples is not None:
-        triples = np.asarray(triples, dtype=np.intp).reshape(-1, 3)
-        if triples.size and not 0 <= triples.min() <= triples.max() < n:
-            raise GL2RepError(f"a tensor-agree triple holds a position outside range({n}) at q={pr.q}")
+        triples = triple_positions(triples, pr, "a tensor-agree triple")
     bad: list[Disagreement] = []
     for lo in range(0, n**3 if triples is None else len(triples), size):
         if triples is None:

@@ -1,14 +1,17 @@
 """Brute-force oracle: censuses, element sums, embeddings, explicit tables."""
 
 import random
+import re
+from itertools import product
 
+import numpy as np
 import pytest
 
 from gl2rep import oracle
-from gl2rep.cyclotomic import Cyclotomic
-from gl2rep.errors import BudgetExceeded, GL2RepError, InvalidCharTable, InvalidClassMap, Singular
+from gl2rep.cyclotomic import Cyclotomic, root
+from gl2rep.errors import BudgetExceeded, GL2RepError, InvalidCharTable, InvalidClassMap, NonIntegral, Singular
 from gl2rep.fields import build_tower
-from gl2rep.gl2 import GL2Class, GL2Irrep, enumerate_classes, enumerate_irreps, params
+from gl2rep.gl2 import GL2Class, GL2Irrep, enumerate_classes, enumerate_irreps, label_table, params
 from gl2rep.oracle import (
     S4_OVER_C3_CLASS_MAP,
     ExplicitCharTable,
@@ -41,18 +44,61 @@ def test_classify_identity_and_diagonals():
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_a_context_searches_once_per_characteristic_polynomial(q):
-    # every non-scalar element is classified, but the root search runs once
-    # per (trace, det): q(q - 1) searches, not one per element
-    before = oracle._context(q).class_of
-    oracle._eigenvalue.cache_clear()
+    # the root search runs once per (trace, det), into one q x q table, not
+    # once per element: each entry is the first root of x^2 - tr*x + det in
+    # F_{q^2} element order, as a scalar search finds it
+    tower = tower_for(q)
+    gf2, emb = tower.gf_q2, tower.embed
+    roots = oracle.root_table(tower)
+    assert roots.shape == (q, q)
+    for tr, det in product(range(q), repeat=2):
+        first = next(
+            x for x in range(gf2.size) if gf2.add(gf2.mul(x, x), gf2.sub(emb[det], gf2.mul(emb[tr], x))) == 0
+        )
+        assert roots[tr, det] == first, (tr, det)
     ctx = oracle.OracleContext(q)
-    searches = oracle._eigenvalue.cache_info()
-    assert searches.misses == searches.currsize == q * (q - 1)
-    assert searches.hits == len(ctx.elements) - (q - 1) - q * (q - 1)
-    assert ctx.class_of == before
-    # a tower built afresh classifies as the cached one does
+    assert ctx.cls.tolist() == oracle._context(q).cls.tolist()
+    assert ctx.tally.tolist() == np.bincount(ctx.cls, minlength=q * q - 1).tolist()
+    # a tower built afresh classifies as the cached one does, and one element
+    # at a time as all at once
     fresh = build_tower(ctx.pr.p, ctx.pr.ell)
-    assert all(ctx.class_of[g] == classify_element(g, fresh) for g in ctx.elements[:: q + 1])
+    assert oracle.classify_elements(ctx.elements, fresh).tolist() == ctx.cls.tolist()
+    t = label_table(q)
+    for g, at in zip(ctx.elements[:: 7 * q + 1].tolist(), ctx.cls[:: 7 * q + 1].tolist()):
+        assert classify_element(tuple(g), fresh) == t.label(GL2Class, at)
+
+
+def _conjugates(gf, g, group):
+    """x g x^-1 for every x in the group, each product written out entry by entry."""
+    def times(x, y):
+        (a, b, c, d), (e, f, g_, h) = x, y
+        return (
+            gf.add(gf.mul(a, e), gf.mul(b, g_)),
+            gf.add(gf.mul(a, f), gf.mul(b, h)),
+            gf.add(gf.mul(c, e), gf.mul(d, g_)),
+            gf.add(gf.mul(c, f), gf.mul(d, h)),
+        )
+
+    out = set()
+    for x in group:
+        a, b, c, d = x
+        k = gf.inv(gf.sub(gf.mul(a, d), gf.mul(b, c)))
+        inverse = (gf.mul(k, d), gf.mul(k, gf.neg(b)), gf.mul(k, gf.neg(c)), gf.mul(k, a))
+        out.add(times(times(x, g), inverse))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_each_class_of_the_context_is_the_conjugacy_class_of_its_representative(q):
+    # shares no code with the classifier: the elements the context puts in a
+    # class are exactly the conjugates of the class's representative matrix
+    ctx = oracle._context(q)
+    gf = ctx.tower.gf_q
+    group = [tuple(g) for g in ctx.elements.tolist()]
+    assert len(set(group)) == len(group) == ctx.pr.order
+    for at, cls in enumerate(enumerate_classes(ctx.pr)):
+        members = {g for g, c in zip(group, ctx.cls.tolist()) if c == at}
+        assert members == _conjugates(gf, oracle._matrix_for_class(cls, ctx.tower), group), cls
 
 
 def test_classify_rejects_singular():
@@ -111,6 +157,18 @@ def test_elementwise_sampled_q3():
     for _ in range(60):
         t = tuple(rng.choice(irreps) for _ in range(3))
         assert elementwise_mult(*t, 3) == mult_sum(*t, pr)
+
+
+def test_the_batched_element_sums_are_the_scalar_ones():
+    pr = params(3)
+    rng = np.random.default_rng(30)
+    triples = rng.integers(0, 8, size=(40, 3))
+    irreps = enumerate_irreps(pr)
+    assert oracle.elementwise_mults(3, triples) == [elementwise_mult(*(irreps[k] for k in t), 3) for t in triples.tolist()]
+    with pytest.raises(GL2RepError, match=re.escape("an element-sum triple holds a position outside range(8) at q=3")):
+        oracle.elementwise_mults(3, [[0, 8, 1]])
+    with pytest.raises(BudgetExceeded):
+        oracle.elementwise_mults(7, [[0, 0, 0]])
 
 
 @pytest.mark.parametrize("q", [4, 5])
@@ -241,3 +299,32 @@ def test_bessel_larger(q):
 def test_bessel_q2_degenerate_note():
     rep = bessel_check(2)
     assert rep["pass"] and "note" in rep
+
+
+def test_bessel_reads_each_value_as_a_rational_integer(monkeypatch):
+    monkeypatch.setattr(oracle, "char_value", lambda pi, c, pr: root(3, 1))
+    with pytest.raises(NonIntegral, match="not a rational integer"):
+        bessel_check(3)
+
+
+def test_a_bessel_sum_not_divisible_by_q_is_named(monkeypatch):
+    # every value 1 on the identity and 0 elsewhere: the trivial psi sums to 1
+    monkeypatch.setattr(oracle, "char_value", lambda pi, c, pr: Cyclotomic.from_int(int(c.kind == "c1")))
+    with pytest.raises(NonIntegral, match=f"^{re.escape('unipotent restriction sum = 1 is not divisible by 3')}$"):
+        bessel_check(3)
+
+
+def test_an_irrational_bessel_sum_is_named(monkeypatch):
+    # the unipotent with b = 1 moved into the identity's class: for psi 1 the
+    # exponents 0 and 2 fall in c1:0 and 1 in c2:0, so V:0, 3 and 0 there,
+    # sums to 3 + 3 zeta_3^2, which is not rational
+    real = oracle.OracleContext.classes_of
+
+    def moved(self, matrices):
+        at = real(self, matrices)
+        return np.where((np.asarray(matrices) == (1, 0, 1, 1)).all(axis=-1), 0, at)
+
+    monkeypatch.setattr(oracle.OracleContext, "classes_of", moved)
+    text = "unipotent restriction sum of V:0 at psi 1 has coefficients [3, 0, 3] on the powers of zeta_3, not a rational integer"
+    with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
+        bessel_check(3)

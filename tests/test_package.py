@@ -78,7 +78,7 @@ def test_only_gl2_names_label_texts():
 
 def test_only_the_oracle_enumerates_and_classifies_matrices():
     # harmonic reads GL2(q)'s elements and their classes from the oracle's context
-    for name in ("enumerate_gl2", "classify_element"):
+    for name in ("enumerate_gl2", "classify_elements"):
         found = {path.stem for path in SOURCES if _names(ast.parse(path.read_text(), str(path)), name)}
         assert found == {"oracle"}, name
 
@@ -129,7 +129,6 @@ ALLOWED_CACHES = {
     "gl2.params",
     "harmonic.pair_context",
     "oracle._context",
-    "oracle._eigenvalue",
     "oracle.tower_for",
 }
 

@@ -895,3 +895,19 @@ def test_a_class_sum_not_divisible_by_the_group_order_names_its_triple(monkeypat
         mult_sum(u, u, u, pr)
     with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
         verify_agreement(pr, _at(pr, [(GL2Irrep.V(pr, 0),) * 3, (u, u, u)]))
+
+
+def test_the_batched_class_sums_name_the_triple_that_fails(monkeypatch):
+    # the batch holds the corrupted triple second, behind a sound one; the
+    # scalar form is a one-row view of the batch and gives the same values
+    pr = params(3)
+    u, v = GL2Irrep.U(pr, 0), GL2Irrep.V(pr, 0)
+    triples = [(v, v, v), (u, v, v), (v, u, v)]
+    assert tensor.mult_sums(pr, _at(pr, triples)) == [mult_sum(*t, pr) for t in triples] == [1, 1, 1]
+    assert tensor.mult_sums(pr, np.zeros((0, 3), dtype=np.intp)) == []
+    with pytest.raises(GL2RepError, match=re.escape("a class-sum triple holds a position outside range(8) at q=3")):
+        tensor.mult_sums(pr, [[0, -1, 2]])
+    _corrupt(monkeypatch, tensor, "U:0", "c1:0", lambda terms: ((2, terms[0][1]),))
+    text = f"class sum for [U:0 x U:0 : U:0] = {pr.order + 7} is not divisible by {pr.order}"
+    with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
+        tensor.mult_sums(pr, _at(pr, [(v, v, v), (u, u, u)]))
