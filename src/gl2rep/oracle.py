@@ -95,16 +95,16 @@ def classify_elements(elements: np.ndarray, tower: FieldTower) -> np.ndarray:
     distinct roots in F_q give c3, the pair sorted.  Singular names the first
     singular row.
     """
-    gf2, pr = tower.gf_q2, params(tower.q)
+    pr = params(tower.q)
     det = _det(elements, tower.gf_q)
     if not det.all():
         raise Singular(f"matrix {tuple(elements[det.argmin()].tolist())} over F_{tower.q} is singular")
-    add, _, neg = _arrays(tower.gf_q)
-    add2, _, neg2 = _arrays(gf2)
+    add = np.array(tower.gf_q.add_table)
+    add2, _, neg2 = _arrays(tower.gf_q2)
     a, b, c, d = elements.T
-    emb_tr = np.array(tower.embed)[add[a, d]]
-    lam = root_table(tower)[add[a, d], det]
-    mu = add2[emb_tr, neg2[lam]]
+    tr = add[a, d]
+    lam = root_table(tower)[tr, det]
+    mu = add2[np.array(tower.embed)[tr], neg2[lam]]
     e, f = tower.dlog_q2_table[lam - 1], tower.dlog_q2_table[mu - 1]
     k, l = e // pr.s, f // pr.s
     m = np.minimum(e, pr.q * e % pr.rs)
