@@ -30,7 +30,6 @@ from .gl2 import (
     parse_irrep,
     require_budget,
     table_bytes,
-    x_orbit_reps,
 )
 
 SAMPLED_TRIPLES = 10_000
@@ -57,10 +56,11 @@ def _blocks(columns: list[list], width: int):
         yield islice(rows, step)
 
 
-def _write_records(out, names: list[str], columns: list[list[str]], depth: int) -> None:
+def _write_records(out, names: list[str], columns: list[list[str]], widths: list[int], depth: int) -> None:
     """A list of flat records with these keys, from columns of JSON-encoded
     values: the bytes json.dumps(records, indent=2) gives for the list at
-    nesting depth ``depth``, without a trailing newline."""
+    nesting depth ``depth``, without a trailing newline.  ``widths`` holds
+    the length of each column's widest value, which sizes the write blocks."""
     if not len(columns[0]):
         out.write("[]")
         return
@@ -68,7 +68,7 @@ def _write_records(out, names: list[str], columns: list[list[str]], depth: int) 
     field = outer + "    "
     fields = ",\n".join(f"{field}{json.dumps(name).replace('%', '%%')}: %s" for name in names)
     record = f"{outer}  {{\n{fields}\n{outer}  }}"
-    for i, block in enumerate(_blocks(columns, len(record) + sum(max(map(len, col)) for col in columns))):
+    for i, block in enumerate(_blocks(columns, len(record) + sum(widths))):
         out.write(("," if i else "[") + "\n" + ",\n".join([record % row for row in block]))
     out.write(f"\n{outer}]")
 
@@ -93,11 +93,12 @@ def _emit(names: list[str], columns: list, fmt: str, out) -> None:
     columns = [_int_texts(col) if i else col for col, i in zip(columns, ints)]
     convert = str if fmt == "text" else json.dumps
     columns = [col if isinstance(col, np.ndarray) else list(map(convert, col)) for col in columns]
+    widths = [max(map(len, col), default=0) for col in columns]
     if fmt == "json":
-        _write_records(out, names, columns, 0)
+        _write_records(out, names, columns, widths, 0)
         out.write("\n")
         return
-    widths = [max(len(name), max(map(len, col), default=0)) for name, col in zip(names, columns)]
+    widths = [max(len(name), w) for name, w in zip(names, widths)]
     line = "  ".join(f"%-{w}s" for w in widths)
     head = line % tuple(names)
     out.write(head.rstrip() + "\n")
@@ -118,6 +119,11 @@ def _emit(names: list[str], columns: list, fmt: str, out) -> None:
         pieces[-1] = pieces[-1].rstrip() + "\n"
         for piece in pieces:
             out.write(piece)
+
+
+def _int_width(values: np.ndarray) -> int:
+    """The length of the str of an int array's widest value: its least or its greatest."""
+    return max(len(str(int(values.min(initial=0)))), len(str(int(values.max(initial=0)))))
 
 
 def _int_texts(values: np.ndarray) -> np.ndarray:
@@ -300,7 +306,8 @@ def cmd_induct(args, out) -> int:
     if args.format == "json":
         head = json.dumps({"q": args.q, "pi": pi.label(), "count": count, "total_dim": total_dim}, indent=2)
         out.write(head[: -len("\n}")] + ',\n  "constituents": ')
-        _write_records(out, names, [t.irrep_json[i], t.irrep_json[j], _int_texts(m)], 1)
+        widest = max(map(len, t.irrep_json))
+        _write_records(out, names, [t.irrep_json[i], t.irrep_json[j], _int_texts(m)], [widest, widest, _int_width(m)], 1)
         out.write("\n}\n")
     else:
         _emit(names, [t.irrep_labels[i], t.irrep_labels[j], m], args.format, out)
@@ -386,8 +393,7 @@ def _suite_tensor_agree(q: int, seed: int) -> dict:
 def _suite_indx_counts(q: int, seed: int) -> dict:
     pr = params(q)
     bad = []
-    for n in x_orbit_reps(pr):
-        got = tensor.ind_X_counts_by_dim(n, pr)
+    for n, got in tensor.ind_X_counts(pr).items():
         expected = tensor.ind_X_expected(q, n % 2)
         total = sum(got.values())
         if got != expected or total != (q - 1) * (q * q - q + 1):
@@ -406,9 +412,9 @@ def _suite_gelfand(q: int, seed: int) -> dict:
         closed = tensor.family_norms(pi.kind, q)
         if found != closed:
             norms.append({"irrep": pi.label(), "class_sum": list(found), "family_norms": list(closed)})
-    # the third route: the mult_closed sweep, (q^2-1)^3 triples at most, so
-    # it runs only under the suite's ceiling q <= 9
-    sweep = [pi.label() for pi in irreps if tensor.is_gelfand_triple_product(pi, pr)]
+    # the third route: the mult_closed sweep over every target, (q^2-1)^3
+    # triples at most, so it runs only under the suite's ceiling q <= 9
+    sweep = [pi.label() for pi, free in zip(irreps, tensor.gelfand_sweep(pr), strict=True) if free]
     dims_rule = [pi.label() for pi in irreps if pi.dim() in (1, q - 1)]
     # GL2(2) ~ S3 and V (x) V = 1 + sgn + V, so at q=2 the Steinberg V:0
     # induces multiplicity free as well (see notes/decisions.md)

@@ -63,13 +63,19 @@ gives |c| S(c)^2 in closed form from the class parameters: the table is
 never transposed.  Both sums are the same polynomial in q for every irrep
 of a family, ``family_norms``, and ``classify_gelfand`` reads only those:
 O(#irreps) at any q.  Two routes check it: ``class_sum_norms``, the class
-sums of every irrep, its rows built a chunk at a time, and
-``is_gelfand_triple_product``, the ``mult_closed`` sweep of ``ind_sweep``.
+sums of every irrep, its rows built a chunk at a time, and ``gelfand_sweep``,
+the ``mult_closed`` sweep of every irrep at once.
 
-``ind_sweep`` (and ``ind_decompose``, its list of labels) skips the pairs
-whose central characters do not match: by Schur's lemma on the centre,
-[pi1 (x) pi2 : pi] = 0 unless omega_1 + omega_2 = omega (mod r), so it
-visits about 1/r of the ordered pairs, in kernel calls of a bounded size.
+The induction sweep skips the pairs whose central characters do not match:
+by Schur's lemma on the centre, [pi1 (x) pi2 : pi] = 0 unless omega_1 +
+omega_2 = omega (mod r), so it visits about 1/r of the ordered pairs.
+``ind_slices`` sweeps an array of targets in one stream of slices, each at
+most ``_sweep_rows`` (target, pi1) rows, one kernel call of a bounded size,
+and its readers reduce each slice as it arrives: ``gelfand_sweep`` (whether
+any m > 1, per irrep) and ``ind_X_counts`` (the constituent counts of every
+X irrep), one sweep per q each.  ``ind_sweep`` (and ``ind_decompose``, its
+list of labels, and ``is_gelfand_triple_product``) sweeps one target, its
+operand given to the kernel as scalars.
 """
 
 from __future__ import annotations
@@ -328,22 +334,65 @@ def decompose(pi1: GL2Irrep, pi2: GL2Irrep, pr: GroupParams) -> list[tuple[GL2Ir
     return [(_irrep(k, pr), m) for k, m in zip(np.flatnonzero(values).tolist(), values[values != 0].tolist())]
 
 
-# Bytes ind_sweep holds per candidate pair besides the kernel's: the pair's
-# indices, the index arithmetic that finds them, and pi1's and pi2's operands.
-# A whole slice measures about 190 bytes per pair under tracemalloc.
-_CANDIDATE_BYTES = 8 * 12
+# Bytes a sweep slice holds per candidate pair besides the kernel's: the
+# pair's indices and its target's place, the index arithmetic that finds them,
+# and pi1's and pi2's operands.  Under tracemalloc a whole slice holds at most
+# 236 bytes per pair with one target, 245 with a target per row (q = 9 to 32).
+_CANDIDATE_BYTES = 8 * 13
 
 
 def _sweep_rows(pr: GroupParams) -> int:
-    """pi1 rows per slice of ind_sweep: each holds at most this many times the
-    largest omega bucket of candidate pairs."""
+    """(target, pi1) rows per sweep slice: each holds at most this many times
+    the largest omega bucket of candidate pairs."""
     return max(1, _kernel_step(_CANDIDATE_BYTES) // int(label_table(pr.q).buckets[2].max()))
 
 
 def ind_sweep_bytes(pr: GroupParams) -> int:
-    """The most scratch bytes one slice of ind_sweep holds, worked out without
+    """The most scratch bytes one sweep slice holds, worked out without
     sweeping: its candidate pairs times their bytes and the kernel's."""
     return _sweep_rows(pr) * int(label_table(pr.q).buckets[2].max()) * (_TRIPLE_BYTES + _CANDIDATE_BYTES)
+
+
+def _slices(target, pr: GroupParams) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The slices of ``ind_slices`` over the targets of these operands: each a
+    1-d int array, or a Python int for a lone target, whose k is then 0."""
+    t = label_table(pr.q)
+    by_omega, starts, counts = t.buckets
+    n, lone = len(t.kind), not np.ndim(target[0])
+    w3 = omega(*target) % pr.r
+    rows, total = _sweep_rows(pr), n if lone else n * len(w3)
+    for lo in range(0, total, rows):
+        k, first = np.divmod(np.arange(lo, min(lo + rows, total)), n)
+        bucket = ((w3 if lone else w3[k]) - t.omega[first]) % pr.r
+        sizes = counts[bucket]
+        i, k = np.repeat(first, sizes), np.repeat(k, sizes)
+        within = np.arange(len(i)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        j = by_omega[np.repeat(starts[bucket], sizes) + within]
+        m = mult_closed_array(pr, t.rows[:, i], t.rows[:, j], target if lone else tuple(a[k] for a in target))
+        keep = m != 0
+        yield k[keep], i[keep], j[keep], m[keep]
+
+
+def ind_slices(targets, pr: GroupParams) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The ``ind_sweep`` of each target, label_table positions in the given
+    order, as a stream of slices (k, i, j, m): the triples (targets[k], i, j)
+    with m = [pi_i (x) pi_j : pi_targets[k]] != 0, negative values too, as
+    ``mult_closed_array`` returns them: each reader raises NegativeMultiplicity
+    for the first negative triple in its own order.
+
+    The triples come target by target, each in ``ind_sweep``'s order, and a
+    slice holds at most ``_sweep_rows`` (target, pi1) rows, so it stays
+    within ``ind_sweep_bytes`` and may cut between two targets.  Each reader
+    reduces a slice as it arrives: nothing of (targets x pairs) is held.
+    """
+    return _slices(label_table(pr.q).rows[:, np.asarray(targets, dtype=np.intp)], pr)
+
+
+def _raise_negative(k, i, j, m, target, pr: GroupParams) -> None:
+    """NegativeMultiplicity for the first negative triple of a slice, if any:
+    its target named by ``target(k)``."""
+    if (at := _first_negative(m)) is not None:
+        raise _negative(_irrep(i[at], pr), _irrep(j[at], pr), target(k[at]), int(m[at]), pr)
 
 
 def ind_sweep(pi3: GL2Irrep, pr: GroupParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -353,26 +402,13 @@ def ind_sweep(pi3: GL2Irrep, pr: GroupParams) -> tuple[np.ndarray, np.ndarray, n
     Only the pairs with omega_1 + omega_2 = omega_3 (mod r) are evaluated:
     pi1 in canonical order, then pi2 in its omega bucket, also in canonical
     order, so the pairs come in the order of the full sweep.  The pi1 rows
-    run in slices of at most _KERNEL_BYTES of scratch (``ind_sweep_bytes``).
+    run in slices of at most _KERNEL_BYTES of scratch (``ind_sweep_bytes``),
+    pi3's operand given to the kernel as scalars.
     """
-    t = label_table(pr.q)
-    by_omega, starts, counts = t.buckets
-    target = operand(pi3, pr)
-    w3 = omega(*target)
-    rows = _sweep_rows(pr)
     found = []
-    for lo in range(0, len(t.kind), rows):
-        first = np.arange(lo, min(lo + rows, len(t.kind)))
-        bucket = (w3 - t.omega[first]) % pr.r
-        sizes = counts[bucket]
-        i = np.repeat(first, sizes)
-        within = np.arange(len(i)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        j = by_omega[np.repeat(starts[bucket], sizes) + within]
-        values = mult_closed_array(pr, t.rows[:, i], t.rows[:, j], target)
-        if (at := _first_negative(values)) is not None:
-            raise _negative(_irrep(i[at], pr), _irrep(j[at], pr), pi3, int(values[at]), pr)
-        keep = values > 0
-        found.append((i[keep], j[keep], values[keep]))
+    for k, i, j, m in _slices(operand(pi3, pr), pr):
+        _raise_negative(k, i, j, m, lambda _: pi3, pr)
+        found.append((i, j, m))
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
@@ -385,21 +421,67 @@ def ind_decompose(pi3: GL2Irrep, pr: GroupParams) -> list[tuple[tuple[GL2Irrep, 
     return [((_irrep(a, pr), _irrep(b, pr)), m) for a, b, m in zip(*(x.tolist() for x in ind_sweep(pi3, pr)))]
 
 
-def ind_X_counts_by_dim(n: int, pr: GroupParams) -> dict[int, int]:
-    """Constituent counts of the induction of X_[n], grouped by pair dimension."""
-    target = GL2Irrep.X(pr, n)
+def gelfand_sweep(pr: GroupParams) -> np.ndarray:
+    """Whether each irrep, in canonical order, occurs with multiplicity <= 1
+    in every pi1 (x) pi2: one ``ind_slices`` sweep over every target."""
+    n = pr.q * pr.q - 1
+    free = np.ones(n, dtype=bool)
+    for k, i, j, m in ind_slices(np.arange(n), pr):
+        _raise_negative(k, i, j, m, lambda at: _irrep(at, pr), pr)
+        free[k[m > 1]] = False
+    return free
+
+
+def is_gelfand_triple_product(pi: GL2Irrep, pr: GroupParams) -> bool:
+    """Whether pi occurs with multiplicity <= 1 in every pi1 (x) pi2: its ``ind_sweep``."""
+    return not (ind_sweep(pi, pr)[2] > 1).any()
+
+
+def ind_X_counts(pr: GroupParams) -> dict[int, dict[int, int]]:
+    """Constituent counts of the induction of each X_[n], n in ``x_orbit_reps``
+    order, grouped by pair dimension, each dict's keys in order of first
+    appearance: one ``ind_slices`` sweep over the X irreps.
+
+    The first X_[n] whose sweep holds an m != 1 raises, once its pairs are
+    all seen, as one sweep per target would: NegativeMultiplicity for its
+    first negative triple, else NotMultiplicityFree for its first m > 1.
+    """
     t = label_table(pr.q)
-    i, j, m = ind_sweep(target, pr)
-    if (m != 1).any():
-        at = int((m != 1).argmax())
+    reps = np.flatnonzero(t.kind == X)
+    # a pair's dimension is read as its place among the products of two family dimensions
+    family = (1, pr.q, pr.q + 1, pr.q - 1)
+    products = np.array(sorted({a * b for a in family for b in family}))
+    size = len(reps) * len(products)
+    counts, first, seen = np.zeros(size, dtype=np.int64), np.full(size, np.iinfo(np.int64).max), 0
+    bad = None
+    for k, i, j, m in ind_slices(reps, pr):
+        if bad is None and (m != 1).any():
+            at = int((m != 1).argmax())
+            bad = int(k[at]), int(i[at]), int(j[at]), int(m[at])
+        if bad is not None:
+            # the first X_[n] with an m != 1 raises once its pairs are all seen
+            mine = k == bad[0]
+            _raise_negative(k[mine], i[mine], j[mine], m[mine], lambda at: _irrep(reps[at], pr), pr)
+            if len(k) and k[-1] > bad[0]:
+                break
+            continue
+        key = k * len(products) + np.searchsorted(products, t.dim[i] * t.dim[j])
+        counts += np.bincount(key, minlength=size)
+        places, at = np.unique(key, return_index=True)
+        first[places] = np.minimum(first[places], seen + at)
+        seen += len(key)
+    if bad is not None:
+        k, i, j, m = bad
         raise NotMultiplicityFree(
-            f"{t.label(GL2Irrep, i[at]).label()} (x) {t.label(GL2Irrep, j[at]).label()} "
-            f"contains {target.label()} {m[at]} times"
+            f"{_irrep(i, pr).label()} (x) {_irrep(j, pr).label()} contains {_irrep(reps[k], pr).label()} {m} times"
         )
-    # in order of first appearance, as a dict filled pair by pair would be
-    dims, first, counts = np.unique(t.dim[i] * t.dim[j], return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return dict(zip(dims[order].tolist(), counts[order].tolist()))
+    # each X_[n]'s dimensions in order of first appearance; those never seen sort last, with count 0
+    order = np.argsort(first.reshape(len(reps), -1), axis=1, kind="stable")
+    held = np.take_along_axis(counts.reshape(len(reps), -1), order, axis=1)
+    return {
+        n: {d: c for d, c in zip(row, tally) if c}
+        for n, row, tally in zip(t.p0[reps].tolist(), products[order].tolist(), held.tolist())
+    }
 
 
 def ind_X_expected(q: int, parity: int) -> dict[int, int]:
@@ -453,11 +535,6 @@ def ind_X_expected(q: int, parity: int) -> dict[int, int]:
         if count:
             out[dims[fam]] = out.get(dims[fam], 0) + count
     return out
-
-
-def is_gelfand_triple_product(pi: GL2Irrep, pr: GroupParams) -> bool:
-    """Whether pi occurs with multiplicity <= 1 in every pi1 (x) pi2."""
-    return not (ind_sweep(pi, pr)[2] > 1).any()
 
 
 def _class_weights(pr: GroupParams) -> np.ndarray:
@@ -646,7 +723,8 @@ def _kind_sums(ops: np.ndarray, codes: np.ndarray, pr: GroupParams) -> Iterator[
     width = np.maximum(ops[0] - V, 0)
     position = np.zeros(len(width), dtype=np.intp)
     stacks = {}
-    for k in np.unique(width).tolist():
+    # np.unique would import numpy.ma on its first call, 16 ms of the first verify chunk
+    for k in np.flatnonzero(np.bincount(width)).tolist():
         members = np.flatnonzero(width == k)
         position[members] = np.arange(len(members))
         stacks[k] = char_rows(ops[:, members], pr)

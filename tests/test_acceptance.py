@@ -40,7 +40,6 @@ from gl2rep import tensor
 from gl2rep.tensor import (
     dim_E,
     e_module_freeness_obstruction,
-    ind_X_counts_by_dim,
     ind_X_expected,
     is_gelfand_triple_product,
     mult_sums,
@@ -87,8 +86,8 @@ def _criterion_2(q: int) -> None:
     for pi, found in zip(irreps, norms, strict=True):
         closed = tensor.family_norms(pi.kind, q)
         assert found == closed, f"q={q}: {pi.label()} has class-sum norms {found} but family norms {closed}"
-    # and against the third route, the mult_closed sweep
-    sweep = {pi.label() for pi in irreps if tensor.is_gelfand_triple_product(pi, pr)}
+    # and against the third route, the mult_closed sweep over every target
+    sweep = {pi.label() for pi, free in zip(irreps, tensor.gelfand_sweep(pr), strict=True) if free}
     assert got == sweep, f"q={q}: norm test {sorted(got)} but sweep {sorted(sweep)}"
     if q == 2:
         # GL2(2) ~ S3: U:0 is trivial, X:1 the sign and V:0 the standard
@@ -137,7 +136,7 @@ def _wrong_defect(real, kind, q):
             lambda real: lambda pr: [(a, b + (i == 1)) for i, (a, b) in enumerate(real(pr))],
             "U:1 has class-sum norms",
         ),
-        ("is_gelfand_triple_product", lambda real: lambda pi, pr: real(pi, pr) or pi.kind == "V", "but sweep"),
+        ("gelfand_sweep", lambda real: lambda pr: real(pr) | (tensor.label_table(pr.q).kind == tensor.V), "but sweep"),
     ],
     ids=["closed-form-norm", "closed-form-defect", "class-sums", "sweep"],
 )
@@ -151,8 +150,9 @@ def test_criterion_3_induced_cuspidal_counts():
     qs = (3, 4, 5, 7, 8, 9)
     for q in qs:
         pr = params(q)
-        for n in x_orbit_reps(pr):
-            got = ind_X_counts_by_dim(n, pr)
+        counts = tensor.ind_X_counts(pr)
+        assert list(counts) == x_orbit_reps(pr), q
+        for n, got in counts.items():
             expected = ind_X_expected(q, n % 2)
             assert got == expected, (q, n, got, expected)
             assert sum(got.values()) == (q - 1) * (q * q - q + 1)

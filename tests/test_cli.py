@@ -601,8 +601,8 @@ def _failed(report: dict) -> str:
 
 
 def test_a_failed_indx_count_prints_its_report(monkeypatch):
-    real = tensor.ind_X_counts_by_dim
-    monkeypatch.setattr(tensor, "ind_X_counts_by_dim", lambda n, pr: {} if n == 1 else real(n, pr))
+    real = tensor.ind_X_counts
+    monkeypatch.setattr(tensor, "ind_X_counts", lambda pr: {n: {} if n == 1 else got for n, got in real(pr).items()})
     mismatch = {"n": 1, "got": {}, "expected": {"2": 4, "12": 4, "6": 4, "8": 2}, "total": 0}
     report = {"check": "indx-counts", "q": 3, "pass": False, "mismatches": [mismatch]}
     assert _run(["verify", "--suite", "indx-counts", "--q", "3"]) == (1, _failed(report))

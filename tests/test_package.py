@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gl2rep").glob("*.py"))
@@ -115,6 +118,43 @@ def test_the_object_dtype_check_sees_every_form():
         "np.array(c, dtype='O')\nnp.int64\nd.astype(np.int64)\ne = 'O'\n"
     )
     assert _object_dtypes(ast.parse(source)) == [1, 2, 3, 4, 5]
+
+
+def _bare_uniques(tree: ast.AST) -> list[int]:
+    """Lines that call ``unique``, as a name or an attribute, with no return_* keyword."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "unique" or getattr(node.func, "attr", None) == "unique")
+        and not any((k.arg or "").startswith("return_") for k in node.keywords)
+    )
+
+
+def test_the_library_calls_np_unique_only_with_a_return_keyword():
+    # a bare np.unique reaches np.ma.is_masked, which imports numpy.ma: 16 ms
+    # on its first call in a fresh process, which no command needs
+    found = {path.name: _bare_uniques(ast.parse(path.read_text(), str(path))) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_unique_check_sees_every_form():
+    source = (
+        "np.unique(a)\nnp.unique(a, return_index=True)\nunique(b)\nnumpy.unique(c, axis=0)\n"
+        "np.unique(d, return_counts=True)\nnp.flatnonzero(e)\n"
+    )
+    assert _bare_uniques(ast.parse(source)) == [1, 3, 4]
+
+
+def test_verify_leaves_numpy_ma_unimported():
+    code = (
+        "import io, sys; from gl2rep.cli import run; "
+        "code = run(['verify', '--suite', 'tensor-agree', '--q', '4'], out=io.StringIO()); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SOURCES[0].parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "0 False\n"
 
 
 # The unbounded caches the library may keep, one entry per argument (mostly

@@ -37,8 +37,11 @@ from gl2rep.tensor import (
     decompose,
     dim_E,
     e_module_freeness_obstruction,
+    gelfand_sweep,
     ind_decompose,
-    ind_X_counts_by_dim,
+    ind_slices,
+    ind_sweep,
+    ind_X_counts,
     ind_X_expected,
     is_gelfand_triple_product,
     mult_closed,
@@ -150,12 +153,98 @@ def test_the_kernel_is_cut_into_slices_of_its_byte_budget(monkeypatch):
         seen.append(max(np.size(a) for o in (x, y, z) for a in o))
         return real(pr, x, y, z)
 
-    want = [[m for _, m in ind_decompose(pi, pr)] for pi in enumerate_irreps(pr)[::7]]
+    def sweeps():
+        # one target at a time, then the readers over every target
+        one = [[m for _, m in ind_decompose(pi, pr)] for pi in enumerate_irreps(pr)[::7]]
+        return one, gelfand_sweep(pr).tolist(), [list(c.items()) for c in ind_X_counts(pr).values()]
+
+    want = sweeps()
     monkeypatch.setattr(tensor, "_evaluate", counted)
     monkeypatch.setattr(tensor, "_KERNEL_BYTES", 100 * tensor._TRIPLE_BYTES)
-    got = [[m for _, m in ind_decompose(pi, pr)] for pi in enumerate_irreps(pr)[::7]]
+    got = sweeps()
     assert got == want
-    assert max(seen) <= 100 and len(seen) > len(want)
+    assert max(seen) <= 100 and len(seen) > len(want[0])
+
+
+def _sweep_budget(pr, rows):
+    """A _KERNEL_BYTES under which a sweep slice holds ``rows`` (target, pi1) rows."""
+    return rows * int(gl2.label_table(pr.q).buckets[2].max()) * (tensor._TRIPLE_BYTES + tensor._CANDIDATE_BYTES)
+
+
+def _counts_by_dim(pi, pr):
+    """The constituent counts of pi's induction by pair dimension: a dict
+    filled pair by pair from its one-target sweep, every m 1."""
+    t = gl2.label_table(pr.q)
+    i, j, m = ind_sweep(pi, pr)
+    assert (m == 1).all()
+    counts = {}
+    for d in (t.dim[i] * t.dim[j]).tolist():
+        counts[d] = counts.get(d, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_the_sweeps_over_many_targets_equal_the_one_target_sweeps_across_slice_seams(monkeypatch, q):
+    pr = params(q)
+    irreps = enumerate_irreps(pr)
+    n = len(irreps)
+    order = np.random.default_rng(q).permutation(n)
+    want = [ind_sweep(irreps[at], pr) for at in order.tolist()]
+    free = [is_gelfand_triple_product(pi, pr) for pi in irreps]
+    counts = [list(_counts_by_dim(GL2Irrep.X(pr, x), pr).items()) for x in x_orbit_reps(pr)]
+    if q == 2:
+        # GL2(2) ~ S3: V:0 induces multiplicity free as well
+        assert free == [True] * 3 and irreps[1].label() == "V:0"
+    seams = 0
+    for rows in (1, 2, 7, n - 1, n + 3, 3 * n):
+        monkeypatch.setattr(tensor, "_KERNEL_BYTES", _sweep_budget(pr, rows))
+        assert tensor._sweep_rows(pr) == rows
+        slices = list(ind_slices(order, pr))
+        for k, i, _, _ in slices:
+            assert len(set(zip(k.tolist(), i.tolist()))) <= rows
+            seams += len(set(k.tolist())) > 1
+        k, i, j, m = (np.concatenate(part) for part in zip(*slices))
+        for at, (wi, wj, wm) in enumerate(want):
+            mine = k == at
+            assert i[mine].tolist() == wi.tolist() and j[mine].tolist() == wj.tolist() and m[mine].tolist() == wm.tolist()
+        assert gelfand_sweep(pr).tolist() == free
+        if q > 2:
+            assert [list(c.items()) for c in ind_X_counts(pr).values()] == counts
+    assert seams > 0
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_the_sweeps_over_many_targets_raise_as_the_per_target_loop_would(monkeypatch, q):
+    # ind_X_counts raises for the first X_[n] with an m != 1 once its pairs
+    # are all seen: an m = 2 there comes before a negative in a later target,
+    # and a negative in the same target comes before the m = 2
+    pr = params(q)
+    reps = [GL2Irrep.X(pr, n) for n in x_orbit_reps(pr)]
+    early, late = reps[0], reps[-1]
+    early_pairs = [p for p, _ in ind_decompose(early, pr)]
+    doubled, negative = early_pairs[len(early_pairs) // 2], [p for p, _ in ind_decompose(late, pr)][0]
+
+    def named(pair, target):
+        left, right = sorted(pair, key=lambda pi: IRREP_KINDS.index(pi.kind))
+        return re.escape(f"evaluated to -4 for ({left.label()}, {right.label()}, {target.label()}) at q={q}")
+
+    n = len(enumerate_irreps(pr))
+    budgets = [_sweep_budget(pr, rows) for rows in (1, 5, n - 1, 3 * n)]
+    _kernel_adding(monkeypatch, 1, [(*doubled, early)])
+    _kernel_adding(monkeypatch, -5, [(*negative, late)])
+    for budget in budgets:
+        monkeypatch.setattr(tensor, "_KERNEL_BYTES", budget)
+        twice = f"{doubled[0].label()} (x) {doubled[1].label()} contains {early.label()} 2 times"
+        with pytest.raises(NotMultiplicityFree, match=re.escape(twice)):
+            ind_X_counts(pr)
+        with pytest.raises(NegativeMultiplicity, match=named(negative, late)):
+            gelfand_sweep(pr)
+    _kernel_adding(monkeypatch, -5, [(*early_pairs[-1], early)])
+    for budget in budgets:
+        monkeypatch.setattr(tensor, "_KERNEL_BYTES", budget)
+        for reader in (ind_X_counts, gelfand_sweep):
+            with pytest.raises(NegativeMultiplicity, match=named(early_pairs[-1], early)):
+                reader(pr)
 
 
 def test_the_ind_sweep_at_q_256_stays_within_the_kernel_budget():
@@ -163,7 +252,23 @@ def test_the_ind_sweep_at_q_256_stays_within_the_kernel_budget():
     # visits about 16.8 million candidate pairs
     pr = params(256)
     assert tensor.ind_sweep_bytes(pr) <= tensor._KERNEL_BYTES
-    assert tensor._sweep_rows(pr) < len(gl2.label_table(256).kind)
+    t = gl2.label_table(256)
+    assert tensor._sweep_rows(pr) < len(t.kind)
+    # the first slice of a sweep over several targets, each row its own
+    # target operand, holds no more than the estimate; the table's columns
+    # are built, and kept, before it
+    t.buckets, t.omega, t.dim
+    targets = [0, len(t.kind) - 1, len(t.kind) // 2]
+    next(ind_slices(targets, pr))
+    slices = ind_slices(targets, pr)
+    tracemalloc.start()
+    try:
+        k, i, j, m = next(slices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(np.unique(i)) <= tensor._sweep_rows(pr) and (k == 0).all() and len(m)
+    assert peak <= tensor.ind_sweep_bytes(pr)
 
 
 def test_tensor_with_one_dimensional_twists():
@@ -339,8 +444,9 @@ def test_ind_x_expected_q4():
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_ind_x_counts_match_closed_forms(q):
     pr = params(q)
-    for n in x_orbit_reps(pr):
-        got = ind_X_counts_by_dim(n, pr)
+    counts = ind_X_counts(pr)
+    assert list(counts) == x_orbit_reps(pr)
+    for n, got in counts.items():
         assert got == ind_X_expected(q, n % 2)
         assert sum(got.values()) == (q - 1) * (q * q - q + 1)
 
@@ -599,7 +705,7 @@ def test_broken_multiplicities_raise_package_errors(monkeypatch):
         decompose(GL2Irrep.V(pr, 0), GL2Irrep.W(pr, 0, 1), pr)
     monkeypatch.setattr(tensor, "mult_closed_array", _constant_kernel(2))
     with pytest.raises(NotMultiplicityFree):
-        ind_X_counts_by_dim(x_orbit_reps(pr)[0], pr)
+        ind_X_counts(pr)
 
 
 def test_a_negative_kernel_value_names_the_first_negative_triple(monkeypatch):
@@ -612,13 +718,16 @@ def test_a_negative_kernel_value_names_the_first_negative_triple(monkeypatch):
     later = pairs[-1]
     _kernel_adding(monkeypatch, -5, [(*first, target), (*later, target)])
     name = f"({first[1].label()}, {first[0].label()}, X:1) at q=4"
-    # in one kernel call, then in slices of 8 pairs, where the two fall in different calls
+    # in one kernel call, then in slices of 8 pairs, where the two fall in
+    # different calls, and the sweeps over many targets cut between them
     for budget in (tensor._KERNEL_BYTES, 8 * (tensor._TRIPLE_BYTES + tensor._CANDIDATE_BYTES)):
         monkeypatch.setattr(tensor, "_KERNEL_BYTES", budget)
         with pytest.raises(NegativeMultiplicity, match=re.escape(f"cell UxX->X evaluated to -4 for {name}")):
             ind_decompose(target, pr)
-    with pytest.raises(NegativeMultiplicity, match=re.escape(name)):
-        ind_X_counts_by_dim(1, pr)
+        with pytest.raises(NegativeMultiplicity, match=re.escape(name)):
+            ind_X_counts(pr)
+        with pytest.raises(NegativeMultiplicity, match=re.escape(name)):
+            gelfand_sweep(pr)
     with pytest.raises(NegativeMultiplicity, match=re.escape(name)):
         is_gelfand_triple_product(target, pr)
     with pytest.raises(NegativeMultiplicity, match=re.escape(name)):
