@@ -351,14 +351,9 @@ def enumerate_classes(pr: GroupParams) -> list[GL2Class]:
 
 
 def position(x: GL2Irrep | GL2Class, pr: GroupParams) -> int:
-    """The row of an irrep or a class in canonical order, from its kind and data:
-    r of U (c1), r of V (c2), the pairs a < b row-major, the X (c4) orbits by
-    their rising first members, found among the table's rows."""
-    (kind, a, b), r = operand(x, pr), pr.r
-    if kind == X:
-        start = 2 * r + r * (r - 1) // 2
-        return start + int(np.searchsorted(label_table(pr.q).p0[start:], a))
-    return kind * r + (a * (2 * r - a - 1) // 2 + b - a - 1 if kind == W else a)
+    """The row of an irrep or a class in canonical order: its ``operand``'s row
+    of the label table."""
+    return int(label_table(pr.q).find(*np.array(operand(x, pr))[:, None])[0])
 
 
 def triple_positions(triples, pr: GroupParams, what: str) -> np.ndarray:

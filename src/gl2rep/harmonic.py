@@ -22,22 +22,23 @@ constructor and the group law know that it is a pair.
 Everything is exact: functions take values in (1/den) * Z[zeta_rs],
 stored as integer coordinate vectors with one shared denominator, and
 every kernel runs on machine integers or on float64, never on Python
-integers.  Convolutions of H-class functions are evaluated through a
-precomputed integer tensor
+integers.  Convolutions of H-class functions are evaluated through the
+integer counts
 
     N[k][i][j] = #{ y in orbit_i : y^-1 x_k in orbit_j }
 
-over the H-conjugation orbits on G', which turns each convolution into
-a small bilinear form in integers.  One generator yields the products of
-two stacked bases one orbit slice k at a time; ``_products`` stacks all
-slices, and ``commutativity_check`` stops at the first slice that is not
-symmetric in its two basis axes, since the algebra is commutative iff
-every slice is.  Each slice is evaluated in float64 through BLAS, one
-int32 slice N[k] cast at a time, and is still exact: every operand is an
-integer, and when the absolute values of the terms of each output entry
-sum to less than 2^53, every partial sum is an integer that float64
-holds exactly, in any summation order, with or without FMA and on any
-number of threads.  That sum is at most
+over the H-conjugation orbits on G', which turn each convolution into
+a small bilinear form in integers.  No N of all K^3 counts is kept: the
+K x K slice N[k] is built when a product reads it.  One generator yields
+the products of two stacked bases one orbit slice k at a time;
+``_products`` stacks all slices, and ``commutativity_check`` stops at
+the first slice that is not symmetric in its two basis axes, since the
+algebra is commutative iff every slice is, and so builds no N[k] past
+it.  Each slice is evaluated in float64 through BLAS, its N[k] cast
+once, and is still exact: every operand is an integer, and when the
+absolute values of the terms of each output entry sum to less than
+2^53, every partial sum is an integer that float64 holds exactly, in
+any summation order, with or without FMA and on any number of threads.  That sum is at most
 
     |G'| * max|f| * max|g| * max_e sum_{c,d} |reduction[c, d, e]|,
 
@@ -117,7 +118,9 @@ class PairGroupContext:
         self.orb = orb.astype(np.int32)
         self.orbit_reps = reps.tolist()
         self.K = len(reps)
-        self._n_tensor: np.ndarray | None = None
+        # what each slice of N reads: y^-1 split once, and the row i * K of each y's (i, j) cell
+        self._inv_y = self.split(self.inverse(np.arange(self.n2)))
+        self._row_y = self.orb.astype(np.int64) * self.K
         self._pair_count: np.ndarray | None = None
 
     # -- the group law on flat indices ------------------------------------------
@@ -140,18 +143,12 @@ class PairGroupContext:
         n = self.n
         return self.inv.take(x // n) * n + self.inv.take(x % n)
 
-    def n_tensor(self) -> np.ndarray:
-        """N[k, i, j] = #{y in O_i with y^-1 x_k in O_j}; drives convolution."""
-        if self._n_tensor is None:
-            K = self.K
-            N = np.empty((K, K, K), dtype=np.int32)
-            inv_y = self.split(self.inverse(np.arange(self.n2)))
-            row_y = self.orb.astype(np.int64) * K  # the (i, j) cell of y is i * K + j
-            for k, xk in enumerate(self.orbit_reps):
-                u = self.times(inv_y, xk)  # y^-1 x_k for every y at once
-                N[k] = np.bincount(row_y + self.orb.take(u), minlength=K * K).reshape(K, K)
-            self._n_tensor = N
-        return self._n_tensor
+    def n_tensor(self, k: int) -> np.ndarray:
+        """The K x K slice N[k], N[k, i, j] = #{y in O_i with y^-1 x_k in O_j},
+        built each time it is asked for; drives convolution."""
+        K = self.K
+        u = self.times(self._inv_y, self.orbit_reps[k])  # y^-1 x_k for every y at once
+        return np.bincount(self._row_y + self.orb.take(u), minlength=K * K).reshape(K, K)
 
     def pair_count(self) -> np.ndarray:
         """count[k, j, cy, cz] = #{(y,z) in H^2 : y^-1 x_k z^-1 in O_j, classes cy, cz}.
@@ -257,14 +254,14 @@ def _product_slices(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> Iter
 
         P[a, b, k] = sum_{i,j} N[k,i,j] F[a,i] G[b,j], reduced.
 
-    ``_check_exact`` runs on the call, before N is read, and bounds every
-    partial sum below 2^53.  Each slice is then summed in float64 through
-    BLAS, from one K x K slice of the int32 N cast when the slice is asked
-    for, never a copy of all of N, so each partial sum is an exact integer
-    and the rounded slice equals the integer result entry by entry.
+    ``_check_exact`` runs on the call, before any of N is built, and bounds
+    every partial sum below 2^53.  Each slice is then summed in float64
+    through BLAS, from the K x K counts N[k] that ``ctx.n_tensor(k)`` builds
+    when the slice is asked for, never all of N, so each partial sum is an
+    exact integer and the rounded slice equals the integer result entry by
+    entry.
     """
     _check_exact(ctx, F, G)
-    N = ctx.n_tensor()
     K, phi = ctx.K, ctx.phi
     a, b = len(F), len(G)
     f_cols = F.transpose(1, 2, 0).reshape(K, phi * a).astype(np.float64)  # [i, (c, a)]
@@ -273,7 +270,7 @@ def _product_slices(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> Iter
 
     def slices() -> Iterator[np.ndarray]:
         for k in range(K):
-            t = (N[k].T.astype(np.float64) @ f_cols).reshape(K * phi, a)  # [(j, c), a]
+            t = (ctx.n_tensor(k).T.astype(np.float64) @ f_cols).reshape(K * phi, a)  # [(j, c), a]
             yield np.rint(g_mul @ t).astype(np.int64).reshape(b, phi, a).transpose(2, 0, 1)
 
     return slices()
@@ -401,8 +398,9 @@ def commutativity_check(basis: list[GroupFunction]) -> bool:
     with itself are read one orbit slice at a time, and the answer is
     False at the first slice that is not symmetric in its two basis axes:
     at q = 3 that is the second slice for V:0 and W:0,1, while a
-    commutative algebra such as X:1's reads all K slices.  The exactness
-    guard runs before the first slice.
+    commutative algebra such as X:1's reads all K slices.  Only the slices
+    read are built, each with its N[k].  The exactness guard runs before
+    the first slice.
     """
     if not basis:
         return True

@@ -52,8 +52,8 @@ Matrix2 = tuple[int, int, int, int]
 C1, C2, C3, C4 = range(4)
 
 
-@lru_cache(maxsize=None)
 def tower_for(q: int) -> FieldTower:
+    """The field tower of q, built on each call; ``_context(q).tower`` is the one kept."""
     pr = params(q)
     return build_tower(pr.p, pr.ell)
 

@@ -1,6 +1,7 @@
 """Convolution algebras I_pi(G x G): projections, dimensions, commutativity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,7 +230,7 @@ def test_guard_uses_the_reduction_mass_not_phi(monkeypatch):
     F = np.full((1, ctx.K, ctx.phi), 10**7, dtype=np.int64)
     F[0, 1, 1] -= 1  # content 1, so a GroupFunction keeps the coordinates
     assert ctx.n2 * ctx.phi * 10**14 < 2**53 <= ctx.n2 * ctx.reduction_mass * 10**14
-    monkeypatch.setattr(ctx, "n_tensor", lambda: pytest.fail("N was read before the guard"))
+    monkeypatch.setattr(ctx, "n_tensor", lambda k: pytest.fail("N was read before the guard"))
     with pytest.raises(BudgetExceeded):
         _check_exact(ctx, F, F)
     with pytest.raises(BudgetExceeded):
@@ -341,14 +342,30 @@ def test_centrality_inside_L_pi_at_q2():
 @pytest.mark.parametrize("q", [2, 3])
 def test_n_tensor_counts_elements(q):
     ctx = pair_context(q)
-    N = ctx.n_tensor()
-    assert N.dtype == np.int32 and N.shape == (ctx.K, ctx.K, ctx.K)
     ks = range(ctx.K) if q == 2 else (0, 1, 17, 80, ctx.K - 1)
     for k in ks:
+        N_k = ctx.n_tensor(k)
+        assert N_k.shape == (ctx.K, ctx.K), k
         want = np.zeros((ctx.K, ctx.K), dtype=np.int64)
         for y in range(ctx.n2):
             want[ctx.orb[y], ctx.orb[_inverse_times(ctx, y, ctx.orbit_reps[k])]] += 1
-        assert np.array_equal(N[k], want), k
+        assert np.array_equal(N_k, want), k
+
+
+def test_commutativity_check_keeps_no_dense_n():
+    # at q = 3 all K^3 int32 counts of N take 10 061 824 bytes; the check
+    # builds one K x K slice at a time and keeps none, so reading all K
+    # slices for X:1's commutative algebra stays well below that
+    ctx = pair_context(3)
+    ctx.pair_count()
+    basis = build_I_pi(GL2Irrep.X(params(3), 1), 3)
+    tracemalloc.start()
+    try:
+        assert commutativity_check(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.K == 136 and peak < ctx.K**3 * 4, peak
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -169,7 +169,6 @@ ALLOWED_CACHES = {
     "gl2.params",
     "harmonic.pair_context",
     "oracle._context",
-    "oracle.tower_for",
 }
 
 
