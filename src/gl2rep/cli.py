@@ -464,8 +464,8 @@ def _suite_harmonic(q: int, seed: int) -> dict:
     pr = params(q)
     rows = []
     ok = True
-    for pi in enumerate_irreps(pr):
-        basis = harmonic.build_I_pi(pi, q)
+    irreps = enumerate_irreps(pr)
+    for pi, basis in zip(irreps, harmonic.build_I_pis(irreps, q)):
         comm = harmonic.commutativity_check(basis)
         # sum of m^2 over the constituents of the induction of pi, and whether
         # that equals sum of m, i.e. whether pi induces multiplicity free

@@ -45,11 +45,19 @@ any summation order, with or without FMA and on any number of threads.  That sum
 and a product stack whose bound reaches 2^53 raises BudgetExceeded before
 anything is allocated; at q <= 3 the largest bound met is 230 400.
 
-The projections and the echelon that picks a basis from them run on
-int64, under the same kind of bound taken from the operands before each
-step: a step whose terms could sum to 2^62 raises BudgetExceeded before
-any product is formed.  With content reduction the largest entry the
-echelon meets at q <= 3 is 4 800, far below it.
+The projections that span I_pi come from the pi-independent pair counts
+
+    count[k][j][cy][cz] = #{(y, z) in H^2 : y^-1 x_k z^-1 in orbit_j, classes cy, cz},
+
+which are never held whole either: the K x nc x nc slice of orbit k is
+built when the projection pass reads it, and dropped after.  One pass
+over k projects every irrep of a q from each slice with one int64
+product, so each slice is built once per pass however many irreps it
+serves.  The projections and the echelon that picks a basis from them
+run on int64, under the same kind of bound taken from the operands
+before each step: a step whose terms could sum to 2^62 raises
+BudgetExceeded before any product is formed.  With content reduction the
+largest entry the echelon meets at q <= 3 is 4 800, far below it.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ import numpy as np
 
 from .cyclotomic import INT64_LIMIT, Cyclotomic, euler_phi, root_coords
 from .errors import BudgetExceeded, MismatchedGroup
-from .gl2 import GL2Irrep, char_value, enumerate_classes, params
+from .gl2 import GL2Irrep, char_value, enumerate_classes, params, require_budget
 from .oracle import _context
 
 HARMONIC_MAX_Q = 3
@@ -121,7 +129,12 @@ class PairGroupContext:
         # what each slice of N reads: y^-1 split once, and the row i * K of each y's (i, j) cell
         self._inv_y = self.split(self.inverse(np.arange(self.n2)))
         self._row_y = self.orb.astype(np.int64) * self.K
-        self._pair_count: np.ndarray | None = None
+        # what each pair-count slice reads: H's inverses, and the (j, cy, cz)
+        # cell j * nc^2 + cy * nc + cz of the pair (y, z) split into its j and (cy, cz) parts
+        nc = len(self.classes)
+        self._inv_h = self.inverse(self.h)
+        self._cell_j = self.orb.astype(np.int64) * (nc * nc)
+        self._cls_yz = self.cls[:, None].astype(np.int64) * nc + self.cls[None, :]
 
     # -- the group law on flat indices ------------------------------------------
     def split(self, x):
@@ -150,24 +163,16 @@ class PairGroupContext:
         u = self.times(self._inv_y, self.orbit_reps[k])  # y^-1 x_k for every y at once
         return np.bincount(self._row_y + self.orb.take(u), minlength=K * K).reshape(K, K)
 
-    def pair_count(self) -> np.ndarray:
-        """count[k, j, cy, cz] = #{(y,z) in H^2 : y^-1 x_k z^-1 in O_j, classes cy, cz}.
+    def pair_count(self, k: int) -> np.ndarray:
+        """The K x nc x nc slice of orbit k, built each time it is asked for:
 
-        This is the pi-independent part of the two-sided projection
-        xi * 1_{O_j} * xi evaluated at the orbit representatives.
-        """
-        if self._pair_count is None:
-            K, nc = self.K, len(self.classes)
-            count = np.empty((K, K, nc, nc), dtype=np.int32)
-            inv_h = self.inverse(self.h)
-            # the (j, cy, cz) cell of the pair (y, z) is j * nc^2 + cy * nc + cz
-            cell_j = self.orb.astype(np.int64) * (nc * nc)
-            cls_yz = self.cls[:, None].astype(np.int64) * nc + self.cls[None, :]
-            for k, xk in enumerate(self.orbit_reps):
-                u = self.times(self.times(inv_h, xk)[:, None], inv_h[None, :])  # y^-1 x_k z^-1
-                count[k] = np.bincount((cell_j.take(u) + cls_yz).ravel(), minlength=K * nc * nc).reshape(K, nc, nc)
-            self._pair_count = count
-        return self._pair_count
+            count[j, cy, cz] = #{(y,z) in H^2 : y^-1 x_k z^-1 in O_j, classes cy, cz},
+
+        the pi-independent part of the two-sided projection xi * 1_{O_j} * xi
+        evaluated at the representative x_k."""
+        K, nc = self.K, len(self.classes)
+        u = self.times(self.times(self._inv_h, self.orbit_reps[k])[:, None], self._inv_h[None, :])  # y^-1 x_k z^-1
+        return np.bincount((self._cell_j.take(u) + self._cls_yz).ravel(), minlength=K * nc * nc).reshape(K, nc, nc)
 
 
 @lru_cache(maxsize=None)
@@ -208,32 +213,12 @@ class GroupFunction:
         return self.den == other.den and bool(np.all(self.coords == other.coords))
 
 
-def delta_identity(ctx: PairGroupContext, scale: int = 1) -> GroupFunction:
-    """scale * (indicator of the identity of G')."""
-    coords = np.zeros((ctx.K, ctx.phi), dtype=np.int64)
-    coords[ctx.orb[ctx.h[ctx.identity]], 0] = scale
-    return GroupFunction(ctx, coords)
-
-
-def orbit_indicator(ctx: PairGroupContext, k: int) -> GroupFunction:
-    coords = np.zeros((ctx.K, ctx.phi), dtype=np.int64)
-    coords[k, 0] = 1
-    return GroupFunction(ctx, coords)
-
-
 def _xi_classes(pi: GL2Irrep, ctx: PairGroupContext) -> np.ndarray:
     """dim(pi) conj(chi_pi) on each class of H, as (classes, phi) coordinates."""
     return np.array(
         [(char_value(pi, c, ctx.pr).conj() * pi.dim()).coords_at(ctx.rs) for c in ctx.classes],
         dtype=np.int64,
     )
-
-
-def xi_function(pi: GL2Irrep, ctx: PairGroupContext) -> GroupFunction:
-    """The idempotent projector kernel [G':H] dim(pi) conj(chi_pi) on diag(H)."""
-    coords = np.zeros((ctx.K, ctx.phi), dtype=np.int64)
-    coords[ctx.orb[ctx.h]] = ctx.n * _xi_classes(pi, ctx)[ctx.cls]  # [G':H] = |G|
-    return GroupFunction(ctx, coords)
 
 
 def _check_exact(ctx: PairGroupContext, f: np.ndarray, g: np.ndarray) -> None:
@@ -291,21 +276,6 @@ def convolve(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
     return GroupFunction(ctx, coords, f1.den * f2.den * ctx.n2)
 
 
-def convolve_literal(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
-    """The definition, summed element by element; cross-checks the tensor route."""
-    if f1.ctx is not f2.ctx:
-        raise MismatchedGroup("functions live on different groups")
-    ctx = f1.ctx
-    _check_exact(ctx, f1.coords, f2.coords)
-    inv_y = ctx.inverse(np.arange(ctx.n2))
-    f_y = f1.coords[ctx.orb]  # f1(y) for every y in G'
-    coords = np.zeros((ctx.K, ctx.phi), dtype=np.int64)
-    for k, xk in enumerate(ctx.orbit_reps):
-        g_u = f2.coords[ctx.orb[ctx.times(inv_y, xk)]]  # f2(y^-1 x_k) for every y at once
-        coords[k] = np.einsum("cd,cde->e", f_y.T @ g_u, ctx.reduction)
-    return GroupFunction(ctx, coords, f1.den * f2.den * ctx.n2)
-
-
 def _cyc_mul_matrix(vec: np.ndarray, reduction: np.ndarray) -> np.ndarray:
     """phi x phi integer matrix of multiplication by the cyclotomic vec."""
     return np.einsum("c,cde->de", vec, reduction)
@@ -319,33 +289,60 @@ def _check_int64(bound: int, what: str, q: int) -> None:
         raise BudgetExceeded(f"{what} bound {bound} reaches 2^62 at q={q}")
 
 
-def build_I_pi(pi: GL2Irrep, q: int) -> list[GroupFunction]:
-    """A basis of I_pi(G') obtained by projecting H-orbit indicator sums.
+def projection_bytes(K: int, phi: int, irreps: int) -> int:
+    """The bytes ``build_I_pis`` holds for ``irreps`` irreps: the int64
+    projections, K x K x phi for each irrep, and as much again for the
+    echelon rows or the basis of the irrep being reduced, each at most K
+    vectors of K x phi."""
+    return (irreps + 1) * K * K * phi * 8
 
-    The projections of all K orbit indicators come from the pi-independent
-    pair-count tensor, one int64 matmul per orbit representative; a maximal
-    linearly independent subset over Q(zeta_rs) is selected by exact
-    elimination.
+
+def build_I_pis(irreps: list[GL2Irrep], q: int) -> list[list[GroupFunction]]:
+    """A basis of I_pi(G') for each pi of ``irreps``, in their order, obtained
+    by projecting H-orbit indicator sums.
+
+    One pass over the orbit representatives x_k builds each pair-count slice
+    once, never all of them, and projects every irrep from it in one int64
+    product: the slice's (K, nc^2) counts times the (nc^2, irreps * phi)
+    stack of the irreps' class-pair products.  Each irrep's guard runs, and
+    the projections' bytes are checked, before any slice is built; then a
+    maximal linearly independent subset of each irrep's projections over
+    Q(zeta_rs) is selected by exact elimination.
     """
+    if not irreps:
+        return []
     ctx = pair_context(q)
-    count = ctx.pair_count()
     K, nc, phi = ctx.K, len(ctx.classes), ctx.phi
-    # xi without the [G':H] scale; scaling does not change spans or products
-    xi = _xi_classes(pi, ctx)
-    # every projection entry sums n^2 pair products, each a sum of terms
-    # bounded by max|xi|^2 * reduction_mass
-    max_xi = int(np.abs(xi).max())
-    _check_int64(ctx.n**2 * max_xi * max_xi * ctx.reduction_mass, "projection", q)
-    # products xi(y) xi(z) for all class pairs, reduced to the power basis
-    pair_products = np.einsum("ac,bd,cde->abe", xi, xi, ctx.reduction).reshape(nc * nc, phi)
-    # C[k, j, :] = sum over class pairs of count * product
-    projections = np.empty((K, K, phi), dtype=np.int64)
+    pair_products = []
+    for pi in irreps:
+        # xi without the [G':H] scale; scaling does not change spans or products
+        xi = _xi_classes(pi, ctx)
+        # every projection entry sums n^2 pair products, each a sum of terms
+        # bounded by max|xi|^2 * reduction_mass
+        max_xi = int(np.abs(xi).max())
+        _check_int64(ctx.n**2 * max_xi * max_xi * ctx.reduction_mass, "projection", q)
+        # products xi(y) xi(z) for all class pairs, reduced to the power basis
+        pair_products.append(np.einsum("ac,bd,cde->abe", xi, xi, ctx.reduction).reshape(nc * nc, phi))
+    m = len(irreps)
+    require_budget(projection_bytes(K, phi, m), f"the projections of {m} irreps over GL2({q}) x GL2({q})")
+    products = np.concatenate(pair_products, axis=1)  # [(cy, cz), (pi, e)]
+    # C[k, j, :] of each pi = sum over class pairs of count[k] * product of pi
+    projections = [np.empty((K, K, phi), dtype=np.int64) for _ in irreps]
     for k in range(K):
-        projections[k] = count[k].reshape(K, nc * nc) @ pair_products
-    return [
-        GroupFunction(ctx, projections[:, j, :], ctx.n2 * ctx.n**2)
-        for j in _independent_columns(ctx, projections)
-    ]
+        rows = (ctx.pair_count(k).reshape(K, nc * nc) @ products).reshape(K, m, phi)
+        for i, C in enumerate(projections):
+            C[k] = rows[:, i]
+    # each irrep's projections are dropped once its basis is taken from them
+    bases = []
+    while projections:
+        C = projections.pop(0)
+        bases.append([GroupFunction(ctx, C[:, j, :], ctx.n2 * ctx.n**2) for j in _independent_columns(ctx, C)])
+    return bases
+
+
+def build_I_pi(pi: GL2Irrep, q: int) -> list[GroupFunction]:
+    """A basis of I_pi(G'): the one-irrep pass of ``build_I_pis``."""
+    return build_I_pis([pi], q)[0]
 
 
 def _content_reduced(v: np.ndarray) -> np.ndarray:
@@ -410,10 +407,3 @@ def commutativity_check(basis: list[GroupFunction]) -> bool:
             raise MismatchedGroup("basis functions live on different groups")
     B = np.stack([f.coords for f in basis])
     return all(np.array_equal(s, s.swapaxes(0, 1)) for s in _product_slices(ctx, B, B))
-
-
-def xi_idempotent(pi: GL2Irrep, q: int) -> bool:
-    """Check xi_pi * xi_pi == xi_pi under the 1/|G'| normalisation."""
-    ctx = pair_context(q)
-    xi = xi_function(pi, ctx)
-    return convolve(xi, xi) == xi

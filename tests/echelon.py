@@ -7,11 +7,13 @@ from gl2rep.harmonic import GroupFunction, _xi_classes, pair_context
 
 
 def reference_projections(pi, q: int) -> np.ndarray:
-    """The (K, K, phi) projections of every orbit indicator, in one einsum."""
+    """The (K, K, phi) projections of every orbit indicator, in one einsum
+    over the pair-count slices of all K orbits stacked."""
     ctx = pair_context(q)
     xi = _xi_classes(pi, ctx)
     pair_products = np.einsum("ac,bd,cde->abe", xi, xi, ctx.reduction)
-    return np.einsum("kjab,abe->kje", ctx.pair_count(), pair_products)
+    count = np.stack([ctx.pair_count(k) for k in range(ctx.K)])
+    return np.einsum("kjab,abe->kje", count, pair_products)
 
 
 def reference_columns(ctx, projections: np.ndarray) -> list[int]:

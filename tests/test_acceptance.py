@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from gl2rep.gl2 import GL2Irrep, enumerate_irreps, params, x_orbit_reps
-from gl2rep.harmonic import build_I_pi, commutativity_check
+from gl2rep.harmonic import build_I_pi, build_I_pis, commutativity_check
 from gl2rep.oracle import (
     S4_OVER_C3_CLASS_MAP,
     S4_OVER_C3_EXPECTED,
@@ -228,8 +228,8 @@ def test_criterion_7_harmonic_suite():
     start = time.monotonic()
     for q in (2, 3):
         pr = params(q)
-        for pi in enumerate_irreps(pr):
-            basis = build_I_pi(pi, q)
+        irreps = enumerate_irreps(pr)
+        for pi, basis in zip(irreps, build_I_pis(irreps, q)):
             assert commutativity_check(basis) == is_gelfand_triple_product(pi, pr), pi.label()
             if pi.kind == "U":
                 assert len(basis) == q * q - 1

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from echelon import reference_basis, reference_columns, reference_projections
+from literal import convolve_literal, delta_identity, orbit_indicator, xi_function, xi_idempotent
 
 from gl2rep import harmonic
 from gl2rep.errors import BudgetExceeded, MismatchedGroup
@@ -17,16 +18,13 @@ from gl2rep.harmonic import (
     _product_slices,
     _products,
     build_I_pi,
+    build_I_pis,
     commutativity_check,
     convolve,
-    convolve_literal,
-    delta_identity,
-    orbit_indicator,
     pair_context,
-    xi_function,
-    xi_idempotent,
+    projection_bytes,
 )
-from gl2rep.cyclotomic import reduce_root_sum
+from gl2rep.cyclotomic import TABLE_BYTES_LIMIT, reduce_root_sum
 from gl2rep.oracle import _context, classify_element
 from gl2rep.tensor import ind_decompose, is_gelfand_triple_product
 
@@ -277,8 +275,8 @@ def test_xi_idempotency(q):
 @pytest.mark.parametrize("q", [2, 3])
 def test_dimensions_match_squared_multiplicities(q):
     pr = params(q)
-    for pi in enumerate_irreps(pr):
-        basis = build_I_pi(pi, q)
+    irreps = enumerate_irreps(pr)
+    for pi, basis in zip(irreps, build_I_pis(irreps, q)):
         assert len(basis) == sum(m * m for _, m in ind_decompose(pi, pr))
 
 
@@ -293,8 +291,8 @@ def test_known_dimensions():
 @pytest.mark.parametrize("q", [2, 3])
 def test_commutativity_agrees_with_multiplicity_freeness(q):
     pr = params(q)
-    for pi in enumerate_irreps(pr):
-        basis = build_I_pi(pi, q)
+    irreps = enumerate_irreps(pr)
+    for pi, basis in zip(irreps, build_I_pis(irreps, q)):
         assert commutativity_check(basis) == is_gelfand_triple_product(pi, pr)
 
 
@@ -357,7 +355,7 @@ def test_commutativity_check_keeps_no_dense_n():
     # builds one K x K slice at a time and keeps none, so reading all K
     # slices for X:1's commutative algebra stays well below that
     ctx = pair_context(3)
-    ctx.pair_count()
+    ctx.pair_count(0)
     basis = build_I_pi(GL2Irrep.X(params(3), 1), 3)
     tracemalloc.start()
     try:
@@ -373,10 +371,10 @@ def test_pair_count_counts_element_pairs(q):
     # y and z run over H = diag(G); y^-1 x_k z^-1 is taken one factor at a time
     ctx = pair_context(q)
     nc = len(ctx.classes)
-    count = ctx.pair_count()
-    assert count.dtype == np.int32 and count.shape == (ctx.K, ctx.K, nc, nc)
     ks = range(ctx.K) if q == 2 else (0, 1, 17, 80, ctx.K - 1)
     for k in ks:
+        count_k = ctx.pair_count(k)
+        assert count_k.dtype == np.int64 and count_k.shape == (ctx.K, nc, nc), k
         ka, kb = divmod(ctx.orbit_reps[k], ctx.n)
         want = np.zeros((ctx.K, nc, nc), dtype=np.int64)
         for y in range(ctx.n):
@@ -384,7 +382,67 @@ def test_pair_count_counts_element_pairs(q):
                 ua = ctx.mul[ctx.mul[ctx.inv[y], ka], ctx.inv[z]]
                 ub = ctx.mul[ctx.mul[ctx.inv[y], kb], ctx.inv[z]]
                 want[ctx.orb[ua * ctx.n + ub], ctx.cls[y], ctx.cls[z]] += 1
-        assert np.array_equal(count[k], want), k
+        assert np.array_equal(count_k, want), k
+
+
+# the harmonic workload's q = 3 irreps, in the order the suite meets them
+WORKLOAD_LABELS = ("V:0", "W:0,1", "X:1")
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_one_pass_gives_every_irrep_its_own_basis(q):
+    irreps = enumerate_irreps(params(q))
+    singles = {pi.label(): build_I_pi(pi, q) for pi in irreps}
+    subset = [pi for pi in irreps if pi.label() in WORKLOAD_LABELS] if q == 3 else irreps[::-1]
+    for order in (irreps, subset):
+        bases = build_I_pis(order, q)
+        assert len(bases) == len(order)
+        for pi, basis in zip(order, bases):
+            assert basis == singles[pi.label()], pi.label()
+    assert [pi.label() for pi in subset] == (list(WORKLOAD_LABELS) if q == 3 else ["X:1", "V:0", "U:0"])
+    assert build_I_pis([], q) == []
+
+
+def test_one_pass_holds_no_pair_count_tensor():
+    # the (K, K, nc, nc) int32 counts took K^2 nc^2 * 4 = 4 734 976 bytes at
+    # q = 3; the pass builds one K x nc x nc slice at a time, and what it
+    # holds stays within the estimate that its budget check reads
+    ctx = pair_context(3)
+    nc = len(ctx.classes)
+    irreps = [pi for pi in enumerate_irreps(params(3)) if pi.label() in WORKLOAD_LABELS]
+    build_I_pis(irreps[:1], 3)
+    tracemalloc.start()
+    try:
+        bases = build_I_pis(irreps, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(b) for b in bases] == [22, 34, 14]
+    assert (ctx.K, nc) == (136, 8) and peak < ctx.K**2 * nc**2 * 4, peak
+    assert peak <= projection_bytes(ctx.K, ctx.phi, len(irreps)), peak
+
+
+def test_the_projection_budget_at_q4():
+    # at q = 4, K = 693 and phi = 8: every one of the 15 irreps' projections
+    # in one pass, with room for one echelon, is about 492 MB, under the limit
+    assert projection_bytes(693, 8, 15) == 16 * 693**2 * 8 * 8 == 491_774_976
+    assert projection_bytes(693, 8, 15) < TABLE_BYTES_LIMIT
+
+
+def test_the_projection_guards_run_before_any_slice(monkeypatch):
+    # a pass over several irreps checks each irrep's int64 bound and the
+    # projections' bytes before it builds the first pair-count slice
+    ctx = pair_context(3)
+    irreps = enumerate_irreps(params(3))
+    monkeypatch.setattr(ctx, "pair_count", lambda k: pytest.fail("a slice was built before the guards"))
+    monkeypatch.setattr(harmonic, "projection_bytes", lambda *_: TABLE_BYTES_LIMIT + 1)
+    with pytest.raises(BudgetExceeded, match="projections of 8 irreps"):
+        build_I_pis(irreps, 3)
+    seen = []
+    monkeypatch.setattr(harmonic, "_check_int64", lambda bound, what, q: seen.append(what))
+    with pytest.raises(BudgetExceeded):
+        build_I_pis(irreps, 3)
+    assert seen == ["projection"] * len(irreps)
 
 
 @pytest.mark.parametrize("q", [2, 3])
