@@ -30,20 +30,10 @@ integer counts
 over the H-conjugation orbits on G', which turn each convolution into
 a small bilinear form in integers.  No N of all K^3 counts is kept: the
 K x K slice N[k] is built when a product reads it.  One generator yields
-the products of two stacked bases one orbit slice k at a time;
-``_products`` stacks all slices, and ``commutativity_check`` stops at
-the first slice that is not symmetric in its two basis axes, since the
-algebra is commutative iff every slice is, and so builds no N[k] past
-it.  Each slice is evaluated in float64 through BLAS, its N[k] cast
-once, and is still exact: every operand is an integer, and when the
-absolute values of the terms of each output entry sum to less than
-2^53, every partial sum is an integer that float64 holds exactly, in
-any summation order, with or without FMA and on any number of threads.  That sum is at most
-
-    |G'| * max|f| * max|g| * max_e sum_{c,d} |reduction[c, d, e]|,
-
-and a product stack whose bound reaches 2^53 raises BudgetExceeded before
-anything is allocated; at q <= 3 the largest bound met is 230 400.
+the products of two stacked bases one orbit slice k at a time, and
+``commutativity_check`` stops at the first slice that is not symmetric
+in its two basis axes, since the algebra is commutative iff every slice
+is, and so builds no N[k] past it.
 
 The projections that span I_pi come from the pi-independent pair counts
 
@@ -51,13 +41,30 @@ The projections that span I_pi come from the pi-independent pair counts
 
 which are never held whole either: the K x nc x nc slice of orbit k is
 built when the projection pass reads it, and dropped after.  One pass
-over k projects every irrep of a q from each slice with one int64
-product, so each slice is built once per pass however many irreps it
-serves.  The projections and the echelon that picks a basis from them
-run on int64, under the same kind of bound taken from the operands
-before each step: a step whose terms could sum to 2^62 raises
-BudgetExceeded before any product is formed.  With content reduction the
-largest entry the echelon meets at q <= 3 is 4 800, far below it.
+over k projects every irrep of a q from each slice with one product, so
+each slice is built once per pass however many irreps it serves.
+
+Every product, of the convolutions and of the projections, runs in
+float64 through BLAS under one rule, and is still exact: every operand
+is an integer, and when the absolute values of the terms of each output
+entry sum to less than 2^53, every partial sum is an integer that
+float64 holds exactly, in any summation order, with or without FMA and
+on any number of threads, so the result rounded back to int64 is the
+integer one.  A convolution's sum is at most
+
+    |G'| * max|f| * max|g| * max_e sum_{c,d} |reduction[c, d, e]|,
+
+and a projection's at most n^2 * max|xi|^2 times the same reduction
+mass; a product whose bound reaches 2^53 raises BudgetExceeded before
+anything is allocated.  At q <= 3 the largest bounds met are 230 400
+for a convolution and 2 359 296 for a projection (2^21.2).
+
+The echelon that picks a basis from the projections stays on int64,
+under the same kind of bound taken from the operands before each step:
+a step whose terms could sum to 2^62 raises BudgetExceeded before any
+product is formed.  It finds the echelon row of each step in one lookup
+over the pivots.  With content reduction the largest entry the echelon
+meets at q <= 3 is 4 800, far below its bound.
 """
 
 from __future__ import annotations
@@ -221,15 +228,22 @@ def _xi_classes(pi: GL2Irrep, ctx: PairGroupContext) -> np.ndarray:
     )
 
 
+def _check_float64(bound: int, what: str, q: int) -> None:
+    """Raise BudgetExceeded unless ``bound``, an a-priori bound on the sum of
+    the absolute values of the integer terms behind every entry of a float64
+    product, stays below 2^53, so that every partial sum of the product is
+    an integer float64 holds exactly, in any summation order."""
+    if bound >= 2**53:
+        raise BudgetExceeded(f"{what} bound {bound} reaches 2^53 at q={q}")
+
+
 def _check_exact(ctx: PairGroupContext, f: np.ndarray, g: np.ndarray) -> None:
     """Raise BudgetExceeded unless, for every product of an entry of f with
     an entry of g, the absolute values of the terms of each coordinate sum
     to less than 2^53, so float64 (and int64) sums of them are exact."""
     max_f = int(np.abs(f).max() or 1)
     max_g = int(np.abs(g).max() or 1)
-    bound = ctx.n2 * max_f * max_g * ctx.reduction_mass
-    if bound >= 2**53:
-        raise BudgetExceeded(f"convolution bound {bound} reaches 2^53 at q={ctx.q}")
+    _check_float64(ctx.n2 * max_f * max_g * ctx.reduction_mass, "convolution", ctx.q)
 
 
 def _product_slices(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> Iterator[np.ndarray]:
@@ -261,21 +275,6 @@ def _product_slices(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> Iter
     return slices()
 
 
-def _products(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Every slice of ``_product_slices`` stacked: the (a, b, K, phi) int64
-    array P of the integer parts of f * g for f in F and g in G."""
-    return np.stack(list(_product_slices(ctx, F, G)), axis=2)
-
-
-def convolve(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
-    """Exact convolution (f1 * f2)(x) = (1/|G'|) sum_y f1(y) f2(y^-1 x)."""
-    if f1.ctx is not f2.ctx:
-        raise MismatchedGroup("functions live on different groups")
-    ctx = f1.ctx
-    coords = _products(ctx, f1.coords[None], f2.coords[None])[0, 0]
-    return GroupFunction(ctx, coords, f1.den * f2.den * ctx.n2)
-
-
 def _cyc_mul_matrix(vec: np.ndarray, reduction: np.ndarray) -> np.ndarray:
     """phi x phi integer matrix of multiplication by the cyclotomic vec."""
     return np.einsum("c,cde->de", vec, reduction)
@@ -302,12 +301,14 @@ def build_I_pis(irreps: list[GL2Irrep], q: int) -> list[list[GroupFunction]]:
     by projecting H-orbit indicator sums.
 
     One pass over the orbit representatives x_k builds each pair-count slice
-    once, never all of them, and projects every irrep from it in one int64
-    product: the slice's (K, nc^2) counts times the (nc^2, irreps * phi)
-    stack of the irreps' class-pair products.  Each irrep's guard runs, and
-    the projections' bytes are checked, before any slice is built; then a
-    maximal linearly independent subset of each irrep's projections over
-    Q(zeta_rs) is selected by exact elimination.
+    once, never all of them, and projects every irrep from it in one float64
+    product through BLAS: the slice's (K, nc^2) counts times the
+    (nc^2, irreps * phi) stack of the irreps' class-pair products, rounded
+    back to int64.  Each irrep's guard bounds every partial sum of its
+    entries below 2^53, so the rounded product is the integer one; the
+    guards run, and the projections' bytes are checked, before any slice is
+    built.  Then a maximal linearly independent subset of each irrep's
+    projections over Q(zeta_rs) is selected by exact elimination.
     """
     if not irreps:
         return []
@@ -320,16 +321,17 @@ def build_I_pis(irreps: list[GL2Irrep], q: int) -> list[list[GroupFunction]]:
         # every projection entry sums n^2 pair products, each a sum of terms
         # bounded by max|xi|^2 * reduction_mass
         max_xi = int(np.abs(xi).max())
-        _check_int64(ctx.n**2 * max_xi * max_xi * ctx.reduction_mass, "projection", q)
+        _check_float64(ctx.n**2 * max_xi * max_xi * ctx.reduction_mass, "projection", q)
         # products xi(y) xi(z) for all class pairs, reduced to the power basis
         pair_products.append(np.einsum("ac,bd,cde->abe", xi, xi, ctx.reduction).reshape(nc * nc, phi))
     m = len(irreps)
     require_budget(projection_bytes(K, phi, m), f"the projections of {m} irreps over GL2({q}) x GL2({q})")
-    products = np.concatenate(pair_products, axis=1)  # [(cy, cz), (pi, e)]
+    products = np.concatenate(pair_products, axis=1).astype(np.float64)  # [(cy, cz), (pi, e)]
     # C[k, j, :] of each pi = sum over class pairs of count[k] * product of pi
     projections = [np.empty((K, K, phi), dtype=np.int64) for _ in irreps]
     for k in range(K):
-        rows = (ctx.pair_count(k).reshape(K, nc * nc) @ products).reshape(K, m, phi)
+        counts = ctx.pair_count(k).reshape(K, nc * nc).astype(np.float64)
+        rows = np.rint(counts @ products).astype(np.int64).reshape(K, m, phi)
         for i, C in enumerate(projections):
             C[k] = rows[:, i]
     # each irrep's projections are dropped once its basis is taken from them
@@ -363,27 +365,42 @@ def _independent_columns(ctx: PairGroupContext, projections: np.ndarray) -> list
 
     which bounds every partial sum of the step.  At q <= 3 no entry passes
     4 800 (W:0,1 at q = 3, about 12.2 bits).
+
+    The rows are kept in order of their pivots, and the next row to reduce
+    by is found in one lookup: the first row at or past the last step whose
+    pivot entry of v is nonzero.  A step at pivot p leaves v's zeros before
+    p where they were, since every row is zero before its pivot and
+    multiplying by piv != 0 maps nonzero entries to nonzero ones, so the
+    rows the lookup passes over are the ones a row-by-row test would skip.
     """
     red = ctx.reduction
-    # (pivot_idx, row, pivot_val, max|row|, max|pivot_val|)
-    echelon: list[tuple[int, np.ndarray, np.ndarray, int, int]] = []
+    # (row, pivot_val, max|row|, max|pivot_val|), in the order of pivots
+    echelon: list[tuple[np.ndarray, np.ndarray, int, int]] = []
+    pivots = np.empty(0, dtype=np.intp)
     chosen = []
     for j in range(projections.shape[1]):
         v = projections[:, j, :]
-        for p, row, piv, max_row, max_piv in echelon:
-            if v[p].any():
-                coeff = v[p].copy()
-                bound = (int(np.abs(v).max()) * max_piv + max_row * int(np.abs(coeff).max())) * ctx.reduction_mass
-                _check_int64(bound, "echelon step", ctx.q)
-                v = _content_reduced(v @ _cyc_mul_matrix(piv, red) - row @ _cyc_mul_matrix(coeff, red))
+        at = 0
+        while True:
+            hits = np.flatnonzero(v[pivots[at:]].any(axis=1))
+            if not hits.size:
+                break
+            at += int(hits[0])
+            row, piv, max_row, max_piv = echelon[at]
+            coeff = v[pivots[at]].copy()
+            bound = (int(np.abs(v).max()) * max_piv + max_row * int(np.abs(coeff).max())) * ctx.reduction_mass
+            _check_int64(bound, "echelon step", ctx.q)
+            v = _content_reduced(v @ _cyc_mul_matrix(piv, red) - row @ _cyc_mul_matrix(coeff, red))
+            at += 1
         nz = np.flatnonzero(v.any(axis=1))
         if not nz.size:
             continue
         p = int(nz[0])
         v = _content_reduced(v)
-        echelon.append((p, v, v[p].copy(), int(np.abs(v).max()), int(np.abs(v[p]).max())))
+        at = int(np.searchsorted(pivots, p))
+        pivots = np.insert(pivots, at, p)
+        echelon.insert(at, (v, v[p].copy(), int(np.abs(v).max()), int(np.abs(v[p]).max())))
         chosen.append(j)
-        echelon.sort(key=lambda item: item[0])
     return chosen
 
 

@@ -1,12 +1,36 @@
 """The references the harmonic tests hold the library to: the convolution
-summed element by element from its definition, the functions the tests
-convolve, and the idempotency of the projector kernel xi_pi."""
+summed element by element from its definition, the convolution through the
+library's product kernel that the tests compare with it, the functions the
+tests convolve, and the idempotency of the projector kernel xi_pi."""
 
 import numpy as np
 
 from gl2rep.errors import MismatchedGroup
 from gl2rep.gl2 import GL2Irrep
-from gl2rep.harmonic import GroupFunction, PairGroupContext, _check_exact, _xi_classes, convolve, pair_context
+from gl2rep.harmonic import (
+    GroupFunction,
+    PairGroupContext,
+    _check_exact,
+    _product_slices,
+    _xi_classes,
+    pair_context,
+)
+
+
+def products(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Every slice of ``_product_slices`` stacked: the (a, b, K, phi) int64
+    array P of the integer parts of f * g for f in F and g in G."""
+    return np.stack(list(_product_slices(ctx, F, G)), axis=2)
+
+
+def convolve(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:
+    """Exact convolution (f1 * f2)(x) = (1/|G'|) sum_y f1(y) f2(y^-1 x),
+    through the product kernel."""
+    if f1.ctx is not f2.ctx:
+        raise MismatchedGroup("functions live on different groups")
+    ctx = f1.ctx
+    coords = products(ctx, f1.coords[None], f2.coords[None])[0, 0]
+    return GroupFunction(ctx, coords, f1.den * f2.den * ctx.n2)
 
 
 def delta_identity(ctx: PairGroupContext, scale: int = 1) -> GroupFunction:

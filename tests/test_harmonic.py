@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from echelon import reference_basis, reference_columns, reference_projections
-from literal import convolve_literal, delta_identity, orbit_indicator, xi_function, xi_idempotent
+from literal import convolve, convolve_literal, delta_identity, orbit_indicator, products, xi_function, xi_idempotent
 
 from gl2rep import harmonic
 from gl2rep.errors import BudgetExceeded, MismatchedGroup
@@ -16,11 +16,9 @@ from gl2rep.harmonic import (
     _check_exact,
     _independent_columns,
     _product_slices,
-    _products,
     build_I_pi,
     build_I_pis,
     commutativity_check,
-    convolve,
     pair_context,
     projection_bytes,
 )
@@ -144,7 +142,7 @@ def test_stacked_products_keep_the_axis_order():
     rng = np.random.default_rng(11)
     F = rng.integers(-3, 4, size=(2, ctx.K, ctx.phi)).astype(np.int64)
     G = rng.integers(-3, 4, size=(3, ctx.K, ctx.phi)).astype(np.int64)
-    P = _products(ctx, F, G)
+    P = products(ctx, F, G)
     assert P.shape == (2, 3, ctx.K, ctx.phi)
     for a in range(2):
         for b in range(3):
@@ -209,7 +207,7 @@ def test_products_are_exact_at_the_edge_of_the_guard():
     F = rng.integers(-top, top + 1, size=(2, ctx.K, ctx.phi)).astype(np.int64)
     G = rng.integers(-top, top + 1, size=(3, ctx.K, ctx.phi)).astype(np.int64)
     F[0, 0, 0] = G[1, 2, 1] = top
-    P = _products(ctx, F, G)
+    P = products(ctx, F, G)
     assert np.abs(P).max() > 2**48
     for a in range(2):
         for b in range(3):
@@ -232,7 +230,7 @@ def test_guard_uses_the_reduction_mass_not_phi(monkeypatch):
     with pytest.raises(BudgetExceeded):
         _check_exact(ctx, F, F)
     with pytest.raises(BudgetExceeded):
-        _products(ctx, F, F)
+        products(ctx, F, F)
     with pytest.raises(BudgetExceeded):
         _product_slices(ctx, F, F)
     with pytest.raises(BudgetExceeded):
@@ -430,7 +428,7 @@ def test_the_projection_budget_at_q4():
 
 
 def test_the_projection_guards_run_before_any_slice(monkeypatch):
-    # a pass over several irreps checks each irrep's int64 bound and the
+    # a pass over several irreps checks each irrep's float64 bound and the
     # projections' bytes before it builds the first pair-count slice
     ctx = pair_context(3)
     irreps = enumerate_irreps(params(3))
@@ -439,10 +437,50 @@ def test_the_projection_guards_run_before_any_slice(monkeypatch):
     with pytest.raises(BudgetExceeded, match="projections of 8 irreps"):
         build_I_pis(irreps, 3)
     seen = []
-    monkeypatch.setattr(harmonic, "_check_int64", lambda bound, what, q: seen.append(what))
+    monkeypatch.setattr(harmonic, "_check_float64", lambda bound, what, q: seen.append(what))
     with pytest.raises(BudgetExceeded):
         build_I_pis(irreps, 3)
     assert seen == ["projection"] * len(irreps)
+
+
+# the largest max|xi| a projection at q = 2 may meet: n^2 * 3 * XI_TOP^2 < 2^53
+XI_TOP = math.isqrt((2**53 - 1) // (36 * 3))
+
+
+def _edge_xi(top):
+    """xi on GL2(2)'s three classes with max|xi| = top, whose largest
+    projection entry is odd and within a factor 2 of 2^52 at top = XI_TOP."""
+    return np.array([(top, 1 - top), (top, -top), (top, -top)], dtype=np.int64)
+
+
+def test_projections_just_under_the_float64_guard_are_exact(monkeypatch):
+    # the largest projection entry passes 2^51 and is odd, so a kernel that
+    # kept fewer bits than float64, or a guard that let max|xi| grow by a
+    # factor 2, would round it; every entry must equal the object-dtype sums
+    ctx = pair_context(2)
+    assert (ctx.n, len(ctx.classes), ctx.reduction_mass) == (6, 3, 3)
+    assert ctx.n**2 * 3 * XI_TOP**2 < 2**53 <= ctx.n**2 * 3 * (XI_TOP + 1) ** 2
+    xi = _edge_xi(XI_TOP)
+    monkeypatch.setattr(harmonic, "_xi_classes", lambda pi, ctx: xi)
+    seen = []
+    monkeypatch.setattr(harmonic, "_independent_columns", lambda ctx, C: seen.append(C.copy()) or [])
+    assert build_I_pis([GL2Irrep.U(params(2), 0)], 2) == [[]]
+    pair_products = np.einsum("ac,bd,cde->abe", xi.astype(object), xi.astype(object), ctx.reduction.astype(object))
+    count = np.stack([ctx.pair_count(k) for k in range(ctx.K)]).astype(object)
+    want = np.einsum("kjab,abe->kje", count, pair_products)
+    (got,) = seen
+    assert got.dtype == np.int64 and np.array_equal(got.astype(object), want)
+    top = max(abs(int(x)) for x in want.ravel())
+    assert 2**51 < top < 2**52 and top % 2 == 1
+
+
+@pytest.mark.parametrize("top", [XI_TOP + 1, 2**31 - 1])
+def test_projection_guard_raises_before_any_slice(monkeypatch, top):
+    ctx = pair_context(2)
+    monkeypatch.setattr(harmonic, "_xi_classes", lambda pi, ctx: _edge_xi(top))
+    monkeypatch.setattr(ctx, "pair_count", lambda k: pytest.fail("a slice was built past the guard"))
+    with pytest.raises(BudgetExceeded, match="projection bound .* reaches 2\\^53"):
+        build_I_pis([GL2Irrep.U(params(2), 0)], 2)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -452,6 +490,37 @@ def test_echelon_matches_the_object_reference(q):
         projections = reference_projections(pi, q)
         assert _independent_columns(ctx, projections) == reference_columns(ctx, projections), pi.label()
         assert build_I_pi(pi, q) == reference_basis(pi, q), pi.label()
+
+
+# the echelon steps each irrep's basis takes, as the row-by-row pivot test took them
+ECHELON_STEPS = {
+    2: {"U:0": 8, "V:0": 6, "X:1": 8},
+    3: {"U:0": 128, "U:1": 128, "V:0": 239, "V:1": 239, "W:0,1": 184, "X:1": 162, "X:2": 116, "X:5": 162},
+}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_the_echelon_takes_the_pinned_steps(monkeypatch, q):
+    # each step forms two multiplication matrices, so their count per
+    # irrep is twice its steps; a lookup that reduced by a row the
+    # row-by-row test skips, or skipped one it reduced by, moves a count
+    calls = []
+    multiply, columns = harmonic._cyc_mul_matrix, harmonic._independent_columns
+
+    def counted_multiply(*args):
+        calls[-1] += 1
+        return multiply(*args)
+
+    def counted_columns(ctx, C):
+        calls.append(0)
+        return columns(ctx, C)
+
+    monkeypatch.setattr(harmonic, "_cyc_mul_matrix", counted_multiply)
+    monkeypatch.setattr(harmonic, "_independent_columns", counted_columns)
+    irreps = enumerate_irreps(params(q))
+    build_I_pis(irreps, q)
+    assert all(n % 2 == 0 for n in calls), calls
+    assert {pi.label(): n // 2 for pi, n in zip(irreps, calls)} == ECHELON_STEPS[q]
 
 
 # the largest pivot entries a step at q = 2 may meet: 2 * 3 * TOP^2 < 2^62
