@@ -524,7 +524,7 @@ def cmd_verify(args, out) -> int:
             if args.max_q is not None:
                 ceiling = min(ceiling, args.max_q)
         for q in qs:
-            if ceiling is not None and not 2 <= q <= ceiling:
+            if ceiling is not None and q > ceiling:
                 reports.append({"check": suite, "q": q, "skipped": f"q outside ceiling {ceiling}"})
                 continue
             if suite == "indx-counts" and q == 2:
@@ -607,6 +607,9 @@ def _q_list(text: str) -> list[int]:
     # an empty list would fall back to each suite's default sweep
     if not qs:
         raise argparse.ArgumentTypeError(f"empty q list {text!r}")
+    # every suite would skip a q below 2 as past its ceiling, and the run would pass
+    if min(qs) < 2:
+        raise argparse.ArgumentTypeError(f"q={min(qs)} below 2 in q list {text!r}")
     return qs
 
 

@@ -220,12 +220,6 @@ def label_arrays(pr: GroupParams) -> np.ndarray:
     return np.stack([kind, np.concatenate([residues, a, n]), np.concatenate([residues, b, pr.q * n % rs])])
 
 
-def x_orbit_reps(pr: GroupParams) -> list[int]:
-    """The canonical members n < qn mod rs of the X (c4) orbits {n, qn} in Z_rs, n != 0 mod s, rising."""
-    t = label_table(pr.q)
-    return t.p0[t.kind == X].tolist()
-
-
 def label_texts(kinds: tuple[str, ...], rows: np.ndarray, quote: str = "") -> np.ndarray:
     """The label of each row of ``label_arrays``, kinds named by ``kinds``, read 256
     rows at a time, each between two ``quote``: a label holds only letters, digits,

@@ -29,7 +29,6 @@ from .fields import FieldTower, build_tower
 from .gl2 import (
     GL2Class,
     GL2Irrep,
-    GroupParams,
     char_rows,
     char_value,
     divide_exact,
@@ -50,12 +49,6 @@ Matrix2 = tuple[int, int, int, int]
 
 # the kind codes of the classes, as label_table's kind column holds them
 C1, C2, C3, C4 = range(4)
-
-
-def tower_for(q: int) -> FieldTower:
-    """The field tower of q, built on each call; ``_context(q).tower`` is the one kept."""
-    pr = params(q)
-    return build_tower(pr.p, pr.ell)
 
 
 def _arrays(gf) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -151,7 +144,7 @@ class OracleContext:
             raise BudgetExceeded(f"q={q} exceeds the oracle ceiling {CENSUS_MAX_Q}")
         self.q = q
         self.pr = params(q)
-        self.tower = tower_for(q)
+        self.tower = build_tower(self.pr.p, self.pr.ell)
         self.elements = enumerate_gl2(self.tower)
         self.code_index = np.full(q**4, -1)
         self.code_index[self.elements @ _place(q)] = np.arange(len(self.elements))
@@ -473,31 +466,6 @@ S4_OVER_C3_EXPECTED = [
     [1, 1, 1],
     [1, 1, 1],
 ]
-
-
-def gl2_char_table(pr: GroupParams) -> ExplicitCharTable:
-    """The full character table of GL2(q) as an explicit table."""
-    classes = enumerate_classes(pr)
-    irreps = enumerate_irreps(pr)
-    return ExplicitCharTable(
-        name=f"GL2({pr.q})",
-        class_labels=[c.label() for c in classes],
-        class_sizes=[c.size() for c in classes],
-        irrep_labels=[pi.label() for pi in irreps],
-        values=[[char_value(pi, c, pr) for c in classes] for pi in irreps],
-    )
-
-
-def center_char_table(pr: GroupParams) -> ExplicitCharTable:
-    """Character table of the center of GL2(q) (cyclic of order r)."""
-    r = pr.r
-    return ExplicitCharTable(
-        name=f"Z(GL2({pr.q}))",
-        class_labels=[f"z:{k}" for k in range(r)],
-        class_sizes=[1] * r,
-        irrep_labels=[f"psi:{b}" for b in range(r)],
-        values=[[root(r, b * k) for k in range(r)] for b in range(r)],
-    )
 
 
 def bessel_check(q: int) -> dict:

@@ -17,14 +17,14 @@ Class parameter conventions, with omega = rho^(r/d), d = gcd(3, r):
 
 The pi_rt value on C7(k) is -(phi_u(sigma^-k) + phi_u(sigma^-qk)).
 The rows on the embedded GL2 classes come in closed form (``sl3_rows``);
-``embed_class`` and ``sl3_char_terms`` are the scalar references.
+``embed_class`` is the scalar reference of the class each GL2 class meets,
+and tests/packed.py keeps the scalar character terms they are held to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic
 from .errors import InvalidLabel, MismatchedQ, WitnessFailed
 from .gl2 import (
     SLICE_BYTES,
@@ -46,7 +46,6 @@ from .gl2 import (
     parse_label,
     require_budget,
     table_bytes,
-    terms_value,
     x_canonical,
 )
 
@@ -188,62 +187,11 @@ def _omega_exponent(k: int, pr: GroupParams) -> int:
     return j if j else pr.d
 
 
-def sl3_char_terms(pi: SL3Irrep, c: SL3Class, pr: GroupParams) -> tuple[tuple[int, int], ...]:
-    """Character value as terms coef * zeta_rs^exp; alpha lives at zeta_r = zeta_rs^s."""
-    if pi.q != pr.q or c.q != pr.q:
-        raise MismatchedQ(f"{pi!r}, {c!r} must both live over q={pr.q}")
-    q, r, s, rs, t, d = pr.q, pr.r, pr.s, pr.rs, pr.t, pr.d
-    unit = r // d
-    kind = pi.kind
-    if kind == "piQS":
-        scalar = {"C1": q * s, "C2": q, "C3": 0, "C4": s, "C5": 1, "C6": 2, "C7": 0, "C8": -1}[
-            c.kind
-        ]
-        return ((scalar, 0),) if scalar else ()
-    u = pi.data[0]
-    if c.kind in ("C1", "C2", "C3"):
-        omega_exp = (u * c.data[0] * unit * s) % rs
-        if kind == "piT":
-            scalar = {"C1": t, "C2": s, "C3": 1}[c.kind]
-            return ((scalar, omega_exp),)
-        scalar = {"C1": r * t, "C2": -1, "C3": -1}[c.kind]
-        return ((scalar, omega_exp),)
-    if c.kind == "C4":
-        k = c.data[0]
-        if kind == "piT":
-            return ((s, (u * k * s) % rs), (1, (-2 * u * k * s) % rs))
-        return ((r, (u * k * s) % rs),)
-    if c.kind == "C5":
-        k = c.data[0]
-        if kind == "piT":
-            return ((1, (u * k * s) % rs), (1, (-2 * u * k * s) % rs))
-        return ((-1, (u * k * s) % rs),)
-    if c.kind == "C6":
-        k, l = c.data
-        if kind == "piT":
-            return (
-                (1, (u * k * s) % rs),
-                (1, (u * l * s) % rs),
-                (1, (-u * (k + l) * s) % rs),
-            )
-        return ()
-    if c.kind == "C7":
-        k = c.data[0]
-        if kind == "piT":
-            return ((1, (u * k * s) % rs),)
-        return ((-1, (-u * k) % rs), (-1, (-u * q * k) % rs))
-    return ()
-
-
-def sl3_char_value(pi: SL3Irrep, c: SL3Class, pr: GroupParams) -> Cyclotomic:
-    """Exact partial character table entry for SL3(q)."""
-    return terms_value(pr.rs, sl3_char_terms(pi, c, pr))
-
-
 def sl3_rows(pis, pr: GroupParams) -> Rows:
     """The character rows of these SL3 irreps on the embedded GL2 classes, in
     this order and in canonical class order, as one stack: the cell table of
-    sl3_char_terms and embed_class, which the tests hold it to entry for entry.
+    the scalar character terms (tests/packed.py) on the classes embed_class
+    gives, which the tests hold it to entry for entry.
 
     A coefficient varies over a GL2 class block with the SL3 class that each
     class meets.  c1:k and c2:k meet C1 and C2 when k = 0 mod r/d, and C4(k)

@@ -88,7 +88,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, euler_phi, power_coords
+from .cyclotomic import euler_phi
 from .errors import GL2RepError, NegativeMultiplicity, NotMultiplicityFree
 from .gl2 import (
     BUILD_ENTRY_BYTES,
@@ -110,7 +110,6 @@ from .gl2 import (
     label_table,
     omega,
     operand,
-    operands,
     position,
     require_budget,
     table_bytes,
@@ -137,13 +136,6 @@ _CHUNK_BYTES = 1 << 21
 _CHUNK_TRIPLE_BYTES = 128
 _ROWS_BYTES = 1 << 26
 _COORD_BYTES = 1 << 19
-
-
-def mult_sum_numerator(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep, pr: GroupParams) -> Cyclotomic:
-    """The weighted class sum before division by |G| = q*s*r^2."""
-    rows = char_rows(operands([pi1, pi2, pi3], pr), pr)
-    coords = class_sum(pr.rs, label_table(pr.q).sizes, rows, rows, rows, ([0], [1], [2]))[0]
-    return Cyclotomic(pr.rs, power_coords(pr.rs, coords.tolist()))
 
 
 def _what(pi1: GL2Irrep, pi2: GL2Irrep, pi3: GL2Irrep) -> str:
@@ -438,7 +430,7 @@ def is_gelfand_triple_product(pi: GL2Irrep, pr: GroupParams) -> bool:
 
 
 def ind_X_counts(pr: GroupParams) -> dict[int, dict[int, int]]:
-    """Constituent counts of the induction of each X_[n], n in ``x_orbit_reps``
+    """Constituent counts of the induction of each X_[n], n in canonical (rising)
     order, grouped by pair dimension, each dict's keys in order of first
     appearance: one ``ind_slices`` sweep over the X irreps.
 
@@ -682,10 +674,6 @@ class Disagreement:
         return asdict(self)
 
 
-def all_triples(pr: GroupParams) -> Iterator[tuple[GL2Irrep, GL2Irrep, GL2Irrep]]:
-    return product(enumerate_irreps(pr), repeat=3)
-
-
 def sample_positions(pr: GroupParams, count: int, seed: int) -> np.ndarray:
     """A (count, 3) array of label_table positions: the triples that
     ``random.Random(seed).choice`` draws over the q^2 - 1 irreps, three a triple.
@@ -704,16 +692,12 @@ def sample_positions(pr: GroupParams, count: int, seed: int) -> np.ndarray:
     return np.concatenate(kept).astype(np.intp).reshape(count, 3)
 
 
-def sample_triples(pr: GroupParams, count: int, seed: int) -> Iterator[tuple[GL2Irrep, GL2Irrep, GL2Irrep]]:
-    """The labels of ``sample_positions``."""
-    return (tuple(_irrep(k, pr) for k in at) for at in sample_positions(pr, count, seed).tolist())
-
-
 def _kind_sums(ops: np.ndarray, codes: np.ndarray, pr: GroupParams) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The mult_sum_numerator of some triples, width triple by width triple:
-    pairs (at, coords) of their rising positions among the triples and their
-    (len(at), phi(rs)) tensor-basis coordinates.  ``ops`` holds the operands
-    of their distinct irreps and ``codes`` each triple's three places in it.
+    """The weighted class sums of some triples before division by |G|, width
+    triple by width triple: pairs (at, coords) of their rising positions among
+    the triples and their (len(at), phi(rs)) tensor-basis coordinates.
+    ``ops`` holds the operands of their distinct irreps and ``codes`` each
+    triple's three places in it.
 
     The irreps are stacked once per term width, U and V in one stack (their
     rows are as wide in every class block but c2, where V's zero entries are

@@ -1,12 +1,14 @@
-"""The references the harmonic tests hold the library to: the convolution
-summed element by element from its definition, the convolution through the
-library's product kernel that the tests compare with it, the functions the
-tests convolve, and the idempotency of the projector kernel xi_pi."""
+"""References written from their definitions: the X orbit representatives
+of the canonical irrep order, the 2x2 matrix product over a field, and for
+the harmonic tests the convolution summed element by element, the
+convolution through the library's product kernel that the tests compare
+with it, the functions the tests convolve, and the idempotency of the
+projector kernel xi_pi."""
 
 import numpy as np
 
 from gl2rep.errors import MismatchedGroup
-from gl2rep.gl2 import GL2Irrep
+from gl2rep.gl2 import GL2Irrep, GroupParams
 from gl2rep.harmonic import (
     GroupFunction,
     PairGroupContext,
@@ -15,6 +17,22 @@ from gl2rep.harmonic import (
     _xi_classes,
     pair_context,
 )
+
+
+def x_orbit_reps(pr: GroupParams) -> list[int]:
+    """The canonical members n < qn mod rs of the X (c4) orbits {n, qn} in Z_rs, n != 0 mod s, rising."""
+    return [n for n in range(pr.rs) if n % pr.s and n < pr.q * n % pr.rs]
+
+
+def matrix_product(gf, x, y):
+    """The product of two 2x2 matrices (a, b, c, d) over the field gf, entry by entry."""
+    (a, b, c, d), (e, f, g, h) = x, y
+    return (
+        gf.add(gf.mul(a, e), gf.mul(b, g)),
+        gf.add(gf.mul(a, f), gf.mul(b, h)),
+        gf.add(gf.mul(c, e), gf.mul(d, g)),
+        gf.add(gf.mul(c, f), gf.mul(d, h)),
+    )
 
 
 def products(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> np.ndarray:

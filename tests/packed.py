@@ -1,9 +1,65 @@
-"""The scalar reference of the closed-form row stacks: rows packed from
-(coef, exp) terms one entry at a time, and an array-for-array comparison."""
+"""The scalar references of the closed-form row stacks: the SL3 character
+terms one entry at a time, rows packed from (coef, exp) terms one entry at a
+time, and an array-for-array comparison."""
 
 import numpy as np
 
-from gl2rep.gl2 import Block
+from gl2rep.cyclotomic import Cyclotomic
+from gl2rep.errors import MismatchedQ
+from gl2rep.gl2 import Block, GroupParams, terms_value
+from gl2rep.sl3 import SL3Class, SL3Irrep
+
+
+def sl3_char_terms(pi: SL3Irrep, c: SL3Class, pr: GroupParams) -> tuple[tuple[int, int], ...]:
+    """Character value as terms coef * zeta_rs^exp; alpha lives at zeta_r = zeta_rs^s."""
+    if pi.q != pr.q or c.q != pr.q:
+        raise MismatchedQ(f"{pi!r}, {c!r} must both live over q={pr.q}")
+    q, r, s, rs, t, d = pr.q, pr.r, pr.s, pr.rs, pr.t, pr.d
+    unit = r // d
+    kind = pi.kind
+    if kind == "piQS":
+        scalar = {"C1": q * s, "C2": q, "C3": 0, "C4": s, "C5": 1, "C6": 2, "C7": 0, "C8": -1}[
+            c.kind
+        ]
+        return ((scalar, 0),) if scalar else ()
+    u = pi.data[0]
+    if c.kind in ("C1", "C2", "C3"):
+        omega_exp = (u * c.data[0] * unit * s) % rs
+        if kind == "piT":
+            scalar = {"C1": t, "C2": s, "C3": 1}[c.kind]
+            return ((scalar, omega_exp),)
+        scalar = {"C1": r * t, "C2": -1, "C3": -1}[c.kind]
+        return ((scalar, omega_exp),)
+    if c.kind == "C4":
+        k = c.data[0]
+        if kind == "piT":
+            return ((s, (u * k * s) % rs), (1, (-2 * u * k * s) % rs))
+        return ((r, (u * k * s) % rs),)
+    if c.kind == "C5":
+        k = c.data[0]
+        if kind == "piT":
+            return ((1, (u * k * s) % rs), (1, (-2 * u * k * s) % rs))
+        return ((-1, (u * k * s) % rs),)
+    if c.kind == "C6":
+        k, l = c.data
+        if kind == "piT":
+            return (
+                (1, (u * k * s) % rs),
+                (1, (u * l * s) % rs),
+                (1, (-u * (k + l) * s) % rs),
+            )
+        return ()
+    if c.kind == "C7":
+        k = c.data[0]
+        if kind == "piT":
+            return ((1, (u * k * s) % rs),)
+        return ((-1, (-u * k) % rs), (-1, (-u * q * k) % rs))
+    return ()
+
+
+def sl3_char_value(pi: SL3Irrep, c: SL3Class, pr: GroupParams) -> Cyclotomic:
+    """Exact partial character table entry for SL3(q)."""
+    return terms_value(pr.rs, sl3_char_terms(pi, c, pr))
 
 
 def class_blocks(q: int) -> tuple[int, ...]:

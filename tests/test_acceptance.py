@@ -20,8 +20,9 @@ import time
 
 import numpy as np
 import pytest
+from literal import x_orbit_reps
 
-from gl2rep.gl2 import GL2Irrep, enumerate_irreps, params, x_orbit_reps
+from gl2rep.gl2 import GL2Irrep, enumerate_irreps, params
 from gl2rep.harmonic import build_I_pi, build_I_pis, commutativity_check
 from gl2rep.oracle import (
     S4_OVER_C3_CLASS_MAP,
@@ -191,7 +192,7 @@ def test_criterion_5_oracle_suite():
                 want = pr.order // c.size() if c == c2 else 0
                 assert class_inner_product(c, c2, pr) == want
         assert verify_embedding(q)["pass"], f"embedding mismatch at q={q}"
-    # every triple at q = 2 and 3 (all_triples' order), the seeded 1000 of sample_triples at q = 4 and 5
+    # every triple at q = 2 and 3 in canonical order, the seeded 1000 of sample_positions at q = 4 and 5
     for q in (2, 3, 4, 5):
         pr = params(q)
         n = q * q - 1

@@ -706,11 +706,20 @@ def test_verify_gelfand_fails_on_a_wrong_family_norm(monkeypatch, kind, wrong):
 
 
 def test_empty_q_list_is_a_usage_error():
-    # an empty list must not fall back to the suite's default q sweep
-    for q_list in (",", ""):
-        code, text = _run(["verify", "--q", q_list, "--suite", "gelfand"])
-        assert code == 2
-        assert "PASS" not in text
+    # an empty list must not fall back to the suite's default q sweep, and a q
+    # below 2 must not pass as a skip past every suite's ceiling
+    for q_list, suite in (
+        (",", "gelfand"),
+        ("", "gelfand"),
+        ("1", "all"),
+        ("0", "all"),
+        ("-3", "all"),
+        ("3,1", "all"),
+        ("1", "harmonic"),
+    ):
+        code, text = _run(["verify", "--q", q_list, "--suite", suite])
+        assert code == 2, q_list
+        assert text == "", q_list
 
 
 def test_verify_respects_ceiling():

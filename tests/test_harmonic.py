@@ -6,7 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from echelon import reference_basis, reference_columns, reference_projections
-from literal import convolve, convolve_literal, delta_identity, orbit_indicator, products, xi_function, xi_idempotent
+from literal import (
+    convolve,
+    convolve_literal,
+    delta_identity,
+    matrix_product,
+    orbit_indicator,
+    products,
+    xi_function,
+    xi_idempotent,
+)
 
 from gl2rep import harmonic
 from gl2rep.errors import BudgetExceeded, MismatchedGroup
@@ -45,16 +54,6 @@ def test_budget():
         pair_context(4)
 
 
-def _matrix_product(gf, x, y):
-    (a, b, c, d), (e, f, g, h) = x, y
-    return (
-        gf.add(gf.mul(a, e), gf.mul(b, g)),
-        gf.add(gf.mul(a, f), gf.mul(b, h)),
-        gf.add(gf.mul(c, e), gf.mul(d, g)),
-        gf.add(gf.mul(c, f), gf.mul(d, h)),
-    )
-
-
 @pytest.mark.parametrize("q", [2, 3])
 def test_pair_context_mul_is_the_matrix_product(q):
     # entry by entry, so the opposite group (a transposed table) fails
@@ -64,7 +63,7 @@ def test_pair_context_mul_is_the_matrix_product(q):
     index = {g: i for i, g in enumerate(elements)}
     for i, x in enumerate(elements):
         for j, y in enumerate(elements):
-            assert ctx.mul[i, j] == index[_matrix_product(gf, x, y)]
+            assert ctx.mul[i, j] == index[matrix_product(gf, x, y)]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -82,8 +81,8 @@ def test_the_group_law_is_the_pair_of_matrix_products(q):
     products = ctx.times(xs, ys)
     for x, y, xy in zip(xs.tolist(), ys.tolist(), products.tolist()):
         (a, b), (c, d) = divmod(x, n), divmod(y, n)
-        ac = index[_matrix_product(gf, elements[a], elements[c])]
-        bd = index[_matrix_product(gf, elements[b], elements[d])]
+        ac = index[matrix_product(gf, elements[a], elements[c])]
+        bd = index[matrix_product(gf, elements[b], elements[d])]
         assert xy == ac * n + bd, (x, y)
     assert np.all(ctx.times(ctx.inverse(xs), xs) == ctx.h[ctx.identity])
     assert elements[ctx.identity] == (1, 0, 0, 1)

@@ -6,12 +6,22 @@ from itertools import product
 
 import numpy as np
 import pytest
+from literal import matrix_product
 
 from gl2rep import oracle
 from gl2rep.cyclotomic import Cyclotomic, root
 from gl2rep.errors import BudgetExceeded, GL2RepError, InvalidCharTable, InvalidClassMap, NonIntegral, Singular
 from gl2rep.fields import build_tower
-from gl2rep.gl2 import GL2Class, GL2Irrep, enumerate_classes, enumerate_irreps, label_table, params
+from gl2rep.gl2 import (
+    GL2Class,
+    GL2Irrep,
+    GroupParams,
+    char_value,
+    enumerate_classes,
+    enumerate_irreps,
+    label_table,
+    params,
+)
 from gl2rep.oracle import (
     S4_OVER_C3_CLASS_MAP,
     ExplicitCharTable,
@@ -19,21 +29,18 @@ from gl2rep.oracle import (
     bessel_check,
     c3_char_table,
     census,
-    center_char_table,
     classify_element,
     elementwise_mult,
     generic_multiplicity,
-    gl2_char_table,
     s4_char_table,
-    tower_for,
     verify_embedding,
 )
 from gl2rep.sl3 import SL3Class
-from gl2rep.tensor import all_triples, mult_closed, mult_sum
+from gl2rep.tensor import mult_closed, mult_sum
 
 
 def test_classify_identity_and_diagonals():
-    t = tower_for(5)
+    t = oracle._context(5).tower
     pr = params(5)
     assert classify_element((1, 0, 0, 1), t) == GL2Class.C1(pr, 0)
     rho = t.rho
@@ -47,7 +54,7 @@ def test_a_context_searches_once_per_characteristic_polynomial(q):
     # the root search runs once per (trace, det), into one q x q table, not
     # once per element: each entry is the first root of x^2 - tr*x + det in
     # F_{q^2} element order, as a scalar search finds it
-    tower = tower_for(q)
+    tower = oracle._context(q).tower
     gf2, emb = tower.gf_q2, tower.embed
     roots = oracle.root_table(tower)
     assert roots.shape == (q, q)
@@ -70,21 +77,12 @@ def test_a_context_searches_once_per_characteristic_polynomial(q):
 
 def _conjugates(gf, g, group):
     """x g x^-1 for every x in the group, each product written out entry by entry."""
-    def times(x, y):
-        (a, b, c, d), (e, f, g_, h) = x, y
-        return (
-            gf.add(gf.mul(a, e), gf.mul(b, g_)),
-            gf.add(gf.mul(a, f), gf.mul(b, h)),
-            gf.add(gf.mul(c, e), gf.mul(d, g_)),
-            gf.add(gf.mul(c, f), gf.mul(d, h)),
-        )
-
     out = set()
     for x in group:
         a, b, c, d = x
         k = gf.inv(gf.sub(gf.mul(a, d), gf.mul(b, c)))
         inverse = (gf.mul(k, d), gf.mul(k, gf.neg(b)), gf.mul(k, gf.neg(c)), gf.mul(k, a))
-        out.add(times(times(x, g), inverse))
+        out.add(matrix_product(gf, matrix_product(gf, x, g), inverse))
     return out
 
 
@@ -102,14 +100,14 @@ def test_each_class_of_the_context_is_the_conjugacy_class_of_its_representative(
 
 
 def test_classify_rejects_singular():
-    t = tower_for(3)
+    t = oracle._context(3).tower
     with pytest.raises(Singular):
         classify_element((1, 1, 1, 1), t)
 
 
 def test_companion_of_irreducible_quadratic_q3():
     # x^2 - x - 1 is irreducible over F_3; its companion matrix is elliptic
-    t = tower_for(3)
+    t = oracle._context(3).tower
     pr = params(3)
     cls = classify_element((0, 1, 1, 1), t)
     assert cls.kind == "c4"
@@ -146,7 +144,7 @@ def test_census_budget():
 
 def test_elementwise_matches_class_sum_exhaustively_q2():
     pr = params(2)
-    for t in all_triples(pr):
+    for t in product(enumerate_irreps(pr), repeat=3):
         assert elementwise_mult(*t, 2) == mult_sum(*t, pr) == mult_closed(*t, pr)
 
 
@@ -222,7 +220,7 @@ def test_an_embedding_into_c8_is_a_package_error(monkeypatch):
 @pytest.mark.parametrize("q", [2, 3, 4, 7])
 def test_the_c3_eigen_structure_is_that_of_a_jordan_block(q):
     # no GL2 class meets C3, so verify_embedding never reads it: hold it to lambda * J_3
-    pr, tower = params(q), tower_for(q)
+    pr, tower = params(q), oracle._context(q).tower
     gf2 = tower.gf_q2
     scalars = set()
     for k in range(1, pr.d + 1):
@@ -251,6 +249,31 @@ def test_s4_over_c3_multiplicity_table():
 def test_group_over_itself_is_identity():
     c3 = c3_char_table()
     assert generic_multiplicity(c3, c3, [0, 1, 2]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def gl2_char_table(pr: GroupParams) -> ExplicitCharTable:
+    """The full character table of GL2(q) as an explicit table."""
+    classes = enumerate_classes(pr)
+    irreps = enumerate_irreps(pr)
+    return ExplicitCharTable(
+        name=f"GL2({pr.q})",
+        class_labels=[c.label() for c in classes],
+        class_sizes=[c.size() for c in classes],
+        irrep_labels=[pi.label() for pi in irreps],
+        values=[[char_value(pi, c, pr) for c in classes] for pi in irreps],
+    )
+
+
+def center_char_table(pr: GroupParams) -> ExplicitCharTable:
+    """Character table of the center of GL2(q) (cyclic of order r)."""
+    r = pr.r
+    return ExplicitCharTable(
+        name=f"Z(GL2({pr.q}))",
+        class_labels=[f"z:{k}" for k in range(r)],
+        class_sizes=[1] * r,
+        irrep_labels=[f"psi:{b}" for b in range(r)],
+        values=[[root(r, b * k) for k in range(r)] for b in range(r)],
+    )
 
 
 def test_gl2_over_center_recovers_central_characters():

@@ -231,3 +231,96 @@ def test_every_name_the_tracer_wraps_resolves_in_the_package():
         if not callable(target):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+# Library names kept for callers outside src/gl2rep that neither the CLI nor
+# gl2rep.__all__ reaches, one reason each.  Any other function or class that
+# no entry point reaches belongs in tests/, beside the tests that read it.
+LIBRARY_ENTRY_POINTS = {
+    "cyclotomic.reduce_root_sum": "bench/tracer.py times it as a hot leaf",
+    "oracle.classify_element": "bench/tracer.py times it as a hot leaf",
+    "gl2.char_terms": "bench/tracer.py times it as a hot leaf",
+    "gl2.char_value": "bench/tracer.py wraps it as a span",
+    "oracle.elementwise_mult": "bench/tracer.py wraps it as a span",
+    "harmonic.build_I_pi": "bench/tracer.py wraps it as a span",
+    "gl2.char_inner_product": "bench/tracer.py wraps it as a span",
+    "gl2.class_inner_product": "bench/tracer.py wraps it as a span",
+    "tensor.ind_decompose": "bench/tracer.py wraps it as a span",
+    "tensor.mult_sum": "bench/child.py re-derives tensor and induct answers with it",
+    "gl2.params": "bench/child.py reads q's parameters with it",
+    "gl2.parse_irrep": "bench/child.py parses the labels of the answers it checks",
+    "gl2.enumerate_irreps": "bench/workloads.py rebinds cli.enumerate_irreps to cut the harmonic suite",
+    "sl3.witness_no_gelfand": "the criteria API: a verified SL3 witness for one GL2 irrep",
+    "tensor.is_gelfand_triple_product": "the criteria API: the induction sweep of one irrep",
+    "tensor.dim_E": "the criteria API: the constituent count of a multiplicity-free induction",
+    "tensor.e_module_freeness_obstruction": "the criteria API: README's freeness obstruction",
+    "gl2.parse_class": "the criteria API: the class-label parser beside parse_irrep",
+    "tensor.ind_sweep_bytes": "the criteria API: the scratch bound of one induction sweep",
+}
+
+def _mentions(nodes) -> set[str]:
+    """Every name the nodes mention, as a name or an attribute; a docstring mentions none."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for top in nodes
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def _unreached(sources: dict[str, str], roots) -> list[str]:
+    """module.name of each module-level function and class of these sources
+    that neither the roots nor the module-level code reach.
+
+    A reached function or class reaches every definition, in any module, of
+    each name its decorators, signature, bases or body mention: the names are
+    matched without resolving imports, so a name shared by two modules keeps
+    both.  The module-level statements other than imports run on import, so
+    what they mention is reached.
+    """
+    defs, by_name, top = {}, {}, []
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[f"{module}.{node.name}"] = node
+                by_name.setdefault(node.name, []).append(f"{module}.{node.name}")
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                top.append(node)
+    # a root that names no definition raises KeyError
+    seen, todo = set(), [*roots, *(key for name in _mentions(top) for key in by_name.get(name, ()))]
+    while todo:
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            todo += [key for name in _mentions([defs[key]]) for key in by_name.get(name, ())]
+    return sorted(set(defs) - seen)
+
+
+def test_every_library_function_and_class_is_reached_from_an_entry_point():
+    # a reference only tests compare against lives in tests/; the library
+    # holds what a command, a public name or a listed caller runs
+    gl2rep = importlib.import_module("gl2rep")
+    public = [f"{getattr(gl2rep, name).__module__.rpartition('.')[2]}.{name}" for name in gl2rep.__all__]
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    unreached = _unreached(sources, ["cli.run", "cli.main", *public, *LIBRARY_ENTRY_POINTS])
+    assert not unreached, f"no entry point reaches {unreached}"
+
+
+def test_the_reachability_check_follows_names_and_skips_docstrings():
+    sources = {
+        "a": (
+            "import b\n"
+            "TABLE = {'k': table_entry}\n"
+            "def entry():\n    '''calls b.helper, never dead'''\n    return b.helper(Kept)\n"
+            "def table_entry(): pass\n"
+            "def dead(): return also_dead()\n"
+            "def also_dead(): pass\n"
+            "class Kept(Base):\n    def method(self): return from_method()\n"
+        ),
+        "b": (
+            "@decorator\ndef helper(x: Annotated) -> None: pass\n"
+            "def decorator(f): return f\nclass Annotated: pass\nclass Base: pass\n"
+            "def from_method(): pass\ndef unused(): pass\n"
+        ),
+    }
+    assert _unreached(sources, ["a.entry"]) == ["a.also_dead", "a.dead", "b.unused"]

@@ -7,10 +7,12 @@ import random
 import re
 import tracemalloc
 from functools import lru_cache
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from literal import x_orbit_reps
 
 from gl2rep import cyclotomic, gl2, tensor
 from gl2rep.cli import SAMPLED_TRIPLES as SAMPLED, run
@@ -28,11 +30,9 @@ from gl2rep.gl2 import (
     position,
     terms_value,
     x_canonical,
-    x_orbit_reps,
 )
 from gl2rep.sl3 import witness_report
 from gl2rep.tensor import (
-    all_triples,
     classify_gelfand,
     decompose,
     dim_E,
@@ -46,9 +46,7 @@ from gl2rep.tensor import (
     is_gelfand_triple_product,
     mult_closed,
     mult_sum,
-    mult_sum_numerator,
     sample_positions,
-    sample_triples,
     verify_agreement,
 )
 
@@ -300,9 +298,16 @@ def test_multiplicity_two_witness():
         assert mult_closed(GL2Irrep.V(pr, 0), w, w, pr) == 2
 
 
+def mult_sum_numerator(pi1, pi2, pi3, pr):
+    """The weighted class sum before division by |G| = q*s*r^2, converted to the power basis."""
+    rows = gl2.char_rows(gl2.operands([pi1, pi2, pi3], pr), pr)
+    coords = gl2.class_sum(pr.rs, gl2.label_table(pr.q).sizes, rows, rows, rows, ([0], [1], [2]))[0]
+    return Cyclotomic(pr.rs, power_coords(pr.rs, coords.tolist()))
+
+
 def test_numerator_divisible_by_group_order_q3():
     pr = params(3)
-    for t in all_triples(pr):
+    for t in product(enumerate_irreps(pr), repeat=3):
         num = mult_sum_numerator(*t, pr).as_integer()
         assert num % pr.order == 0
 
@@ -316,6 +321,12 @@ def test_closed_equals_sum_exhaustive_small(q):
 def _at(pr, triples):
     """The label_table positions of triples of labels, the (m, 3) array verify_agreement reads."""
     return np.array([[position(pi, pr) for pi in t] for t in triples], dtype=np.intp).reshape(-1, 3)
+
+
+def sample_triples(pr, count, seed):
+    """The labels of ``sample_positions``."""
+    t = gl2.label_table(pr.q)
+    return (tuple(t.label(GL2Irrep, k) for k in at) for at in sample_positions(pr, count, seed).tolist())
 
 
 def test_closed_equals_sum_sampled_q7():
@@ -576,7 +587,7 @@ def test_the_gelfand_budget_is_at_least_the_traced_peak(q):
     gl2.label_table.cache_clear()
     tracemalloc.start()
     try:
-        gl2.char_rows(tensor.operands(irreps, pr), pr)
+        gl2.char_rows(gl2.operands(irreps, pr), pr)
         rows_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         norms = tensor.class_sum_norms(pr)
@@ -761,7 +772,7 @@ def _reference_numerators(pr, triples):
 @pytest.mark.parametrize("q, count", [(2, None), (3, None), (4, 600)])
 def test_the_class_sum_kernel_equals_a_cyclotomic_reference(monkeypatch, q, count):
     pr = params(q)
-    triples = list(all_triples(pr) if count is None else sample_triples(pr, count, seed=11))
+    triples = list(product(enumerate_irreps(pr), repeat=3) if count is None else sample_triples(pr, count, seed=11))
     want = _reference_numerators(pr, triples)
     assert [mult_sum_numerator(*t, pr) for t in triples] == want
     # the batched route of verify_agreement, kind group by kind group, and
@@ -791,7 +802,7 @@ def test_disagreements_follow_iteration_order(monkeypatch, chunk_bytes):
     pr = params(4)
     if chunk_bytes is not None:  # chunks of 7 triples: the bad ones straddle chunks
         monkeypatch.setattr(tensor, "_CHUNK_BYTES", chunk_bytes)
-    triples = list(all_triples(pr))
+    triples = list(product(enumerate_irreps(pr), repeat=3))
     random.Random(3).shuffle(triples)
     bad = _interleaved_bad_triples(pr, triples)
     _kernel_adding(monkeypatch, 1, [triples[i] for i in bad])
@@ -849,7 +860,7 @@ def test_a_non_integral_class_sum_at_a_composite_rs_prints_power_basis_coordinat
     u, x = GL2Irrep.U(pr, 1), GL2Irrep.X(pr, 1)
     want = _reference_numerators(pr, [(u, x, x)])[0].coords_at(pr.rs)
     assert want == [12, -12, -12, 24, -12, 12, 0, 0]
-    rows = tensor.char_rows(tensor.operands([u, x, x], pr), pr)
+    rows = tensor.char_rows(gl2.operands([u, x, x], pr), pr)
     assert tensor.class_sum(pr.rs, gl2.label_table(4).sizes, rows, rows, rows, ([0], [1], [2]))[0].tolist() != want
     text = f"class sum for [U:1 x X:1 : X:1] has power-basis coordinates {want}, not a rational integer"
     with pytest.raises(NonIntegral, match=f"^{re.escape(text)}$"):
@@ -908,7 +919,7 @@ def test_the_exhaustive_sweep_reads_every_triple_in_order_a_chunk_at_a_time(monk
     monkeypatch.setattr(tensor, "_flagged", lambda chunk, pr: chunks.append(chunk.copy()) or real(chunk, pr))
     assert verify_agreement(pr) == []
     assert max(map(len, chunks)) == 7
-    assert np.concatenate(chunks).tolist() == _at(pr, all_triples(pr)).tolist()
+    assert np.concatenate(chunks).tolist() == _at(pr, product(enumerate_irreps(pr), repeat=3)).tolist()
 
 
 def test_a_position_outside_the_label_table_is_an_error():
