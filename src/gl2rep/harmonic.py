@@ -30,10 +30,14 @@ integer counts
 over the H-conjugation orbits on G', which turn each convolution into
 a small bilinear form in integers.  No N of all K^3 counts is kept: the
 K x K slice N[k] is built when a product reads it.  One generator yields
-the products of two stacked bases one orbit slice k at a time, and
-``commutativity_check`` stops at the first slice that is not symmetric
-in its two basis axes, since the algebra is commutative iff every slice
-is, and so builds no N[k] past it.
+the products of two stacked bases one orbit slice k at a time, at the
+orbits it is asked for.  ``commutativity_check`` asks only for the d
+pivot orbits of I_pi's echelon, which ``build_I_pis`` hands each basis:
+a commutator f_a * f_b - f_b * f_a lies in I_pi, and a nonzero element of
+I_pi is nonzero at its first nonzero orbit, which is a pivot, so the
+algebra is commutative iff the slices at its pivots are symmetric in
+their two basis axes.  The check stops at the first that is not, and
+builds no N[k] past it nor any N[k] off the pivots.
 
 The projections that span I_pi come from the pi-independent pair counts
 
@@ -62,15 +66,17 @@ for a convolution and 2 359 296 for a projection (2^21.2).
 The echelon that picks a basis from the projections stays on int64,
 under the same kind of bound taken from the operands before each step:
 a step whose terms could sum to 2^62 raises BudgetExceeded before any
-product is formed.  It finds the echelon row of each step in one lookup
-over the pivots.  With content reduction the largest entry the echelon
-meets at q <= 3 is 4 800, far below its bound.
+product is formed.  It drops each column that is a multiple of an earlier
+one before eliminating it, which changes neither the columns chosen nor
+the pivots, and finds the echelon row of each step in one lookup over the
+pivots.  With content reduction the largest entry the echelon meets at
+q <= 3 is 4 800, far below its bound.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 
 import numpy as np
@@ -246,10 +252,13 @@ def _check_exact(ctx: PairGroupContext, f: np.ndarray, g: np.ndarray) -> None:
     _check_float64(ctx.n2 * max_f * max_g * ctx.reduction_mass, "convolution", ctx.q)
 
 
-def _product_slices(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> Iterator[np.ndarray]:
+def _product_slices(
+    ctx: PairGroupContext, F: np.ndarray, G: np.ndarray
+) -> Callable[[Iterable[int]], Iterator[np.ndarray]]:
     """Integer parts of every f * g at the orbit reps, for f in the stack
-    F (a, K, phi) and g in G (b, K, phi), one orbit k at a time: the k-th
-    item is the (a, b, phi) int64 slice
+    F (a, K, phi) and g in G (b, K, phi), one orbit k at a time: the
+    returned ``slices(orbits)`` yields, for each k of ``orbits`` in turn,
+    the (a, b, phi) int64 slice
 
         P[a, b, k] = sum_{i,j} N[k,i,j] F[a,i] G[b,j], reduced.
 
@@ -267,12 +276,12 @@ def _product_slices(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> Iter
     # g_mul[(b, e), (j, c)]: coordinate e of zeta^c * G[b, j]
     g_mul = np.einsum("bjd,cde->bejc", G, ctx.reduction).reshape(b * phi, K * phi).astype(np.float64)
 
-    def slices() -> Iterator[np.ndarray]:
-        for k in range(K):
+    def slices(orbits: Iterable[int]) -> Iterator[np.ndarray]:
+        for k in orbits:
             t = (ctx.n_tensor(k).T.astype(np.float64) @ f_cols).reshape(K * phi, a)  # [(j, c), a]
             yield np.rint(g_mul @ t).astype(np.int64).reshape(b, phi, a).transpose(2, 0, 1)
 
-    return slices()
+    return slices
 
 
 def _cyc_mul_matrix(vec: np.ndarray, reduction: np.ndarray) -> np.ndarray:
@@ -296,7 +305,18 @@ def projection_bytes(K: int, phi: int, irreps: int) -> int:
     return (irreps + 1) * K * K * phi * 8
 
 
-def build_I_pis(irreps: list[GL2Irrep], q: int) -> list[list[GroupFunction]]:
+class Basis(list):
+    """A basis of I_pi(G'): the list of its functions, and ``pivots``, the
+    orbits, rising, at which the rows of its echelon lead.  Every nonzero
+    element of I_pi is nonzero at its first nonzero orbit, and that orbit is
+    a pivot, so an element of I_pi that vanishes at every pivot is zero."""
+
+    def __init__(self, functions: Iterable[GroupFunction], pivots: list[int]):
+        super().__init__(functions)
+        self.pivots = pivots
+
+
+def build_I_pis(irreps: list[GL2Irrep], q: int) -> list[Basis]:
     """A basis of I_pi(G') for each pi of ``irreps``, in their order, obtained
     by projecting H-orbit indicator sums.
 
@@ -308,7 +328,8 @@ def build_I_pis(irreps: list[GL2Irrep], q: int) -> list[list[GroupFunction]]:
     entries below 2^53, so the rounded product is the integer one; the
     guards run, and the projections' bytes are checked, before any slice is
     built.  Then a maximal linearly independent subset of each irrep's
-    projections over Q(zeta_rs) is selected by exact elimination.
+    projections over Q(zeta_rs) is selected by exact elimination, and each
+    basis carries the pivot orbits of that elimination.
     """
     if not irreps:
         return []
@@ -338,11 +359,13 @@ def build_I_pis(irreps: list[GL2Irrep], q: int) -> list[list[GroupFunction]]:
     bases = []
     while projections:
         C = projections.pop(0)
-        bases.append([GroupFunction(ctx, C[:, j, :], ctx.n2 * ctx.n**2) for j in _independent_columns(ctx, C)])
+        columns = _independent_columns(ctx, C)
+        functions = [GroupFunction(ctx, C[:, j, :], ctx.n2 * ctx.n**2) for j in columns]
+        bases.append(Basis(functions, sorted(j.pivot for j in columns)))
     return bases
 
 
-def build_I_pi(pi: GL2Irrep, q: int) -> list[GroupFunction]:
+def build_I_pi(pi: GL2Irrep, q: int) -> Basis:
     """A basis of I_pi(G'): the one-irrep pass of ``build_I_pis``."""
     return build_I_pis([pi], q)[0]
 
@@ -352,8 +375,55 @@ def _content_reduced(v: np.ndarray) -> np.ndarray:
     return v // g if g > 1 else v
 
 
-def _independent_columns(ctx: PairGroupContext, projections: np.ndarray) -> list[int]:
-    """Indices j whose projected columns form a basis of the column span.
+def _distinct_columns(projections: np.ndarray) -> list[int]:
+    """The columns j, rising, whose normal form no earlier column has.
+
+    A column's normal form is the column divided by its content, negated if
+    its first nonzero entry is then negative; a zero column is its own.  Two
+    columns have the same normal form iff one is a rational multiple of the
+    other.  Each normal form is keyed by the hash of its bytes, and a key
+    hit is confirmed by building the earlier column's normal form again and
+    comparing exactly, so no column is copied to be kept.
+    """
+    n = projections.shape[1]
+    cols = np.arange(n)
+    content = np.gcd.reduce(projections, axis=(0, 2))
+    # each column's entries at its first nonzero orbit, and the first nonzero of them
+    lead_rows = projections[projections.any(axis=2).argmax(axis=0), cols]
+    lead = lead_rows[cols, (lead_rows != 0).argmax(axis=1)]
+    scale = np.where(content > 0, content * np.sign(lead), 1).tolist()
+    # hash of a normal form -> the columns kept with it
+    kept: dict[int, list[int]] = {}
+    distinct = []
+    for j in range(n):
+        key = projections[:, j, :] // scale[j]
+        same = kept.setdefault(hash(key.tobytes()), [])
+        if not any(np.array_equal(key, projections[:, i, :] // scale[i]) for i in same):
+            same.append(j)
+            distinct.append(j)
+    return distinct
+
+
+class Column(int):
+    """The index j of a column ``_independent_columns`` chose, with
+    ``pivot``, the orbit at which the echelon row it added leads."""
+
+    pivot: int
+
+    def __new__(cls, j: int, pivot: int):
+        column = super().__new__(cls, j)
+        column.pivot = pivot
+        return column
+
+
+def _independent_columns(ctx: PairGroupContext, projections: np.ndarray) -> list[Column]:
+    """Indices j whose projected columns form a basis of the column span,
+    each with its pivot orbit.
+
+    Only the columns of ``_distinct_columns`` are eliminated.  A column it
+    drops is a multiple of an earlier column, which is chosen or lies in the
+    span of the columns chosen before it, so the greedy choice, the echelon
+    and its pivots are unchanged.
 
     Exact echelon over Q(zeta_rs) on int64 vectors: rows are kept
     content-reduced, and a column v is cleared at pivot p of an echelon row
@@ -378,7 +448,7 @@ def _independent_columns(ctx: PairGroupContext, projections: np.ndarray) -> list
     echelon: list[tuple[np.ndarray, np.ndarray, int, int]] = []
     pivots = np.empty(0, dtype=np.intp)
     chosen = []
-    for j in range(projections.shape[1]):
+    for j in _distinct_columns(projections):
         v = projections[:, j, :]
         at = 0
         while True:
@@ -400,21 +470,25 @@ def _independent_columns(ctx: PairGroupContext, projections: np.ndarray) -> list
         at = int(np.searchsorted(pivots, p))
         pivots = np.insert(pivots, at, p)
         echelon.insert(at, (v, v[p].copy(), int(np.abs(v).max()), int(np.abs(v[p]).max())))
-        chosen.append(j)
+        chosen.append(Column(j, p))
     return chosen
 
 
-def commutativity_check(basis: list[GroupFunction]) -> bool:
-    """Whether f * g == g * f for every pair from the basis, exactly.
+def commutativity_check(basis: Basis) -> bool:
+    """Whether f * g == g * f for every pair from a basis of I_pi, exactly.
 
     f_a * f_b and f_b * f_a share the denominator den_a den_b |G'|, so
-    comparing integer parts is exact.  The products of the stacked basis
-    with itself are read one orbit slice at a time, and the answer is
+    comparing integer parts is exact.  Their difference lies in I_pi, since
+    xi is idempotent and the H-class functions are closed under
+    convolution, so it is zero iff it vanishes at every pivot orbit of the
+    basis.  The products of the stacked basis with itself are therefore
+    read only at the pivot orbits, one slice at a time, and the answer is
     False at the first slice that is not symmetric in its two basis axes:
-    at q = 3 that is the second slice for V:0 and W:0,1, while a
-    commutative algebra such as X:1's reads all K slices.  Only the slices
-    read are built, each with its N[k].  The exactness guard runs before
-    the first slice.
+    at q = 3 that is the second pivot for V:0 and the first for W:0,1,
+    while a commutative algebra such as X:1's reads its 14 pivot slices of
+    the K = 136.
+    Only the slices read are built, each with its N[k].  The exactness
+    guard runs before the first slice.
     """
     if not basis:
         return True
@@ -423,4 +497,5 @@ def commutativity_check(basis: list[GroupFunction]) -> bool:
         if f.ctx is not ctx:
             raise MismatchedGroup("basis functions live on different groups")
     B = np.stack([f.coords for f in basis])
-    return all(np.array_equal(s, s.swapaxes(0, 1)) for s in _product_slices(ctx, B, B))
+    slices = _product_slices(ctx, B, B)
+    return all(np.array_equal(s, s.swapaxes(0, 1)) for s in slices(basis.pivots))

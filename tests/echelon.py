@@ -1,5 +1,6 @@
 """The object-dtype reference of the harmonic echelon: exact elimination on
-Python integers, which no bound limits, and the I_pi basis it picks."""
+Python integers, which no bound limits, with no column dropped before it is
+eliminated, and the I_pi basis it picks."""
 
 import numpy as np
 
@@ -16,8 +17,18 @@ def reference_projections(pi, q: int) -> np.ndarray:
     return np.einsum("kjab,abe->kje", count, pair_products)
 
 
-def reference_columns(ctx, projections: np.ndarray) -> list[int]:
-    """The basis columns, by cross-multiplication and content reduction on Python integers."""
+class Chosen(list):
+    """The chosen column indices, and ``pivots``: the orbits, rising, at which
+    the echelon rows lead."""
+
+    def __init__(self, columns, pivots):
+        super().__init__(columns)
+        self.pivots = pivots
+
+
+def reference_columns(ctx, projections: np.ndarray) -> Chosen:
+    """The basis columns and the echelon's pivots, by cross-multiplication
+    and content reduction on Python integers."""
     red = ctx.reduction.astype(object)
     echelon = []  # (pivot_idx, row, pivot_val)
     chosen = []
@@ -40,7 +51,7 @@ def reference_columns(ctx, projections: np.ndarray) -> list[int]:
         echelon.append((p, v, v[p].copy()))
         chosen.append(j)
         echelon.sort(key=lambda item: item[0])
-    return chosen
+    return Chosen(chosen, [p for p, _, _ in echelon])
 
 
 def reference_basis(pi, q: int) -> list[GroupFunction]:

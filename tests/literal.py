@@ -2,8 +2,8 @@
 of the canonical irrep order, the 2x2 matrix product over a field, and for
 the harmonic tests the convolution summed element by element, the
 convolution through the library's product kernel that the tests compare
-with it, the functions the tests convolve, and the idempotency of the
-projector kernel xi_pi."""
+with it, the functions the tests convolve, the idempotency of the
+projector kernel xi_pi, and commutativity read at every orbit."""
 
 import numpy as np
 
@@ -38,7 +38,18 @@ def matrix_product(gf, x, y):
 def products(ctx: PairGroupContext, F: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Every slice of ``_product_slices`` stacked: the (a, b, K, phi) int64
     array P of the integer parts of f * g for f in F and g in G."""
-    return np.stack(list(_product_slices(ctx, F, G)), axis=2)
+    return np.stack(list(_product_slices(ctx, F, G)(range(ctx.K))), axis=2)
+
+
+def commutative_at_every_orbit(basis: list[GroupFunction]) -> bool:
+    """Whether f * g == g * f for every pair from the basis, read at all K
+    orbits: every slice of the products of the stacked basis with itself is
+    symmetric in its two basis axes, for k in range(K)."""
+    if not basis:
+        return True
+    ctx = basis[0].ctx
+    B = np.stack([f.coords for f in basis])
+    return all(np.array_equal(s, s.swapaxes(0, 1)) for s in _product_slices(ctx, B, B)(range(ctx.K)))
 
 
 def convolve(f1: GroupFunction, f2: GroupFunction) -> GroupFunction:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from echelon import reference_basis, reference_columns, reference_projections
 from literal import (
+    commutative_at_every_orbit,
     convolve,
     convolve_literal,
     delta_identity,
@@ -293,6 +294,16 @@ def test_commutativity_agrees_with_multiplicity_freeness(q):
         assert commutativity_check(basis) == is_gelfand_triple_product(pi, pr)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_commutativity_at_the_pivots_is_commutativity_at_every_orbit(q):
+    # the check reads the products only at the basis's pivot orbits; the
+    # reference reads all K of them
+    irreps = enumerate_irreps(params(q))
+    for pi, basis in zip(irreps, build_I_pis(irreps, q)):
+        assert len(basis.pivots) == len(basis), pi.label()
+        assert commutativity_check(basis) == commutative_at_every_orbit(basis), pi.label()
+
+
 def test_commutativity_false_for_steinberg_q3():
     basis = build_I_pi(GL2Irrep.V(params(3), 0), 3)
     assert len(basis) == 22
@@ -349,8 +360,8 @@ def test_n_tensor_counts_elements(q):
 
 def test_commutativity_check_keeps_no_dense_n():
     # at q = 3 all K^3 int32 counts of N take 10 061 824 bytes; the check
-    # builds one K x K slice at a time and keeps none, so reading all K
-    # slices for X:1's commutative algebra stays well below that
+    # builds one K x K slice at a time and keeps none, so reading every
+    # pivot slice for X:1's commutative algebra stays well below that
     ctx = pair_context(3)
     ctx.pair_count(0)
     basis = build_I_pi(GL2Irrep.X(params(3), 1), 3)
@@ -484,17 +495,24 @@ def test_projection_guard_raises_before_any_slice(monkeypatch, top):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_echelon_matches_the_object_reference(q):
+    # the pivots are the leading orbits of the span, so neither the order of
+    # the steps nor the columns dropped before elimination may move them
     ctx = pair_context(q)
     for pi in enumerate_irreps(params(q)):
         projections = reference_projections(pi, q)
-        assert _independent_columns(ctx, projections) == reference_columns(ctx, projections), pi.label()
-        assert build_I_pi(pi, q) == reference_basis(pi, q), pi.label()
+        columns, reference = _independent_columns(ctx, projections), reference_columns(ctx, projections)
+        assert columns == reference, pi.label()
+        assert sorted(j.pivot for j in columns) == reference.pivots, pi.label()
+        basis = build_I_pi(pi, q)
+        assert basis == reference_basis(pi, q), pi.label()
+        assert basis.pivots == reference.pivots, pi.label()
 
 
-# the echelon steps each irrep's basis takes, as the row-by-row pivot test took them
+# the echelon steps each irrep's basis takes, as the row-by-row pivot test
+# took them, over the columns left once multiples of earlier ones are dropped
 ECHELON_STEPS = {
-    2: {"U:0": 8, "V:0": 6, "X:1": 8},
-    3: {"U:0": 128, "U:1": 128, "V:0": 239, "V:1": 239, "W:0,1": 184, "X:1": 162, "X:2": 116, "X:5": 162},
+    2: {"U:0": 0, "V:0": 3, "X:1": 0},
+    3: {"U:0": 0, "U:1": 0, "V:0": 83, "V:1": 83, "W:0,1": 69, "X:1": 68, "X:2": 6, "X:5": 68},
 }
 
 
@@ -564,21 +582,67 @@ def test_echelon_guard_raises_before_any_product(monkeypatch, top):
         _independent_columns(ctx, P)
 
 
+def _planted(P, c):
+    """P with a zero column in front, -3 times its column c right after
+    that column, and a copy of its last column at the end."""
+    K, _, phi = P.shape
+    zero = np.zeros((K, 1, phi), dtype=P.dtype)
+    return np.concatenate([zero, P[:, : c + 1], -3 * P[:, c : c + 1], P[:, c + 1 :], P[:, -1:]], axis=1)
+
+
+def test_multiples_of_earlier_columns_are_dropped_before_elimination(monkeypatch):
+    # V:0 at q = 2 has 11 columns but 7 normal forms, the zero one among
+    # them; the three planted columns add no step, and the columns and
+    # pivots are the reference's, also when every key collides and only the
+    # exact comparison tells columns apart
+    ctx = pair_context(2)
+    P = reference_projections(GL2Irrep.V(params(2), 0), 2)
+    reference = reference_columns(ctx, P)
+    c = reference[-1]
+    # no column of P is a negative multiple of column c, so only the sign
+    # normalisation drops -3 times it
+    lead = [int(u.flat[np.flatnonzero(u)[0]]) if u.any() else 0 for u in P.transpose(1, 0, 2)]
+    assert not any(
+        lead[j] * lead[c] < 0 and np.array_equal(P[:, j] * lead[c], P[:, c] * lead[j]) for j in range(P.shape[1])
+    )
+    planted = _planted(P, c)
+    want = reference_columns(ctx, planted)
+    assert want == [j + 1 if j <= c else j + 2 for j in reference] and want.pivots == reference.pivots
+    # one entry for each multiplication matrix formed, two per elimination step
+    steps = []
+    multiply = harmonic._cyc_mul_matrix
+    monkeypatch.setattr(harmonic, "_cyc_mul_matrix", lambda *args: steps.append(None) or multiply(*args))
+    assert _independent_columns(ctx, P) == reference
+    unplanted_steps = len(steps)
+    assert unplanted_steps > 0
+    for keyed in (True, False):
+        if not keyed:
+            monkeypatch.setattr(harmonic, "hash", lambda key: 0, raising=False)
+        steps.clear()
+        got = _independent_columns(ctx, planted)
+        assert got == want and sorted(j.pivot for j in got) == want.pivots, keyed
+        assert len(steps) == unplanted_steps, keyed
+
+
 def test_commutativity_stops_at_the_first_asymmetric_slice(monkeypatch):
-    counts = []
-    original = harmonic._product_slices
-
-    def counted(ctx, F, G):
-        counts.append(0)
-        for s in original(ctx, F, G):
-            counts[-1] += 1
-            yield s
-
-    monkeypatch.setattr(harmonic, "_product_slices", counted)
+    # N[k] is built only at the pivot orbits, rising: all 14 of X:1's, and
+    # for V:0 and W:0,1 up to their first pivot whose slice is not symmetric
+    ctx = pair_context(3)
     pr = params(3)
-    verdicts = [
-        commutativity_check(build_I_pi(pi, 3)) for pi in (GL2Irrep.V(pr, 0), GL2Irrep.W(pr, 0, 1), GL2Irrep.X(pr, 1))
-    ]
+    bases = [build_I_pi(pi, 3) for pi in (GL2Irrep.V(pr, 0), GL2Irrep.W(pr, 0, 1), GL2Irrep.X(pr, 1))]
+    want = []
+    for basis in bases:
+        B = np.stack([f.coords for f in basis])
+        P = products(ctx, B, B)
+        asymmetric = [k for k in basis.pivots if not np.array_equal(P[:, :, k], P[:, :, k].swapaxes(0, 1))]
+        want.append(basis.pivots[: basis.pivots.index(asymmetric[0]) + 1] if asymmetric else basis.pivots)
+    read = []
+    n_tensor = ctx.n_tensor
+    monkeypatch.setattr(ctx, "n_tensor", lambda k: read[-1].append(k) or n_tensor(k))
+    verdicts = []
+    for basis in bases:
+        read.append([])
+        verdicts.append(commutativity_check(basis))
     assert verdicts == [False, False, True]
-    assert counts[0] <= 2 and counts[1] <= 2
-    assert counts[2] == pair_context(3).K
+    assert read == want
+    assert [len(ks) for ks in read] == [2, 1, len(bases[2])] and len(bases[2]) == 14 < ctx.K == 136
